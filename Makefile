@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: install test bench quick full examples clean
+.PHONY: install test bench bench-experiments quick full examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -11,6 +11,9 @@ test:
 	$(PY) -m pytest tests/
 
 bench:
+	$(PY) bench/run.py
+
+bench-experiments:
 	$(PY) -m pytest benchmarks/ --benchmark-only
 
 quick:

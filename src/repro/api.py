@@ -192,7 +192,7 @@ def simulate(
     raise_on_incomplete: raise on a budget miss (default) or return the
         partial trace.
     backend: optional kernel backend for the run — a registered name
-        (``"numpy"``, ``"numba"``, ``"cupy"``) or a
+        (``"numpy"``, ``"numba"``) or a
         :class:`~repro.backends.KernelBackend` instance, installed for
         the duration of the call via
         :func:`~repro.backends.use_backend`.  ``None`` keeps the

@@ -3,14 +3,12 @@
 One :class:`KernelBackend` implements the serial and batched
 "count transmitting neighbours" kernels every simulation runs on;
 :class:`~repro.graphs.adjacency.Adjacency` dispatches both through the
-process-wide registry here.  Three implementations ship:
+process-wide registry here.  Two implementations ship:
 
 * ``numpy`` (default, always available) — the scatter/matmul hybrid,
   bit-for-bit the historical in-``Adjacency`` code;
 * ``numba`` — a compiled CSR gather-scatter loop, ``prange``-parallel
-  over trials, lazily JIT'd; available when numba is installed;
-* ``cupy`` — CSR×dense on GPU with explicit host/device transfer
-  accounting; available when cupy sees a CUDA device.
+  over trials, lazily JIT'd; available when numba is installed.
 
 Select with :func:`set_backend` / :func:`use_backend`,
 ``repro.simulate(..., backend=...)``, CLI ``--backend``, or the
@@ -37,8 +35,7 @@ from .base import (
 )
 
 # Importing the implementation modules registers them.
-from . import cupy_backend, numba_backend, numpy_backend  # noqa: E402,F401
-from .cupy_backend import CupyBackend
+from . import numba_backend, numpy_backend  # noqa: E402,F401
 from .numba_backend import NumbaBackend
 from .numpy_backend import NumpyBackend
 
@@ -49,7 +46,6 @@ __all__ = [
     "KernelBackend",
     "NumpyBackend",
     "NumbaBackend",
-    "CupyBackend",
     "available_backend_names",
     "backend_names",
     "current_backend_name",

@@ -85,7 +85,7 @@ class BackendProbe:
     version: version string of the accelerator package (``None`` when
         unavailable or not applicable).
     detail: one-line human-readable status ("numba 0.59.0, 8 threads",
-        "cupy not installed", ...).
+        "numba not installed", ...).
     """
 
     name: str

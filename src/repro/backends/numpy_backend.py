@@ -43,6 +43,7 @@ from time import perf_counter
 
 import numpy as np
 
+from .._atomic import atomic_write
 from .base import KernelBackend, register_backend
 
 __all__ = ["NumpyBackend"]
@@ -93,11 +94,7 @@ def _store_calibration(cost: float) -> None:
     path = _calibration_cache_path()
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".json.tmp")
-        tmp.write_text(
-            json.dumps({"numpy": np.__version__, "scatter_cost": cost}) + "\n"
-        )
-        tmp.replace(path)
+        atomic_write(path, json.dumps({"numpy": np.__version__, "scatter_cost": cost}) + "\n")
     except OSError:
         pass
 

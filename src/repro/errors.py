@@ -78,7 +78,7 @@ class BackendUnavailableError(BackendError):
 
     Raised when a backend is selected *explicitly* (``set_backend``,
     ``simulate(backend=...)``, CLI ``--backend``) but its availability
-    probe fails — numba/cupy not installed, or no CUDA device.  The
+    probe fails — numba not installed, say.  The
     implicit ``REPRO_BACKEND`` environment selection degrades to the
     numpy backend with a :class:`RuntimeWarning` instead of raising.
     """

@@ -42,6 +42,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .._atomic import atomic_write
+
 __all__ = [
     "CRASH_EXIT_CODE",
     "NET_FAULT_ACTIONS",
@@ -86,9 +88,7 @@ def _next_attempt(state_dir: str | Path, key: str) -> int:
     path = _counter_path(state_dir, key)
     path.parent.mkdir(parents=True, exist_ok=True)
     attempt = attempt_count(state_dir, key) + 1
-    tmp = path.with_suffix(".attempts.tmp")
-    tmp.write_text(str(attempt))
-    tmp.replace(path)
+    atomic_write(path, str(attempt))
     return attempt
 
 
@@ -214,9 +214,7 @@ class NetChaos:
         path.parent.mkdir(parents=True, exist_ok=True)
         seen = int(path.read_text()) if path.exists() else 0
         seen += 1
-        tmp = path.with_suffix(".count.tmp")
-        tmp.write_text(str(seen))
-        tmp.replace(path)
+        atomic_write(path, str(seen))
         return seen
 
     def on_send(self, kind: str) -> NetFault | None:

@@ -35,6 +35,7 @@ from typing import Callable
 
 import numpy as np
 
+from .._atomic import atomic_write
 from .._typing import SeedLike
 from ..errors import BroadcastIncompleteError, InvalidParameterError, ReproError
 from ..radio.trace import BroadcastTrace
@@ -151,9 +152,7 @@ class SweepCheckpoint:
             "records": [records[i].to_json() for i in sorted(records)],
         }
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_suffix(self.path.suffix + ".tmp")
-        tmp.write_text(json.dumps(payload, indent=2) + "\n")
-        tmp.replace(self.path)
+        atomic_write(self.path, json.dumps(payload, indent=2) + "\n")
 
 
 @dataclass

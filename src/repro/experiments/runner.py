@@ -8,15 +8,14 @@ from typing import Any
 import numpy as np
 
 from .._typing import SeedLike
-from ..errors import BroadcastIncompleteError
 from ..gossip.batch import run_gossip_batch, run_multimessage_batch
+from ..gossip.dynamics import GossipDynamics, MultiMessageDynamics
+from ..gossip.trace import GossipTrace
 from ..obs import maybe_span
-from ..gossip.multimessage import simulate_multimessage
-from ..gossip.simulator import simulate_gossip
-from ..radio.engine import run_broadcast_batch
+from ..radio.dynamics import BroadcastDynamics, run_dissemination
+from ..radio.engine import BatchBroadcastResult, run_broadcast_batch
 from ..radio.model import RadioNetwork
 from ..radio.protocol import RadioProtocol
-from ..radio.simulator import simulate_broadcast
 from ..rng import spawn_generators
 from ..theory.fitting import FitResult
 from .report import format_markdown_table, format_table
@@ -159,6 +158,58 @@ def aggregate(values) -> dict[str, float]:
     return stats
 
 
+def _dissemination_times(
+    span, batch, dynamics_cls, network, protocol, placement, faults, with_fractions, **run
+):
+    """The batch-or-serial dispatch behind the three ``*_times`` sweeps.
+
+    Fault-free runs of ``supports_batch`` protocols go to the lockstep
+    entry point ``batch``; everything else runs ``dynamics_cls`` trial by
+    trial under :func:`~repro.radio.dynamics.run_dissemination` on the
+    same spawned streams, so the dispatch is bit-for-bit invisible in the
+    results.  ``placement`` holds the ``source``/``sources`` keyword and
+    ``run`` the keywords both paths share.
+    """
+    repetitions = run["repetitions"]
+    fault_free = faults is None or faults.is_null
+    with maybe_span(span, label=protocol.name):
+        if repetitions >= 1 and fault_free and getattr(protocol, "supports_batch", False):
+            result = batch(network, protocol, **placement, **run)
+            rounds = result.completion_rounds
+            fractions = (
+                result.informed_fractions
+                if isinstance(result, BatchBroadcastResult)
+                else result.knowledge_fractions
+            )
+        else:
+            rounds = np.full(repetitions, np.inf)
+            fractions = np.ones(repetitions)
+            for i, rng in enumerate(spawn_generators(run["seed"], repetitions)):
+                trace = run_dissemination(
+                    network,
+                    dynamics_cls.build(network, protocol=protocol, p=run["p"], **placement),
+                    plan=faults,
+                    seed=rng,
+                    max_rounds=run["max_rounds"],
+                    check_connected=run["check_connected"],
+                    raise_on_incomplete=False,
+                )
+                if trace.completed:
+                    rounds[i] = trace.completion_round
+                else:
+                    fractions[i] = _final_fraction(trace)
+    if with_fractions:
+        return rounds, fractions
+    return rounds
+
+
+def _final_fraction(trace) -> float:
+    """How far an incomplete serial trial got (informed or known pairs)."""
+    if isinstance(trace, GossipTrace):
+        return float(np.sum(trace.knowledge_counts)) / float(trace.n * trace.tokens)
+    return trace.num_informed / trace.n
+
+
 def protocol_times(
     network: RadioNetwork,
     protocol: RadioProtocol,
@@ -180,78 +231,18 @@ def protocol_times(
     sweeps over one fixed connected graph should verify once upfront.
 
     Protocols that advertise ``supports_batch`` (uniform, decay, the
-    Theorem 7 randomized protocol) are measured on the batched engine
+    Theorem 7 randomized protocol) are measured on the lockstep driver
     (:func:`~repro.radio.engine.run_broadcast_batch`): all repetitions
-    advance in lockstep, one CSR×dense matmul per round.  The per-trial
+    advance together, one batched count kernel per round.  The per-trial
     streams are spawned identically in both paths, so the dispatch is
     bit-for-bit invisible in the results (pinned by
     ``tests/radio/test_batch.py``).
     """
-    with maybe_span("sweep.protocol_times", label=protocol.name):
-        if repetitions >= 1 and getattr(protocol, "supports_batch", False):
-            batch = run_broadcast_batch(
-                network,
-                protocol,
-                source,
-                repetitions=repetitions,
-                p=p,
-                seed=seed,
-                max_rounds=max_rounds,
-                check_connected=check_connected,
-            )
-            if with_fractions:
-                return batch.completion_rounds, batch.informed_fractions
-            return batch.completion_rounds
-        out = np.empty(repetitions, dtype=float)
-        fractions = np.empty(repetitions, dtype=float)
-        n = network.n
-        for i, rng in enumerate(spawn_generators(seed, repetitions)):
-            try:
-                trace = simulate_broadcast(
-                    network,
-                    protocol,
-                    source,
-                    seed=rng,
-                    max_rounds=max_rounds,
-                    p=p,
-                    check_connected=check_connected,
-                )
-                out[i] = trace.completion_round
-                fractions[i] = 1.0
-            except BroadcastIncompleteError as exc:
-                out[i] = np.inf
-                fractions[i] = (
-                    exc.trace.num_informed / n if exc.trace is not None else 0.0
-                )
-        if with_fractions:
-            return out, fractions
-        return out
-
-
-def _knowledge_times_serial(
-    simulate,
-    repetitions: int,
-    seed: SeedLike,
-    tokens: int,
-    n: int,
-    with_fractions: bool,
-):
-    out = np.empty(repetitions, dtype=float)
-    fractions = np.empty(repetitions, dtype=float)
-    for i, rng in enumerate(spawn_generators(seed, repetitions)):
-        try:
-            trace = simulate(rng)
-            out[i] = trace.completion_round
-            fractions[i] = 1.0
-        except BroadcastIncompleteError as exc:
-            out[i] = np.inf
-            counts = getattr(exc.trace, "knowledge_counts", None)
-            fractions[i] = (
-                float(np.sum(counts)) / float(n * tokens) if counts is not None else 0.0
-            )
-    if with_fractions:
-        return out, fractions
-    return out
+    return _dissemination_times(
+        "sweep.protocol_times", run_broadcast_batch, BroadcastDynamics, network, protocol,
+        {"source": source}, None, with_fractions, repetitions=repetitions, seed=seed,
+        max_rounds=max_rounds, p=p, check_connected=check_connected,
+    )
 
 
 def gossip_times(
@@ -270,49 +261,17 @@ def gossip_times(
 
     The gossip twin of :func:`protocol_times`, with identical dispatch:
     ``supports_batch`` protocols on fault-free runs are measured on the
-    batched lockstep engine
-    (:func:`~repro.gossip.batch.run_gossip_batch`), everything else —
-    including any run with an active ``faults`` plan — falls back to
-    serial :func:`~repro.gossip.simulator.simulate_gossip` over spawned
-    per-trial streams.  The two paths are bit-for-bit identical.
-    ``with_fractions=True`` additionally returns the per-trial final
-    fraction of known (node, rumor) pairs.
+    lockstep driver (:func:`~repro.gossip.batch.run_gossip_batch`),
+    everything else — including any run with an active ``faults`` plan —
+    runs serially over spawned per-trial streams.  The two paths are
+    bit-for-bit identical.  ``with_fractions=True`` additionally returns
+    the per-trial final fraction of known (node, rumor) pairs.
     """
-    fault_free = faults is None or getattr(faults, "is_null", False)
-    with maybe_span("sweep.gossip_times", label=protocol.name):
-        if (
-            repetitions >= 1
-            and fault_free
-            and getattr(protocol, "supports_batch", False)
-        ):
-            batch = run_gossip_batch(
-                network,
-                protocol,
-                repetitions=repetitions,
-                p=p,
-                seed=seed,
-                max_rounds=max_rounds,
-                check_connected=check_connected,
-            )
-            if with_fractions:
-                return batch.completion_rounds, batch.knowledge_fractions
-            return batch.completion_rounds
-        return _knowledge_times_serial(
-            lambda rng: simulate_gossip(
-                network,
-                protocol,
-                p=p,
-                seed=rng,
-                max_rounds=max_rounds,
-                check_connected=check_connected,
-                faults=faults,
-            ),
-            repetitions,
-            seed,
-            network.n,
-            network.n,
-            with_fractions,
-        )
+    return _dissemination_times(
+        "sweep.gossip_times", run_gossip_batch, GossipDynamics, network, protocol,
+        {}, faults, with_fractions, repetitions=repetitions, seed=seed,
+        max_rounds=max_rounds, p=p, check_connected=check_connected,
+    )
 
 
 def multimessage_times(
@@ -332,47 +291,13 @@ def multimessage_times(
 
     Dispatch mirrors :func:`gossip_times`: fault-free ``supports_batch``
     runs use :func:`~repro.gossip.batch.run_multimessage_batch`, the rest
-    serial :func:`~repro.gossip.multimessage.simulate_multimessage`.  All
-    repetitions share the ``sources`` token placement.
+    run serially.  All repetitions share the ``sources`` token placement.
     """
-    sources = np.asarray(sources, dtype=np.int64)
-    fault_free = faults is None or getattr(faults, "is_null", False)
-    with maybe_span("sweep.multimessage_times", label=protocol.name):
-        if (
-            repetitions >= 1
-            and fault_free
-            and getattr(protocol, "supports_batch", False)
-        ):
-            batch = run_multimessage_batch(
-                network,
-                protocol,
-                sources,
-                repetitions=repetitions,
-                p=p,
-                seed=seed,
-                max_rounds=max_rounds,
-                check_connected=check_connected,
-            )
-            if with_fractions:
-                return batch.completion_rounds, batch.knowledge_fractions
-            return batch.completion_rounds
-        return _knowledge_times_serial(
-            lambda rng: simulate_multimessage(
-                network,
-                protocol,
-                sources,
-                p=p,
-                seed=rng,
-                max_rounds=max_rounds,
-                check_connected=check_connected,
-                faults=faults,
-            ),
-            repetitions,
-            seed,
-            int(sources.size),
-            network.n,
-            with_fractions,
-        )
+    return _dissemination_times(
+        "sweep.multimessage_times", run_multimessage_batch, MultiMessageDynamics, network,
+        protocol, {"sources": sources}, faults, with_fractions, repetitions=repetitions,
+        seed=seed, max_rounds=max_rounds, p=p, check_connected=check_connected,
+    )
 
 
 def scheduler_rounds(

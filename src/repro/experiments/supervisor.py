@@ -58,6 +58,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
+from .._atomic import atomic_write
 from ..errors import InvalidParameterError, ReproError
 from ..rng import spawn_seeds
 from ..obs import (
@@ -256,9 +257,7 @@ class SweepTaskCheckpoint:
             "tasks": [outcomes[k].to_json(self.encode) for k in sorted(outcomes)],
         }
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_suffix(self.path.suffix + ".tmp")
-        tmp.write_text(json.dumps(payload, indent=2) + "\n")
-        tmp.replace(self.path)
+        atomic_write(self.path, json.dumps(payload, indent=2) + "\n")
 
 
 def quarantine_checkpoint(path: Path, *, kind: str = "checkpoint") -> Path:

@@ -1,77 +1,68 @@
 """Batched multi-trial gossip and k-token dissemination.
 
-The gossip analogue of :func:`repro.radio.engine.run_broadcast_batch`:
-``R`` independent fault-free trials advance in vectorized lockstep, one
-batched count kernel per round (:meth:`RadioNetwork.step_batch` with
-informer extraction) instead of one sparse matvec per trial.  Knowledge
-merging stays per-trial (a row-gather OR over each trial's receivers) —
-the batable cost is the channel, and that is where the serial path spends
-its time.
+:func:`run_gossip_batch` and :func:`run_multimessage_batch` are thin
+builders over the one lockstep driver,
+:func:`repro.radio.dynamics.run_lockstep`, which also runs
+:func:`~repro.radio.engine.run_broadcast_batch`: ``R`` independent
+fault-free trials advance in vectorized lockstep, one batched count
+kernel per round (:meth:`RadioNetwork.step_batch` with informer
+extraction) instead of one sparse matvec per trial.  The knowledge
+dynamics supply only their trial-major state; knowledge merging stays
+per-trial (a row-gather OR over each trial's receivers) — the batchable
+cost is the channel, and that is where the serial path spends its time.
 
 Bit-for-bit equivalence: trial ``r`` consumes exactly the RNG draws its
 serial :func:`~repro.gossip.simulator.simulate_gossip` /
 :func:`~repro.gossip.multimessage.simulate_multimessage` counterpart
 seeded with ``spawn_generators(seed, R)[r]`` would — protocols draw one
 ``random(n)`` block per *active* trial per round and a completed trial
-stops drawing.  ``tests/gossip/test_batch`` pins this.
+stops drawing.  ``tests/radio/test_dynamics.py`` pins this.
 
-Like the broadcast batch engine, this path keeps no per-round traces;
-it exists for Monte-Carlo timing sweeps (E13, E20, K6).  Fault plans are
-serial-only — :func:`~repro.experiments.runner.gossip_times` dispatches
-accordingly.
+Like the broadcast batch, this path keeps no per-round traces; it exists
+for Monte-Carlo timing sweeps (E13, E20).  Fault plans are serial-only —
+:func:`~repro.experiments.runner.gossip_times` dispatches accordingly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from time import perf_counter
 
 import numpy as np
 
-from .._typing import BoolArray, FloatArray, IntArray, SeedLike
-from ..backends import current_backend_name
-from ..errors import DisconnectedGraphError, InvalidParameterError
-from ..graphs.bfs import bfs_distances
-from ..obs import SCHEMA_VERSION, current_observer
+from .._typing import FloatArray, IntArray, SeedLike
+from ..radio.dynamics import run_lockstep
+from ..radio.engine import BatchResult
 from ..radio.model import RadioNetwork
 from ..radio.protocol import RadioProtocol
-from ..rng import spawn_generators
-from .dynamics import check_sources, default_gossip_round_cap
+from .dynamics import (
+    GossipDynamics,
+    KnowledgeDynamics,
+    MultiMessageDynamics,
+    check_sources,
+)
 
 __all__ = ["BatchGossipResult", "run_gossip_batch", "run_multimessage_batch"]
 
 
 @dataclass(frozen=True)
-class BatchGossipResult:
+class BatchGossipResult(BatchResult):
     """Per-trial outcomes of a batched gossip / k-token run.
 
-    Shares the read-only result interface of the serial traces and
-    :class:`~repro.radio.engine.BatchBroadcastResult` (``num_rounds``,
-    ``completed``, ``total_transmissions``, ``total_collisions``,
-    ``informed_curve()``); the per-round aggregates exist only when the
-    batch ran with ``with_stats=True`` or under an observer.
+    Beyond the :class:`~repro.radio.engine.BatchResult` fields:
 
-    Attributes
-    ----------
-    n: network size.
     num_tokens: tokens in play (``n`` for full gossip).
-    completion_rounds: shape ``(R,)``; trial ``r``'s completion round, or
-        ``inf`` when it exhausted the round budget.
     knowledge_fractions: shape ``(R,)``; final fraction of the ``n * k``
         (node, token) pairs known per trial (1.0 for completed trials).
     first_complete_rounds: shape ``(R,)`` or ``None``; round after which
         some node first knew every token (``inf`` if never observed).
         Tracked only when requested — it is the accumulate-vs-disseminate
         split E13 reports.
-    num_rounds: lockstep rounds the engine ran.
-    transmissions_per_round: shape ``(num_rounds,)`` transmitter counts
-        summed over active trials, or ``None`` when stats were off.
-    collisions_per_round: shape ``(num_rounds,)`` collided-listener
-        counts summed over active trials, or ``None`` when stats were off.
     complete_node_totals: shape ``(num_rounds + 1,)`` all-knowing-node
         totals summed over *all* trials after each round, or ``None``
         when stats were off.
     """
+
+    kind = "batch-gossip"
 
     n: int
     num_tokens: int
@@ -82,56 +73,6 @@ class BatchGossipResult:
     transmissions_per_round: IntArray | None = None
     collisions_per_round: IntArray | None = None
     complete_node_totals: IntArray | None = None
-
-    @property
-    def repetitions(self) -> int:
-        """Number of trials in the batch."""
-        return int(self.completion_rounds.size)
-
-    @property
-    def completed(self) -> bool:
-        """True iff *every* trial finished within the budget.
-
-        This matches the serial traces' boolean ``completed``; the
-        per-trial mask the old accessor returned is
-        :attr:`completed_mask`.
-        """
-        return bool(np.all(np.isfinite(self.completion_rounds)))
-
-    @property
-    def completed_mask(self) -> BoolArray:
-        """Mask of trials where every node learned every token in budget."""
-        return np.isfinite(self.completion_rounds)
-
-    @property
-    def num_completed(self) -> int:
-        """Number of trials that completed within the budget."""
-        return int(np.count_nonzero(self.completed_mask))
-
-    def _stats(self, what: str):
-        value = getattr(self, what)
-        if value is None:
-            raise ValueError(
-                f"{what} not recorded; rerun the batch with with_stats=True "
-                "(or under an observer)"
-            )
-        return value
-
-    @property
-    def total_transmissions(self) -> int:
-        """Transmitter-slot total over all rounds and trials.
-
-        Requires the batch to have run with ``with_stats=True``.
-        """
-        return int(self._stats("transmissions_per_round").sum())
-
-    @property
-    def total_collisions(self) -> int:
-        """Collided-listener total over all rounds and trials.
-
-        Requires the batch to have run with ``with_stats=True``.
-        """
-        return int(self._stats("collisions_per_round").sum())
 
     def informed_curve(self) -> IntArray:
         """``curve[t]`` = all-knowing nodes after round ``t``, over trials.
@@ -144,291 +85,55 @@ class BatchGossipResult:
 
     def summary(self) -> dict:
         """Headline numbers for reports (mirrors the serial traces)."""
-        return {
-            "n": self.n,
-            "tokens": self.num_tokens,
-            "repetitions": self.repetitions,
-            "rounds": self.num_rounds,
-            "completed": self.completed,
-            "num_completed": self.num_completed,
-        }
+        return {"tokens": self.num_tokens, **super().summary()}
 
     def to_dict(self) -> dict:
         """The batch result as a schema-versioned plain-JSON document.
 
-        Non-finite rounds (budget misses, never-observed first-complete
-        rounds) serialise as ``null``; :meth:`from_dict` restores them.
+        Never-observed first-complete rounds serialise as ``null`` like
+        budget misses; :meth:`from_dict` restores them.
         """
-        from ..schema import RESULT_SCHEMA_VERSION, encode_curve
+        from ..schema import encode_curve
 
-        return {
-            "schema_version": RESULT_SCHEMA_VERSION,
-            "kind": "batch-gossip",
-            "n": self.n,
-            "num_tokens": self.num_tokens,
-            "num_rounds": self.num_rounds,
-            "completion_rounds": encode_curve(self.completion_rounds),
-            "knowledge_fractions": [float(v) for v in self.knowledge_fractions],
-            "first_complete_rounds": (
-                None
-                if self.first_complete_rounds is None
-                else encode_curve(self.first_complete_rounds)
-            ),
-            "transmissions_per_round": (
-                None
-                if self.transmissions_per_round is None
-                else self.transmissions_per_round.tolist()
-            ),
-            "collisions_per_round": (
-                None
-                if self.collisions_per_round is None
-                else self.collisions_per_round.tolist()
-            ),
-            "complete_node_totals": (
-                None
-                if self.complete_node_totals is None
-                else self.complete_node_totals.tolist()
-            ),
-        }
+        first = self.first_complete_rounds
+        return self._document(
+            num_tokens=self.num_tokens,
+            knowledge_fractions=[float(v) for v in self.knowledge_fractions],
+            first_complete_rounds=None if first is None else encode_curve(first),
+            complete_node_totals=self.complete_node_totals,
+        )
 
     @classmethod
     def from_dict(cls, payload: dict) -> "BatchGossipResult":
         """Rebuild a batch result from its :meth:`to_dict` document."""
-        from ..schema import check_schema_version, decode_curve
-
-        check_schema_version(payload, what="batch-gossip")
-
-        def _int_array(key):
-            value = payload.get(key)
-            return None if value is None else np.array(value, dtype=np.int64)
+        from ..schema import decode_curve
 
         first = payload.get("first_complete_rounds")
         return cls(
-            n=payload["n"],
             num_tokens=payload["num_tokens"],
-            completion_rounds=decode_curve(payload["completion_rounds"]),
             knowledge_fractions=np.array(
                 payload["knowledge_fractions"], dtype=np.float64
             ),
             first_complete_rounds=None if first is None else decode_curve(first),
-            num_rounds=payload["num_rounds"],
-            transmissions_per_round=_int_array("transmissions_per_round"),
-            collisions_per_round=_int_array("collisions_per_round"),
-            complete_node_totals=_int_array("complete_node_totals"),
+            complete_node_totals=cls._int_array(payload, "complete_node_totals"),
+            **cls._fields(payload),
         )
 
 
 def _run_knowledge_batch(
     network: RadioNetwork,
-    protocol: RadioProtocol,
-    sources: IntArray | None,
-    *,
-    repetitions: int,
-    p: float | None,
-    seed: SeedLike,
-    max_rounds: int | None,
-    check_connected: bool,
+    dynamics: KnowledgeDynamics,
+    num_tokens: int,
     with_first_complete: bool,
-    with_stats: bool = False,
-    obs=None,
+    **kwargs,
 ) -> BatchGossipResult:
-    n = network.n
-    engine = "gossip-batch" if sources is None else "multimessage-batch"
-    if repetitions < 1:
-        raise InvalidParameterError(f"repetitions must be >= 1, got {repetitions}")
-    root = 0 if sources is None else int(sources[0])
-    if check_connected and np.any(bfs_distances(network.adj, root) < 0):
-        raise DisconnectedGraphError(
-            "network is disconnected; gossip cannot complete"
-            if sources is None
-            else "network is disconnected; dissemination cannot complete"
-        )
-    if max_rounds is None:
-        max_rounds = default_gossip_round_cap(n)
-    rngs = spawn_generators(seed, repetitions)
-    protocol.prepare(n, p, root)
-
-    if obs is None:
-        obs = current_observer()
-    if obs is not None and not obs.active:
-        obs = None
-    collect = with_stats or obs is not None
-    tx_counts: list[int] = []
-    coll_counts: list[int] = []
-    complete_totals: list[int] = []
-    run_id = -1
-    run_t0 = 0.0
-    if obs is not None:
-        run_id = obs.next_run_id()
-        run_t0 = perf_counter()
-        obs.emit(
-            {
-                "v": SCHEMA_VERSION,
-                "kind": "batch-start",
-                "run": run_id,
-                "engine": engine,
-                "backend": current_backend_name(),
-                "n": n,
-                "repetitions": int(repetitions),
-                "max_rounds": int(max_rounds),
-            }
-        )
-
-    # Trial-major state, compacted as trials finish — the same layout
-    # discipline as ``run_broadcast_batch``.  ``knowledge`` is (R, n, k);
-    # for full gossip k = n, so mind the memory (R * n² booleans).
-    if sources is None:
-        k = n
-        knowledge = np.broadcast_to(np.eye(n, dtype=bool), (repetitions, n, n)).copy()
-        has_round = np.zeros((repetitions, n), dtype=np.int64)
-    else:
-        k = sources.size
-        base = np.zeros((n, k), dtype=bool)
-        base[sources, np.arange(k)] = True
-        knowledge = np.broadcast_to(base, (repetitions, n, k)).copy()
-        base_round = np.full(n, -1, dtype=np.int64)
-        base_round[sources] = 0
-        has_round = np.broadcast_to(base_round, (repetitions, n)).copy()
-
-    trial_ids = np.arange(repetitions, dtype=np.int64)
-    completion = np.full(repetitions, np.inf)
-    first_complete = np.full(repetitions, np.inf) if with_first_complete else None
-
-    def note_first_complete(t: float) -> None:
-        unseen = np.isinf(first_complete[trial_ids])
-        if unseen.any():
-            node_done = knowledge.all(axis=2).any(axis=1)
-            hits = unseen & node_done
-            if hits.any():
-                first_complete[trial_ids[hits]] = t
-
-    # Degenerate initial completion (n == 1, or every source row full)
-    # finishes at round 0 before any draw, as the serial loop's top check
-    # would.
-    if with_first_complete:
-        note_first_complete(0.0)
-    if collect:
-        complete_totals.append(int(knowledge.all(axis=2).sum()))
-    done0 = knowledge.all(axis=(1, 2))
-    if done0.any():
-        completion[trial_ids[done0]] = 0.0
-        keep = ~done0
-        knowledge = knowledge[keep]
-        has_round = has_round[keep]
-        trial_ids = trial_ids[keep]
-        rngs = [rngs[r] for r in np.flatnonzero(keep)]
-
-    rounds_executed = 0
-    for t in range(1, max_rounds + 1):
-        if trial_ids.size == 0:
-            break
-        rounds_executed = t
-        if obs is not None:
-            round_t0 = perf_counter()
-            active = int(trial_ids.size)
-        has = knowledge.any(axis=2)  # (R_active, n) content holders
-        mask = np.asarray(
-            protocol.transmit_mask_batch(t, has.T, has_round.T, rngs), dtype=bool
-        )
-        rows = mask.T
-        if not rows.flags.c_contiguous:
-            rows = np.ascontiguousarray(rows)
-        rows = rows & has
-        step = network.step_batch(
-            rows.T,
-            has.T,
-            with_collided=collect,
-            with_transmitters=False,
-            assume_informed=True,
-            with_informer=True,
-        )
-        if collect:
-            tx_counts.append(int(np.count_nonzero(rows)))
-            coll_counts.append(int(np.count_nonzero(step.collided)))
-        received = step.received
-        informer = step.informer
-        # Knowledge merging is inherently per-trial: each trial gathers
-        # its own sender rows.  The loop body is O(receivers · k), tiny
-        # next to the batched channel kernel above.
-        for idx in range(trial_ids.size):
-            recv = np.flatnonzero(received[:, idx])
-            if recv.size:
-                K = knowledge[idx]
-                K[recv] |= K[informer[recv, idx]]
-                if sources is not None:
-                    fresh = recv[has_round[idx, recv] < 0]
-                    has_round[idx, fresh] = t
-        if with_first_complete:
-            note_first_complete(float(t))
-        finished = knowledge.all(axis=(1, 2))
-        if finished.any():
-            completion[trial_ids[finished]] = float(t)
-            keep = ~finished
-            knowledge = knowledge[keep]
-            has_round = has_round[keep]
-            trial_ids = trial_ids[keep]
-            rngs = [rngs[r] for r in np.flatnonzero(keep)]
-        if collect:
-            done_trials = repetitions - int(trial_ids.size)
-            complete_totals.append(
-                int(knowledge.all(axis=2).sum()) + done_trials * n
-            )
-        if obs is not None:
-            wall = perf_counter() - round_t0
-            obs.inc("batch.rounds", 1, label=protocol.name)
-            obs.inc("batch.transmissions", tx_counts[-1], label=protocol.name)
-            obs.inc("batch.collisions", coll_counts[-1], label=protocol.name)
-            obs.observe("batch.round_wall_s", wall, label=protocol.name)
-            if obs.sink is not None:
-                obs.emit(
-                    {
-                        "v": SCHEMA_VERSION,
-                        "kind": "batch-round",
-                        "run": run_id,
-                        "engine": engine,
-                        "t": t,
-                        "active": active,
-                        "transmitters": tx_counts[-1],
-                        "collisions": coll_counts[-1],
-                        "wall_s": wall,
-                    }
-                )
-
-    fractions = np.ones(repetitions)
-    if trial_ids.size:
-        fractions[trial_ids] = knowledge.sum(axis=(1, 2)) / float(n * k)
-    result = BatchGossipResult(
-        n=n,
-        num_tokens=k,
-        completion_rounds=completion,
-        knowledge_fractions=fractions,
-        first_complete_rounds=first_complete,
-        num_rounds=rounds_executed,
-        transmissions_per_round=(
-            np.asarray(tx_counts, dtype=np.int64) if collect else None
-        ),
-        collisions_per_round=(
-            np.asarray(coll_counts, dtype=np.int64) if collect else None
-        ),
-        complete_node_totals=(
-            np.asarray(complete_totals, dtype=np.int64) if collect else None
-        ),
+    dynamics.track_first_complete = with_first_complete
+    run = run_lockstep(network, dynamics, **kwargs)
+    return BatchGossipResult(
+        network.n, num_tokens, run.completion_rounds, run.fractions,
+        dynamics.first_complete_rounds, run.num_rounds, run.transmissions_per_round,
+        run.collisions_per_round, run.complete_node_totals,
     )
-    if obs is not None:
-        wall = perf_counter() - run_t0
-        obs.observe("batch.wall_s", wall, label=protocol.name)
-        obs.emit(
-            {
-                "v": SCHEMA_VERSION,
-                "kind": "batch-end",
-                "run": run_id,
-                "engine": engine,
-                "rounds": rounds_executed,
-                "num_completed": result.num_completed,
-                "wall_s": wall,
-            }
-        )
-    return result
 
 
 def run_gossip_batch(
@@ -455,14 +160,13 @@ def run_gossip_batch(
     """
     return _run_knowledge_batch(
         network,
-        protocol,
-        None,
+        GossipDynamics(protocol, p),
+        network.n,
+        with_first_complete,
         repetitions=repetitions,
-        p=p,
         seed=seed,
         max_rounds=max_rounds,
         check_connected=check_connected,
-        with_first_complete=with_first_complete,
         with_stats=with_stats,
         obs=obs,
     )
@@ -493,14 +197,13 @@ def run_multimessage_batch(
     sources = check_sources(sources, network.n)
     return _run_knowledge_batch(
         network,
-        protocol,
-        sources,
+        MultiMessageDynamics(protocol, sources, p),
+        int(sources.size),
+        with_first_complete,
         repetitions=repetitions,
-        p=p,
         seed=seed,
         max_rounds=max_rounds,
         check_connected=check_connected,
-        with_first_complete=with_first_complete,
         with_stats=with_stats,
         obs=obs,
     )

@@ -46,21 +46,31 @@ def default_gossip_round_cap(n: int) -> int:
 class KnowledgeDynamics(Dynamics):
     """Shared knowledge-matrix state for gossip-family processes.
 
-    Subclasses set up ``knowledge`` (shape ``(n, k)``) in :meth:`start`
-    and define which nodes count as content holders; reception always
-    means "OR the sender's row into mine" and the trace vocabulary is
-    :class:`GossipRoundRecord` / :class:`GossipTrace`.
+    Subclasses set up ``knowledge`` (shape ``(n, k)``) and ``has_round``
+    (the round each node first held a token — the protocol's
+    ``informed_round``) in :meth:`start` and define which nodes count as
+    content holders; reception always means "OR the sender's row into
+    mine" and the trace vocabulary is :class:`GossipRoundRecord` /
+    :class:`GossipTrace`.
     """
 
     supports_faults = True
     # Row merging needs to know who the unique sender was, so the fault
-    # path must extract informers (the healthy kernel always does).
+    # path and the lockstep kernel must extract informers (the healthy
+    # serial kernel always does).
     needs_informer = True
+    batch_state = ("knowledge", "has_round")
+    #: Lockstep runs record, per trial, the round after which some node
+    #: first knew every token (the accumulate-vs-disseminate split E13
+    #: reports) into ``first_complete_rounds`` when this is set.
+    track_first_complete = False
 
     def __init__(self, protocol: RadioProtocol, p: float | None = None):
         self.protocol = protocol
         self.p = p
         self.knowledge: BoolArray | None = None
+        self.has_round: IntArray | None = None
+        self.first_complete_rounds = None
         self._n = 0
         self._k = 0
 
@@ -71,6 +81,9 @@ class KnowledgeDynamics(Dynamics):
         """Mask of deliverable tokens given the eventually-alive nodes."""
         raise NotImplementedError
 
+    def transmit_mask(self, t, rng):
+        return self.protocol.transmit_mask(t, self.content_mask(), self.has_round, rng)
+
     def update(self, t, outcome):
         recv = outcome.receivers
         if recv.size:
@@ -78,6 +91,52 @@ class KnowledgeDynamics(Dynamics):
             # (fancy indexing copies the sender rows before assignment,
             # and a sender is never simultaneously a receiver).
             self.knowledge[recv] |= self.knowledge[outcome.senders]
+            fresh = recv[self.has_round[recv] < 0]
+            self.has_round[fresh] = t
+
+    def batch_start(self, network, repetitions):
+        super().batch_start(network, repetitions)
+        if self.track_first_complete:
+            self.first_complete_rounds = np.full(repetitions, np.inf)
+            self._note_first_complete(0, np.arange(repetitions))
+
+    def batch_holders(self):
+        return self.knowledge.any(axis=2)
+
+    def batch_holder_rounds(self):
+        return self.has_round
+
+    def batch_update(self, t, step, trial_ids):
+        received = step.received
+        informer = step.informer
+        # Knowledge merging is inherently per-trial: each trial gathers
+        # its own sender rows.  The loop body is O(receivers · k), tiny
+        # next to the batched channel kernel.
+        for idx in range(trial_ids.size):
+            recv = np.flatnonzero(received[:, idx])
+            if recv.size:
+                K = self.knowledge[idx]
+                K[recv] |= K[informer[recv, idx]]
+                fresh = recv[self.has_round[idx, recv] < 0]
+                self.has_round[idx, fresh] = t
+        if self.track_first_complete:
+            self._note_first_complete(t, trial_ids)
+
+    def _note_first_complete(self, t, trial_ids):
+        unseen = np.isinf(self.first_complete_rounds[trial_ids])
+        if unseen.any():
+            hits = unseen & self.knowledge.all(axis=2).any(axis=1)
+            if hits.any():
+                self.first_complete_rounds[trial_ids[hits]] = float(t)
+
+    def batch_finished(self):
+        return self.knowledge.all(axis=(1, 2))
+
+    def batch_complete_nodes(self):
+        return int(self.knowledge.all(axis=2).sum())
+
+    def batch_fractions(self):
+        return self.knowledge.sum(axis=(1, 2)) / float(self._n * self._k)
 
     def complete(self, target, full_target):
         if full_target:
@@ -137,15 +196,10 @@ class GossipDynamics(KnowledgeDynamics):
         self.protocol.prepare(n, self.p, 0)
         self.knowledge = np.eye(n, dtype=bool)
         self._all_informed = np.ones(n, dtype=bool)
-        self._zero_round = np.zeros(n, dtype=np.int64)
+        self.has_round = np.zeros(n, dtype=np.int64)
 
     def content_mask(self):
         return self._all_informed
-
-    def transmit_mask(self, t, rng):
-        return self.protocol.transmit_mask(
-            t, self._all_informed, self._zero_round, rng
-        )
 
     def token_target(self, target):
         # Token j is node j's rumor: rumors of permanently dead nodes are
@@ -194,7 +248,6 @@ class MultiMessageDynamics(KnowledgeDynamics):
         super().__init__(protocol, p)
         self.sources = sources
         self.connectivity_root = int(sources[0])
-        self.has_round: IntArray | None = None
 
     @classmethod
     def build(cls, network, *, protocol, sources, p=None):
@@ -219,24 +272,12 @@ class MultiMessageDynamics(KnowledgeDynamics):
     def content_mask(self):
         return self.knowledge.any(axis=1)
 
-    def transmit_mask(self, t, rng):
-        return self.protocol.transmit_mask(
-            t, self.knowledge.any(axis=1), self.has_round, rng
-        )
-
     def token_target(self, target):
         return target[self.sources]
 
     def forget(self, ids):
         self.knowledge[ids] = self._initial[ids]
         self.has_round[ids] = np.where(self._initial[ids].any(axis=1), 0, -1)
-
-    def update(self, t, outcome):
-        super().update(t, outcome)
-        recv = outcome.receivers
-        if recv.size:
-            fresh = recv[self.has_round[recv] < 0]
-            self.has_round[fresh] = t
 
     def make_trace(self):
         counts = self.knowledge.sum(axis=1)

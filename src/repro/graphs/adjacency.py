@@ -320,9 +320,8 @@ class Adjacency:
         picks between a gather/``bincount`` **scatter** path and a
         CSR×dense **matmul** path by estimated transmission volume
         (crossover calibrated once per process — see
-        :mod:`repro.backends.numpy_backend`); the optional numba and
-        cupy backends run a compiled ``prange`` loop / a device spmm
-        instead.  All backends return identical integer counts, so the
+        :mod:`repro.backends.numpy_backend`); the optional numba backend
+        runs a compiled ``prange`` loop instead.  All backends return identical integer counts, so the
         selection is invisible in results (docs/PERFORMANCE.md,
         "Kernel backends").
         """

@@ -15,6 +15,7 @@ subclasses on malformed input rather than propagating raw KeyErrors.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -156,14 +157,18 @@ def result_wire(result: ExperimentResult) -> dict:
     The :func:`result_to_payload` document wrapped in the shared
     schema-versioned envelope (:mod:`repro.schema`) — exactly what
     ``repro run --json`` prints and the job server's sweep payloads
-    embed, so the two surfaces cannot drift apart.
+    embed, so the two surfaces cannot drift apart.  Non-finite row cells
+    and fit values (an ``inf`` mean over budget misses) are tagged so
+    the document stays strict JSON; :func:`result_from_wire` restores
+    them.
     """
     from .schema import RESULT_SCHEMA_VERSION
 
+    payload = _map_floats(result_to_payload(result), _strict_float)
     return {
         "schema_version": RESULT_SCHEMA_VERSION,
         "kind": "experiment-result",
-        **result_to_payload(result),
+        **payload,
     }
 
 
@@ -177,7 +182,37 @@ def result_from_wire(payload: dict) -> ExperimentResult:
             f"expected an experiment-result document, got kind "
             f"{payload.get('kind')!r}"
         )
-    return result_from_payload(payload)
+    return result_from_payload(_map_floats(payload, _loose_float))
+
+
+#: Wire tag of a non-finite float: strict JSON has no ``Infinity`` or
+#: ``NaN``, so ``inf`` travels as ``{"$float": "inf"}`` (also ``"-inf"``,
+#: ``"nan"``) and :func:`result_from_wire` restores the float.
+_FLOAT_TAG = "$float"
+
+
+def _strict_float(value):
+    if isinstance(value, float) and not math.isfinite(value):
+        return {_FLOAT_TAG: repr(value)}
+    return value
+
+
+def _loose_float(value):
+    if isinstance(value, dict) and value.keys() == {_FLOAT_TAG}:
+        return float(value[_FLOAT_TAG])
+    return value
+
+
+def _map_floats(payload: dict, convert) -> dict:
+    """``payload`` with ``convert`` applied to every row cell and fit value."""
+    return {
+        **payload,
+        "rows": [{k: convert(v) for k, v in row.items()} for row in payload["rows"]],
+        "fits": {
+            name: {k: convert(v) for k, v in fit.items()}
+            for name, fit in payload.get("fits", {}).items()
+        },
+    }
 
 
 def save_result(result: ExperimentResult, path: str | Path) -> Path:

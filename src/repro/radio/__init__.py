@@ -12,11 +12,14 @@ Nodes get no collision detection feedback.
 * :class:`~repro.radio.protocol.RadioProtocol` — distributed protocols as
   per-round transmit-probability rules over local knowledge.
 * :mod:`~repro.radio.dynamics` — the unified dissemination core: the
-  :class:`~repro.radio.dynamics.Dynamics` state machine and the one
-  shared round driver :func:`~repro.radio.dynamics.run_dissemination`
-  behind broadcast, gossip, multi-message and single-port spreading.
-* :func:`~repro.radio.engine.run_broadcast` — broadcast over the core
-  (healthy runs and fault plans share it).
+  :class:`~repro.radio.dynamics.Dynamics` state machine, the serial
+  round driver :func:`~repro.radio.dynamics.run_dissemination` behind
+  broadcast, gossip, multi-message and single-port spreading, and the
+  lockstep driver :func:`~repro.radio.dynamics.run_lockstep` behind
+  every batched Monte-Carlo run.
+* :func:`~repro.radio.engine.run_broadcast` /
+  :func:`~repro.radio.engine.run_broadcast_batch` — broadcast over the
+  two drivers (healthy runs and fault plans share the serial one).
 * :func:`~repro.radio.simulator.simulate_broadcast` — the zero-fault
   driver over the engine.
 """

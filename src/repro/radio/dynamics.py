@@ -1,4 +1,4 @@
-"""The unified dissemination core: one round loop for every process.
+"""The unified dissemination core: two drivers for every process.
 
 The paper treats its communication problems as one family — gossiping is
 the Section 4 extension of broadcasting, ``k``-token dissemination spans
@@ -6,10 +6,15 @@ the two, and single-port push (Feige et al., Section 1.2) is the
 collision-free baseline.  This module mirrors that architecturally: a
 :class:`Dynamics` object captures *what spreads and when it is done*
 (state init, per-round update from the channel outcome, completion
-predicate, trace-record emission), and :func:`run_dissemination` is the
-single driver owning everything the four historical loops duplicated —
-the round budget, the connectivity precheck, fault-plan application, the
-incomplete-run error path and trace assembly.
+predicate, trace-record emission), and two drivers own everything else:
+
+* :func:`run_dissemination` runs one trial — the round budget, the
+  connectivity precheck, fault-plan application, the incomplete-run
+  error path and trace assembly;
+* :func:`run_lockstep` advances ``R`` healthy trials of a radio-channel
+  dynamics in trial-major ``(R, n)`` lockstep, one batched count kernel
+  per round — the Monte-Carlo path behind ``run_broadcast_batch``,
+  ``run_gossip_batch`` and ``run_multimessage_batch``.
 
 Concrete dynamics:
 
@@ -52,7 +57,8 @@ from time import perf_counter
 
 import numpy as np
 
-from .._typing import BoolArray, IntArray, SeedLike
+from .._typing import BoolArray, FloatArray, IntArray, SeedLike
+from ..backends import current_backend_name
 from ..errors import (
     BroadcastIncompleteError,
     DisconnectedGraphError,
@@ -60,7 +66,7 @@ from ..errors import (
 )
 from ..graphs.bfs import bfs_distances
 from ..obs import SCHEMA_VERSION, current_observer
-from ..rng import as_generator
+from ..rng import as_generator, spawn_generators
 from .model import RadioNetwork
 from .protocol import RadioProtocol
 from .trace import BroadcastTrace, RoundRecord
@@ -71,7 +77,9 @@ __all__ = [
     "RoundOutcome",
     "SingleMessageDynamics",
     "BroadcastDynamics",
+    "LockstepRun",
     "run_dissemination",
+    "run_lockstep",
     "default_round_cap",
 ]
 
@@ -132,6 +140,18 @@ class Dynamics(ABC):
     (the collision channel via :meth:`RadioNetwork.step`); point-to-point
     dynamics override :meth:`channel_step` wholesale and never see the
     radio kernel.  Only radio-channel dynamics can support fault plans.
+
+    Radio-channel dynamics with a stateless ``protocol`` may also run
+    under :func:`run_lockstep`.  Their state then gains a leading trial
+    axis: :attr:`batch_state` names the arrays that :meth:`batch_start`
+    stacks ``R`` times and :meth:`batch_compact` narrows to the active
+    trials, and the subclass supplies ``batch_holders`` /
+    ``batch_holder_rounds`` (``(R, n)`` inputs to the protocol's batch
+    mask), ``batch_update(t, step, trial_ids)`` (fold one
+    :class:`~repro.radio.model.BatchStepResult`), ``batch_finished``
+    (per-trial completion mask), ``batch_complete_nodes`` (nodes holding
+    everything, summed over active trials) and ``batch_fractions``
+    (per-trial final fraction).
     """
 
     #: Registry key and report label.
@@ -141,10 +161,14 @@ class Dynamics(ABC):
     #: Whether the driver may apply an active fault plan to this dynamics.
     supports_faults: bool = False
     #: Whether :meth:`update` needs ``RoundOutcome.senders`` on the fault
-    #: path (the healthy radio channel always provides them for free).
+    #: path (the healthy radio channel always provides them for free) and
+    #: whether :func:`run_lockstep` extracts batched informers.
     needs_informer: bool = False
     #: Root node for the driver's connectivity precheck.
     connectivity_root: int = 0
+    #: Per-node state arrays :func:`run_lockstep` stacks along a leading
+    #: trial axis; empty for dynamics without a lockstep path.
+    batch_state: tuple[str, ...] = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -261,6 +285,27 @@ class Dynamics(ABC):
             f"not all nodes reachable from source {self.connectivity_root}; "
             f"{self.name} cannot complete"
         )
+
+    # -- lockstep batch ------------------------------------------------
+
+    def batch_start(self, network: RadioNetwork, repetitions: int) -> None:
+        """Allocate ``repetitions`` copies of the initial state, trial-major.
+
+        Runs the serial :meth:`start` (which prepares the protocol and
+        draws nothing) and stacks each :attr:`batch_state` array, so
+        every trial begins exactly where a serial run would.
+        """
+        if not self.batch_state:
+            raise InvalidParameterError(f"{self.name} dynamics has no lockstep batch path")
+        self.start(network, None, fault_path=False)
+        for name in self.batch_state:
+            value = getattr(self, name)
+            setattr(self, name, np.broadcast_to(value, (repetitions,) + value.shape).copy())
+
+    def batch_compact(self, keep: BoolArray) -> None:
+        """Drop the rows of finished trials from every batch-state array."""
+        for name in self.batch_state:
+            setattr(self, name, getattr(self, name)[keep])
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
@@ -408,6 +453,29 @@ class BroadcastDynamics(SingleMessageDynamics):
             num_transmitters=result.num_transmitters,
             num_collided=result.num_collided,
         )
+
+    batch_state = ("informed", "informed_round")
+
+    def batch_holders(self):
+        return self.informed
+
+    def batch_holder_rounds(self):
+        return self.informed_round
+
+    def batch_update(self, t, step, trial_ids):
+        received = step.received.T
+        newly = received > self.informed  # received & ~informed, one pass on bools
+        self.informed |= received
+        np.copyto(self.informed_round, t, where=newly)
+
+    def batch_finished(self):
+        return self.informed.all(axis=1)
+
+    def batch_complete_nodes(self):
+        return int(self.informed.sum())
+
+    def batch_fractions(self):
+        return self.informed.sum(axis=1) / float(self._n)
 
     def incomplete_message(self, max_rounds, target, full_target):
         if full_target:
@@ -651,3 +719,189 @@ def run_dissemination(
             dynamics.incomplete_message(max_rounds, target, full_target), trace=trace
         )
     return trace
+
+
+@dataclass(frozen=True)
+class LockstepRun:
+    """Per-trial outcomes of :func:`run_lockstep`.
+
+    ``completion_rounds`` (``inf`` for budget misses) and ``fractions``
+    (1.0 for completed trials) have shape ``(R,)``; the three stats
+    series — per-round sums over active trials, and complete-node totals
+    over *all* trials after each round with ``[0]`` the initial state —
+    are ``None`` unless stats were collected.
+    """
+
+    completion_rounds: FloatArray
+    fractions: FloatArray
+    num_rounds: int
+    transmissions_per_round: IntArray | None
+    collisions_per_round: IntArray | None
+    complete_node_totals: IntArray | None
+
+
+def run_lockstep(
+    network: RadioNetwork,
+    dynamics: Dynamics,
+    *,
+    repetitions: int,
+    seed: SeedLike = None,
+    max_rounds: int | None = None,
+    check_connected: bool = True,
+    with_stats: bool = False,
+    obs=None,
+) -> LockstepRun:
+    """Run ``repetitions`` healthy trials of ``dynamics`` in vectorized lockstep.
+
+    Bit-for-bit equivalent to ``repetitions`` :func:`run_dissemination`
+    calls seeded with ``spawn_generators(seed, repetitions)``: protocols
+    draw one ``random(n)`` block per *active* trial per round (see
+    :func:`~repro.radio.protocol.bernoulli_mask_batch`) and a completed
+    trial stops drawing.  Each round advances every unfinished trial with
+    one batched count kernel (:meth:`RadioNetwork.step_batch`) instead of
+    one sparse matvec per trial.  The dynamics needs a lockstep path (see
+    :class:`Dynamics`) and a protocol that is stateless across rounds.
+
+    ``seed`` is the root seed of the per-trial streams; budget misses
+    report ``inf`` instead of raising.  ``with_stats`` records the
+    per-round series (an attached observer implies it; results are
+    identical either way); ``obs`` receives ``batch-*`` events and
+    ``batch.*`` metrics and defaults to the ambient observer.
+    """
+    n = network.n
+    root = dynamics.connectivity_root
+    if not 0 <= root < n:
+        raise InvalidParameterError(f"source {root} out of range [0, {n})")
+    if repetitions < 1:
+        raise InvalidParameterError(f"repetitions must be >= 1, got {repetitions}")
+    if check_connected and np.any(bfs_distances(network.adj, root) < 0):
+        raise DisconnectedGraphError(dynamics.disconnected_message())
+    if max_rounds is None:
+        max_rounds = dynamics.default_round_cap(n)
+    rngs = spawn_generators(seed, repetitions)
+    dynamics.batch_start(network, repetitions)
+    protocol = dynamics.protocol
+    label = protocol.name
+    engine = f"{dynamics.name}-batch"
+    if obs is None:
+        obs = current_observer()
+    if obs is not None and not obs.active:
+        obs = None
+    collect = with_stats or obs is not None
+    tx_counts: list[int] = []
+    coll_counts: list[int] = []
+    complete_totals: list[int] = []
+    if obs is not None:
+        run_id = obs.next_run_id()
+        run_t0 = perf_counter()
+        obs.emit(
+            {
+                "v": SCHEMA_VERSION,
+                "kind": "batch-start",
+                "run": run_id,
+                "engine": engine,
+                "backend": current_backend_name(),
+                "n": n,
+                "repetitions": int(repetitions),
+                "max_rounds": int(max_rounds),
+            }
+        )
+
+    # The dynamics' state is trial-major — ``(R, n, ...)`` C-order, one
+    # contiguous row per trial — and holds only the still-active trials:
+    # a completed trial's row is dropped, so straggler rounds touch narrow
+    # arrays.  The model-facing ``(n, R)`` orientation is a free view.
+    trial_ids = np.arange(repetitions, dtype=np.int64)
+    completion = np.full(repetitions, np.inf)
+
+    def settle(t: int) -> None:
+        nonlocal trial_ids, rngs
+        finished = dynamics.batch_finished()
+        if finished.any():
+            completion[trial_ids[finished]] = float(t)
+            keep = ~finished
+            dynamics.batch_compact(keep)
+            trial_ids = trial_ids[keep]
+            rngs = [rngs[r] for r in np.flatnonzero(keep)]
+        if collect:
+            done_trials = repetitions - int(trial_ids.size)
+            complete_totals.append(dynamics.batch_complete_nodes() + done_trials * n)
+
+    # Degenerate runs (n == 1, every source row full) finish at round 0
+    # before any draw, as the serial loop's top check would.
+    settle(0)
+    rounds_executed = 0
+    for t in range(1, max_rounds + 1):
+        if trial_ids.size == 0:
+            break
+        rounds_executed = t
+        if obs is not None:
+            round_t0 = perf_counter()
+            active = int(trial_ids.size)
+        holders = dynamics.batch_holders()
+        rounds = dynamics.batch_holder_rounds()
+        mask = protocol.transmit_mask_batch(t, holders.T, rounds.T, rngs)
+        rows = np.asarray(mask, dtype=bool).T
+        if not rows.flags.c_contiguous:
+            rows = np.ascontiguousarray(rows)
+        rows = rows & holders
+        step = network.step_batch(
+            rows.T,
+            holders.T,
+            with_collided=collect,
+            with_transmitters=False,
+            assume_informed=True,
+            with_informer=dynamics.needs_informer,
+        )
+        if collect:
+            tx_counts.append(int(np.count_nonzero(rows)))
+            coll_counts.append(int(np.count_nonzero(step.collided)))
+        dynamics.batch_update(t, step, trial_ids)
+        settle(t)
+        if obs is not None:
+            wall = perf_counter() - round_t0
+            obs.inc("batch.rounds", 1, label=label)
+            obs.inc("batch.transmissions", tx_counts[-1], label=label)
+            obs.inc("batch.collisions", coll_counts[-1], label=label)
+            obs.observe("batch.round_wall_s", wall, label=label)
+            if obs.sink is not None:
+                obs.emit(
+                    {
+                        "v": SCHEMA_VERSION,
+                        "kind": "batch-round",
+                        "run": run_id,
+                        "engine": engine,
+                        "t": t,
+                        "active": active,
+                        "transmitters": tx_counts[-1],
+                        "collisions": coll_counts[-1],
+                        "wall_s": wall,
+                    }
+                )
+
+    fractions = np.ones(repetitions)
+    if trial_ids.size:
+        fractions[trial_ids] = dynamics.batch_fractions()
+    if obs is not None:
+        wall = perf_counter() - run_t0
+        obs.observe("batch.wall_s", wall, label=label)
+        obs.emit(
+            {
+                "v": SCHEMA_VERSION,
+                "kind": "batch-end",
+                "run": run_id,
+                "engine": engine,
+                "rounds": rounds_executed,
+                "num_completed": int(np.count_nonzero(np.isfinite(completion))),
+                "wall_s": wall,
+            }
+        )
+    series = (lambda v: np.asarray(v, dtype=np.int64)) if collect else (lambda v: None)
+    return LockstepRun(
+        completion,
+        fractions,
+        rounds_executed,
+        series(tx_counts),
+        series(coll_counts),
+        series(complete_totals),
+    )

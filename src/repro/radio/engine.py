@@ -1,15 +1,17 @@
 """The broadcast entry points over the unified dissemination core.
 
-Historically this module owned the single round loop that ran every
-distributed-protocol broadcast; that loop now lives in
-:mod:`repro.radio.dynamics` as :func:`run_dissemination`, shared with
-gossip, multi-message and single-port dynamics.  What remains here is
-the broadcast-shaped surface:
+Both round loops live in :mod:`repro.radio.dynamics`, shared with
+gossip, multi-message and (serially) single-port dynamics.  What remains
+here is the broadcast-shaped surface:
 
 * :func:`run_broadcast` — one trial, healthy or under a fault plan
-  (:class:`~repro.radio.dynamics.BroadcastDynamics` over the core);
-* :func:`run_broadcast_batch` — ``R`` healthy trials in vectorized
-  lockstep for Monte-Carlo sweeps.
+  (:class:`~repro.radio.dynamics.BroadcastDynamics` under
+  :func:`~repro.radio.dynamics.run_dissemination`);
+* :func:`run_broadcast_batch` — ``R`` healthy trials for Monte-Carlo
+  sweeps (the same dynamics under the lockstep driver
+  :func:`~repro.radio.dynamics.run_lockstep`);
+* :class:`BatchResult` — the result surface every lockstep entry point
+  shares, and :class:`BatchBroadcastResult`, its broadcast form.
 
 ``simulate_broadcast`` and ``simulate_broadcast_faulty`` are both thin
 wrappers over :func:`run_broadcast`; the healthy simulator is the
@@ -19,17 +21,17 @@ zero-fault special case rather than a parallel code path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from time import perf_counter
 
 import numpy as np
 
 from .._typing import BoolArray, FloatArray, IntArray, SeedLike
-from ..backends import current_backend_name
-from ..errors import DisconnectedGraphError, InvalidParameterError
-from ..graphs.bfs import bfs_distances
-from ..obs import SCHEMA_VERSION, current_observer
-from ..rng import spawn_generators
-from .dynamics import BroadcastDynamics, default_round_cap, run_dissemination
+from ..graphs.bfs import bfs_distances  # noqa: F401 — kept for callers that patch it here
+from .dynamics import (
+    BroadcastDynamics,
+    default_round_cap,
+    run_dissemination,
+    run_lockstep,
+)
 from .model import RadioNetwork
 from .protocol import RadioProtocol
 from .trace import BroadcastTrace
@@ -38,6 +40,7 @@ __all__ = [
     "default_round_cap",
     "run_broadcast",
     "run_broadcast_batch",
+    "BatchResult",
     "BatchBroadcastResult",
 ]
 
@@ -57,30 +60,13 @@ def run_broadcast(
 ) -> BroadcastTrace:
     """Run ``protocol`` on ``network`` under an optional fault plan.
 
-    Parameters
-    ----------
-    network: the radio network.
-    protocol: a distributed protocol; only informed nodes ever transmit
-        (the engine intersects the protocol's mask with the informed set,
-        and with the alive set under faults).
-    source: the node initially holding the message.
-    plan: a fault plan (see :mod:`repro.radio.dynamics`) or ``None`` for
-        a healthy run.
-    p: the edge-probability parameter nodes are assumed to know; ``None``
-        if unknown.
-    seed: RNG seed or generator for the run's coin flips (protocol,
-        adversaries and link outages all share one stream; see
-        :mod:`repro.faults.plan` for the draw order).
-    max_rounds: round budget; defaults to :func:`default_round_cap`.
-    check_connected: verify reachability up front and raise
-        :class:`DisconnectedGraphError` instead of burning the budget.
-        Large sweeps over one fixed graph should check once and pass
-        ``False`` per trial.
-    raise_on_incomplete: raise :class:`BroadcastIncompleteError` on a
-        budget miss (default); ``False`` returns the partial trace —
-        resilient sweeps use that to record structured failures.
-    obs: an :class:`~repro.obs.Observer`; defaults to the ambient one
-        (see :func:`~repro.radio.dynamics.run_dissemination`).
+    :class:`~repro.radio.dynamics.BroadcastDynamics` under
+    :func:`~repro.radio.dynamics.run_dissemination`, whose keywords this
+    shares.  Only informed nodes ever transmit (the driver intersects the
+    protocol's mask with the informed set, and with the alive set under
+    faults); ``source`` is the node initially holding the message and
+    ``p`` the edge-probability parameter nodes are assumed to know
+    (``None`` if unknown).
 
     Returns
     -------
@@ -88,12 +74,9 @@ def run_broadcast(
     *eventually-alive* target set: nodes that crash and never recover are
     not part of the deliverable set.
     """
-    n = network.n
-    if not 0 <= source < n:
-        raise InvalidParameterError(f"source {source} out of range [0, {n})")
     return run_dissemination(
         network,
-        BroadcastDynamics(protocol, source, p),
+        BroadcastDynamics.build(network, protocol=protocol, source=source, p=p),
         plan=plan,
         seed=seed,
         max_rounds=max_rounds,
@@ -103,45 +86,33 @@ def run_broadcast(
     )
 
 
-@dataclass(frozen=True)
-class BatchBroadcastResult:
-    """Per-trial outcomes of a batched multi-trial broadcast run.
+class BatchResult:
+    """Read-only surface shared by the lockstep driver's result types.
 
-    Shares the read-only result interface of the serial trace classes
-    (``num_rounds``, ``completed``, ``total_transmissions``,
-    ``total_collisions``, ``informed_curve()``) so sweep code can consume
-    serial and batched runs interchangeably; the per-round aggregates are
-    only recorded when the batch ran with ``with_stats=True`` or under an
-    observer, since tracking them costs kernel work the Monte-Carlo fast
-    path does not want.
+    :class:`BatchBroadcastResult` and
+    :class:`~repro.gossip.batch.BatchGossipResult` share the serial
+    traces' interface (``num_rounds``, ``completed``,
+    ``total_transmissions``, ``total_collisions``, ``informed_curve()``)
+    so sweep code can consume serial and batched runs interchangeably.
+    Subclasses are frozen dataclasses naming their wire ``kind``, with at
+    least these fields:
 
-    Attributes
-    ----------
-    source: the node initially holding the message (shared by all trials).
     n: network size.
     completion_rounds: shape ``(R,)``; trial ``r``'s completion round, or
         ``inf`` when it exhausted the round budget.
-    informed_fractions: shape ``(R,)``; final informed fraction per trial
-        (1.0 for completed trials).
-    num_rounds: number of lockstep rounds the engine ran (the budget, or
-        the round in which the last active trial completed).
+    num_rounds: lockstep rounds executed (the budget, or the round in
+        which the last active trial completed).
     transmissions_per_round: shape ``(num_rounds,)`` transmitter counts
         summed over active trials, or ``None`` when stats were off.
     collisions_per_round: shape ``(num_rounds,)`` collided-listener
         counts summed over active trials, or ``None`` when stats were off.
-    informed_totals: shape ``(num_rounds + 1,)`` informed-node totals
-        summed over *all* trials after each round (``[0]`` is the initial
-        state), or ``None`` when stats were off.
+
+    The per-round series exist only when the batch ran with
+    ``with_stats=True`` or under an observer, since tracking them costs
+    kernel work the Monte-Carlo fast path does not want.
     """
 
-    source: int
-    n: int
-    completion_rounds: FloatArray
-    informed_fractions: FloatArray
-    num_rounds: int
-    transmissions_per_round: IntArray | None = None
-    collisions_per_round: IntArray | None = None
-    informed_totals: IntArray | None = None
+    kind = ""
 
     @property
     def repetitions(self) -> int:
@@ -150,17 +121,16 @@ class BatchBroadcastResult:
 
     @property
     def completed(self) -> bool:
-        """True iff *every* trial informed all nodes within the budget.
+        """True iff *every* trial finished within the budget.
 
         This matches the serial traces' boolean ``completed``; the
-        per-trial mask the old accessor returned is
-        :attr:`completed_mask`.
+        per-trial mask is :attr:`completed_mask`.
         """
         return bool(np.all(np.isfinite(self.completion_rounds)))
 
     @property
     def completed_mask(self) -> BoolArray:
-        """Mask of trials that informed every node within the budget."""
+        """Mask of trials that finished within the budget."""
         return np.isfinite(self.completion_rounds)
 
     @property
@@ -172,8 +142,8 @@ class BatchBroadcastResult:
         value = getattr(self, what)
         if value is None:
             raise ValueError(
-                f"{what} not recorded; rerun run_broadcast_batch with "
-                "with_stats=True (or under an observer)"
+                f"{what} not recorded; rerun the batch with with_stats=True "
+                "(or under an observer)"
             )
         return value
 
@@ -193,6 +163,83 @@ class BatchBroadcastResult:
         """
         return int(self._stats("collisions_per_round").sum())
 
+    def summary(self) -> dict:
+        """Headline numbers for reports (mirrors the serial traces)."""
+        return {
+            "n": self.n,
+            "repetitions": self.repetitions,
+            "rounds": self.num_rounds,
+            "completed": self.completed,
+            "num_completed": self.num_completed,
+        }
+
+    def _document(self, **fields) -> dict:
+        """The ``to_dict`` document: the common fields plus ``fields``.
+
+        Non-finite completion rounds (budget misses) serialise as
+        ``null`` — strict JSON has no ``Infinity`` — and ``from_dict``
+        restores them; unrecorded stats series serialise as ``null``.
+        """
+        from ..schema import RESULT_SCHEMA_VERSION, encode_curve
+
+        document = {
+            "schema_version": RESULT_SCHEMA_VERSION,
+            "kind": self.kind,
+            "n": self.n,
+            "num_rounds": self.num_rounds,
+            "completion_rounds": encode_curve(self.completion_rounds),
+            "transmissions_per_round": self.transmissions_per_round,
+            "collisions_per_round": self.collisions_per_round,
+            **fields,
+        }
+        return {
+            key: value.tolist() if isinstance(value, np.ndarray) else value
+            for key, value in document.items()
+        }
+
+    @classmethod
+    def _fields(cls, payload: dict) -> dict:
+        """Constructor keywords for the common fields of a document."""
+        from ..schema import check_schema_version, decode_curve
+
+        check_schema_version(payload, what=cls.kind)
+        return {
+            "n": payload["n"],
+            "num_rounds": payload["num_rounds"],
+            "completion_rounds": decode_curve(payload["completion_rounds"]),
+            "transmissions_per_round": cls._int_array(payload, "transmissions_per_round"),
+            "collisions_per_round": cls._int_array(payload, "collisions_per_round"),
+        }
+
+    @staticmethod
+    def _int_array(payload: dict, key: str) -> IntArray | None:
+        value = payload.get(key)
+        return None if value is None else np.array(value, dtype=np.int64)
+
+
+@dataclass(frozen=True)
+class BatchBroadcastResult(BatchResult):
+    """Per-trial outcomes of a batched multi-trial broadcast run.
+
+    Beyond the :class:`BatchResult` fields: ``source`` (shared by all
+    trials); ``informed_fractions``, shape ``(R,)``, the final informed
+    fraction per trial (1.0 for completed trials); and
+    ``informed_totals``, shape ``(num_rounds + 1,)``, informed-node totals
+    summed over *all* trials after each round (``[0]`` is the initial
+    state), or ``None`` when stats were off.
+    """
+
+    kind = "batch-broadcast"
+
+    source: int
+    n: int
+    completion_rounds: FloatArray
+    informed_fractions: FloatArray
+    num_rounds: int
+    transmissions_per_round: IntArray | None = None
+    collisions_per_round: IntArray | None = None
+    informed_totals: IntArray | None = None
+
     def informed_curve(self) -> IntArray:
         """``curve[t]`` = informed nodes after round ``t``, summed over trials.
 
@@ -203,71 +250,26 @@ class BatchBroadcastResult:
 
     def summary(self) -> dict:
         """Headline numbers for reports (mirrors the serial traces)."""
-        return {
-            "source": self.source,
-            "n": self.n,
-            "repetitions": self.repetitions,
-            "rounds": self.num_rounds,
-            "completed": self.completed,
-            "num_completed": self.num_completed,
-        }
+        return {"source": self.source, **super().summary()}
 
     def to_dict(self) -> dict:
-        """The batch result as a schema-versioned plain-JSON document.
-
-        Non-finite completion rounds (budget misses) serialise as
-        ``null`` — strict JSON has no ``Infinity`` — and
-        :meth:`from_dict` restores them.
-        """
-        from ..schema import RESULT_SCHEMA_VERSION, encode_curve
-
-        return {
-            "schema_version": RESULT_SCHEMA_VERSION,
-            "kind": "batch-broadcast",
-            "source": self.source,
-            "n": self.n,
-            "num_rounds": self.num_rounds,
-            "completion_rounds": encode_curve(self.completion_rounds),
-            "informed_fractions": [float(v) for v in self.informed_fractions],
-            "transmissions_per_round": (
-                None
-                if self.transmissions_per_round is None
-                else self.transmissions_per_round.tolist()
-            ),
-            "collisions_per_round": (
-                None
-                if self.collisions_per_round is None
-                else self.collisions_per_round.tolist()
-            ),
-            "informed_totals": (
-                None
-                if self.informed_totals is None
-                else self.informed_totals.tolist()
-            ),
-        }
+        """The batch result as a schema-versioned plain-JSON document."""
+        return self._document(
+            source=self.source,
+            informed_fractions=[float(v) for v in self.informed_fractions],
+            informed_totals=self.informed_totals,
+        )
 
     @classmethod
     def from_dict(cls, payload: dict) -> "BatchBroadcastResult":
         """Rebuild a batch result from its :meth:`to_dict` document."""
-        from ..schema import check_schema_version, decode_curve
-
-        check_schema_version(payload, what="batch-broadcast")
-
-        def _int_array(key):
-            value = payload.get(key)
-            return None if value is None else np.array(value, dtype=np.int64)
-
         return cls(
             source=payload["source"],
-            n=payload["n"],
-            completion_rounds=decode_curve(payload["completion_rounds"]),
             informed_fractions=np.array(
                 payload["informed_fractions"], dtype=np.float64
             ),
-            num_rounds=payload["num_rounds"],
-            transmissions_per_round=_int_array("transmissions_per_round"),
-            collisions_per_round=_int_array("collisions_per_round"),
-            informed_totals=_int_array("informed_totals"),
+            informed_totals=cls._int_array(payload, "informed_totals"),
+            **cls._fields(payload),
         )
 
 
@@ -286,207 +288,26 @@ def run_broadcast_batch(
 ) -> BatchBroadcastResult:
     """Run ``repetitions`` independent healthy trials in vectorized lockstep.
 
-    Statistically — and bit-for-bit — equivalent to ``repetitions``
-    sequential :func:`run_broadcast` calls seeded with
-    ``spawn_generators(seed, repetitions)``: trial ``r`` consumes exactly
-    the draws its serial counterpart would, because protocols draw one
-    ``random(n)`` block per *active* trial per round (see
-    :func:`~repro.radio.protocol.bernoulli_mask_batch`) and a completed
-    trial stops drawing.  What changes is the hardware cost: each round
-    advances every unfinished trial with one batched count kernel
-    (:meth:`RadioNetwork.step_batch`) instead of one sparse matvec per
-    trial, so repetition count stops being the bottleneck.
-
-    The batched path keeps no per-round traces and extracts no broadcast
-    trees; it exists for Monte-Carlo timing sweeps.  Protocols must be
-    stateless across rounds (all ``supports_batch`` protocols are); a
-    stateful protocol would see its state interleaved across trials.
-
-    Parameters
-    ----------
-    network, protocol, source, p, seed, check_connected: as in
-        :func:`run_broadcast`; ``seed`` is the *root* seed from which the
-        per-trial streams are spawned.
-    repetitions: number of independent trials (``R >= 1``).
-    max_rounds: per-trial round budget; defaults to
-        :func:`default_round_cap`.  Trials that exhaust it are reported
-        with ``inf`` completion rounds instead of raising.
-    with_stats: record per-round aggregates (transmissions, collisions,
-        informed totals) into the result.  Off by default because the
-        collision count needs extra kernel output the fast path skips;
-        an attached observer turns it on implicitly.  Per-trial results
-        are bit-for-bit identical either way.
-    obs: an :class:`~repro.obs.Observer` receiving ``batch-*`` events and
-        metrics; defaults to the ambient observer.
-
-    Returns
-    -------
-    BatchBroadcastResult with per-trial completion rounds and informed
-    fractions (plus per-round aggregates when stats were on).
+    :class:`~repro.radio.dynamics.BroadcastDynamics` under
+    :func:`~repro.radio.dynamics.run_lockstep`: bit-for-bit equivalent to
+    ``repetitions`` sequential :func:`run_broadcast` calls seeded with
+    ``spawn_generators(seed, repetitions)``, at one batched count kernel
+    per round.  No per-round traces or broadcast trees are kept; budget
+    misses report ``inf`` completion rounds instead of raising.  The
+    arguments are those of :func:`run_broadcast` and
+    :func:`~repro.radio.dynamics.run_lockstep`.
     """
-    n = network.n
-    if not 0 <= source < n:
-        raise InvalidParameterError(f"source {source} out of range [0, {n})")
-    if repetitions < 1:
-        raise InvalidParameterError(
-            f"repetitions must be >= 1, got {repetitions}"
-        )
-    if check_connected and np.any(bfs_distances(network.adj, source) < 0):
-        raise DisconnectedGraphError(
-            f"not all nodes reachable from source {source}; broadcast cannot complete"
-        )
-    if max_rounds is None:
-        max_rounds = default_round_cap(n)
-    rngs = spawn_generators(seed, repetitions)
-    protocol.prepare(n, p, source)
-
-    if obs is None:
-        obs = current_observer()
-    if obs is not None and not obs.active:
-        obs = None
-    collect = with_stats or obs is not None
-    tx_counts: list[int] = []
-    coll_counts: list[int] = []
-    informed_totals: list[int] = []
-    run_id = -1
-    run_t0 = 0.0
-    if obs is not None:
-        run_id = obs.next_run_id()
-        run_t0 = perf_counter()
-        obs.emit(
-            {
-                "v": SCHEMA_VERSION,
-                "kind": "batch-start",
-                "run": run_id,
-                "engine": "broadcast-batch",
-                "backend": current_backend_name(),
-                "n": n,
-                "repetitions": int(repetitions),
-                "max_rounds": int(max_rounds),
-            }
-        )
-
-    # Working state holds only the still-active trials; when a trial
-    # completes its row is dropped (its state can never change again), so
-    # late straggler rounds touch narrow arrays instead of gathering /
-    # scattering the full batch every round.  State is kept trial-major —
-    # ``(R, n)`` C-order, one contiguous row per trial — so per-trial
-    # draws, completion reductions and compaction slices all run over
-    # contiguous memory; the model-facing ``(n, R)`` orientation is a free
-    # transposed view.
-    informed = np.zeros((repetitions, n), dtype=bool)
-    informed[:, source] = True
-    informed_round = np.full((repetitions, n), -1, dtype=np.int64)
-    informed_round[:, source] = 0
-    trial_ids = np.arange(repetitions, dtype=np.int64)
-    completion = np.full(repetitions, np.inf)
-    # Degenerate n == 1 networks complete at round 0, before any draw —
-    # mirroring the serial engine's pre-loop done() check.
-    done0 = informed.all(axis=1)
-    if done0.any():
-        completion[trial_ids[done0]] = 0.0
-        keep = ~done0
-        informed = informed[keep]
-        informed_round = informed_round[keep]
-        trial_ids = trial_ids[keep]
-        rngs = [rngs[r] for r in np.flatnonzero(keep)]
-    if collect:
-        # curve[0]: every trial starts with exactly its source informed.
-        informed_totals.append(int(repetitions))
-
-    rounds_executed = 0
-    for t in range(1, max_rounds + 1):
-        if trial_ids.size == 0:
-            break
-        rounds_executed = t
-        if obs is not None:
-            round_t0 = perf_counter()
-            active = int(trial_ids.size)
-        mask = np.asarray(
-            protocol.transmit_mask_batch(t, informed.T, informed_round.T, rngs),
-            dtype=bool,
-        )
-        rows = mask.T
-        if not rows.flags.c_contiguous:
-            rows = np.ascontiguousarray(rows)
-        rows = rows & informed
-        step = network.step_batch(
-            rows.T,
-            informed.T,
-            with_collided=collect,
-            with_transmitters=False,
-            assume_informed=True,
-        )
-        received = step.received.T
-        newly = received > informed  # received & ~informed, one pass on bools
-        informed |= received
-        np.copyto(informed_round, t, where=newly)
-        if collect:
-            tx_counts.append(int(np.count_nonzero(rows)))
-            coll_counts.append(int(np.count_nonzero(step.collided)))
-        finished = informed.all(axis=1)
-        if finished.any():
-            completion[trial_ids[finished]] = float(t)
-            keep = ~finished
-            informed = informed[keep]
-            informed_round = informed_round[keep]
-            trial_ids = trial_ids[keep]
-            rngs = [rngs[r] for r in np.flatnonzero(keep)]
-        if collect:
-            done_trials = repetitions - int(trial_ids.size)
-            informed_totals.append(int(informed.sum()) + done_trials * n)
-        if obs is not None:
-            wall = perf_counter() - round_t0
-            obs.inc("batch.rounds", 1, label=protocol.name)
-            obs.inc("batch.transmissions", tx_counts[-1], label=protocol.name)
-            obs.inc("batch.collisions", coll_counts[-1], label=protocol.name)
-            obs.observe("batch.round_wall_s", wall, label=protocol.name)
-            if obs.sink is not None:
-                obs.emit(
-                    {
-                        "v": SCHEMA_VERSION,
-                        "kind": "batch-round",
-                        "run": run_id,
-                        "engine": "broadcast-batch",
-                        "t": t,
-                        "active": active,
-                        "transmitters": tx_counts[-1],
-                        "collisions": coll_counts[-1],
-                        "wall_s": wall,
-                    }
-                )
-
-    fractions = np.ones(repetitions)
-    if trial_ids.size:
-        fractions[trial_ids] = informed.sum(axis=1) / float(n)
-    result = BatchBroadcastResult(
-        source=source,
-        n=n,
-        completion_rounds=completion,
-        informed_fractions=fractions,
-        num_rounds=rounds_executed,
-        transmissions_per_round=(
-            np.asarray(tx_counts, dtype=np.int64) if collect else None
-        ),
-        collisions_per_round=(
-            np.asarray(coll_counts, dtype=np.int64) if collect else None
-        ),
-        informed_totals=(
-            np.asarray(informed_totals, dtype=np.int64) if collect else None
-        ),
+    run = run_lockstep(
+        network,
+        BroadcastDynamics(protocol, source, p),
+        repetitions=repetitions,
+        seed=seed,
+        max_rounds=max_rounds,
+        check_connected=check_connected,
+        with_stats=with_stats,
+        obs=obs,
     )
-    if obs is not None:
-        wall = perf_counter() - run_t0
-        obs.observe("batch.wall_s", wall, label=protocol.name)
-        obs.emit(
-            {
-                "v": SCHEMA_VERSION,
-                "kind": "batch-end",
-                "run": run_id,
-                "engine": "broadcast-batch",
-                "rounds": rounds_executed,
-                "num_completed": result.num_completed,
-                "wall_s": wall,
-            }
-        )
-    return result
+    return BatchBroadcastResult(
+        source, network.n, run.completion_rounds, run.fractions, run.num_rounds,
+        run.transmissions_per_round, run.collisions_per_round, run.complete_node_totals,
+    )

@@ -6,10 +6,10 @@ against protocols that stall (e.g. badly tuned transmit probabilities) —
 exceeding it raises :class:`~repro.errors.BroadcastIncompleteError` carrying
 the partial trace.
 
-The round loop itself lives in :mod:`repro.radio.engine`; this function is
-the zero-fault special case of :func:`~repro.radio.engine.run_broadcast`
-(``simulate_broadcast_faulty`` in :mod:`repro.faults` is the same engine
-with a fault plan attached).
+The round loop itself is :func:`repro.radio.dynamics.run_dissemination`;
+this function is the zero-fault special case of
+:func:`~repro.radio.engine.run_broadcast` (``simulate_broadcast_faulty``
+in :mod:`repro.faults` is the same driver with a fault plan attached).
 """
 
 from __future__ import annotations

@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from .._atomic import atomic_write
 from ..experiments.supervisor import quarantine_checkpoint
 from ..schema import RESULT_SCHEMA_VERSION, canonical_json
 
@@ -76,10 +77,7 @@ class ResultCache:
             "key": key,
             "result": result,
         }
-        tmp = path.with_suffix(".json.tmp")
-        tmp.write_text(canonical_json(envelope) + "\n")
-        tmp.replace(path)
-        return path
+        return atomic_write(path, canonical_json(envelope) + "\n")
 
     def __contains__(self, key: str) -> bool:
         return self.path_for(key).exists()

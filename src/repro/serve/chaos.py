@@ -37,6 +37,8 @@ import json
 import time
 from pathlib import Path
 
+from .._atomic import atomic_write
+
 __all__ = ["ServeChaos", "load_serve_chaos", "save_serve_chaos"]
 
 
@@ -85,9 +87,7 @@ class ServeChaos:
         path.parent.mkdir(parents=True, exist_ok=True)
         seen = int(path.read_text()) if path.exists() else 0
         seen += 1
-        tmp = path.with_suffix(".count.tmp")
-        tmp.write_text(str(seen))
-        tmp.replace(path)
+        atomic_write(path, str(seen))
         return seen
 
     def on_execute(self) -> None:

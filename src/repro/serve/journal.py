@@ -40,6 +40,7 @@ import threading
 import warnings
 from pathlib import Path
 
+from .._atomic import atomic_write
 from ..schema import canonical_json
 
 __all__ = ["JOURNAL_SCHEMA_VERSION", "JournalEntry", "JobJournal"]
@@ -184,24 +185,16 @@ class JobJournal:
 
     def _rewrite(self, incomplete: dict[str, dict]) -> None:
         """Atomically compact the journal down to the incomplete submits."""
-        tmp = self.path.with_suffix(".jsonl.tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            for key, spec in incomplete.items():
-                fh.write(
-                    canonical_json(
-                        {
-                            "v": JOURNAL_SCHEMA_VERSION,
-                            "op": "submit",
-                            "key": key,
-                            "spec": spec,
-                        }
-                    )
-                    + "\n"
+        atomic_write(
+            self.path,
+            "".join(
+                canonical_json(
+                    {"v": JOURNAL_SCHEMA_VERSION, "op": "submit", "key": key, "spec": spec}
                 )
-            fh.flush()
-            if self.fsync:
-                os.fsync(fh.fileno())
-        tmp.replace(self.path)
+                + "\n"
+                for key, spec in incomplete.items()
+            ),
+        )
 
     # -- introspection -------------------------------------------------
 

@@ -674,6 +674,11 @@ class JobManager:
             finally:
                 # Terminal events below must never re-raise.
                 sink.armed = False
+            # Inside the handlers: a put that raises (an unwritable disk,
+            # a result strict JSON cannot hold) fails the job instead of
+            # escaping the worker and leaving it non-terminal forever.
+            if self.cache is not None:
+                self.cache.put(job.key, result)
         except JobCancelledError as exc:
             job.error = str(exc)
             job.state = JOB_CANCELLED
@@ -684,8 +689,6 @@ class JobManager:
             job.error = f"{type(exc).__name__}: {exc}"
             job.state = JOB_FAILED
         else:
-            if self.cache is not None:
-                self.cache.put(job.key, result)
             job.result = result
             job.state = JOB_DONE
         job.elapsed_s = Observer.clock() - start

@@ -17,7 +17,7 @@ simulation is a pure function of its canonical spec, so equal keys mean
 equal results, forever.  Fields that cannot change the result are
 excluded from the key — ``backend`` (all kernel backends are
 bit-identical) and ``jobs`` (``jobs=1 ≡ jobs=N`` byte-identity) — so a
-GPU client and a laptop client share cache entries.
+numba client and a numpy client share cache entries.
 
 :class:`JobStatus` is the response shape for every endpoint that talks
 about a job; it round-trips through :meth:`JobStatus.to_dict` /

@@ -2,22 +2,31 @@
 
 Gossip gets a full differential oracle: a naive dict-of-sets
 reimplementation of the knowledge dynamics checked against the
-matrix-based simulator on arbitrary graphs and rate sequences.
+matrix-based simulator on arbitrary graphs and rate sequences.  The
+lockstep driver is checked against per-trial serial runs of the same
+dynamics.
 """
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.broadcast.distributed import ObliviousProtocol
+from repro.broadcast.distributed import (
+    DecayProtocol,
+    EGRandomizedProtocol,
+    ObliviousProtocol,
+    UniformProtocol,
+)
 from repro.errors import BroadcastIncompleteError
 from repro.faults import LossyLinkModel
-from repro.gossip import simulate_gossip
+from repro.gossip import GossipDynamics, GossipTrace, MultiMessageDynamics, simulate_gossip
 from repro.graphs import gnp
 from repro.graphs.bfs import bfs_distances
 from repro.graphs.geometric import random_geometric
 from repro.graphs.powerlaw import chung_lu
-from repro.radio import RadioNetwork
+from repro.radio import BroadcastDynamics, RadioNetwork
+from repro.radio.dynamics import run_dissemination, run_lockstep
+from repro.rng import spawn_generators
 
 gnp_params = st.tuples(
     st.integers(min_value=2, max_value=18),
@@ -232,3 +241,73 @@ class TestMultimessageDifferential:
             history.append(sum(len(s) for s in knowledge.values()))
         got = [rec.pairs_known for rec in trace.records]
         assert got == history
+
+
+def _serial_outcome(trace) -> tuple[float, float]:
+    """(completion round or inf, final fraction) of one serial trace."""
+    if trace.completed:
+        return float(trace.completion_round), 1.0
+    if isinstance(trace, GossipTrace):
+        known = float(np.sum(trace.knowledge_counts))
+        return np.inf, known / float(trace.n * trace.tokens)
+    return np.inf, trace.num_informed / trace.n
+
+
+class TestLockstepMatchesSerial:
+    @given(
+        gnp_params,
+        st.integers(min_value=1, max_value=5),
+        st.sampled_from(["uniform", "decay", "eg"]),
+        st.sampled_from(["broadcast", "gossip", "multimessage"]),
+        st.integers(min_value=1, max_value=12),
+        st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_completion_rounds_and_fractions_bit_for_bit(
+        self, params, repetitions, protocol, dynamics, max_rounds, data
+    ):
+        n, p, seed = params
+        g = gnp(n, p, seed=seed)
+        assume(bool(np.all(bfs_distances(g, 0) >= 0)))
+        if protocol == "eg":
+            assume(n >= 2 and p * n > 1)
+        net = RadioNetwork(g)
+
+        def make_protocol():
+            if protocol == "uniform":
+                return UniformProtocol(min(1.0, 1.0 / max(p * (n - 1), 1.0)))
+            if protocol == "decay":
+                return DecayProtocol(n)
+            return EGRandomizedProtocol(n, p)
+
+        if dynamics == "broadcast":
+            source = data.draw(st.integers(min_value=0, max_value=n - 1))
+            def make():
+                return BroadcastDynamics(make_protocol(), source, p)
+        elif dynamics == "gossip":
+            def make():
+                return GossipDynamics(make_protocol(), p)
+        else:
+            sources = np.array(
+                data.draw(
+                    st.lists(st.integers(min_value=0, max_value=n - 1), min_size=1, max_size=4)
+                ),
+                dtype=np.int64,
+            )
+            def make():
+                return MultiMessageDynamics(make_protocol(), sources, p)
+
+        run = run_lockstep(
+            net, make(), repetitions=repetitions, seed=seed, max_rounds=max_rounds
+        )
+        serial = [
+            _serial_outcome(
+                run_dissemination(
+                    net, make(), seed=rng, max_rounds=max_rounds, raise_on_incomplete=False
+                )
+            )
+            for rng in spawn_generators(seed, repetitions)
+        ]
+        rounds, fractions = (np.array(column) for column in zip(*serial))
+        assert np.array_equal(run.completion_rounds, rounds)
+        assert np.array_equal(run.fractions, fractions)

@@ -10,6 +10,7 @@ from repro.errors import JobQueueFullError, ServerDrainingError
 from repro.obs import MemoryTraceSink, MetricsRegistry, Observer
 from repro.obs.sinks import validate_event
 from repro.schema import canonical_json
+from repro.serve.cache import ResultCache
 from repro.serve.client import Client, load_result
 from repro.serve.journal import JobJournal
 from repro.serve.runner import JobManager, iter_job_events
@@ -180,6 +181,30 @@ class TestFailures:
             assert manager.wait(job, timeout=30)
             assert job.state == "failed"
             assert job.error
+
+    def test_failed_cache_write_fails_the_job(self, tmp_path):
+        class UnwritableCache(ResultCache):
+            def put(self, key, result):
+                raise ValueError("Out of range float values are not JSON compliant")
+
+        journal_dir = tmp_path / "journal"
+        with JobManager(
+            cache=UnwritableCache(tmp_path / "cache"), workers=1, journal=journal_dir
+        ) as manager:
+            job = manager.submit(make_spec())
+            assert manager.wait(job, timeout=30), "job never reached a terminal state"
+            assert job.done.is_set()
+            assert job.state == "failed"
+            assert "JSON compliant" in job.error
+            assert job.result is None
+        records = [
+            json.loads(line)
+            for line in (journal_dir / "journal.jsonl").read_text().splitlines()
+        ]
+        assert [(r["op"], r.get("state")) for r in records] == [
+            ("submit", None),
+            ("terminal", "failed"),
+        ]
 
 
 class TestEventsAndMetrics:

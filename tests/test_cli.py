@@ -258,7 +258,7 @@ class TestBackends:
     def test_backends_lists_registry_with_probes(self, capsys):
         assert main(["backends"]) == 0
         out = capsys.readouterr().out
-        for name in ("numpy", "numba", "cupy"):
+        for name in ("numpy", "numba"):
             assert name in out
         assert "available" in out
         assert "active: numpy" in out

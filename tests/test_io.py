@@ -10,6 +10,8 @@ from repro.io import (
     load_graph,
     load_result,
     load_schedule,
+    result_from_wire,
+    result_wire,
     save_graph,
     save_result,
     save_schedule,
@@ -129,3 +131,28 @@ class TestResultIO:
         loaded = load_result(save_result(res, tmp_path / "e7"))
         assert loaded.experiment_id == "E7"
         assert len(loaded.rows) == len(res.rows)
+
+    def test_nonfinite_cells_survive_strict_wire(self):
+        # A mean over budget misses is ``inf``; the strict canonical JSON
+        # of the wire form must still encode, and decode back to floats.
+        import json
+        import math
+
+        from repro.schema import canonical_json
+        from repro.theory.fitting import FitResult
+
+        res = self.make_result()
+        res.rows.append({"n": 30, "t": float("inf")})
+        res.rows.append({"n": 40, "t": float("-inf")})
+        res.rows.append({"n": 50, "t": float("nan")})
+        res.fits["g"] = FitResult(float("nan"), 1.0, float("inf"), "x")
+        text = canonical_json(result_wire(res))
+        loaded = result_from_wire(json.loads(text))
+        assert loaded.rows[:2] == res.rows[:2]
+        assert loaded.rows[2] == {"n": 30, "t": math.inf}
+        assert loaded.rows[3] == {"n": 40, "t": -math.inf}
+        assert math.isnan(loaded.rows[4]["t"])
+        assert math.isnan(loaded.fits["g"].slope)
+        assert loaded.fits["g"].r_squared == math.inf
+        assert loaded.table() == res.table()
+        assert canonical_json(result_wire(loaded)) == text
