@@ -507,42 +507,33 @@ def _finish_observer(obs: Observer | None, trace_out: str | None) -> None:
 
 def _run_one(spec, args):
     """Dispatch one experiment through the sequential or supervised path."""
-    if args.fabric is not None:
-        from .experiments.parallel import _unwrap, run_catalog_fabric
-
-        return _unwrap(
-            run_catalog_fabric(
-                [spec.experiment_id],
-                quick=not args.full,
-                seed=args.seed,
-                listen=args.fabric,
-                workers=args.workers,
-                checkpoint=args.checkpoint,
-                resume=args.resume,
-                task_timeout=args.task_timeout,
-                max_task_retries=args.max_task_retries,
-            )
-        )[0]
-    if args.jobs is not None:
-        from .experiments import run_catalog_parallel
-
-        return run_catalog_parallel(
-            [spec.experiment_id],
+    if args.fabric is None and args.jobs is None:
+        return run_experiment(
+            spec.experiment_id,
             quick=not args.full,
             seed=args.seed,
-            jobs=args.jobs,
             checkpoint=args.checkpoint,
             resume=args.resume,
-            task_timeout=args.task_timeout,
-            max_task_retries=args.max_task_retries,
-        )[0]
-    return run_experiment(
-        spec.experiment_id,
+        )
+    common = dict(
         quick=not args.full,
         seed=args.seed,
         checkpoint=args.checkpoint,
         resume=args.resume,
+        task_timeout=args.task_timeout,
+        max_task_retries=args.max_task_retries,
     )
+    if args.fabric is not None:
+        from .experiments import run_catalog_fabric
+
+        outcomes = run_catalog_fabric(
+            [spec.experiment_id], listen=args.fabric, workers=args.workers, **common
+        )
+    else:
+        from .experiments import run_catalog_supervised
+
+        outcomes = run_catalog_supervised([spec.experiment_id], jobs=args.jobs, **common)
+    return outcomes[0].unwrap()
 
 
 def main(argv: list[str] | None = None) -> int:

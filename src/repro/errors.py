@@ -134,11 +134,10 @@ class ExecutorError(ReproError):
 class SweepTaskError(ExecutorError):
     """A sweep task ended in a non-``ok`` terminal outcome.
 
-    Raised by the legacy result-unwrapping entry points
-    (:func:`~repro.experiments.parallel.run_parallel_sweep`) when a task
-    crashed its worker or exceeded its deadline — failure modes that
-    leave no original exception to re-raise.  Carries the structured
-    :class:`~repro.experiments.supervisor.TaskOutcome`.
+    Raised by :meth:`~repro.experiments.supervisor.TaskOutcome.unwrap`
+    when a task crashed its worker or exceeded its deadline — failure
+    modes that leave no original exception to re-raise.  Carries the
+    structured :class:`~repro.experiments.supervisor.TaskOutcome`.
     """
 
     def __init__(self, message: str, outcome=None):

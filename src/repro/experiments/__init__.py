@@ -17,9 +17,11 @@ retry with fresh derived seeds, JSON checkpoint/resume, and structured
 failure records instead of aborted tables.
 
 Independent sweep configs fan out over worker processes through
-:func:`~repro.experiments.parallel.run_parallel_sweep`; per-config
+:func:`~repro.experiments.supervisor.run_supervised_sweep`; per-config
 seeds are spawned from the root before scheduling, so results never
-depend on the worker count (``repro run-all --jobs N``).
+depend on the worker count (``repro run-all --jobs N``).  Each task ends
+as a :class:`~repro.experiments.supervisor.TaskOutcome`;
+``outcome.unwrap()`` returns its result or raises its failure.
 
 The same sweeps shard across machines through the fault-tolerant
 coordinator/worker fabric (:func:`~repro.experiments.fabric.run_fabric_sweep`,
@@ -30,13 +32,7 @@ the results.
 
 from .catalog import EXPERIMENTS, get_experiment, run_experiment
 from .fabric import run_fabric_sweep, run_worker
-from .parallel import (
-    SweepTask,
-    run_catalog_fabric,
-    run_catalog_parallel,
-    run_catalog_supervised,
-    run_parallel_sweep,
-)
+from .parallel import SweepTask, run_catalog_fabric, run_catalog_supervised
 from .report import format_markdown_table, format_table
 from .resilient import (
     SweepCheckpoint,
@@ -71,11 +67,9 @@ __all__ = [
     "TaskOutcome",
     "SweepTaskCheckpoint",
     "outcome_counts",
-    "run_parallel_sweep",
     "run_supervised_sweep",
     "run_fabric_sweep",
     "run_worker",
-    "run_catalog_parallel",
     "run_catalog_supervised",
     "run_catalog_fabric",
 ]

@@ -35,16 +35,21 @@ The coordinator's stance, in the order things go wrong:
   mitigation); first result wins, the loser is deduplicated;
 * **graceful degradation** — when no workers ever join (or every one is
   lost and none return within ``worker_wait``), the remaining tasks run
-  on the local supervised pool through a pre-seeded trampoline, so the
-  sweep completes byte-identically with zero fabric;
+  in-process on the same :class:`~repro.experiments.supervisor.TaskLedger`,
+  so the sweep completes byte-identically with zero fabric and each
+  task keeps the attempt budget the fabric already charged;
 * **coordinator restart** — terminal outcomes flush incrementally to a
   :class:`~repro.experiments.supervisor.SweepTaskCheckpoint` (atomic
   writes, corrupt files quarantined), so a killed coordinator resumes
   past completed tasks without re-executing them.  ``halt_after`` is
   the chaos hook that simulates the kill.
 
-The wire protocol lives in :mod:`repro.experiments.wire` (pickle frames
-— a trusted-cluster transport, loopback or lab network only), and the
+The coordinator is a transport: attempt charging, retry-or-fail,
+terminal outcomes and the checkpoint flush all live in the
+:class:`~repro.experiments.supervisor.TaskLedger` it shares with the
+local supervised pool.  The wire protocol lives in
+:mod:`repro.experiments.wire` (pickle frames — a trusted-cluster
+transport, loopback or lab network only), and the
 deterministic network faults that verify all of the above live in
 :mod:`repro.experiments.chaos` (:class:`~repro.experiments.chaos.NetChaos`).
 ``tests/experiments/test_fabric.py`` pins a chaos-ridden distributed
@@ -70,21 +75,17 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
 from ..errors import CoordinatorHalted, InvalidParameterError
-from ..obs import current_observer
-from ..obs.sinks import SCHEMA_VERSION
-from ..rng import spawn_seeds
 from .supervisor import (
     TASK_CRASHED,
     TASK_ERROR,
     TASK_OK,
-    TASK_TIMEOUT,
     SweepTask,
     SweepTaskCheckpoint,
+    TaskLedger,
     TaskOutcome,
-    run_supervised_sweep,
+    open_ledger,
+    run_in_process,
 )
 from .wire import (
     MSG_ACK,
@@ -110,6 +111,10 @@ __all__ = [
 #: connection (mirrors the supervisor's pool teardown, which also kills
 #: workers it can no longer talk to).
 WORKER_DISCONNECT_EXIT_CODE = 75
+
+#: ``TaskOutcome.host`` of outcomes no single worker produced (a lost
+#: lease's final crash, a deadline expiry).
+FABRIC_HOST = "fabric"
 
 
 # ----------------------------------------------------------------------
@@ -346,18 +351,6 @@ def _spawn_local_worker(
     )
 
 
-def _preseeded_task(seed, *, _child, _fn, _kwargs):
-    """Degradation trampoline: ignore the pool's spawned seed.
-
-    When the fabric degrades to the local supervised pool, every
-    remaining task must still see its *original* fabric-assigned child
-    (the pool would otherwise spawn children from the subset task list
-    and change every stream).  The trampoline carries the real child in
-    its kwargs and discards the one the pool hands it.
-    """
-    return _fn(seed=_child, **_kwargs)
-
-
 class _Coordinator:
     """One fabric sweep execution (single-use, single-threaded).
 
@@ -369,75 +362,47 @@ class _Coordinator:
 
     def __init__(
         self,
-        tasks: list[SweepTask],
-        children: list[np.random.SeedSequence],
-        pending: list[int],
+        ledger: TaskLedger,
         *,
         listen: str,
         workers: int,
-        task_timeout: float | None,
-        max_task_retries: int,
         heartbeat_interval: float,
         liveness_timeout: float,
         ack_timeout: float,
         worker_wait: float,
-        degraded_jobs: int,
-        work_stealing: bool,
         steal_after: float,
         max_worker_respawns: int,
         lease_timeout: float,
         halt_after: int | None,
         worker_chaos: Sequence[str | Path | None] | None,
         net_chaos,
-        obs,
     ):
-        self.tasks = tasks
-        self.children = children
-        self.queue: deque[int] = deque(pending)
-        self.attempts = {i: 0 for i in pending}
-        self.requeues = {i: 0 for i in pending}
-        self.lost_leases = {i: 0 for i in pending}
-        self.first_started: dict[int, float] = {}
-        self.outcomes: dict[int, TaskOutcome] = {}
+        self.ledger = ledger
+        # Observability goes through the ledger's observer.
+        self._emit = ledger.emit
+        self._inc = ledger.inc
         self.leases: dict[int, dict[str, _Lease]] = {}
         self.workers: dict[str, _WorkerConn] = {}
         self.listen = listen
         self.num_workers = workers
-        self.task_timeout = task_timeout
-        self.max_attempts = 1 + max_task_retries
         self.heartbeat_interval = heartbeat_interval
         self.liveness_timeout = liveness_timeout
         self.ack_timeout = ack_timeout
         self.worker_wait = worker_wait
         self.lease_timeout = lease_timeout
         self.net_chaos = net_chaos
-        self.degraded_jobs = degraded_jobs
-        self.work_stealing = work_stealing
         self.steal_after = steal_after
         self.max_worker_respawns = max_worker_respawns
         self.halt_after = halt_after
         self.worker_chaos = list(worker_chaos) if worker_chaos else []
-        self.obs = obs
-        self.on_complete = None  # set by run_fabric_sweep for checkpoints
         self.selector = selectors.DefaultSelector()
         self.listener: socket.socket | None = None
         self.address = ""
         self.spawned: list[tuple[subprocess.Popen, str | Path | None]] = []
         self.respawns = 0
-        self.newly_completed = 0
         self.ever_joined = False
         self.last_worker_seen = time.monotonic()
         self._ids = iter(range(1, 1_000_000))
-
-    # -- observability -------------------------------------------------
-
-    def _emit(self, kind: str, **fields) -> None:
-        if self.obs is not None:
-            self.obs.emit({"v": SCHEMA_VERSION, "kind": kind, **fields})
-
-    def _inc(self, name: str, *, label: str = "") -> None:
-        if self.obs is not None:
-            self.obs.inc(name, label=label)
 
     # -- lifecycle -----------------------------------------------------
 
@@ -450,7 +415,7 @@ class _Coordinator:
         self.listener = listener
         self.address = format_address(host, listener.getsockname()[1])
         self.selector.register(listener, selectors.EVENT_READ, None)
-        self._emit("fabric-start", address=self.address, tasks=len(self.queue))
+        self._emit("fabric-start", address=self.address, tasks=len(self.ledger.queue))
         for slot in range(self.num_workers):
             chaos_spec = (
                 self.worker_chaos[slot] if slot < len(self.worker_chaos) else None
@@ -467,14 +432,11 @@ class _Coordinator:
             )
         return self.address
 
-    def done(self) -> bool:
-        return len(self.outcomes) == len(self.tasks)
-
     def run(self) -> None:
         """Drive the sweep to completion (or degradation, or halt)."""
         start = time.monotonic()
         try:
-            while not self.done():
+            while not self.ledger.done():
                 self._reap_spawned()
                 self._dispatch()
                 self._maybe_steal()
@@ -488,7 +450,7 @@ class _Coordinator:
                 self._check_liveness()
                 self._check_deadlines()
                 if self.halt_after is not None and (
-                    self.newly_completed >= self.halt_after
+                    self.ledger.recorded >= self.halt_after
                 ):
                     self._halt()
                 if self._should_degrade(start):
@@ -554,21 +516,22 @@ class _Coordinator:
     # -- results -------------------------------------------------------
 
     def _handle_result(self, worker: _WorkerConn, message: dict) -> None:
+        ledger = self.ledger
         index = message.get("index")
-        if not isinstance(index, int) or not 0 <= index < len(self.tasks):
+        if not isinstance(index, int) or not 0 <= index < len(ledger.tasks):
             return
-        if self.tasks[index].key != message.get("key"):
+        if ledger.tasks[index].key != message.get("key"):
             return
         if worker.busy == index:
             worker.busy = None
-        if index in self.outcomes:
+        if index in ledger.outcomes:
             # The idempotency point: a late result from a revoked lease,
             # a speculative twin, or a chaos-duplicated frame — the
             # first terminal result won, this one is discarded.
             self._inc("fabric.duplicate_results")
             self._emit(
                 "fabric-duplicate-result",
-                task=self.tasks[index].key,
+                task=ledger.tasks[index].key,
                 worker=worker.worker_id,
             )
             return
@@ -582,76 +545,27 @@ class _Coordinator:
                 if other is not None and other.busy == index:
                     other.busy = None
             try:
-                self.queue.remove(index)
+                ledger.queue.remove(index)
             except ValueError:
                 pass
-            self._record_terminal(
+            ledger.record(
                 index,
                 TASK_OK,
                 result=message.get("result"),
                 host=worker.host or worker.worker_id,
             )
             return
-        if message.get("attempt") != self.attempts[index]:
+        if message.get("attempt") != ledger.attempts[index]:
             return  # stale failure from a superseded attempt
         if self.leases.get(index):
             return  # a speculative twin is still running; let it decide
         self.leases.pop(index, None)
-        self._retry_or_fail(
+        ledger.retry_or_fail(
             index,
             TASK_ERROR,
             str(message.get("error", "task raised")),
             host=worker.host or worker.worker_id,
             exception=message.get("exception"),
-        )
-
-    def _record_terminal(
-        self,
-        index: int,
-        status: str,
-        *,
-        result=None,
-        error: str = "",
-        host: str = "",
-        exception=None,
-    ) -> None:
-        started = self.first_started.get(index)
-        outcome = TaskOutcome(
-            key=self.tasks[index].key,
-            status=status,
-            result=result,
-            attempts=self.attempts[index],
-            elapsed=time.monotonic() - started if started is not None else 0.0,
-            error=error,
-            host=host or "fabric",
-            requeued=self.requeues[index],
-            lost_leases=self.lost_leases[index],
-            exception=exception,
-        )
-        self.outcomes[index] = outcome
-        self.newly_completed += 1
-        self._inc("fabric.tasks", label=status)
-        if self.obs is not None:
-            self.obs.observe("fabric.task_wall_s", outcome.elapsed, label=status)
-        if self.on_complete is not None:
-            self.on_complete(index, outcome)
-
-    def _retry_or_fail(
-        self, index: int, status: str, reason: str, *, host: str = "", exception=None
-    ) -> None:
-        if self.attempts[index] < self.max_attempts:
-            self.requeues[index] += 1
-            self._inc("fabric.requeues")
-            self._emit(
-                "fabric-task-requeue",
-                task=self.tasks[index].key,
-                attempt=self.attempts[index],
-                reason=reason,
-            )
-            self.queue.appendleft(index)
-            return
-        self._record_terminal(
-            index, status, error=reason, host=host, exception=exception
         )
 
     # -- dispatch ------------------------------------------------------
@@ -667,41 +581,40 @@ class _Coordinator:
         return {
             "kind": MSG_TASK,
             "index": index,
-            "key": self.tasks[index].key,
+            "key": self.ledger.tasks[index].key,
             "attempt": attempt,
-            "task": self.tasks[index],
-            "seed": self.children[index],
+            "task": self.ledger.tasks[index],
+            "seed": self.ledger.children[index],
         }
 
-    def _send_task(self, worker: _WorkerConn, index: int, *, charge: bool) -> bool:
-        if charge:
-            self.attempts[index] += 1
+    def _send_task(self, worker: _WorkerConn, index: int) -> bool:
+        """Lease the task's current attempt to ``worker``."""
+        attempt = self.ledger.attempts[index]
         now = time.monotonic()
-        self.first_started.setdefault(index, now)
-        deadline = now + self.task_timeout if self.task_timeout is not None else None
-        message = self._task_message(index, self.attempts[index])
+        task_timeout = self.ledger.task_timeout
+        deadline = now + task_timeout if task_timeout is not None else None
         try:
-            worker.channel.send(message)
+            worker.channel.send(self._task_message(index, attempt))
         except OSError:
-            if charge:
-                self.attempts[index] -= 1
             self._drop_worker(worker, reason="send-failed")
             return False
         self.leases.setdefault(index, {})[worker.worker_id] = _Lease(
-            attempt=self.attempts[index], started=now, deadline=deadline
+            attempt=attempt, started=now, deadline=deadline
         )
         worker.busy = index
         return True
 
     def _dispatch(self) -> None:
+        ledger = self.ledger
         for worker in self._idle_workers():
-            if not self.queue:
+            if not ledger.queue:
                 return
-            index = self.queue.popleft()
-            if index in self.outcomes:
+            index = ledger.queue.popleft()
+            if index in ledger.outcomes:
                 continue
-            if not self._send_task(worker, index, charge=True):
-                self.queue.appendleft(index)
+            ledger.charge(index)
+            if not self._send_task(worker, index):
+                ledger.refund(index)
 
     def _maybe_steal(self) -> None:
         """Duplicate the oldest straggler onto an idle worker.
@@ -712,7 +625,7 @@ class _Coordinator:
         whichever copy reports first is the result and the other is a
         dedup.
         """
-        if not self.work_stealing or self.queue:
+        if self.ledger.queue:
             return
         idle = self._idle_workers()
         if not idle:
@@ -722,7 +635,7 @@ class _Coordinator:
             (
                 (lease.started, index, owner_id)
                 for index, leases in self.leases.items()
-                if index not in self.outcomes and len(leases) == 1
+                if index not in self.ledger.outcomes and len(leases) == 1
                 for owner_id, lease in leases.items()
                 if lease.acked and now - lease.started >= self.steal_after
             ),
@@ -734,11 +647,11 @@ class _Coordinator:
                     index, {}
                 ):
                     continue
-                if self._send_task(worker, index, charge=False):
+                if self._send_task(worker, index):
                     self._inc("fabric.steals")
                     self._emit(
                         "fabric-task-steal",
-                        task=self.tasks[index].key,
+                        task=self.ledger.tasks[index].key,
                         worker=worker.worker_id,
                     )
                 break
@@ -771,32 +684,24 @@ class _Coordinator:
             for index, leases in self.leases.items()
             if worker.worker_id in leases
         )
+        ledger = self.ledger
         revoked = 0
         for index in reversed(victims):
             del self.leases[index][worker.worker_id]
             if self.leases[index]:
                 continue  # a speculative twin still carries the task
             del self.leases[index]
-            if index in self.outcomes:
+            if index in ledger.outcomes:
                 continue
             revoked += 1
             if charge:
-                self.lost_leases[index] += 1
+                ledger.lost_leases[index] += 1
                 self._inc("fabric.lost_leases")
-                self._retry_or_fail(
-                    index, TASK_CRASHED, f"worker lost ({reason})"
+                ledger.retry_or_fail(
+                    index, TASK_CRASHED, f"worker lost ({reason})", host=FABRIC_HOST
                 )
             else:
-                self.attempts[index] -= 1
-                self.requeues[index] += 1
-                self._inc("fabric.requeues")
-                self._emit(
-                    "fabric-task-requeue",
-                    task=self.tasks[index].key,
-                    attempt=self.attempts[index],
-                    reason=reason,
-                )
-                self.queue.appendleft(index)
+                ledger.refund(index, reason)
         if worker.ready:
             self._inc("fabric.workers_lost")
             self._emit(
@@ -833,18 +738,8 @@ class _Coordinator:
                 if leases:
                     continue
                 del self.leases[index]
-                if index in self.outcomes:
-                    continue
-                self.attempts[index] -= 1
-                self.requeues[index] += 1
-                self._inc("fabric.requeues")
-                self._emit(
-                    "fabric-task-requeue",
-                    task=self.tasks[index].key,
-                    attempt=self.attempts[index],
-                    reason="undelivered",
-                )
-                self.queue.appendleft(index)
+                if index not in self.ledger.outcomes:
+                    self.ledger.refund(index, "undelivered")
 
     def _check_resends(self) -> None:
         """Retransmit acked leases that have gone quiet too long.
@@ -861,7 +756,7 @@ class _Coordinator:
         """
         now = time.monotonic()
         for index, leases in self.leases.items():
-            if index in self.outcomes:
+            if index in self.ledger.outcomes:
                 continue
             for worker_id, lease in leases.items():
                 if not lease.acked or now - lease.started <= self.lease_timeout:
@@ -885,11 +780,11 @@ class _Coordinator:
         notices the dead socket and terminates the process, and the
         respawn budget restores capacity.
         """
-        if self.task_timeout is None:
+        if self.ledger.task_timeout is None:
             return
         now = time.monotonic()
         for index, leases in list(self.leases.items()):
-            if index in self.outcomes:
+            if index in self.ledger.outcomes:
                 continue
             expired = [
                 worker_id
@@ -898,18 +793,8 @@ class _Coordinator:
             ]
             if not expired:
                 continue
-            self._inc("fabric.task_timeouts")
-            self._emit(
-                "fabric-task-timeout",
-                task=self.tasks[index].key,
-                elapsed_s=now - self.first_started.get(index, now),
-            )
             del self.leases[index]
-            self._record_terminal(
-                index,
-                TASK_TIMEOUT,
-                error=f"deadline of {self.task_timeout}s expired",
-            )
+            self.ledger.expire(index, host=FABRIC_HOST)
             for worker_id in expired:
                 worker = self.workers.get(worker_id)
                 if worker is not None:
@@ -918,7 +803,7 @@ class _Coordinator:
     def _reap_spawned(self) -> None:
         """Respawn locally-spawned workers that died mid-sweep."""
         for slot, (proc, chaos_spec) in enumerate(self.spawned):
-            if proc.poll() is None or self.done():
+            if proc.poll() is None or self.ledger.done():
                 continue
             if self.respawns >= self.max_worker_respawns:
                 continue
@@ -936,7 +821,7 @@ class _Coordinator:
     # -- endgame -------------------------------------------------------
 
     def _should_degrade(self, start: float) -> bool:
-        if self.done() or (not self.queue and self.leases):
+        if self.ledger.done() or (not self.ledger.queue and self.leases):
             return False
         if self.workers:
             return False
@@ -946,61 +831,39 @@ class _Coordinator:
         return now - self.last_worker_seen > self.worker_wait
 
     def _degrade(self) -> None:
-        """Finish the remaining tasks on the local supervised pool."""
-        pending = [i for i in range(len(self.tasks)) if i not in self.outcomes]
+        """Finish the remaining tasks in-process, on the same ledger.
+
+        Each task keeps the attempts the fabric already charged, so the
+        local run spends what is left of its one budget, and every
+        terminal outcome counts once, under ``fabric.*``.
+        """
+        ledger = self.ledger
+        pending = [i for i in range(len(ledger.tasks)) if i not in ledger.outcomes]
         self._inc("fabric.degradations")
         self._emit(
             "fabric-degraded",
             remaining=len(pending),
             reason="no-workers" if not self.ever_joined else "all-workers-lost",
         )
-        local = [
-            SweepTask(
-                key=self.tasks[i].key,
-                fn=_preseeded_task,
-                kwargs={
-                    "_child": self.children[i],
-                    "_fn": self.tasks[i].fn,
-                    "_kwargs": self.tasks[i].kwargs,
-                },
-            )
-            for i in pending
-        ]
-        inner = run_supervised_sweep(
-            local,
-            jobs=self.degraded_jobs,
-            seed=0,  # ignored: every task carries its real child
-            task_timeout=self.task_timeout,
-            max_task_retries=self.max_attempts - 1,
-        )
-        for i, outcome in zip(pending, inner):
-            self.attempts[i] = self.attempts.get(i, 0) + outcome.attempts
-            self.first_started.setdefault(i, time.monotonic() - outcome.elapsed)
-            self._record_terminal(
-                i,
-                outcome.status,
-                result=outcome.result,
-                error=outcome.error,
-                host=outcome.host,
-                exception=outcome.exception,
-            )
-        self.queue.clear()
         self.leases.clear()
+        ledger.queue = deque(pending)
+        run_in_process(ledger)
 
     def _halt(self) -> None:
         """The chaos hook: die abruptly, as a killed coordinator would."""
-        self._emit("fabric-halt", completed=self.newly_completed)
+        completed = self.ledger.recorded
+        self._emit("fabric-halt", completed=completed)
         self._teardown(farewell=False)
         raise CoordinatorHalted(
-            f"coordinator halted after {self.newly_completed} outcomes "
+            f"coordinator halted after {completed} outcomes "
             "(halt_after chaos hook)",
-            completed=self.newly_completed,
+            completed=completed,
         )
 
     def _finish(self) -> None:
         self._emit(
             "fabric-end",
-            tasks=len(self.outcomes),
+            tasks=len(self.ledger.outcomes),
             workers=len(self.workers),
         )
         self._teardown(farewell=True)
@@ -1051,8 +914,6 @@ def run_fabric_sweep(
     liveness_timeout: float | None = None,
     ack_timeout: float | None = None,
     worker_wait: float = 15.0,
-    degraded_jobs: int = 1,
-    work_stealing: bool = True,
     steal_after: float = 5.0,
     max_worker_respawns: int = 6,
     lease_timeout: float | None = None,
@@ -1079,17 +940,18 @@ def run_fabric_sweep(
         free port — the actual address is what spawned workers dial).
     workers: loopback worker subprocesses to spawn (``repro worker``).
         ``0`` waits ``worker_wait`` seconds for external workers and
-        degrades to the local supervised pool if none arrive.
+        degrades to in-process execution if none arrive.
     heartbeat_interval / liveness_timeout: worker beacon period and the
         silence after which a worker is declared partitioned (default
         ``6 *`` the interval).
     ack_timeout: unacked assignments are requeued uncharged after this
         long (default ``4 *`` the heartbeat interval).
     worker_wait: patience before degrading, at startup (no worker ever
-        joined) or mid-sweep (every worker lost, none returned).
-    degraded_jobs: pool width for the degraded remainder.
-    work_stealing / steal_after: speculative re-dispatch of in-flight
-        stragglers onto idle workers once the queue is dry.
+        joined) or mid-sweep (every worker lost, none returned).  The
+        remaining tasks then run in-process, each on what is left of its
+        ``1 + max_task_retries`` attempt budget.
+    steal_after: once the queue is dry, an in-flight task older than
+        this is speculatively re-dispatched to an idle worker.
     max_worker_respawns: budget for respawning dead *spawned* workers
         (external workers are the operator's to restart).
     lease_timeout: an acked lease quiet past this long (default ``8 *``
@@ -1111,54 +973,30 @@ def run_fabric_sweep(
     """
     if workers < 0:
         raise InvalidParameterError(f"workers must be >= 0, got {workers}")
-    if max_task_retries < 0:
-        raise InvalidParameterError(
-            f"max_task_retries must be >= 0, got {max_task_retries}"
-        )
-    if task_timeout is not None and task_timeout <= 0:
-        raise InvalidParameterError(
-            f"task_timeout must be positive, got {task_timeout}"
-        )
     if heartbeat_interval <= 0:
         raise InvalidParameterError(
             f"heartbeat_interval must be positive, got {heartbeat_interval}"
-        )
-    if degraded_jobs < 1:
-        raise InvalidParameterError(
-            f"degraded_jobs must be >= 1, got {degraded_jobs}"
         )
     if halt_after is not None and halt_after < 1:
         raise InvalidParameterError(
             f"halt_after must be >= 1, got {halt_after}"
         )
-    tasks = list(tasks)
-    if checkpoint is not None and not isinstance(checkpoint, SweepTaskCheckpoint):
-        checkpoint = SweepTaskCheckpoint(checkpoint, config_key)
-    if checkpoint is not None and len({t.key for t in tasks}) != len(tasks):
-        raise InvalidParameterError("sweep checkpointing requires unique task keys")
-    children = spawn_seeds(seed, len(tasks))
-
-    obs = current_observer()
-    if obs is not None and not obs.active:
-        obs = None
-
-    resumed: dict[int, TaskOutcome] = {}
-    if checkpoint is not None and resume and checkpoint.exists():
-        on_record = checkpoint.load()
-        for i, task in enumerate(tasks):
-            previous = on_record.get(task.key)
-            if previous is not None and previous.ok:
-                resumed[i] = previous
-
-    pending = [i for i in range(len(tasks)) if i not in resumed]
-    coordinator = _Coordinator(
+    ledger = open_ledger(
         tasks,
-        list(children),
-        pending,
-        listen=listen,
-        workers=workers,
+        scope="fabric",
+        seed=seed,
         task_timeout=task_timeout,
         max_task_retries=max_task_retries,
+        checkpoint=checkpoint,
+        resume=resume,
+        config_key=config_key,
+    )
+    if not ledger.queue:
+        return ledger.results()
+    coordinator = _Coordinator(
+        ledger,
+        listen=listen,
+        workers=workers,
         heartbeat_interval=heartbeat_interval,
         liveness_timeout=(
             liveness_timeout
@@ -1169,8 +1007,6 @@ def run_fabric_sweep(
             ack_timeout if ack_timeout is not None else 4.0 * heartbeat_interval
         ),
         worker_wait=worker_wait,
-        degraded_jobs=degraded_jobs,
-        work_stealing=work_stealing,
         steal_after=steal_after,
         max_worker_respawns=max_worker_respawns,
         lease_timeout=(
@@ -1179,23 +1015,11 @@ def run_fabric_sweep(
         halt_after=halt_after,
         worker_chaos=worker_chaos,
         net_chaos=net_chaos,
-        obs=obs,
     )
-    coordinator.outcomes.update(resumed)
-    if checkpoint is not None:
-        flushed = dict(resumed)
-
-        def flush(index: int, outcome: TaskOutcome) -> None:
-            flushed[index] = outcome
-            checkpoint.save({o.key: o for o in flushed.values()})
-
-        coordinator.on_complete = flush
-    if not pending:
-        return [coordinator.outcomes[i] for i in range(len(tasks))]
     coordinator.start()
     try:
         coordinator.run()
     except BaseException:
         coordinator._teardown(farewell=False)
         raise
-    return [coordinator.outcomes[i] for i in range(len(tasks))]
+    return ledger.results()

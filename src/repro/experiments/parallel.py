@@ -17,8 +17,8 @@ compute:
   original child seed), pool rebuilds, and graceful degradation to
   serial in-process execution.  :func:`run_supervised_sweep` surfaces
   the structured :class:`~repro.experiments.supervisor.TaskOutcome`
-  records; :func:`run_parallel_sweep` is the legacy result-unwrapping
-  view that raises on the first failed task;
+  records; :meth:`~repro.experiments.supervisor.TaskOutcome.unwrap`
+  turns one into its result, or raises for a failed task;
 * **checkpoint composition** — tasks may themselves be
   :func:`~repro.experiments.resilient.run_resilient_sweep` calls: each
   child ``SeedSequence`` carries a distinct ``spawn_key``, which the
@@ -38,12 +38,11 @@ identical seed discipline — the two paths are byte-identical.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .._typing import SeedLike
-from ..errors import SweepTaskError
 from .catalog import get_experiment
 from .runner import ExperimentResult
 from .supervisor import (
@@ -55,75 +54,12 @@ from .supervisor import (
 
 __all__ = [
     "SweepTask",
-    "run_parallel_sweep",
     "run_supervised_sweep",
-    "run_catalog_parallel",
     "run_catalog_supervised",
     "run_catalog_fabric",
     "child_seed_int",
     "outcomes_payload",
 ]
-
-
-def _unwrap(outcomes: Sequence[TaskOutcome]) -> list[Any]:
-    """Results in task order; re-raise the first failure (legacy view)."""
-    results = []
-    for outcome in outcomes:
-        if outcome.ok:
-            results.append(outcome.result)
-        elif outcome.exception is not None:
-            raise outcome.exception
-        else:
-            raise SweepTaskError(
-                f"sweep task {outcome.key!r} ended {outcome.status!r} "
-                f"after {outcome.attempts} attempt(s): {outcome.error}",
-                outcome=outcome,
-            )
-    return results
-
-
-def run_parallel_sweep(
-    tasks: Sequence[SweepTask],
-    *,
-    jobs: int = 1,
-    seed: SeedLike = None,
-    task_timeout: float | None = None,
-    max_task_retries: int = 2,
-    max_pool_rebuilds: int = 3,
-) -> list[Any]:
-    """Run independent sweep tasks, optionally across worker processes.
-
-    Parameters
-    ----------
-    tasks: the sweep configurations, in result order.
-    jobs: worker processes; ``1`` runs in-process (no executor, no
-        pickling requirement), ``N > 1`` fans out over a supervised
-        :class:`~concurrent.futures.ProcessPoolExecutor`.
-    seed: root seed; task ``i`` receives the ``i``-th spawned child on
-        every attempt, so results do not depend on ``jobs``, completion
-        order, or crash-recovery retries.
-    task_timeout / max_task_retries / max_pool_rebuilds: supervision
-        knobs, see :func:`~repro.experiments.supervisor.run_supervised_sweep`.
-
-    Returns
-    -------
-    Task results in task order.  A task that still fails after
-    supervision re-raises its exception (or
-    :class:`~repro.errors.SweepTaskError` for crash/timeout outcomes,
-    which leave nothing to re-raise); callers that want to *survive*
-    failures should use :func:`run_supervised_sweep` and inspect the
-    outcomes instead.
-    """
-    return _unwrap(
-        run_supervised_sweep(
-            tasks,
-            jobs=jobs,
-            seed=seed,
-            task_timeout=task_timeout,
-            max_task_retries=max_task_retries,
-            max_pool_rebuilds=max_pool_rebuilds,
-        )
-    )
 
 
 def child_seed_int(child: np.random.SeedSequence) -> int:
@@ -185,6 +121,28 @@ def _catalog_checkpoint(
     )
 
 
+def _catalog_tasks(
+    experiment_ids: Sequence[str],
+    quick: bool,
+    checkpoint: str | None,
+    resume: bool,
+) -> list[SweepTask]:
+    """One :class:`SweepTask` per catalogued experiment, keyed by its id."""
+    return [
+        SweepTask(
+            key=experiment_id,
+            fn=_run_catalog_task,
+            kwargs={
+                "experiment_id": experiment_id,
+                "quick": quick,
+                "checkpoint": checkpoint,
+                "resume": resume,
+            },
+        )
+        for experiment_id in experiment_ids
+    ]
+
+
 def run_catalog_supervised(
     experiment_ids: Sequence[str],
     *,
@@ -212,21 +170,8 @@ def run_catalog_supervised(
     catalog order — a poisoned experiment degrades to a failed outcome
     instead of aborting its siblings.
     """
-    tasks = [
-        SweepTask(
-            key=experiment_id,
-            fn=_run_catalog_task,
-            kwargs={
-                "experiment_id": experiment_id,
-                "quick": quick,
-                "checkpoint": checkpoint,
-                "resume": resume,
-            },
-        )
-        for experiment_id in experiment_ids
-    ]
     return run_supervised_sweep(
-        tasks,
+        _catalog_tasks(experiment_ids, quick, checkpoint, resume),
         jobs=jobs,
         seed=seed,
         task_timeout=task_timeout,
@@ -258,26 +203,13 @@ def run_catalog_fabric(
     fabric run resumes from the same manifest a pool run would.
 
     ``workers=0`` listens on ``listen`` for externally started ``repro
-    worker --connect`` processes and degrades to the local supervised
-    pool when none arrive; ``workers=N`` spawns N loopback workers.
+    worker --connect`` processes and degrades to in-process execution
+    when none arrive; ``workers=N`` spawns N loopback workers.
     """
     from .fabric import run_fabric_sweep
 
-    tasks = [
-        SweepTask(
-            key=experiment_id,
-            fn=_run_catalog_task,
-            kwargs={
-                "experiment_id": experiment_id,
-                "quick": quick,
-                "checkpoint": checkpoint,
-                "resume": resume,
-            },
-        )
-        for experiment_id in experiment_ids
-    ]
     return run_fabric_sweep(
-        tasks,
+        _catalog_tasks(experiment_ids, quick, checkpoint, resume),
         seed=seed,
         listen=listen,
         workers=workers,
@@ -315,33 +247,3 @@ def outcomes_payload(outcomes: Sequence[TaskOutcome]) -> dict:
             for outcome in outcomes
         ],
     }
-
-
-def run_catalog_parallel(
-    experiment_ids: Sequence[str],
-    *,
-    quick: bool = True,
-    seed: SeedLike = 0,
-    jobs: int = 1,
-    checkpoint: str | None = None,
-    resume: bool = False,
-    task_timeout: float | None = None,
-    max_task_retries: int = 2,
-) -> list[ExperimentResult]:
-    """Catalog sweep returning plain results (raises on any failure).
-
-    The legacy view over :func:`run_catalog_supervised` for callers that
-    treat a failed experiment as fatal.
-    """
-    return _unwrap(
-        run_catalog_supervised(
-            experiment_ids,
-            quick=quick,
-            seed=seed,
-            jobs=jobs,
-            checkpoint=checkpoint,
-            resume=resume,
-            task_timeout=task_timeout,
-            max_task_retries=max_task_retries,
-        )
-    )

@@ -27,7 +27,6 @@ wires this into the CLI.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -35,11 +34,10 @@ from typing import Callable
 
 import numpy as np
 
-from .._atomic import atomic_write
 from .._typing import SeedLike
-from ..errors import BroadcastIncompleteError, InvalidParameterError, ReproError
+from ..errors import BroadcastIncompleteError, InvalidParameterError
 from ..radio.trace import BroadcastTrace
-from .supervisor import quarantine_checkpoint
+from .supervisor import JsonCheckpoint
 
 __all__ = [
     "TrialOutcome",
@@ -102,57 +100,25 @@ class TrialRecord:
         return cls(**payload)
 
 
-class SweepCheckpoint:
+class SweepCheckpoint(JsonCheckpoint):
     """JSON checkpoint of a sweep's completed trial records.
 
     The file stores the sweep's ``config_key`` (anything identifying the
     sweep parameters — resuming against a checkpoint written under a
     different configuration raises instead of silently mixing samples)
-    and one record per finished trial.  Writes are atomic
-    (write-tmp-then-replace) so a kill mid-flush cannot corrupt the file.
+    and one record per finished trial.  Loading, saving and quarantine
+    of a corrupt file are :class:`~repro.experiments.supervisor.JsonCheckpoint`'s.
     """
 
-    def __init__(self, path: str | Path, config_key: str = ""):
-        self.path = Path(path)
-        self.config_key = config_key
-
-    def exists(self) -> bool:
-        return self.path.exists()
+    entries_field = "records"
+    kind = "sweep checkpoint"
 
     def load(self) -> dict[int, TrialRecord]:
-        """Records keyed by trial index; empty when no checkpoint exists.
-
-        A truncated or garbage file (a kill mid-write on a filesystem
-        without atomic replace, a stray file at the checkpoint path) is
-        *quarantined* — renamed ``*.corrupt`` with a warning — and the
-        sweep restarts fresh, instead of a hard crash on resume.  A
-        ``config_key`` mismatch still raises: that file is a healthy
-        checkpoint for a *different* sweep, and silently discarding it
-        would mix samples.
-        """
-        if not self.path.exists():
-            return {}
-        try:
-            payload = json.loads(self.path.read_text())
-            stored_key = payload["config_key"]
-            records = [TrialRecord.from_json(r) for r in payload["records"]]
-        except (AttributeError, KeyError, TypeError, ValueError, OSError):
-            quarantine_checkpoint(self.path, kind="sweep checkpoint")
-            return {}
-        if stored_key != self.config_key:
-            raise ReproError(
-                f"checkpoint {self.path} was written for config "
-                f"{stored_key!r}, sweep is {self.config_key!r}; refusing to mix"
-            )
-        return {r.index: r for r in records}
+        """Records keyed by trial index; empty when absent or quarantined."""
+        return {r.index: r for r in self._load_entries(TrialRecord.from_json)}
 
     def save(self, records: dict[int, TrialRecord]) -> None:
-        payload = {
-            "config_key": self.config_key,
-            "records": [records[i].to_json() for i in sorted(records)],
-        }
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        atomic_write(self.path, json.dumps(payload, indent=2) + "\n")
+        self._save_entries([records[i].to_json() for i in sorted(records)])
 
 
 @dataclass

@@ -58,6 +58,22 @@ def counted_tasks(count, state_dir, **overrides):
     return tasks
 
 
+def barrier_task(seed, *, barrier_dir, parties, **chaos_kwargs):
+    """:func:`chaos_task` held until ``parties`` distinct tasks started.
+
+    No task can finish before that many run at once, so with one task
+    in flight per worker, each of ``parties`` workers is certain to run
+    one.  Module-level so spawned workers can unpickle it.
+    """
+    barrier = Path(barrier_dir)
+    barrier.mkdir(parents=True, exist_ok=True)
+    (barrier / chaos_kwargs["key"]).touch()
+    deadline = time.monotonic() + 60.0
+    while len(list(barrier.iterdir())) < parties and time.monotonic() < deadline:
+        time.sleep(0.02)
+    return chaos_task(seed, **chaos_kwargs)
+
+
 def serial_reference(count, state_dir, seed):
     """The ``jobs=1`` comparator: same payloads, zero injections."""
     outcomes = run_supervised_sweep(
@@ -116,8 +132,6 @@ class TestValidationAndEdges:
         with pytest.raises(InvalidParameterError):
             run_fabric_sweep(task, heartbeat_interval=0.0)
         with pytest.raises(InvalidParameterError):
-            run_fabric_sweep(task, degraded_jobs=0)
-        with pytest.raises(InvalidParameterError):
             run_fabric_sweep(task, halt_after=0)
 
     def test_empty_tasks(self):
@@ -170,6 +184,40 @@ class TestDegradedPath:
         degraded = next(e for e in sink.events if e["kind"] == "fabric-degraded")
         assert degraded["reason"] == "no-workers"
         assert degraded["remaining"] == 4
+        for event in sink.events:
+            validate_event(event)
+
+    def test_one_attempt_budget_across_degrade(self, tmp_path):
+        """Attempts the fabric charged count against the degraded run:
+        a task crashes its only worker, then fails in-process until its
+        one ``1 + max_task_retries`` budget is spent — not a fresh one."""
+        state = tmp_path / "fab"
+        registry = MetricsRegistry()
+        sink = MemoryTraceSink()
+        with use_observer(Observer(registry, sink)):
+            outcomes = run_fabric_sweep(
+                counted_tasks(
+                    2, state, t0={"crash_attempts": 1, "error_attempts": 99}
+                ),
+                seed=5,
+                workers=1,
+                max_task_retries=2,
+                max_worker_respawns=0,
+                heartbeat_interval=0.2,
+                worker_wait=5.0,
+            )
+        poisoned = outcomes[0]
+        assert poisoned.status == "error"
+        assert poisoned.lost_leases == 1  # the fabric charged attempt 1
+        assert poisoned.attempts == 3 == attempt_count(state, "t0")
+        assert poisoned.host == "local"
+        assert outcomes[1].ok
+        degraded = next(e for e in sink.events if e["kind"] == "fabric-degraded")
+        assert degraded["reason"] == "all-workers-lost"
+        # Each terminal outcome counts once, under the fabric's metrics.
+        assert registry.counter_value("fabric.tasks", label="error") == 1
+        assert registry.counter_value("fabric.tasks", label="ok") == 1
+        assert registry.counter_value("exec.tasks", label="ok") == 0
         for event in sink.events:
             validate_event(event)
 
@@ -310,12 +358,24 @@ class TestLoopbackFabric:
         """A partition window mutes heartbeats too; the coordinator
         declares the worker lost and requeues its leases.
 
-        The partition triggers on worker 0's *first* result send — a
-        later trigger is racy: with tiny tasks the other worker can
-        drain the queue before worker 0 earns a second lease, and the
-        fault would never fire.
+        The partition triggers on worker 0's *first* result send, and
+        the tasks hold at a two-party barrier: otherwise the worker that
+        joins first can drain all eight tiny tasks before worker 0 even
+        says hello, and the fault never fires.
         """
         reference = serial_reference(8, tmp_path / "serial", seed=11)
+        tasks = [
+            SweepTask(
+                key=task.key,
+                fn=barrier_task,
+                kwargs={
+                    **task.kwargs,
+                    "barrier_dir": str(tmp_path / "barrier"),
+                    "parties": 2,
+                },
+            )
+            for task in counted_tasks(8, tmp_path / "fab")
+        ]
         spec = save_net_chaos(
             tmp_path / "w0.json",
             tmp_path / "w0-state",
@@ -329,7 +389,7 @@ class TestLoopbackFabric:
         sink = MemoryTraceSink()
         with use_observer(Observer(MetricsRegistry(), sink)):
             outcomes = run_fabric_sweep(
-                counted_tasks(8, tmp_path / "fab"),
+                tasks,
                 seed=11,
                 workers=2,
                 worker_chaos=[spec, None],
@@ -355,7 +415,6 @@ class TestLoopbackFabric:
                 ),
                 seed=21,
                 workers=2,
-                work_stealing=True,
                 steal_after=0.5,
                 **FAST,
             )

@@ -24,7 +24,6 @@ from repro.experiments.chaos import (
     chaos_task,
     healthy_task,
 )
-from repro.experiments.parallel import run_parallel_sweep
 from repro.experiments.runner import outcomes_table
 from repro.experiments.supervisor import (
     TASK_CRASHED,
@@ -242,13 +241,12 @@ class TestHealthyPath:
     def test_matches_legacy_wrapper(self):
         tasks = healthy_tasks(3)
         outcomes = run_supervised_sweep(tasks, jobs=1, seed=9)
-        assert run_parallel_sweep(tasks, jobs=1, seed=9) == [
-            o.result for o in outcomes
-        ]
+        again = run_supervised_sweep(tasks, jobs=1, seed=9)
+        assert [o.unwrap() for o in again] == [o.result for o in outcomes]
 
     def test_empty_tasks(self):
         assert run_supervised_sweep([], jobs=2, seed=0) == []
-        assert run_parallel_sweep([], jobs=2, seed=0) == []
+        assert run_supervised_sweep([], jobs=1, seed=0) == []
 
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
@@ -301,16 +299,17 @@ class TestCrashRecovery:
         assert all(o.ok for o in outcomes[1:])
 
     def test_legacy_wrapper_raises_sweep_task_error_on_crash(self, tmp_path):
-        # The healthy sibling keeps the sweep on the pooled path; a
-        # lone chaos task would run in-process and kill the test runner.
         tasks = [
             chaos_sweep_task("poison", tmp_path, crash_attempts=99),
             SweepTask(key="g", fn=healthy_task),
         ]
-        with pytest.raises(SweepTaskError, match="crashed"):
-            run_parallel_sweep(
-                tasks, jobs=2, seed=0, max_task_retries=0, max_pool_rebuilds=5
-            )
+        outcomes = run_supervised_sweep(
+            tasks, jobs=2, seed=0, max_task_retries=0, max_pool_rebuilds=5
+        )
+        assert outcomes[1].unwrap() == outcomes[1].result
+        with pytest.raises(SweepTaskError, match="crashed") as excinfo:
+            outcomes[0].unwrap()
+        assert excinfo.value.outcome is outcomes[0]
 
     def test_degradation_to_serial_completes_sweep(self, tmp_path):
         """Rebuild budget exhausted -> in-process execution finishes the job."""
@@ -351,8 +350,9 @@ class TestErrorRetry:
 
     def test_legacy_wrapper_reraises_original_exception(self, tmp_path):
         tasks = [chaos_sweep_task("e", tmp_path, error_attempts=99)]
+        outcomes = run_supervised_sweep(tasks, jobs=1, seed=0, max_task_retries=0)
         with pytest.raises(ChaosError, match="injected failure"):
-            run_parallel_sweep(tasks, jobs=1, seed=0, max_task_retries=0)
+            outcomes[0].unwrap()
 
     def test_pooled_error_retry(self, tmp_path):
         tasks = [chaos_sweep_task("e", tmp_path, error_attempts=1)] + [
@@ -388,6 +388,16 @@ class TestDeadlines:
         ] + [SweepTask(key=k, fn=healthy_task) for k in keys[1:]]
         outcomes = run_supervised_sweep(tasks, jobs=2, seed=13, task_timeout=1.0)
         assert [o.result for o in outcomes[1:]] == [o.result for o in baseline[1:]]
+
+    def test_lone_task_keeps_preemptive_deadline(self, tmp_path):
+        """jobs > 1 supervises even a single task: its deadline pre-empts
+        the hang instead of being checked after it."""
+        tasks = [chaos_sweep_task("hang", tmp_path, hang_attempts=1, hang_seconds=20)]
+        start = time.monotonic()
+        outcomes = run_supervised_sweep(tasks, jobs=2, seed=0, task_timeout=1.0)
+        assert time.monotonic() - start < 10  # nowhere near the 20s hang
+        assert outcomes[0].status == TASK_TIMEOUT
+        assert outcomes[0].attempts == 1
 
     def test_serial_deadline_is_posthoc(self):
         """jobs=1 cannot pre-empt: the attempt runs, then expires."""
