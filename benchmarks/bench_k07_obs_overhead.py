@@ -29,12 +29,13 @@ from statistics import median
 
 import numpy as np
 
+from repro.api import simulate
 from repro.broadcast.distributed.uniform import UniformProtocol
 from repro.graphs import gnp
 from repro.obs import MemoryTraceSink, MetricsRegistry, Observer, use_observer
 from repro.obs.context import current_observer
 from repro.radio import RadioNetwork
-from repro.radio.engine import run_broadcast, run_broadcast_batch
+from repro.radio.engine import run_broadcast_batch
 
 
 def make_case(n: int, seed: int = 1):
@@ -111,7 +112,7 @@ def measure_observed_overhead(n: int, repetitions: int, loops: int = 3) -> dict:
 
     def serial_off():
         for rep in range(8):
-            run_broadcast(net, proto, seed=1000 + rep, p=p, max_rounds=4096)
+            simulate("broadcast", net, protocol=proto, seed=1000 + rep, p=p, max_rounds=4096)
 
     def serial_full():
         obs = Observer(MetricsRegistry(), MemoryTraceSink())

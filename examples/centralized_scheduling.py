@@ -9,8 +9,6 @@ phase structure buys.
 Run:  python examples/centralized_scheduling.py
 """
 
-import math
-
 from repro import (
     ElsasserGasieniecScheduler,
     RadioNetwork,

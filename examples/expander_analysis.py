@@ -9,14 +9,12 @@ one run's broadcast tree — the full mechanism-analysis workflow built on
 Run:  python examples/expander_analysis.py
 """
 
-import math
-
 import numpy as np
 
-from repro import DecayProtocol, RadioNetwork, gnp_connected, hypercube, torus_2d
+from repro import DecayProtocol, RadioNetwork, gnp_connected, hypercube, simulate, torus_2d
 from repro.broadcast.distributed import AgeBasedProtocol
 from repro.graphs import random_geometric_connected, random_regular
-from repro.radio import broadcast_tree, simulate_broadcast, transmission_efficiency
+from repro.radio import broadcast_tree, transmission_efficiency
 from repro.rng import spawn_generators
 from repro.theory.spectra import estimate_mixing_time, spectral_gap
 
@@ -40,8 +38,9 @@ def main() -> None:
         predicted = "O(ln n)" if gap > 0.05 else "diameter"
         times = []
         for rng in spawn_generators(idx, 5):
-            trace = simulate_broadcast(
-                RadioNetwork(g), DecayProtocol(n), 0, seed=rng, max_rounds=30000
+            trace = simulate(
+                "broadcast", RadioNetwork(g), protocol=DecayProtocol(n), seed=rng,
+                max_rounds=30000,
             )
             times.append(trace.completion_round)
         measured = float(np.mean(times))
@@ -58,8 +57,8 @@ def main() -> None:
     print("\n=== Part 2: dissecting one broadcast tree (G(n,p)) ===")
     g = zoo["G(n,p), d=16"]
     net = RadioNetwork(g)
-    trace = simulate_broadcast(
-        net, AgeBasedProtocol(n, 16 / n), 0, seed=99, max_rounds=5000
+    trace = simulate(
+        "broadcast", net, protocol=AgeBasedProtocol(n, 16 / n), seed=99, max_rounds=5000
     )
     tree = broadcast_tree(trace)
     counts = tree.children_counts()

@@ -12,7 +12,7 @@ from repro import (
     EGRandomizedProtocol,
     RadioNetwork,
     gnp_connected,
-    simulate_broadcast,
+    simulate,
 )
 from repro.theory.bounds import distributed_bound
 
@@ -33,7 +33,7 @@ def main() -> None:
         f"then 1/d-selective (q={protocol.selective_probability:.3f})"
     )
 
-    trace = simulate_broadcast(network, protocol, source=0, p=p, seed=42)
+    trace = simulate("broadcast", network, protocol=protocol, source=0, p=p, seed=42)
 
     print(f"\nbroadcast completed in {trace.completion_round} rounds "
           f"(paper bound: O(ln n), ln n = {distributed_bound(n):.1f})")

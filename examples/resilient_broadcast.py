@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from repro import DecayProtocol, EGRandomizedProtocol, RadioNetwork, gnp_connected
+from repro import DecayProtocol, EGRandomizedProtocol, RadioNetwork, gnp_connected, simulate
 from repro.broadcast.distributed import EpochRestartProtocol, UniformProtocol
 from repro.experiments import run_resilient_sweep
 from repro.faults import (
@@ -32,9 +32,7 @@ from repro.faults import (
     CrashSchedule,
     FaultPlan,
     LossyLinkModel,
-    simulate_broadcast_faulty,
 )
-from repro.gossip import simulate_gossip
 from repro.rng import spawn_generators
 
 
@@ -58,8 +56,9 @@ def part1_faults() -> None:
             times, ok = [], 0
             for rng in spawn_generators(1000 * proto_idx + int(rel * 10), reps):
                 crashes = CrashSchedule.random(n, 0.1, 60, seed=rng, protect=[0])
-                trace = simulate_broadcast_faulty(
-                    net, factory(), crashes=crashes, links=links,
+                trace = simulate(
+                    "broadcast", net, protocol=factory(),
+                    faults=FaultPlan(crashes=crashes, links=links),
                     seed=rng, p=p, max_rounds=4000, raise_on_incomplete=False,
                 )
                 if trace.completed:
@@ -111,9 +110,9 @@ def part2_adversaries() -> None:
         for pname, factory in protocols:
 
             def trial(index, rng, plan_fn=plan_fn, factory=factory):
-                return simulate_broadcast_faulty(
-                    net, factory(), plan=plan_fn(rng), seed=rng, p=p,
-                    max_rounds=600, check_connected=False,
+                return simulate(
+                    "broadcast", net, protocol=factory(), faults=plan_fn(rng),
+                    seed=rng, p=p, max_rounds=600, check_connected=False,
                     raise_on_incomplete=False,
                 )
 
@@ -141,10 +140,10 @@ def part3_gossip() -> None:
         graph = gnp_connected(n, p, seed=31 + i)
         net = RadioNetwork(graph)
         q = min(1.0, 1.0 / d)
-        gossip = simulate_gossip(net, UniformProtocol(q), seed=i, max_rounds=20000)
-        from repro.radio import broadcast_time
-
-        bcast = broadcast_time(net, UniformProtocol(q), 0, seed=i, max_rounds=20000)
+        gossip = simulate("gossip", net, protocol=UniformProtocol(q), seed=i, max_rounds=20000)
+        bcast = simulate(
+            "broadcast", net, protocol=UniformProtocol(q), seed=i, max_rounds=20000
+        ).completion_round
         accumulate = gossip.rounds_until_first_complete_node()
         print(
             f"{n:>6} {bcast:>10} {gossip.completion_round:>8} "

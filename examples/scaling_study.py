@@ -18,7 +18,7 @@ from repro import (
     RadioNetwork,
     gnp_connected,
 )
-from repro.radio import repeat_broadcast
+from repro.experiments.runner import protocol_times
 from repro.theory.bounds import centralized_bound, distributed_bound
 from repro.theory.fitting import compare_models, linear_fit
 
@@ -37,7 +37,7 @@ def main() -> None:
 
         schedule = ElsasserGasieniecScheduler(seed=i).build(graph, 0)
         cen = len(schedule)
-        dist = float(np.mean(repeat_broadcast(
+        dist = float(np.mean(protocol_times(
             network, EGRandomizedProtocol(n, p), repetitions=reps, seed=i, p=p
         )))
         cen_rounds.append(cen)

@@ -21,10 +21,10 @@ from repro import (
     EGRandomizedProtocol,
     RadioNetwork,
     gnp_connected,
+    simulate,
 )
 from repro.broadcast.distributed import UniformProtocol
 from repro.graphs import random_regular
-from repro.radio import simulate_broadcast
 from repro.rng import spawn_generators
 
 
@@ -32,8 +32,9 @@ def evaluate(name, network, protocol_factory, p=None, reps=10, seed=0):
     """Mean completion rounds and transmissions across repetitions."""
     rounds, energy = [], []
     for rng in spawn_generators(seed, reps):
-        trace = simulate_broadcast(
-            network, protocol_factory(), source=0, p=p, seed=rng, max_rounds=20_000
+        trace = simulate(
+            "broadcast", network, protocol=protocol_factory(), source=0, p=p, seed=rng,
+            max_rounds=20_000,
         )
         rounds.append(trace.completion_round)
         energy.append(trace.total_transmissions)

@@ -13,11 +13,11 @@ an experiment harness reproducing the shape of every stated bound.
 
 Quickstart
 ----------
->>> from repro import gnp_connected, RadioNetwork, EGRandomizedProtocol
->>> from repro import simulate_broadcast
+>>> from repro import gnp_connected, RadioNetwork, EGRandomizedProtocol, simulate
 >>> g = gnp_connected(500, 0.05, seed=1)
 >>> net = RadioNetwork(g)
->>> trace = simulate_broadcast(net, EGRandomizedProtocol(n=500, p=0.05), seed=2)
+>>> trace = simulate("broadcast", net, protocol=EGRandomizedProtocol(n=500, p=0.05),
+...                  seed=2)
 >>> trace.completed
 True
 """
@@ -74,10 +74,7 @@ from .radio import (
     RadioNetwork,
     RadioProtocol,
     Schedule,
-    broadcast_time,
     execute_schedule,
-    repeat_broadcast,
-    simulate_broadcast,
     verify_schedule,
 )
 from .api import SimulationResult, available_dynamics, simulate
@@ -129,9 +126,6 @@ __all__ = [
     "RadioProtocol",
     "Schedule",
     "BroadcastTrace",
-    "simulate_broadcast",
-    "broadcast_time",
-    "repeat_broadcast",
     "execute_schedule",
     "verify_schedule",
     # unified simulation API

@@ -13,11 +13,11 @@ that registry as a single entry point::
     >>> trace.completed
     True
 
-The legacy entry points (``simulate_broadcast``, ``simulate_gossip``,
-``simulate_multimessage``, ``push_broadcast``, ``agent_broadcast``)
-remain supported; each dynamics' ``build`` classmethod applies the same
-keyword surface and validation, so ``simulate(name, network, **kwargs)``
-reproduces the corresponding legacy call bit for bit.
+It is the only single-run entry point.  Each dynamics' ``build``
+classmethod declares and validates its process keywords; a fault plan is
+one :class:`~repro.faults.FaultPlan` passed as ``faults=``.  Monte-Carlo
+timing sweeps go through :func:`~repro.experiments.runner.protocol_times`
+and its gossip / k-token twins.
 
 All results satisfy the :class:`SimulationResult` protocol — the shared
 read-only interface (``num_rounds``, ``completed``,
@@ -28,6 +28,7 @@ implemented by :class:`~repro.radio.trace.BroadcastTrace`,
 
 from __future__ import annotations
 
+import inspect
 from contextlib import nullcontext
 from typing import Protocol, runtime_checkable
 
@@ -138,18 +139,25 @@ def _resolve_dynamics(process, network: RadioNetwork, kwargs) -> Dynamics:
                 f"already-constructed dynamics instance: {sorted(kwargs)}"
             )
         return process
-    if isinstance(process, type) and issubclass(process, Dynamics):
-        return process.build(network, **kwargs)
     if isinstance(process, str):
         _populate_registry()
         try:
-            cls = DYNAMICS_REGISTRY[process]
+            process = DYNAMICS_REGISTRY[process]
         except KeyError:
             known = ", ".join(sorted(DYNAMICS_REGISTRY))
             raise InvalidParameterError(
                 f"unknown process {process!r}; registered dynamics: {known}"
             ) from None
-        return cls.build(network, **kwargs)
+    if isinstance(process, type) and issubclass(process, Dynamics):
+        signature = inspect.signature(process.build)
+        try:
+            signature.bind(network, **kwargs)
+        except TypeError as exc:
+            accepted = ", ".join(list(signature.parameters)[1:])
+            raise InvalidParameterError(
+                f"{process.name!r} dynamics: {exc}; accepted keywords: {accepted}"
+            ) from None
+        return process.build(network, **kwargs)
     raise InvalidParameterError(
         "process must be a registered name, a Dynamics subclass, or a "
         f"Dynamics instance, got {type(process).__name__}"
@@ -199,8 +207,8 @@ def simulate(
         ambient selection (``REPRO_BACKEND`` or the numpy default).
         All backends return identical integer counts, so this affects
         throughput only, never the trace.
-    **kwargs: process-specific keywords, exactly the legacy entry point's
-        surface — ``protocol``/``source``/``p`` for broadcast,
+    **kwargs: process-specific keywords, checked against the dynamics'
+        ``build`` signature — ``protocol``/``source``/``p`` for broadcast,
         ``protocol``/``p`` for gossip, ``protocol``/``sources``/``p`` for
         multimessage, ``source`` for push / push-pull,
         ``num_agents``/``source``/``agents_start_at_source`` for agents.
@@ -210,8 +218,17 @@ def simulate(
     The dynamics' trace type (a :class:`SimulationResult`): a
     :class:`~repro.radio.trace.BroadcastTrace` for single-message
     processes, a :class:`~repro.gossip.trace.GossipTrace` for
-    knowledge-matrix processes.  Identical, for equal arguments and
-    seeds, to the corresponding legacy entry point's return value.
+    knowledge-matrix processes.
+
+    Raises
+    ------
+    InvalidParameterError
+        On an unknown process, a keyword its ``build`` does not accept
+        (the message names the accepted ones) or a negative
+        ``max_rounds``.
+    BroadcastIncompleteError
+        On a budget miss with ``raise_on_incomplete=True`` (partial trace
+        attached).
     """
     network = _as_network(graph_or_params)
     dynamics = _resolve_dynamics(process, network, kwargs)

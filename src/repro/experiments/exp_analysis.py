@@ -16,13 +16,13 @@ import math
 import numpy as np
 
 from .._typing import SeedLike
+from ..api import simulate
 from ..broadcast.distributed import EGRandomizedProtocol, IdSlotProtocol
 from ..broadcast.selectors import SelectiveFamilyProtocol, random_selective_family
 from ..graphs.layers import LayerDecomposition
 from ..graphs.random_graphs import gnp_connected
 from ..radio.analysis import broadcast_tree, collision_profile, transmission_efficiency
 from ..radio.model import RadioNetwork
-from ..radio.simulator import simulate_broadcast
 from ..rng import derive_generator, spawn_generators
 from .runner import ExperimentResult, protocol_times
 
@@ -72,8 +72,8 @@ def e18_broadcast_anatomy(quick: bool = True, seed: SeedLike = 0) -> ExperimentR
         bfs_depth = LayerDecomposition(g, 0).depth
         depths, relays, branchings, effs, colls = [], [], [], [], []
         for rng in spawn_generators(derive_generator(seed, 2, i), reps):
-            trace = simulate_broadcast(
-                net, EGRandomizedProtocol(n, p), 0, seed=rng, p=p
+            trace = simulate(
+                "broadcast", net, protocol=EGRandomizedProtocol(n, p), seed=rng, p=p
             )
             tree = broadcast_tree(trace)
             depths.append(tree.depth)
@@ -140,11 +140,11 @@ def e19_price_of_determinism(quick: bool = True, seed: SeedLike = 0) -> Experime
         )
         fam = random_selective_family(n, 2 * d, seed=derive_generator(seed, 3, i))
         sel_proto = SelectiveFamilyProtocol(n, fam)
-        sel = simulate_broadcast(
-            net, sel_proto, 0, seed=0, max_rounds=len(fam) * 60
+        sel = simulate(
+            "broadcast", net, protocol=sel_proto, seed=0, max_rounds=len(fam) * 60
         ).completion_round
-        ids = simulate_broadcast(
-            net, IdSlotProtocol(n), 0, seed=0, max_rounds=n * n
+        ids = simulate(
+            "broadcast", net, protocol=IdSlotProtocol(n), seed=0, max_rounds=n * n
         ).completion_round
         eg_mean = float(np.mean(eg))
         result.rows.append(
@@ -303,8 +303,6 @@ def e21_spectral_expansion(quick: bool = True, seed: SeedLike = 0) -> Experiment
 
 def e23_agent_based(quick: bool = True, seed: SeedLike = 0) -> ExperimentResult:
     """Agent-based broadcasting: mobility replaces the radio channel."""
-    from ..singleport import agent_broadcast
-
     n = 512 if quick else 1024
     reps = 3 if quick else 6
     d = 4.0 * math.log(n)
@@ -325,7 +323,7 @@ def e23_agent_based(quick: bool = True, seed: SeedLike = 0) -> ExperimentResult:
         times = []
         for rng in spawn_generators(derive_generator(seed, 2, i), reps):
             times.append(
-                agent_broadcast(g, k, 0, seed=rng).completion_round
+                simulate("agents", g, num_agents=k, seed=rng).completion_round
             )
         result.rows.append(
             {

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .._typing import SeedLike
+from ..api import simulate
 from ..broadcast.distributed import (
     AgeBasedProtocol,
     DecayProtocol,
@@ -32,7 +33,6 @@ from ..faults import (
     FaultPlan,
     LossyLinkModel,
     SpuriousNoiseModel,
-    simulate_broadcast_faulty,
 )
 from ..gossip import run_gossip_batch
 from ..graphs.geometric import random_geometric_connected
@@ -237,10 +237,11 @@ def e14_fault_tolerance(
 
     def make_trial(proto_factory, plan_fn):
         def trial(index, rng):
-            return simulate_broadcast_faulty(
+            return simulate(
+                "broadcast",
                 net,
-                proto_factory(),
-                plan=plan_fn(rng),
+                protocol=proto_factory(),
+                faults=plan_fn(rng),
                 seed=rng,
                 p=p,
                 max_rounds=cap,

@@ -10,6 +10,7 @@ import math
 import numpy as np
 
 from .._typing import SeedLike
+from ..api import simulate
 from ..broadcast.centralized import GreedyCoverScheduler
 from ..broadcast.distributed import DecayProtocol, EGRandomizedProtocol
 from ..graphs.covering import (
@@ -21,7 +22,6 @@ from ..graphs.layers import LayerDecomposition
 from ..graphs.random_graphs import gnp_connected
 from ..radio.model import RadioNetwork
 from ..rng import as_generator, derive_generator, spawn_generators
-from ..singleport.push import push_broadcast, push_pull_broadcast
 from ..theory.bounds import dense_bound
 from ..theory.fitting import linear_fit
 from .runner import ExperimentResult, protocol_times
@@ -281,11 +281,11 @@ def e11_model_separation(quick: bool = True, seed: SeedLike = 0) -> ExperimentRe
             seed=derive_generator(seed, 2, i), p=p,
         )
         push = [
-            push_broadcast(g, 0, seed=rng).completion_round
+            simulate("push", g, seed=rng).completion_round
             for rng in spawn_generators(derive_generator(seed, 3, i), reps)
         ]
         pp = [
-            push_pull_broadcast(g, 0, seed=rng).completion_round
+            simulate("push-pull", g, seed=rng).completion_round
             for rng in spawn_generators(derive_generator(seed, 4, i), reps)
         ]
         result.rows.append(

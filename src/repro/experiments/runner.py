@@ -8,6 +8,7 @@ from typing import Any
 import numpy as np
 
 from .._typing import SeedLike
+from ..errors import InvalidParameterError
 from ..gossip.batch import run_gossip_batch, run_multimessage_batch
 from ..gossip.dynamics import GossipDynamics, MultiMessageDynamics
 from ..gossip.trace import GossipTrace
@@ -171,9 +172,11 @@ def _dissemination_times(
     ``run`` the keywords both paths share.
     """
     repetitions = run["repetitions"]
+    if repetitions < 1:
+        raise InvalidParameterError(f"repetitions must be >= 1, got {repetitions}")
     fault_free = faults is None or faults.is_null
     with maybe_span(span, label=protocol.name):
-        if repetitions >= 1 and fault_free and getattr(protocol, "supports_batch", False):
+        if fault_free and getattr(protocol, "supports_batch", False):
             result = batch(network, protocol, **placement, **run)
             rounds = result.completion_rounds
             fractions = (

@@ -17,10 +17,10 @@ wraps the radio substrate with five composable fault models:
 * :class:`~repro.faults.adversaries.SpuriousNoiseModel` — Byzantine
   nodes transmitting garbage with probability ``q``.
 
-A :class:`~repro.faults.plan.FaultPlan` bundles any subset; the unified
-round engine (:mod:`repro.radio.engine`) consumes the plan, so
-:func:`~repro.faults.simulator.simulate_broadcast_faulty` and the healthy
-``simulate_broadcast`` share one code path.  Experiment E14 measures
+A :class:`~repro.faults.plan.FaultPlan` bundles any subset; pass it as
+``repro.simulate(..., faults=plan)``.  The unified round driver
+(:func:`repro.radio.dynamics.run_dissemination`) consumes the plan, so
+faulty and healthy runs share one code path.  Experiment E14 measures
 which protocol's redundancy pays for itself under each adversary; the
 resilient sweep runner (:mod:`repro.experiments.resilient`) keeps long
 fault sweeps alive through per-trial failures.
@@ -31,7 +31,6 @@ See docs/FAULTS.md for the precise per-round semantics.
 from .adversaries import AdversarialJammer, ChurnSchedule, SpuriousNoiseModel
 from .models import CrashSchedule, LossyLinkModel
 from .plan import FaultPlan
-from .simulator import simulate_broadcast_faulty
 
 __all__ = [
     "AdversarialJammer",
@@ -40,5 +39,4 @@ __all__ = [
     "FaultPlan",
     "LossyLinkModel",
     "SpuriousNoiseModel",
-    "simulate_broadcast_faulty",
 ]

@@ -1,4 +1,4 @@
-"""The composable fault plan consumed by the unified round engine.
+"""The composable fault plan consumed by the unified round driver.
 
 A :class:`FaultPlan` bundles every supported fault model — crash-stop
 schedules, churn intervals, lossy links, adversarial jammers and
@@ -11,12 +11,13 @@ spurious-noise transmitters — behind one small per-round interface:
 * :meth:`FaultPlan.target` — the completion target set (eventually-alive
   nodes).
 
-:func:`repro.radio.engine.run_broadcast` consumes exactly this interface,
-so the healthy simulator is literally the ``FaultPlan()`` (all-null)
-special case, and new fault models only need to extend this class — the
-engine never changes.
+Pass a plan as ``repro.simulate(..., faults=FaultPlan(crashes=...,
+links=...))``.  :func:`repro.radio.dynamics.run_dissemination` consumes
+exactly this interface, so the healthy run is literally the
+``FaultPlan()`` (all-null) special case, and new fault models only need
+to extend this class — the driver never changes.
 
-RNG discipline: in each round the engine draws protocol coins first, then
+RNG discipline: in each round the driver draws protocol coins first, then
 jammer targets, then noise coins, then link outages — and each stage that
 cannot act (null model, ``reliability == 1``) draws nothing.  That makes
 a zero-fault plan consume exactly the healthy simulator's stream, so the

@@ -7,9 +7,15 @@ currently knows** in one step (unbounded message size), and the collision
 rule is unchanged: a listener receives iff exactly one neighbour
 transmits.
 
-* :func:`~repro.gossip.simulator.simulate_gossip` — the knowledge-matrix
-  simulator; any oblivious/uniform/decay protocol drives the transmit
-  decisions.
+* :class:`~repro.gossip.dynamics.GossipDynamics` — the knowledge-matrix
+  process behind ``repro.simulate("gossip", ...)``; any
+  oblivious/uniform/decay protocol drives the transmit decisions.
+  :class:`~repro.gossip.dynamics.MultiMessageDynamics` is the k-token
+  continuum between broadcast and gossip (``simulate("multimessage",
+  ...)``).
+* :func:`~repro.gossip.batch.run_gossip_batch` /
+  :func:`~repro.gossip.batch.run_multimessage_batch` — batched healthy
+  trials over the lockstep driver.
 * :class:`~repro.gossip.trace.GossipTrace` — per-round knowledge growth,
   completion time, and the broadcast-vs-gossip comparison quantities of
   experiment E13.
@@ -22,15 +28,9 @@ from .dynamics import (
     MultiMessageDynamics,
     default_gossip_round_cap,
 )
-from .multimessage import multimessage_time, simulate_multimessage
-from .simulator import gossip_time, simulate_gossip
 from .trace import GossipRoundRecord, GossipTrace
 
 __all__ = [
-    "simulate_gossip",
-    "gossip_time",
-    "simulate_multimessage",
-    "multimessage_time",
     "run_gossip_batch",
     "run_multimessage_batch",
     "BatchGossipResult",

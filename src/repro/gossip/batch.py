@@ -12,11 +12,10 @@ per-trial (a row-gather OR over each trial's receivers) — the batchable
 cost is the channel, and that is where the serial path spends its time.
 
 Bit-for-bit equivalence: trial ``r`` consumes exactly the RNG draws its
-serial :func:`~repro.gossip.simulator.simulate_gossip` /
-:func:`~repro.gossip.multimessage.simulate_multimessage` counterpart
-seeded with ``spawn_generators(seed, R)[r]`` would — protocols draw one
-``random(n)`` block per *active* trial per round and a completed trial
-stops drawing.  ``tests/radio/test_dynamics.py`` pins this.
+serial ``repro.simulate("gossip", ...)`` /
+``repro.simulate("multimessage", ...)`` counterpart seeded with
+``spawn_generators(seed, R)[r]`` would — protocols draw one ``random(n)``
+block per *active* trial per round and a completed trial stops drawing.  ``tests/radio/test_dynamics.py`` pins this.
 
 Like the broadcast batch, this path keeps no per-round traces; it exists
 for Monte-Carlo timing sweeps (E13, E20).  Fault plans are serial-only —
@@ -152,7 +151,7 @@ def run_gossip_batch(
     """Run ``repetitions`` independent healthy gossip trials in lockstep.
 
     Bit-for-bit equivalent to ``repetitions`` sequential
-    :func:`~repro.gossip.simulator.simulate_gossip` calls seeded with
+    ``repro.simulate("gossip", ...)`` calls seeded with
     ``spawn_generators(seed, repetitions)``; see the module docstring.
     Trials that exhaust the budget report ``inf`` completion rounds
     instead of raising.  ``with_stats``/``obs`` behave as in
@@ -190,8 +189,8 @@ def run_multimessage_batch(
 
     All trials share the ``sources`` token placement; per-trial source
     draws need the serial path.  Bit-for-bit equivalent to sequential
-    :func:`~repro.gossip.multimessage.simulate_multimessage` calls seeded
-    with ``spawn_generators(seed, repetitions)``.  ``with_stats``/``obs``
+    ``repro.simulate("multimessage", ...)`` calls seeded with
+    ``spawn_generators(seed, repetitions)``.  ``with_stats``/``obs``
     behave as in :func:`~repro.radio.engine.run_broadcast_batch`.
     """
     sources = check_sources(sources, network.n)

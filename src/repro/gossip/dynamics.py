@@ -35,6 +35,7 @@ __all__ = [
     "GossipDynamics",
     "MultiMessageDynamics",
     "default_gossip_round_cap",
+    "check_sources",
 ]
 
 
@@ -186,7 +187,7 @@ class GossipDynamics(KnowledgeDynamics):
 
     @classmethod
     def build(cls, network, *, protocol, p=None):
-        """``simulate("gossip", ...)`` — mirrors :func:`simulate_gossip`."""
+        """``simulate("gossip", network, protocol=..., p=...)``."""
         return cls(protocol, p)
 
     def start(self, network, rng, fault_path):
@@ -251,8 +252,12 @@ class MultiMessageDynamics(KnowledgeDynamics):
 
     @classmethod
     def build(cls, network, *, protocol, sources, p=None):
-        """``simulate("multimessage", ...)`` — mirrors
-        :func:`~repro.gossip.multimessage.simulate_multimessage`."""
+        """``simulate("multimessage", network, protocol=..., sources=..., p=...)``.
+
+        ``sources`` lists the node ids holding tokens ``0 .. k-1``
+        initially (duplicates allowed — one node may start with several
+        tokens).
+        """
         return cls(protocol, check_sources(sources, network.n), p)
 
     def start(self, network, rng, fault_path):

@@ -34,7 +34,7 @@ class GossipTrace:
     records: per-round statistics.
     knowledge_counts: final per-node number of rumors known.
     num_tokens: number of distinct rumors in play (``n`` for full gossip,
-        ``k`` for :func:`~repro.gossip.multimessage.simulate_multimessage`).
+        ``k`` for k-token dissemination, ``simulate("multimessage", ...)``).
     initial_nodes_complete: nodes that already knew every token before
         round 1 (anchors :meth:`informed_curve`; ``0`` for full gossip on
         ``n > 1`` nodes, ``1`` for single-token dissemination).

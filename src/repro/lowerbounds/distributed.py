@@ -20,10 +20,10 @@ import math
 import numpy as np
 
 from .._typing import SeedLike
+from ..api import simulate
 from ..broadcast.distributed.oblivious import ObliviousProtocol
-from ..errors import BroadcastIncompleteError, InvalidParameterError
+from ..errors import InvalidParameterError
 from ..radio.model import RadioNetwork
-from ..radio.simulator import broadcast_time
 from ..rng import spawn_generators
 
 __all__ = ["oblivious_candidates", "best_oblivious_time"]
@@ -118,14 +118,11 @@ def best_oblivious_time(
     for proto in candidates:
         times = []
         for rng in spawn_generators(seed, trials):
-            try:
-                times.append(
-                    broadcast_time(
-                        network, proto, source, seed=rng, max_rounds=max_rounds
-                    )
-                )
-            except BroadcastIncompleteError:
-                times.append(math.inf)
+            trace = simulate(
+                "broadcast", network, protocol=proto, source=source, seed=rng,
+                max_rounds=max_rounds, raise_on_incomplete=False,
+            )
+            times.append(trace.completion_round if trace.completed else math.inf)
         mean = float(np.mean(times))
         means[proto.name] = mean
         if mean < best:

@@ -17,11 +17,11 @@ Nodes get no collision detection feedback.
   broadcast, gossip, multi-message and single-port spreading, and the
   lockstep driver :func:`~repro.radio.dynamics.run_lockstep` behind
   every batched Monte-Carlo run.
-* :func:`~repro.radio.engine.run_broadcast` /
-  :func:`~repro.radio.engine.run_broadcast_batch` — broadcast over the
-  two drivers (healthy runs and fault plans share the serial one).
-* :func:`~repro.radio.simulator.simulate_broadcast` — the zero-fault
-  driver over the engine.
+* :func:`~repro.radio.engine.run_broadcast_batch` — batched healthy
+  broadcast over the lockstep driver.
+
+One trial of any process, healthy or under a fault plan, runs through
+:func:`repro.simulate`.
 """
 
 from .analysis import (
@@ -37,13 +37,13 @@ from .dynamics import (
     Dynamics,
     RoundOutcome,
     SingleMessageDynamics,
+    default_round_cap,
     run_dissemination,
 )
-from .engine import BatchBroadcastResult, run_broadcast, run_broadcast_batch
+from .engine import BatchBroadcastResult, run_broadcast_batch
 from .model import BatchStepResult, RadioNetwork, StepResult
 from .protocol import FunctionProtocol, RadioProtocol
 from .schedule import Schedule, execute_schedule, verify_schedule
-from .simulator import broadcast_time, default_round_cap, repeat_broadcast, simulate_broadcast
 from .trace import BroadcastTrace, RoundRecord
 
 __all__ = [
@@ -61,12 +61,8 @@ __all__ = [
     "RoundOutcome",
     "DYNAMICS_REGISTRY",
     "run_dissemination",
-    "run_broadcast",
     "run_broadcast_batch",
     "BatchBroadcastResult",
-    "simulate_broadcast",
-    "broadcast_time",
-    "repeat_broadcast",
     "default_round_cap",
     "BroadcastTrace",
     "RoundRecord",

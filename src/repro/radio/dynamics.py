@@ -28,10 +28,9 @@ Concrete dynamics:
 * :class:`~repro.singleport.agents.AgentDynamics` — random-walking
   agents (no channel at all).
 
-``simulate_broadcast``, ``simulate_gossip``, ``simulate_multimessage``,
-``push_broadcast``, ``push_pull_broadcast`` and ``agent_broadcast`` are
-all thin wrappers over this driver, so every process shares the fault
-path: radio-channel dynamics (broadcast, gossip, multimessage) accept a
+:func:`repro.simulate` runs any registered dynamics under
+:func:`run_dissemination`, so every process shares the fault path:
+radio-channel dynamics (broadcast, gossip, multimessage) accept a
 :class:`~repro.faults.FaultPlan` with identical jammer / churn /
 lossy-link semantics (docs/FAULTS.md).
 
@@ -181,10 +180,9 @@ class Dynamics(ABC):
     def build(cls, network: RadioNetwork, **kwargs) -> "Dynamics":
         """Construct this dynamics from :func:`repro.simulate` keywords.
 
-        Each registered dynamics maps the keyword surface of its legacy
-        entry point (``protocol``, ``source``, ``sources``, ...) onto its
-        constructor, applying the same validation, so ``simulate(name,
-        ...)`` reproduces that entry point exactly.
+        Each registered dynamics declares its process keywords
+        (``protocol``, ``source``, ``sources``, ...) as keyword-only
+        parameters here and validates them against ``network``.
         """
         raise InvalidParameterError(
             f"{cls.name!r} dynamics does not support simulate(); "
@@ -422,7 +420,12 @@ class BroadcastDynamics(SingleMessageDynamics):
 
     @classmethod
     def build(cls, network, *, protocol, source: int = 0, p: float | None = None):
-        """``simulate("broadcast", ...)`` — mirrors :func:`run_broadcast`."""
+        """``simulate("broadcast", network, protocol=..., source=..., p=...)``.
+
+        ``source`` is the node initially holding the message and ``p``
+        the edge-probability parameter nodes are assumed to know
+        (``None`` if unknown).
+        """
         if not 0 <= source < network.n:
             raise InvalidParameterError(
                 f"source {source} out of range [0, {network.n})"
@@ -547,6 +550,15 @@ def _observe_round(obs, dynamics, run_id, t, outcome, record, faults, wall):
         obs.emit(event)
 
 
+def _round_budget(dynamics: Dynamics, n: int, max_rounds: int | None) -> int:
+    """``max_rounds``, or the dynamics' default cap when it is ``None``."""
+    if max_rounds is None:
+        return dynamics.default_round_cap(n)
+    if max_rounds < 0:
+        raise InvalidParameterError(f"max_rounds must be >= 0, got {max_rounds}")
+    return max_rounds
+
+
 def run_dissemination(
     network: RadioNetwork,
     dynamics: Dynamics,
@@ -601,10 +613,9 @@ def run_dissemination(
         )
     if plan is not None:
         plan.validate(n)
+    max_rounds = _round_budget(dynamics, n, max_rounds)
     if check_connected and not reaches_all(network.adj, dynamics.connectivity_root):
         raise DisconnectedGraphError(dynamics.disconnected_message())
-    if max_rounds is None:
-        max_rounds = dynamics.default_round_cap(n)
     rng = as_generator(seed)
     dynamics.start(network, rng, fault_path=not fast)
     target = plan.target(n) if plan is not None else np.ones(n, dtype=bool)
@@ -753,10 +764,9 @@ def run_lockstep(
         raise InvalidParameterError(f"source {root} out of range [0, {n})")
     if repetitions < 1:
         raise InvalidParameterError(f"repetitions must be >= 1, got {repetitions}")
+    max_rounds = _round_budget(dynamics, n, max_rounds)
     if check_connected and not reaches_all(network.adj, root):
         raise DisconnectedGraphError(dynamics.disconnected_message())
-    if max_rounds is None:
-        max_rounds = dynamics.default_round_cap(n)
     rngs = spawn_generators(seed, repetitions)
     dynamics.batch_start(network, repetitions)
     protocol = dynamics.protocol

@@ -1,21 +1,15 @@
-"""The broadcast entry points over the unified dissemination core.
+"""Batched broadcast over the unified dissemination core.
 
 Both round loops live in :mod:`repro.radio.dynamics`, shared with
-gossip, multi-message and (serially) single-port dynamics.  What remains
-here is the broadcast-shaped surface:
+gossip, multi-message and (serially) single-port dynamics.  One trial,
+healthy or under a fault plan, is ``repro.simulate("broadcast", ...)``.
+What remains here is the batched broadcast surface:
 
-* :func:`run_broadcast` — one trial, healthy or under a fault plan
-  (:class:`~repro.radio.dynamics.BroadcastDynamics` under
-  :func:`~repro.radio.dynamics.run_dissemination`);
 * :func:`run_broadcast_batch` — ``R`` healthy trials for Monte-Carlo
-  sweeps (the same dynamics under the lockstep driver
-  :func:`~repro.radio.dynamics.run_lockstep`);
+  sweeps (:class:`~repro.radio.dynamics.BroadcastDynamics` under the
+  lockstep driver :func:`~repro.radio.dynamics.run_lockstep`);
 * :class:`BatchResult` — the result surface every lockstep entry point
   shares, and :class:`BatchBroadcastResult`, its broadcast form.
-
-``simulate_broadcast`` and ``simulate_broadcast_faulty`` are both thin
-wrappers over :func:`run_broadcast`; the healthy simulator is the
-zero-fault special case rather than a parallel code path.
 """
 
 from __future__ import annotations
@@ -26,64 +20,15 @@ import numpy as np
 
 from .._typing import BoolArray, FloatArray, IntArray, SeedLike
 from ..graphs.bfs import bfs_distances  # noqa: F401 — kept for callers that patch it here
-from .dynamics import (
-    BroadcastDynamics,
-    default_round_cap,
-    run_dissemination,
-    run_lockstep,
-)
+from .dynamics import BroadcastDynamics, run_lockstep
 from .model import RadioNetwork
 from .protocol import RadioProtocol
-from .trace import BroadcastTrace
 
 __all__ = [
-    "default_round_cap",
-    "run_broadcast",
     "run_broadcast_batch",
     "BatchResult",
     "BatchBroadcastResult",
 ]
-
-
-def run_broadcast(
-    network: RadioNetwork,
-    protocol: RadioProtocol,
-    source: int = 0,
-    *,
-    plan=None,
-    p: float | None = None,
-    seed: SeedLike = None,
-    max_rounds: int | None = None,
-    check_connected: bool = True,
-    raise_on_incomplete: bool = True,
-    obs=None,
-) -> BroadcastTrace:
-    """Run ``protocol`` on ``network`` under an optional fault plan.
-
-    :class:`~repro.radio.dynamics.BroadcastDynamics` under
-    :func:`~repro.radio.dynamics.run_dissemination`, whose keywords this
-    shares.  Only informed nodes ever transmit (the driver intersects the
-    protocol's mask with the informed set, and with the alive set under
-    faults); ``source`` is the node initially holding the message and
-    ``p`` the edge-probability parameter nodes are assumed to know
-    (``None`` if unknown).
-
-    Returns
-    -------
-    BroadcastTrace.  Under faults, ``trace.completed`` refers to the
-    *eventually-alive* target set: nodes that crash and never recover are
-    not part of the deliverable set.
-    """
-    return run_dissemination(
-        network,
-        BroadcastDynamics.build(network, protocol=protocol, source=source, p=p),
-        plan=plan,
-        seed=seed,
-        max_rounds=max_rounds,
-        check_connected=check_connected,
-        raise_on_incomplete=raise_on_incomplete,
-        obs=obs,
-    )
 
 
 class BatchResult:
@@ -290,11 +235,11 @@ def run_broadcast_batch(
 
     :class:`~repro.radio.dynamics.BroadcastDynamics` under
     :func:`~repro.radio.dynamics.run_lockstep`: bit-for-bit equivalent to
-    ``repetitions`` sequential :func:`run_broadcast` calls seeded with
-    ``spawn_generators(seed, repetitions)``, at one batched count kernel
-    per round.  No per-round traces or broadcast trees are kept; budget
-    misses report ``inf`` completion rounds instead of raising.  The
-    arguments are those of :func:`run_broadcast` and
+    ``repetitions`` sequential ``simulate("broadcast", ...)`` calls seeded
+    with ``spawn_generators(seed, repetitions)``, at one batched count
+    kernel per round.  No per-round traces or broadcast trees are kept;
+    budget misses report ``inf`` completion rounds instead of raising.
+    The arguments are those of ``simulate("broadcast", ...)`` and
     :func:`~repro.radio.dynamics.run_lockstep`.
     """
     run = run_lockstep(

@@ -107,6 +107,22 @@ def _check_jsonable(value, where: str) -> None:
     )
 
 
+def _check_int(key: str, value, minimum: int, *, nullable: bool = False) -> None:
+    """Validate an integer field: an ``int`` (never a ``bool``) >= ``minimum``.
+
+    ``True`` would otherwise pass as ``1`` under a different cache key,
+    and a negative seed or budget would be cached or fail only at
+    execution.
+    """
+    if value is None and nullable:
+        return
+    if isinstance(value, bool) or not isinstance(value, int):
+        kind = "an int or null" if nullable else "an int"
+        raise InvalidParameterError(f"{key} must be {kind}, got {type(value).__name__}")
+    if value < minimum:
+        raise InvalidParameterError(f"{key} must be >= {minimum}, got {value}")
+
+
 def _check_deadline(value) -> float | None:
     """Validate an optional ``deadline_s``: a positive finite number."""
     if value is None:
@@ -174,11 +190,8 @@ class JobSpec:
                 "params.protocol must be a {'kind': ..., ...} mapping, "
                 f"got {type(self.params['protocol']).__name__}"
             )
-        for key, value in (("seed", self.seed), ("max_rounds", self.max_rounds)):
-            if value is not None and not isinstance(value, int):
-                raise InvalidParameterError(
-                    f"{key} must be an int or null, got {type(value).__name__}"
-                )
+        _check_int("seed", self.seed, 0, nullable=True)
+        _check_int("max_rounds", self.max_rounds, 0, nullable=True)
         if self.backend is not None and not isinstance(self.backend, str):
             raise InvalidParameterError(
                 f"backend must be a string or null, "
@@ -294,12 +307,8 @@ class SweepSpec:
                 raise InvalidParameterError(
                     f"experiment ids must be non-empty strings, got {exp!r}"
                 )
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise InvalidParameterError(
-                f"seed must be an int, got {type(self.seed).__name__}"
-            )
-        if not isinstance(self.jobs, int) or self.jobs < 1:
-            raise InvalidParameterError(f"jobs must be an int >= 1, got {self.jobs!r}")
+        _check_int("seed", self.seed, 0)
+        _check_int("jobs", self.jobs, 1)
         _check_deadline(self.deadline_s)
 
     @property

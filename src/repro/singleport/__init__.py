@@ -5,9 +5,12 @@ model of Feige, Peleg, Raghavan and Upfal: each round every informed node
 sends the rumor to **one** uniformly random neighbour over a private link —
 no collisions, but also no one-to-many gain.  Experiment E11 uses this to
 separate the two models on identical graphs.
+
+Importing this package registers the ``"push"``, ``"push-pull"`` and
+``"agents"`` dynamics with :func:`repro.simulate`.
 """
 
-from .agents import agent_broadcast
-from .push import push_broadcast, push_pull_broadcast
+from .agents import AgentDynamics
+from .push import PushDynamics, PushPullDynamics
 
-__all__ = ["push_broadcast", "push_pull_broadcast", "agent_broadcast"]
+__all__ = ["PushDynamics", "PushPullDynamics", "AgentDynamics"]

@@ -14,6 +14,7 @@ Experiment E23 measures the two regimes the bound names: on `G(n, p)`
 (small D) time is ``Θ(log n)``-flavoured once there are enough agents,
 while too few agents leave a cover-time-dominated tail.
 
+Run it as ``repro.simulate("agents", adj, num_agents=k, source=...)``.
 The round loop is the shared :func:`repro.radio.dynamics.run_dissemination`
 driver; :class:`AgentDynamics` replaces the radio channel with the
 random-walk hop-and-exchange step.
@@ -23,21 +24,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from .._typing import SeedLike
 from ..errors import DisconnectedGraphError, InvalidParameterError
-from ..graphs.adjacency import Adjacency
-from ..radio.dynamics import RoundOutcome, SingleMessageDynamics, run_dissemination
-from ..radio.model import RadioNetwork
-from ..radio.trace import BroadcastTrace
+from ..radio.dynamics import RoundOutcome, SingleMessageDynamics
 
-__all__ = ["agent_broadcast", "AgentDynamics"]
+__all__ = ["AgentDynamics"]
 
 
 class AgentDynamics(SingleMessageDynamics):
     """Random-walking agents carrying the rumor between nodes.
 
     ``num_transmitters`` in the trace records the number of rumor-carrying
-    agents per round (counted after this round's pick-ups).
+    agents per round (counted after this round's pick-ups); collisions
+    are always 0 (the model has no shared channel).
     """
 
     name = "agents"
@@ -54,7 +52,12 @@ class AgentDynamics(SingleMessageDynamics):
     @classmethod
     def build(cls, network, *, num_agents, source: int = 0,
               agents_start_at_source: bool = False):
-        """``simulate("agents", ...)`` — mirrors :func:`agent_broadcast`."""
+        """``simulate("agents", network, num_agents=..., source=...)``.
+
+        ``agents_start_at_source`` starts all agents on the source (the
+        "informed couriers" variant); the default scatters them
+        uniformly.
+        """
         if num_agents < 1:
             raise InvalidParameterError(
                 f"need at least one agent, got {num_agents}"
@@ -110,44 +113,3 @@ class AgentDynamics(SingleMessageDynamics):
     def disconnected_message(self):
         return f"not all nodes reachable from source {self.source}"
 
-
-def agent_broadcast(
-    adj: Adjacency,
-    num_agents: int,
-    source: int = 0,
-    *,
-    seed: SeedLike = None,
-    max_rounds: int | None = None,
-    agents_start_at_source: bool = False,
-) -> BroadcastTrace:
-    """Broadcast via random-walking agents (the agent-based model).
-
-    Parameters
-    ----------
-    adj: the graph (agents walk its edges).
-    num_agents: number of walking agents ``k``.
-    source: the node initially holding the rumor.
-    agents_start_at_source: start all agents on the source (the
-        "informed couriers" variant); default scatters them uniformly.
-
-    Returns
-    -------
-    BroadcastTrace — ``num_transmitters`` records the number of
-    rumor-carrying agents per round; collisions are always 0 (the model
-    has no shared channel).
-
-    Raises
-    ------
-    BroadcastIncompleteError on budget exhaustion.
-    """
-    n = adj.n
-    if num_agents < 1:
-        raise InvalidParameterError(f"need at least one agent, got {num_agents}")
-    if not 0 <= source < n:
-        raise InvalidParameterError(f"source {source} out of range [0, {n})")
-    return run_dissemination(
-        RadioNetwork(adj),
-        AgentDynamics(num_agents, source, agents_start_at_source),
-        seed=seed,
-        max_rounds=max_rounds,
-    )

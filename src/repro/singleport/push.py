@@ -10,8 +10,10 @@ The traces reuse :class:`~repro.radio.trace.BroadcastTrace`; the
 ``num_collided`` field is always 0 here (the model has no collisions), and
 ``num_transmitters`` counts the senders of the round.
 
-The round loop is the shared :func:`repro.radio.dynamics.run_dissemination`
-driver; :class:`PushDynamics` / :class:`PushPullDynamics` replace the
+Run them as ``repro.simulate("push", adj, source=...)`` and
+``repro.simulate("push-pull", ...)``.  The round loop is the shared
+:func:`repro.radio.dynamics.run_dissemination` driver;
+:class:`PushDynamics` / :class:`PushPullDynamics` replace the
 radio collision channel with the point-to-point call step, so fault plans
 (which model radio-channel phenomena) do not apply here.
 """
@@ -22,16 +24,11 @@ import math
 
 import numpy as np
 
-from .._typing import SeedLike
 from ..errors import InvalidParameterError
 from ..graphs.adjacency import Adjacency
-from ..radio.dynamics import RoundOutcome, SingleMessageDynamics, run_dissemination
-from ..radio.model import RadioNetwork
-from ..radio.trace import BroadcastTrace
+from ..radio.dynamics import RoundOutcome, SingleMessageDynamics
 
 __all__ = [
-    "push_broadcast",
-    "push_pull_broadcast",
     "default_singleport_round_cap",
     "PushDynamics",
     "PushPullDynamics",
@@ -74,8 +71,7 @@ class PushDynamics(SingleMessageDynamics):
 
     @classmethod
     def build(cls, network, *, source: int = 0):
-        """``simulate("push"/"push-pull", ...)`` — mirrors
-        :func:`push_broadcast` / :func:`push_pull_broadcast`."""
+        """``simulate("push"/"push-pull", network, source=...)``."""
         if not 0 <= source < network.n:
             raise InvalidParameterError(
                 f"source {source} out of range [0, {network.n})"
@@ -111,51 +107,13 @@ class PushDynamics(SingleMessageDynamics):
 
 
 class PushPullDynamics(PushDynamics):
-    """Push–pull: knowers push and non-knowers simultaneously pull."""
-
-    name = "push-pull"
-    summary = "single-port push-pull, point-to-point calls"
-    pull = True
-
-
-def _run(
-    adj: Adjacency,
-    dynamics: PushDynamics,
-    seed: SeedLike,
-    max_rounds: int | None,
-) -> BroadcastTrace:
-    n = adj.n
-    if not 0 <= dynamics.source < n:
-        raise InvalidParameterError(f"source {dynamics.source} out of range [0, {n})")
-    return run_dissemination(
-        RadioNetwork(adj),
-        dynamics,
-        seed=seed,
-        max_rounds=max_rounds,
-    )
-
-
-def push_broadcast(
-    adj: Adjacency,
-    source: int = 0,
-    *,
-    seed: SeedLike = None,
-    max_rounds: int | None = None,
-) -> BroadcastTrace:
-    """Push rumor spreading: every knower calls one random neighbour."""
-    return _run(adj, PushDynamics(source), seed, max_rounds)
-
-
-def push_pull_broadcast(
-    adj: Adjacency,
-    source: int = 0,
-    *,
-    seed: SeedLike = None,
-    max_rounds: int | None = None,
-) -> BroadcastTrace:
     """Push–pull: knowers push and non-knowers simultaneously pull.
 
     Pull side: each uninformed node calls one random neighbour and learns
     the rumor if that neighbour knows it.
     """
-    return _run(adj, PushPullDynamics(source), seed, max_rounds)
+
+    name = "push-pull"
+    summary = "single-port push-pull, point-to-point calls"
+    pull = True
+

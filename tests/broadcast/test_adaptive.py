@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from repro import simulate
 from repro.broadcast.distributed import AgeBasedProtocol, DecayProtocol
 from repro.errors import InvalidParameterError
+from repro.experiments.runner import protocol_times
 from repro.graphs import gnp_connected, torus_2d
-from repro.radio import RadioNetwork, repeat_broadcast, simulate_broadcast
+from repro.radio import RadioNetwork
 
 
 class TestConstruction:
@@ -77,8 +79,8 @@ class TestBehaviour:
         n = 512
         p = 4 * math.log(n) / n
         g = gnp_connected(n, p, seed=21)
-        trace = simulate_broadcast(
-            RadioNetwork(g), AgeBasedProtocol(n, p), seed=1, max_rounds=5000
+        trace = simulate(
+            "broadcast", RadioNetwork(g), protocol=AgeBasedProtocol(n, p), seed=1, max_rounds=5000,
         )
         assert trace.completed
 
@@ -88,13 +90,11 @@ class TestBehaviour:
         g = torus_2d(24, 24)
         n = g.n
         net = RadioNetwork(g)
-        age = repeat_broadcast(
-            net, AgeBasedProtocol(n, g.average_degree / n),
-            repetitions=4, seed=2, max_rounds=30000,
+        age = protocol_times(
+            net, AgeBasedProtocol(n, g.average_degree / n), repetitions=4, seed=2,
+            max_rounds=30000,
         )
-        decay = repeat_broadcast(
-            net, DecayProtocol(n), repetitions=4, seed=3, max_rounds=30000
-        )
+        decay = protocol_times(net, DecayProtocol(n), repetitions=4, seed=3, max_rounds=30000)
         assert np.mean(age) < np.mean(decay)
 
     def test_uninformed_never_selected(self, rng):

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from repro import simulate
 from repro.broadcast.distributed import IdSlotProtocol
 from repro.errors import InvalidParameterError
 from repro.graphs import diameter, gnp_connected, path_graph
-from repro.radio import RadioNetwork, simulate_broadcast
+from repro.radio import RadioNetwork
 
 
 class TestIdSlot:
@@ -32,8 +33,9 @@ class TestIdSlot:
 
     def test_collision_free_run(self, gnp_small):
         net = RadioNetwork(gnp_small)
-        trace = simulate_broadcast(
-            net, IdSlotProtocol(net.n), 0, seed=1, max_rounds=net.n * net.n
+        trace = simulate(
+            "broadcast", net, protocol=IdSlotProtocol(net.n), source=0, seed=1,
+            max_rounds=net.n * net.n,
         )
         assert trace.completed
         assert trace.total_collisions == 0
@@ -41,16 +43,20 @@ class TestIdSlot:
     def test_completes_within_n_times_depth(self):
         g = gnp_connected(80, 0.12, seed=40)
         net = RadioNetwork(g)
-        trace = simulate_broadcast(
-            net, IdSlotProtocol(80), 0, seed=2, max_rounds=80 * 80
+        trace = simulate(
+            "broadcast", net, protocol=IdSlotProtocol(80), source=0, seed=2, max_rounds=80 * 80,
         )
         assert trace.completion_round <= 80 * (diameter(g) + 1)
 
     def test_deterministic_trace(self):
         g = path_graph(10)
         net = RadioNetwork(g)
-        a = simulate_broadcast(net, IdSlotProtocol(10), 0, seed=1, max_rounds=200)
-        b = simulate_broadcast(net, IdSlotProtocol(10), 0, seed=99, max_rounds=200)
+        a = simulate(
+            "broadcast", net, protocol=IdSlotProtocol(10), source=0, seed=1, max_rounds=200,
+        )
+        b = simulate(
+            "broadcast", net, protocol=IdSlotProtocol(10), source=0, seed=99, max_rounds=200,
+        )
         # No randomness at all: seeds are irrelevant.
         assert a.completion_round == b.completion_round
 
@@ -63,10 +69,10 @@ class TestIdSlot:
         net = RadioNetwork(g)
         from repro.broadcast.distributed import EGRandomizedProtocol
 
-        det = simulate_broadcast(
-            net, IdSlotProtocol(n), 0, seed=0, max_rounds=n * n
+        det = simulate(
+            "broadcast", net, protocol=IdSlotProtocol(n), source=0, seed=0, max_rounds=n * n,
         ).completion_round
-        rand = simulate_broadcast(
-            net, EGRandomizedProtocol(n, p), 0, seed=0, p=p
+        rand = simulate(
+            "broadcast", net, protocol=EGRandomizedProtocol(n, p), source=0, seed=0, p=p,
         ).completion_round
         assert det > 5 * rand

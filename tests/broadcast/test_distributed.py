@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from repro import simulate
 from repro.broadcast.distributed import (
     DecayProtocol,
     EGRandomizedProtocol,
@@ -12,8 +13,9 @@ from repro.broadcast.distributed import (
     UniformProtocol,
 )
 from repro.errors import InvalidParameterError
+from repro.experiments.runner import protocol_times
 from repro.graphs import gnp_connected, hypercube
-from repro.radio import RadioNetwork, repeat_broadcast, simulate_broadcast
+from repro.radio import RadioNetwork
 from repro.theory.bounds import distributed_bound
 
 
@@ -55,8 +57,9 @@ class TestEGRandomized:
     def test_completes_on_gnp(self, gnp_medium):
         n = gnp_medium.n
         p = 0.04
-        trace = simulate_broadcast(
-            RadioNetwork(gnp_medium), EGRandomizedProtocol(n, p), seed=0, p=p
+        trace = simulate(
+            "broadcast", RadioNetwork(gnp_medium), protocol=EGRandomizedProtocol(n, p), seed=0,
+            p=p,
         )
         assert trace.completed
 
@@ -66,9 +69,7 @@ class TestEGRandomized:
         n = 1024
         p = 4 * math.log(n) / n
         g = gnp_connected(n, p, seed=20)
-        times = repeat_broadcast(
-            RadioNetwork(g), EGRandomizedProtocol(n, p), repetitions=5, seed=1
-        )
+        times = protocol_times(RadioNetwork(g), EGRandomizedProtocol(n, p), repetitions=5, seed=1)
         assert np.max(times) < 8 * distributed_bound(n)
 
     def test_strict_participation_mode(self):
@@ -76,8 +77,8 @@ class TestEGRandomized:
         p = 5 * math.log(n) / n
         g = gnp_connected(n, p, seed=21)
         proto = EGRandomizedProtocol(n, p, strict_participation=True)
-        trace = simulate_broadcast(
-            RadioNetwork(g), proto, seed=2, p=p, max_rounds=2000
+        trace = simulate(
+            "broadcast", RadioNetwork(g), protocol=proto, seed=2, p=p, max_rounds=2000,
         )
         assert trace.completed
 
@@ -116,19 +117,19 @@ class TestDecay:
             DecayProtocol(16).prepare(17, None, 0)
 
     def test_completes_on_gnp(self, gnp_medium):
-        trace = simulate_broadcast(
-            RadioNetwork(gnp_medium), DecayProtocol(gnp_medium.n), seed=3
+        trace = simulate(
+            "broadcast", RadioNetwork(gnp_medium), protocol=DecayProtocol(gnp_medium.n), seed=3,
         )
         assert trace.completed
 
     def test_completes_on_hypercube(self):
         g = hypercube(8)
-        trace = simulate_broadcast(RadioNetwork(g), DecayProtocol(g.n), seed=4)
+        trace = simulate("broadcast", RadioNetwork(g), protocol=DecayProtocol(g.n), seed=4)
         assert trace.completed
 
     def test_custom_phase_length(self, gnp_medium):
         proto = DecayProtocol(gnp_medium.n, phase_length=6)
-        trace = simulate_broadcast(RadioNetwork(gnp_medium), proto, seed=5)
+        trace = simulate("broadcast", RadioNetwork(gnp_medium), protocol=proto, seed=5)
         assert trace.completed
 
     def test_repr(self):
@@ -155,8 +156,8 @@ class TestUniform:
 
     def test_completes_with_good_rate(self, gnp_medium):
         d = gnp_medium.average_degree
-        trace = simulate_broadcast(
-            RadioNetwork(gnp_medium), UniformProtocol(1.0 / d), seed=6,
+        trace = simulate(
+            "broadcast", RadioNetwork(gnp_medium), protocol=UniformProtocol(1.0 / d), seed=6,
             max_rounds=4000,
         )
         assert trace.completed
@@ -196,6 +197,6 @@ class TestOblivious:
     def test_equivalent_to_uniform(self, gnp_small):
         # Same seed, same probability law -> identical trajectories.
         net = RadioNetwork(gnp_small)
-        a = simulate_broadcast(net, UniformProtocol(0.1), seed=7)
-        b = simulate_broadcast(net, ObliviousProtocol(lambda t: 0.1), seed=7)
+        a = simulate("broadcast", net, protocol=UniformProtocol(0.1), seed=7)
+        b = simulate("broadcast", net, protocol=ObliviousProtocol(lambda t: 0.1), seed=7)
         assert a.completion_round == b.completion_round

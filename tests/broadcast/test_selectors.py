@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import simulate
 from repro.broadcast.selectors import (
     SelectiveFamilyProtocol,
     find_violating_subset,
@@ -11,7 +12,7 @@ from repro.broadcast.selectors import (
 )
 from repro.errors import InvalidParameterError
 from repro.graphs import balanced_tree, cycle_graph, gnp_connected, path_graph
-from repro.radio import RadioNetwork, simulate_broadcast
+from repro.radio import RadioNetwork
 
 
 class TestConstruction:
@@ -102,8 +103,8 @@ class TestProtocol:
         fam = random_selective_family(20, 3, seed=6)
         assert verify_selective(fam, 20, 3)
         proto = SelectiveFamilyProtocol(20, fam)
-        trace = simulate_broadcast(
-            RadioNetwork(g), proto, 0, seed=0,
+        trace = simulate(
+            "broadcast", RadioNetwork(g), protocol=proto, source=0, seed=0,
             max_rounds=len(fam) * 30,
         )
         assert trace.completed
@@ -113,8 +114,9 @@ class TestProtocol:
         n = g.n
         fam = random_selective_family(n, 5, seed=7)
         proto = SelectiveFamilyProtocol(n, fam)
-        trace = simulate_broadcast(
-            RadioNetwork(g), proto, 0, seed=0, max_rounds=len(fam) * 40
+        trace = simulate(
+            "broadcast", RadioNetwork(g), protocol=proto, source=0, seed=0,
+            max_rounds=len(fam) * 40,
         )
         assert trace.completed
 
@@ -122,8 +124,12 @@ class TestProtocol:
         g = path_graph(12)
         fam = random_selective_family(12, 3, seed=8)
         proto = SelectiveFamilyProtocol(12, fam)
-        a = simulate_broadcast(RadioNetwork(g), proto, 0, seed=1, max_rounds=2000)
-        b = simulate_broadcast(RadioNetwork(g), proto, 0, seed=77, max_rounds=2000)
+        a = simulate(
+            "broadcast", RadioNetwork(g), protocol=proto, source=0, seed=1, max_rounds=2000,
+        )
+        b = simulate(
+            "broadcast", RadioNetwork(g), protocol=proto, source=0, seed=77, max_rounds=2000,
+        )
         assert a.completion_round == b.completion_round
 
     def test_slower_than_randomized_on_gnp(self):
@@ -135,14 +141,14 @@ class TestProtocol:
         net = RadioNetwork(g)
         d = int(p * n)
         fam = random_selective_family(n, 2 * d, seed=10)
-        det = simulate_broadcast(
-            net, SelectiveFamilyProtocol(n, fam), 0, seed=0,
+        det = simulate(
+            "broadcast", net, protocol=SelectiveFamilyProtocol(n, fam), source=0, seed=0,
             max_rounds=len(fam) * 50,
         ).completion_round
         from repro.broadcast.distributed import EGRandomizedProtocol
 
-        rand = simulate_broadcast(
-            net, EGRandomizedProtocol(n, p), 0, seed=0, p=p
+        rand = simulate(
+            "broadcast", net, protocol=EGRandomizedProtocol(n, p), source=0, seed=0, p=p,
         ).completion_round
         assert det > rand
 

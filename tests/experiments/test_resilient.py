@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from repro import simulate
 from repro.broadcast.distributed import EGRandomizedProtocol, EpochRestartProtocol
 from repro.errors import InvalidParameterError, ReproError
 from repro.experiments.resilient import (
@@ -17,7 +18,7 @@ from repro.experiments.resilient import (
     TrialRecord,
     run_resilient_sweep,
 )
-from repro.faults import ChurnSchedule, FaultPlan, simulate_broadcast_faulty
+from repro.faults import ChurnSchedule, FaultPlan
 from repro.graphs import gnp_connected
 from repro.radio import RadioNetwork
 
@@ -225,10 +226,9 @@ class TestChurnResilienceDemo:
                     n, 0.6, 120, mean_downtime=40.0, seed=rng, protect=[0]
                 )
             )
-            return simulate_broadcast_faulty(
-                net, proto_factory(), plan=plan, seed=rng, p=p,
-                max_rounds=600, check_connected=False,
-                raise_on_incomplete=False,
+            return simulate(
+                "broadcast", net, protocol=proto_factory(), faults=plan, seed=rng, p=p,
+                max_rounds=600, check_connected=False, raise_on_incomplete=False,
             )
 
         return run_resilient_sweep(trial, trials, seed=3)

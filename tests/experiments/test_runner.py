@@ -6,15 +6,25 @@ import numpy as np
 import pytest
 
 from repro.broadcast.distributed import UniformProtocol
+from repro.errors import InvalidParameterError
 from repro.experiments.runner import (
     ExperimentResult,
     aggregate,
+    gossip_times,
     protocol_times,
     scheduler_rounds,
 )
 from repro.graphs import gnp_connected
-from repro.radio import RadioNetwork
+from repro.radio import FunctionProtocol, RadioNetwork
 from repro.theory.fitting import linear_fit
+
+
+def flood():
+    """A protocol without a lockstep path: always transmit."""
+    return FunctionProtocol(
+        lambda t, informed, informed_round, rng: np.ones(informed.size, dtype=bool),
+        name="flood",
+    )
 
 
 class TestAggregate:
@@ -90,6 +100,15 @@ class TestMeasurementHelpers:
             max_rounds=30,
         )
         assert np.all(np.isinf(times))
+
+    @pytest.mark.parametrize("repetitions", [0, -1])
+    @pytest.mark.parametrize("sweep", [protocol_times, gossip_times])
+    def test_repetition_count_must_be_positive(self, gnp_small, sweep, repetitions):
+        # Both the lockstep (uniform) and the serial (flood) dispatch reject
+        # it up front, before numpy sees a bad array shape.
+        for protocol in (UniformProtocol(0.1), flood()):
+            with pytest.raises(InvalidParameterError, match="repetitions"):
+                sweep(RadioNetwork(gnp_small), protocol, repetitions=repetitions, seed=0)
 
     def test_scheduler_rounds(self):
         from repro.broadcast.centralized import GreedyCoverScheduler

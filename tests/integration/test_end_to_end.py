@@ -16,8 +16,9 @@ from repro import (
     GreedyCoverScheduler,
     RadioNetwork,
     gnp_connected,
-    simulate_broadcast,
+    simulate,
 )
+from repro.experiments.runner import protocol_times
 from repro.graphs import LayerDecomposition, diameter
 from repro.lowerbounds import (
     best_oblivious_time,
@@ -25,8 +26,7 @@ from repro.lowerbounds import (
     relaxed_schedule_survivors,
     sample_transmit_sets,
 )
-from repro.radio import execute_schedule, repeat_broadcast, verify_schedule
-from repro.singleport import push_broadcast
+from repro.radio import execute_schedule, verify_schedule
 from repro.theory.bounds import centralized_bound, distributed_bound
 from repro.theory.fitting import linear_fit
 
@@ -54,9 +54,7 @@ class TestCentralizedPipeline:
     def test_centralized_beats_distributed_on_same_graph(self, workload):
         g, net, n, p = workload
         schedule = ElsasserGasieniecScheduler(seed=1).build(g, 0)
-        dist_times = repeat_broadcast(
-            net, EGRandomizedProtocol(n, p), repetitions=5, seed=2, p=p
-        )
+        dist_times = protocol_times(net, EGRandomizedProtocol(n, p), repetitions=5, seed=2, p=p)
         # Full topology knowledge must not lose to no knowledge.
         assert len(schedule) <= float(np.mean(dist_times))
 
@@ -73,13 +71,13 @@ class TestDistributedPipeline:
     def test_protocol_hierarchy(self, workload):
         """EG <= Decay on G(n,p) — the paper's headline comparison."""
         g, net, n, p = workload
-        eg = repeat_broadcast(net, EGRandomizedProtocol(n, p), repetitions=5, seed=4, p=p)
-        decay = repeat_broadcast(net, DecayProtocol(n), repetitions=5, seed=5)
+        eg = protocol_times(net, EGRandomizedProtocol(n, p), repetitions=5, seed=4, p=p)
+        decay = protocol_times(net, DecayProtocol(n), repetitions=5, seed=5)
         assert np.mean(eg) < np.mean(decay)
 
     def test_distributed_time_near_ln_n(self, workload):
         g, net, n, p = workload
-        times = repeat_broadcast(net, EGRandomizedProtocol(n, p), repetitions=8, seed=6, p=p)
+        times = protocol_times(net, EGRandomizedProtocol(n, p), repetitions=8, seed=6, p=p)
         assert np.mean(times) < 8 * distributed_bound(n)
         # And can't beat the diameter.
         assert np.min(times) >= diameter(g, exact_limit=1000)
@@ -91,9 +89,8 @@ class TestDistributedPipeline:
         for i, n in enumerate(ns):
             p = 4 * math.log(n) / n
             g = gnp_connected(n, p, seed=100 + i)
-            t = repeat_broadcast(
-                RadioNetwork(g), EGRandomizedProtocol(n, p),
-                repetitions=6, seed=i, p=p,
+            t = protocol_times(
+                RadioNetwork(g), EGRandomizedProtocol(n, p), repetitions=6, seed=i, p=p,
             )
             times.append(float(np.mean(t)))
         fit = linear_fit(np.log(ns), np.array(times), "ln n")
@@ -126,7 +123,7 @@ class TestLowerBoundPipeline:
             net, oblivious_candidates(n, p), trials=2, seed=8
         )
         eg = float(
-            np.mean(repeat_broadcast(net, EGRandomizedProtocol(n, p), repetitions=4, seed=9, p=p))
+            np.mean(protocol_times(net, EGRandomizedProtocol(n, p), repetitions=4, seed=9, p=p))
         )
         # EG is a member of the family (up to constants): best <= eg and
         # best is still Omega(ln n).
@@ -145,8 +142,8 @@ class TestStructurePipeline:
 
     def test_model_separation_same_graph(self, workload):
         g, net, n, p = workload
-        radio = simulate_broadcast(net, EGRandomizedProtocol(n, p), seed=11, p=p)
-        push = push_broadcast(g, 0, seed=12)
+        radio = simulate("broadcast", net, protocol=EGRandomizedProtocol(n, p), seed=11, p=p)
+        push = simulate("push", g, source=0, seed=12)
         assert radio.completed and push.completed
         # Both Θ(ln n): within 4x of each other at this size.
         ratio = radio.completion_round / push.completion_round

@@ -1,12 +1,11 @@
 """Smoke tests for the example scripts.
 
-All examples must at least compile (cheap API-drift detector); the two
-fastest also run end-to-end as subprocesses so the documented entry
-points stay genuinely executable.
+Every example is fast (about 1-5 s) and runs end-to-end as a subprocess,
+so the documented entry points stay genuinely executable: running a
+script also compiles it and resolves its imports.
 """
 
 import pathlib
-import py_compile
 import subprocess
 import sys
 
@@ -14,7 +13,6 @@ import pytest
 
 EXAMPLES_DIR = pathlib.Path(__file__).resolve().parents[2] / "examples"
 ALL_EXAMPLES = sorted(EXAMPLES_DIR.glob("*.py"))
-FAST_EXAMPLES = ["quickstart.py", "centralized_scheduling.py"]
 
 
 def test_examples_directory_populated():
@@ -24,14 +22,9 @@ def test_examples_directory_populated():
 
 
 @pytest.mark.parametrize("path", ALL_EXAMPLES, ids=lambda p: p.name)
-def test_example_compiles(path):
-    py_compile.compile(str(path), doraise=True)
-
-
-@pytest.mark.parametrize("name", FAST_EXAMPLES)
-def test_fast_example_runs(name):
+def test_fast_example_runs(path):
     proc = subprocess.run(
-        [sys.executable, str(EXAMPLES_DIR / name)],
+        [sys.executable, str(path)],
         capture_output=True,
         text=True,
         timeout=300,

@@ -28,7 +28,7 @@ from repro import (
 )
 from repro.backends import current_backend_name
 from repro.faults import FaultPlan, LossyLinkModel
-from repro.gossip import run_gossip_batch, simulate_gossip
+from repro.gossip import run_gossip_batch
 from repro.obs.sinks import validate_event
 from repro.radio.engine import run_broadcast_batch
 
@@ -56,8 +56,8 @@ class TestNoOpPath:
         assert repro.current_observer() is None
 
     def test_observed_serial_run_is_bit_identical(self, net, protocol):
-        plain = repro.simulate_broadcast(net, protocol, seed=7)
-        traced, obs = observed(repro.simulate_broadcast, net, protocol, seed=7)
+        plain = simulate("broadcast", net, protocol=protocol, seed=7)
+        traced, obs = observed(simulate, "broadcast", net, protocol=protocol, seed=7)
         assert traced.records == plain.records
         assert traced.completed == plain.completed
         assert len(obs.sink.events) > 0
@@ -79,7 +79,7 @@ class TestNoOpPath:
         # A sink that is merely constructed — never installed — sees no
         # events, and no ambient observer leaks out of engine internals.
         sink = MemoryTraceSink()
-        repro.simulate_broadcast(net, protocol, seed=7)
+        simulate("broadcast", net, protocol=protocol, seed=7)
         run_broadcast_batch(net, protocol, repetitions=4, seed=3)
         assert sink.events == []
         assert repro.current_observer() is None
@@ -168,7 +168,7 @@ class TestEventStream:
 
 class TestRegistryCounters:
     def test_serial_counters_match_trace(self, net, protocol):
-        trace, obs = observed(repro.simulate_broadcast, net, protocol, seed=7)
+        trace, obs = observed(simulate, "broadcast", net, protocol=protocol, seed=7)
         reg = obs.registry
         label = "broadcast"
         assert reg.counter_value("round.count", label=label) == trace.num_rounds
@@ -202,8 +202,8 @@ class TestRegistryCounters:
 
 class TestUnifiedResultInterface:
     def test_serial_traces_satisfy_protocol(self, net, protocol):
-        trace = repro.simulate_broadcast(net, protocol, seed=7)
-        gossip = simulate_gossip(net, protocol, seed=7)
+        trace = simulate("broadcast", net, protocol=protocol, seed=7)
+        gossip = simulate("gossip", net, protocol=protocol, seed=7)
         for result in (trace, gossip):
             assert isinstance(result, repro.SimulationResult)
             assert result.num_rounds == len(result.informed_curve()) - 1

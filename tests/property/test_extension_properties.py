@@ -11,6 +11,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro import simulate
 from repro.broadcast.distributed import (
     DecayProtocol,
     EGRandomizedProtocol,
@@ -19,7 +20,7 @@ from repro.broadcast.distributed import (
 )
 from repro.errors import BroadcastIncompleteError
 from repro.faults import LossyLinkModel
-from repro.gossip import GossipDynamics, GossipTrace, MultiMessageDynamics, simulate_gossip
+from repro.gossip import GossipDynamics, GossipTrace, MultiMessageDynamics
 from repro.graphs import gnp
 from repro.graphs.bfs import bfs_distances
 from repro.graphs.geometric import random_geometric
@@ -71,8 +72,8 @@ class TestGossipDifferential:
         # Run the real simulator for exactly `rounds` rounds by setting the
         # budget and swallowing the incomplete error.
         try:
-            trace = simulate_gossip(
-                RadioNetwork(g), proto, seed=seed, max_rounds=rounds
+            trace = simulate(
+                "gossip", RadioNetwork(g), protocol=proto, seed=seed, max_rounds=rounds,
             )
         except BroadcastIncompleteError as exc:
             trace = exc.trace
@@ -204,20 +205,15 @@ class TestMultimessageDifferential:
     @settings(max_examples=40, deadline=None)
     def test_pairs_known_matches_reference(self, params, rate, rounds, k):
         """k-token dynamics against a dict-of-sets oracle."""
-        from repro.gossip import simulate_multimessage
-
         n, p, seed = params
         g = gnp(n, p, seed=seed)
         assume(bool(np.all(bfs_distances(g, 0) >= 0)))
         k = min(k, n)
         sources = list(range(k))
         try:
-            trace = simulate_multimessage(
-                RadioNetwork(g),
-                ObliviousProtocol([rate], name="const"),
-                sources,
-                seed=seed,
-                max_rounds=rounds,
+            trace = simulate(
+                "multimessage", RadioNetwork(g), protocol=ObliviousProtocol([rate], name="const"),
+                sources=sources, seed=seed, max_rounds=rounds,
             )
         except BroadcastIncompleteError as exc:
             trace = exc.trace

@@ -4,18 +4,13 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro import simulate
 from repro.broadcast.centralized import GreedyCoverScheduler
 from repro.broadcast.distributed import UniformProtocol
 from repro.errors import BroadcastIncompleteError
 from repro.graphs import gnp
 from repro.graphs.bfs import bfs_distances
-from repro.radio import (
-    RadioNetwork,
-    Schedule,
-    execute_schedule,
-    simulate_broadcast,
-    verify_schedule,
-)
+from repro.radio import RadioNetwork, Schedule, execute_schedule, verify_schedule
 
 connected_gnp = st.tuples(
     st.integers(min_value=3, max_value=35),
@@ -94,8 +89,9 @@ class TestSimulatorInvariants:
         g, connected = connected_graph(params)
         assume(connected)
         try:
-            trace = simulate_broadcast(
-                RadioNetwork(g), UniformProtocol(q), 0, seed=1, max_rounds=4000
+            trace = simulate(
+                "broadcast", RadioNetwork(g), protocol=UniformProtocol(q), source=0, seed=1,
+                max_rounds=4000,
             )
         except BroadcastIncompleteError:
             assume(False)

@@ -3,28 +3,27 @@
 import numpy as np
 import pytest
 
+from repro import simulate
 from repro.broadcast.distributed import UniformProtocol
 from repro.errors import SimulationError
 from repro.graphs import gnp_connected
-from repro.radio import (
-    RadioNetwork,
-    broadcast_tree,
-    collision_profile,
-    simulate_broadcast,
-    transmission_efficiency,
-)
+from repro.radio import RadioNetwork, broadcast_tree, collision_profile, transmission_efficiency
 from repro.radio.trace import BroadcastTrace
 
 
 @pytest.fixture(scope="module")
 def completed_trace():
     g = gnp_connected(300, 0.06, seed=41)
-    return g, simulate_broadcast(RadioNetwork(g), UniformProtocol(0.1), 0, seed=1)
+    return g, simulate(
+        "broadcast", RadioNetwork(g), protocol=UniformProtocol(0.1), source=0, seed=1,
+    )
 
 
 class TestInformerTracking:
     def test_star_informer_is_hub(self, star10):
-        trace = simulate_broadcast(RadioNetwork(star10), UniformProtocol(1.0), 0, seed=0)
+        trace = simulate(
+            "broadcast", RadioNetwork(star10), protocol=UniformProtocol(1.0), source=0, seed=0,
+        )
         assert np.all(trace.informer[1:] == 0)
         assert trace.informer[0] == -1
 
@@ -126,7 +125,9 @@ class TestProfiles:
         assert transmission_efficiency(trace) == 0.0
 
     def test_star_efficiency_is_n_minus_one(self, star10):
-        trace = simulate_broadcast(RadioNetwork(star10), UniformProtocol(1.0), 0, seed=0)
+        trace = simulate(
+            "broadcast", RadioNetwork(star10), protocol=UniformProtocol(1.0), source=0, seed=0,
+        )
         # One transmission informs all 9 leaves.
         assert transmission_efficiency(trace) == 9.0
 

@@ -7,7 +7,7 @@ Three layers of protection for the engine refactor:
   full trace on a fixed seed, captured from the pre-refactor per-process
   loops.  Any change to RNG consumption, round accounting, or trace
   assembly flips a digest.
-* **Cross-dynamics identities** — ``simulate_multimessage`` with one
+* **Cross-dynamics identities** — ``simulate("multimessage", ...)`` with one
   token is broadcast, round for round.
 * **Driver semantics** — fault-plan gating, registry population, and the
   batch/serial bit-for-bit equivalence of the gossip-family engines.
@@ -19,6 +19,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro import simulate
 from repro.backends import available_backend_names, use_backend
 from repro.broadcast.distributed import DecayProtocol, UniformProtocol
 from repro.errors import BroadcastIncompleteError, InvalidParameterError
@@ -29,23 +30,11 @@ from repro.faults import (
     FaultPlan,
     LossyLinkModel,
     SpuriousNoiseModel,
-    simulate_broadcast_faulty,
 )
-from repro.gossip import (
-    run_gossip_batch,
-    run_multimessage_batch,
-    simulate_gossip,
-    simulate_multimessage,
-)
+from repro.gossip import run_gossip_batch, run_multimessage_batch
 from repro.graphs import gnp_connected, star_graph
-from repro.radio import (
-    DYNAMICS_REGISTRY,
-    FunctionProtocol,
-    RadioNetwork,
-    simulate_broadcast,
-)
+from repro.radio import DYNAMICS_REGISTRY, FunctionProtocol, RadioNetwork
 from repro.rng import spawn_generators
-from repro.singleport import agent_broadcast, push_broadcast, push_pull_broadcast
 
 
 def trace_digest(trace) -> str:
@@ -95,32 +84,37 @@ class TestGoldenTraces:
             yield request.param
 
     def test_gossip_uniform(self, net48):
-        trace = simulate_gossip(net48, UniformProtocol(0.1), seed=6)
+        trace = simulate("gossip", net48, protocol=UniformProtocol(0.1), seed=6)
         assert trace_digest(trace) == "75e19449f4ad97c6"
 
     def test_gossip_decay(self):
-        trace = simulate_gossip(RadioNetwork(star_graph(10)), DecayProtocol(10), seed=4)
+        trace = simulate(
+            "gossip", RadioNetwork(star_graph(10)), protocol=DecayProtocol(10), seed=4,
+        )
         assert trace_digest(trace) == "6533657490c5e8d3"
 
     def test_multimessage_k3(self, net96):
-        trace = simulate_multimessage(net96, UniformProtocol(0.1), [0, 10, 20], seed=4)
+        trace = simulate(
+            "multimessage", net96, protocol=UniformProtocol(0.1), sources=[0, 10, 20], seed=4,
+        )
         assert trace_digest(trace) == "35b0d92d232a164d"
 
     def test_multimessage_k1(self, net96):
-        trace = simulate_multimessage(net96, UniformProtocol(0.1), [0], seed=1)
+        trace = simulate("multimessage", net96, protocol=UniformProtocol(0.1), sources=[0], seed=1)
         assert trace_digest(trace) == "aff7d3328efe0c02"
 
     def test_push(self, g64):
-        assert trace_digest(push_broadcast(g64, 0, seed=7)) == "ddcffa886c2762d7"
+        assert trace_digest(simulate("push", g64, source=0, seed=7)) == "ddcffa886c2762d7"
 
     def test_push_pull(self, g64):
-        assert trace_digest(push_pull_broadcast(g64, 0, seed=8)) == "91d2125dffe0ac4a"
+        assert trace_digest(simulate("push-pull", g64, source=0, seed=8)) == "91d2125dffe0ac4a"
 
     def test_agents(self, g64):
-        assert trace_digest(agent_broadcast(g64, 8, 0, seed=9)) == "349406b9b3da92e6"
+        trace = simulate("agents", g64, num_agents=8, source=0, seed=9)
+        assert trace_digest(trace) == "349406b9b3da92e6"
 
     def test_broadcast(self, net64):
-        trace = simulate_broadcast(net64, UniformProtocol(0.2), seed=3)
+        trace = simulate("broadcast", net64, protocol=UniformProtocol(0.2), seed=3)
         assert trace_digest(trace) == "8e0bcc7de8081ae7"
 
     def test_broadcast_faulty(self, g64, net64):
@@ -133,8 +127,8 @@ class TestGoldenTraces:
             jammer=AdversarialJammer(g64, 3, strategy="random", exclude=[0]),
             noise=SpuriousNoiseModel.random(64, 0.1, 0.2, seed=102, protect=[0]),
         )
-        trace = simulate_broadcast_faulty(
-            net64, DecayProtocol(64), plan=plan, seed=5, max_rounds=2000
+        trace = simulate(
+            "broadcast", net64, protocol=DecayProtocol(64), faults=plan, seed=5, max_rounds=2000,
         )
         assert trace_digest(trace) == "5f8cc7d5132b3f36"
 
@@ -145,8 +139,8 @@ class TestOneTokenIsBroadcast:
     @pytest.mark.parametrize("make_protocol", [lambda: UniformProtocol(0.15), lambda: DecayProtocol(64)])
     @pytest.mark.parametrize("seed", [2, 13])
     def test_round_for_round(self, net64, make_protocol, seed):
-        bcast = simulate_broadcast(net64, make_protocol(), source=5, seed=seed)
-        multi = simulate_multimessage(net64, make_protocol(), [5], seed=seed)
+        bcast = simulate("broadcast", net64, protocol=make_protocol(), source=5, seed=seed)
+        multi = simulate("multimessage", net64, protocol=make_protocol(), sources=[5], seed=seed)
         assert multi.completion_round == bcast.completion_round
         assert [r.num_transmitters for r in multi.records] == [
             r.num_transmitters for r in bcast.records
@@ -183,17 +177,32 @@ class TestDriverSemantics:
             run_dissemination(
                 RadioNetwork(g64), PushDynamics(0), plan=plan, seed=1
             )
+        with pytest.raises(InvalidParameterError, match="fault"):
+            simulate("push", g64, faults=plan, seed=1)
+
+    def test_negative_budget_rejected(self, net64):
+        from repro.radio.dynamics import BroadcastDynamics, run_dissemination, run_lockstep
+
+        with pytest.raises(InvalidParameterError, match="max_rounds"):
+            run_dissemination(
+                net64, BroadcastDynamics(UniformProtocol(0.2), 0), max_rounds=-3,
+                raise_on_incomplete=False,
+            )
+        with pytest.raises(InvalidParameterError, match="max_rounds"):
+            run_lockstep(
+                net64, BroadcastDynamics(UniformProtocol(0.2), 0), repetitions=2, max_rounds=-3,
+            )
 
     def test_null_plan_matches_healthy(self, net48):
-        healthy = simulate_gossip(net48, UniformProtocol(0.1), seed=6)
-        null = simulate_gossip(net48, UniformProtocol(0.1), seed=6, faults=FaultPlan())
+        healthy = simulate("gossip", net48, protocol=UniformProtocol(0.1), seed=6)
+        null = simulate("gossip", net48, protocol=UniformProtocol(0.1), seed=6, faults=FaultPlan())
         assert trace_digest(null) == trace_digest(healthy)
 
     def test_multimessage_source_validation(self, net64):
         with pytest.raises(InvalidParameterError):
-            simulate_multimessage(net64, UniformProtocol(0.1), [], seed=1)
+            simulate("multimessage", net64, protocol=UniformProtocol(0.1), sources=[], seed=1)
         with pytest.raises(InvalidParameterError):
-            simulate_multimessage(net64, UniformProtocol(0.1), [0, 99], seed=1)
+            simulate("multimessage", net64, protocol=UniformProtocol(0.1), sources=[0, 99], seed=1)
 
 
 class TestGossipUnderFaults:
@@ -203,8 +212,8 @@ class TestGossipUnderFaults:
         plan = FaultPlan(
             crashes=CrashSchedule.random(48, 0.15, 20, seed=7, protect=[0])
         )
-        trace = simulate_gossip(
-            net48, UniformProtocol(0.1), seed=3, faults=plan, max_rounds=5000
+        trace = simulate(
+            "gossip", net48, protocol=UniformProtocol(0.1), seed=3, faults=plan, max_rounds=5000,
         )
         # Dead nodes' rumors are excluded from the deliverable set; the
         # run completes relative to the surviving target.
@@ -217,19 +226,15 @@ class TestGossipUnderFaults:
             links=LossyLinkModel(g64, 0.95),
             noise=SpuriousNoiseModel.random(64, 0.05, 0.1, seed=22, protect=[0, 7]),
         )
-        trace = simulate_multimessage(
-            net64,
-            UniformProtocol(0.15),
-            [0, 7],
-            seed=9,
-            faults=plan,
-            max_rounds=8000,
+        trace = simulate(
+            "multimessage", net64, protocol=UniformProtocol(0.15), sources=[0, 7], seed=9,
+            faults=plan, max_rounds=8000,
         )
         assert trace.completed
 
     def test_incomplete_gossip_keeps_trace(self, net48):
         with pytest.raises(BroadcastIncompleteError) as exc_info:
-            simulate_gossip(net48, UniformProtocol(0.1), seed=6, max_rounds=3)
+            simulate("gossip", net48, protocol=UniformProtocol(0.1), seed=6, max_rounds=3)
         trace = exc_info.value.trace
         assert trace is not None and trace.num_rounds == 3
         assert trace.knowledge_counts is not None
@@ -249,7 +254,7 @@ class TestBatchSerialEquivalence:
             with_first_complete=True,
         )
         for r, rng in enumerate(spawn_generators(seed, reps)):
-            trace = simulate_gossip(net48, make_protocol(), seed=rng)
+            trace = simulate("gossip", net48, protocol=make_protocol(), seed=rng)
             assert batch.completion_rounds[r] == trace.completion_round
             assert (
                 batch.first_complete_rounds[r]
@@ -262,7 +267,9 @@ class TestBatchSerialEquivalence:
             net96, UniformProtocol(0.1), sources, repetitions=reps, seed=seed
         )
         for r, rng in enumerate(spawn_generators(seed, reps)):
-            trace = simulate_multimessage(net96, UniformProtocol(0.1), sources, seed=rng)
+            trace = simulate(
+                "multimessage", net96, protocol=UniformProtocol(0.1), sources=sources, seed=rng,
+            )
             assert batch.completion_rounds[r] == trace.completion_round
 
     def test_budget_miss_reports_fractions(self, net48):

@@ -1,22 +1,17 @@
-"""Unit tests for the broadcast simulation driver."""
+"""Unit tests for single-trial broadcast through ``simulate("broadcast", ...)``."""
 
 import numpy as np
 import pytest
 
+from repro import simulate
 from repro.errors import (
     BroadcastIncompleteError,
     DisconnectedGraphError,
     InvalidParameterError,
 )
+from repro.experiments.runner import protocol_times
 from repro.graphs import Adjacency
-from repro.radio import (
-    FunctionProtocol,
-    RadioNetwork,
-    broadcast_time,
-    default_round_cap,
-    repeat_broadcast,
-    simulate_broadcast,
-)
+from repro.radio import FunctionProtocol, RadioNetwork, default_round_cap
 
 
 def always_transmit():
@@ -35,12 +30,12 @@ def never_transmit():
 
 class TestSimulateBroadcast:
     def test_star_completes_in_one_round(self, star10):
-        trace = simulate_broadcast(RadioNetwork(star10), always_transmit(), 0)
+        trace = simulate("broadcast", RadioNetwork(star10), protocol=always_transmit(), source=0)
         assert trace.completed
         assert trace.completion_round == 1
 
     def test_path_flood(self, path5):
-        trace = simulate_broadcast(RadioNetwork(path5), always_transmit(), 0)
+        trace = simulate("broadcast", RadioNetwork(path5), protocol=always_transmit(), source=0)
         # Flooding a path: the frontier advances one hop per round
         # (behind-the-frontier transmitters collide only at informed nodes).
         assert trace.completed
@@ -48,8 +43,9 @@ class TestSimulateBroadcast:
 
     def test_stalled_protocol_raises_with_trace(self, path5):
         with pytest.raises(BroadcastIncompleteError) as exc:
-            simulate_broadcast(
-                RadioNetwork(path5), never_transmit(), 0, max_rounds=10
+            simulate(
+                "broadcast", RadioNetwork(path5), protocol=never_transmit(), source=0,
+                max_rounds=10,
             )
         assert exc.value.trace is not None
         assert exc.value.trace.num_informed == 1
@@ -57,20 +53,20 @@ class TestSimulateBroadcast:
     def test_disconnected_raises_early(self):
         g = Adjacency.from_edges(4, [(0, 1), (2, 3)])
         with pytest.raises(DisconnectedGraphError):
-            simulate_broadcast(RadioNetwork(g), always_transmit(), 0)
+            simulate("broadcast", RadioNetwork(g), protocol=always_transmit(), source=0)
 
     def test_check_connected_can_be_skipped(self):
         g = Adjacency.from_edges(4, [(0, 1), (2, 3)])
         with pytest.raises(BroadcastIncompleteError):
-            simulate_broadcast(
-                RadioNetwork(g), always_transmit(), 0,
+            simulate(
+                "broadcast", RadioNetwork(g), protocol=always_transmit(), source=0,
                 check_connected=False, max_rounds=5,
             )
 
     def test_source_out_of_range(self, path5):
         # A bad source is a parameter error, not a connectivity property.
         with pytest.raises(InvalidParameterError):
-            simulate_broadcast(RadioNetwork(path5), always_transmit(), 9)
+            simulate("broadcast", RadioNetwork(path5), protocol=always_transmit(), source=9)
 
     def test_uninformed_never_transmit(self, path5):
         seen = []
@@ -80,7 +76,7 @@ class TestSimulateBroadcast:
             return np.ones(informed.size, dtype=bool)
 
         net = RadioNetwork(path5)
-        trace = simulate_broadcast(net, FunctionProtocol(spy), 0)
+        trace = simulate("broadcast", net, protocol=FunctionProtocol(spy), source=0)
         # The simulator masks with informed; transmitters in the trace can
         # never exceed the informed count entering the round.
         for rec, informed in zip(trace.records, seen):
@@ -92,8 +88,8 @@ class TestSimulateBroadcast:
         # protocols avoid.  The partial trace must still be consistent.
         from repro.broadcast.distributed import UniformProtocol
 
-        trace = simulate_broadcast(
-            RadioNetwork(gnp_small), UniformProtocol(0.1), 0, seed=1
+        trace = simulate(
+            "broadcast", RadioNetwork(gnp_small), protocol=UniformProtocol(0.1), source=0, seed=1,
         )
         assert trace.completed
         assert trace.informed_round[0] == 0
@@ -106,9 +102,9 @@ class TestSimulateBroadcast:
         # The motivating pathology: with every informed node transmitting,
         # collisions freeze the frontier and the broadcast never completes.
         with pytest.raises(BroadcastIncompleteError) as exc:
-            simulate_broadcast(
-                RadioNetwork(gnp_small), always_transmit(), 0,
-                seed=1, max_rounds=200,
+            simulate(
+                "broadcast", RadioNetwork(gnp_small), protocol=always_transmit(), source=0, seed=1,
+                max_rounds=200,
             )
         assert 1 < exc.value.trace.num_informed < gnp_small.n
 
@@ -120,7 +116,7 @@ class TestSimulateBroadcast:
                 captured.update(n=n, p=p, source=source)
 
         proto = Probe(lambda t, i, ir, r: np.ones(i.size, dtype=bool))
-        simulate_broadcast(RadioNetwork(star10), proto, 0, p=0.25)
+        simulate("broadcast", RadioNetwork(star10), protocol=proto, source=0, p=0.25)
         assert captured == {"n": 10, "p": 0.25, "source": 0}
 
 
@@ -130,43 +126,22 @@ class TestHelpers:
         assert default_round_cap(2) >= 200
 
     def test_broadcast_time(self, star10):
-        assert broadcast_time(RadioNetwork(star10), always_transmit(), 0) == 1
+        trace = simulate("broadcast", RadioNetwork(star10), protocol=always_transmit())
+        assert trace.completion_round == 1
 
     def test_repeat_broadcast_shapes(self, star10):
-        times = repeat_broadcast(
-            RadioNetwork(star10), always_transmit(), repetitions=4, seed=0
-        )
+        times = protocol_times(RadioNetwork(star10), always_transmit(), repetitions=4, seed=0)
         assert times.shape == (4,)
         assert np.all(times == 1)
 
     def test_repeat_broadcast_rejects_zero_reps(self, star10):
-        with pytest.raises(ValueError):
-            repeat_broadcast(RadioNetwork(star10), always_transmit(), repetitions=0)
+        with pytest.raises(InvalidParameterError, match="repetitions"):
+            protocol_times(RadioNetwork(star10), always_transmit(), repetitions=0, seed=0)
 
     def test_repeat_broadcast_deterministic(self, gnp_small):
         from repro.broadcast.distributed import UniformProtocol
 
         net = RadioNetwork(gnp_small)
-        a = repeat_broadcast(net, UniformProtocol(0.1), repetitions=3, seed=5)
-        b = repeat_broadcast(net, UniformProtocol(0.1), repetitions=3, seed=5)
+        a = protocol_times(net, UniformProtocol(0.1), repetitions=3, seed=5)
+        b = protocol_times(net, UniformProtocol(0.1), repetitions=3, seed=5)
         assert np.array_equal(a, b)
-
-
-class TestParallelRepetitions:
-    def test_parallel_matches_serial(self, gnp_small):
-        from repro.broadcast.distributed import UniformProtocol
-
-        net = RadioNetwork(gnp_small)
-        serial = repeat_broadcast(
-            net, UniformProtocol(0.1), repetitions=4, seed=7
-        )
-        parallel = repeat_broadcast(
-            net, UniformProtocol(0.1), repetitions=4, seed=7, n_jobs=2
-        )
-        assert np.array_equal(serial, parallel)
-
-    def test_n_jobs_validation(self, star10):
-        with pytest.raises(ValueError, match="n_jobs"):
-            repeat_broadcast(
-                RadioNetwork(star10), always_transmit(), repetitions=2, n_jobs=0
-            )

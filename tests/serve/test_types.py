@@ -74,6 +74,25 @@ class TestJobSpec:
         with pytest.raises(InvalidParameterError, match="process"):
             JobSpec.from_dict({"graph": dict(GRAPH)})
 
+    def test_cache_key_is_pinned(self):
+        # The integer-field checks must not move a valid spec's address.
+        assert make_spec().cache_key() == (
+            "0fdddaeee6a4d35c3544d5233e704452e34d62446fdb7803fe7c3b7027ec2443"
+        )
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        [("seed", True), ("max_rounds", True), ("max_rounds", -3), ("seed", -1), ("seed", 7.0)],
+    )
+    def test_invalid_integer_fields_rejected_at_parse(self, field, bad):
+        # A bool would run the same job as 1 under another cache key; a
+        # negative seed or budget would fail at execution or cache a
+        # 0-round document.
+        payload = make_spec().to_dict()
+        payload[field] = bad
+        with pytest.raises(InvalidParameterError, match=field):
+            JobSpec.from_dict(payload)
+
     def test_deadline_round_trips(self):
         spec = make_spec(deadline_s=2.5)
         again = JobSpec.from_dict(spec.to_dict())
@@ -107,6 +126,17 @@ class TestSweepSpec:
         assert (
             one.cache_key() != SweepSpec(experiments=("E1",), seed=9).cache_key()
         )
+
+    def test_cache_key_is_pinned(self):
+        spec = SweepSpec(experiments=("E1", "E2"), quick=True, seed=3, jobs=2)
+        assert spec.cache_key() == (
+            "97e9faed3fb48a746586e350098315bd53880b01e41666937ba8cd3eebc4a38d"
+        )
+
+    @pytest.mark.parametrize("field, bad", [("seed", -5), ("seed", True), ("jobs", True)])
+    def test_invalid_integer_fields_rejected_at_parse(self, field, bad):
+        with pytest.raises(InvalidParameterError, match=field):
+            SweepSpec.from_dict({"experiments": ["E1"], field: bad})
 
     def test_needs_experiments(self):
         with pytest.raises(InvalidParameterError, match="experiment"):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import simulate
 from repro.broadcast.distributed import UniformProtocol
 from repro.errors import InvalidParameterError
 from repro.faults import (
@@ -12,7 +13,6 @@ from repro.faults import (
     FaultPlan,
     LossyLinkModel,
     SpuriousNoiseModel,
-    simulate_broadcast_faulty,
 )
 from repro.radio import RadioNetwork
 
@@ -64,10 +64,9 @@ class TestAdversarialJammer:
         # An always-jamming hub never listens, so a leaf source can never
         # deliver to it — and nothing reaches the other leaves through it.
         jam = AdversarialJammer(star10, 1, strategy="degree")
-        trace = simulate_broadcast_faulty(
-            RadioNetwork(star10), flood(), 1,
-            plan=FaultPlan(jammer=jam), seed=0, max_rounds=30,
-            raise_on_incomplete=False,
+        trace = simulate(
+            "broadcast", RadioNetwork(star10), protocol=flood(), source=1,
+            faults=FaultPlan(jammer=jam), seed=0, max_rounds=30, raise_on_incomplete=False,
         )
         assert not trace.completed
         assert trace.num_informed == 1
@@ -80,8 +79,8 @@ class TestAdversarialJammer:
         def mean_time(plan):
             times = []
             for s in range(5):
-                tr = simulate_broadcast_faulty(
-                    net, UniformProtocol(0.1), plan=plan, seed=s,
+                tr = simulate(
+                    "broadcast", net, protocol=UniformProtocol(0.1), faults=plan, seed=s,
                     max_rounds=4000,
                 )
                 times.append(tr.completion_round)
@@ -139,9 +138,9 @@ class TestChurnSchedule:
         # Leaf 5 reboots during the flood and loses its state; the hub
         # (still transmitting) re-informs it the round it comes back up.
         churn = ChurnSchedule(10, [(5, 1, 3)])
-        trace = simulate_broadcast_faulty(
-            RadioNetwork(star10), flood(), 0,
-            plan=FaultPlan(churn=churn), seed=0, max_rounds=30,
+        trace = simulate(
+            "broadcast", RadioNetwork(star10), protocol=flood(), source=0,
+            faults=FaultPlan(churn=churn), seed=0, max_rounds=30,
         )
         assert trace.completed
         assert trace.informed_round[5] == 4
@@ -149,9 +148,9 @@ class TestChurnSchedule:
 
     def test_retaining_rejoiner_keeps_state(self, star10):
         churn = ChurnSchedule(10, [(5, 2, 4)], forget_on_recovery=False)
-        trace = simulate_broadcast_faulty(
-            RadioNetwork(star10), flood(), 0,
-            plan=FaultPlan(churn=churn), seed=0, max_rounds=30,
+        trace = simulate(
+            "broadcast", RadioNetwork(star10), protocol=flood(), source=0,
+            faults=FaultPlan(churn=churn), seed=0, max_rounds=30,
         )
         assert trace.completed
         # Informed in round 1, before the interval started; nothing lost.
@@ -199,10 +198,9 @@ class TestSpuriousNoiseModel:
         # The hub is Byzantine with q = 1: every transmission it makes is
         # garbage, so the message never leaves it.
         noise = SpuriousNoiseModel(10, [0], 1.0)
-        trace = simulate_broadcast_faulty(
-            RadioNetwork(star10), flood(), 0,
-            plan=FaultPlan(noise=noise), seed=0, max_rounds=30,
-            raise_on_incomplete=False,
+        trace = simulate(
+            "broadcast", RadioNetwork(star10), protocol=flood(), source=0,
+            faults=FaultPlan(noise=noise), seed=0, max_rounds=30, raise_on_incomplete=False,
         )
         assert not trace.completed
         assert trace.num_informed == 1
@@ -265,8 +263,10 @@ class TestFaultPlan:
         assert mask.sum() == 3
 
     def test_plan_and_components_are_exclusive(self, star10):
-        with pytest.raises(InvalidParameterError, match="not both"):
-            simulate_broadcast_faulty(
-                RadioNetwork(star10), flood(), 0,
-                plan=FaultPlan(), crashes=CrashSchedule.none(10),
+        # Faults arrive as one plan; a loose fault-model keyword beside it
+        # is rejected, not merged.
+        with pytest.raises(InvalidParameterError, match="'crashes'"):
+            simulate(
+                "broadcast", RadioNetwork(star10), protocol=flood(), source=0,
+                faults=FaultPlan(), crashes=CrashSchedule.none(10),
             )

@@ -24,7 +24,7 @@ class TestTopLevelExports:
             "ElsasserGasieniecScheduler",
             "EGRandomizedProtocol",
             "DecayProtocol",
-            "simulate_broadcast",
+            "simulate",
             "gnp",
             "gnm",
         ):
@@ -32,16 +32,12 @@ class TestTopLevelExports:
 
     def test_quickstart_docstring_works(self):
         # The example in the package docstring must actually run.
-        from repro import (
-            EGRandomizedProtocol,
-            RadioNetwork,
-            gnp_connected,
-            simulate_broadcast,
-        )
+        from repro import EGRandomizedProtocol, RadioNetwork, gnp_connected, simulate
 
         g = gnp_connected(500, 0.05, seed=1)
         net = RadioNetwork(g)
-        trace = simulate_broadcast(net, EGRandomizedProtocol(n=500, p=0.05), seed=2)
+        trace = simulate("broadcast", net, protocol=EGRandomizedProtocol(n=500, p=0.05),
+                         seed=2)
         assert trace.completed
 
 
@@ -64,7 +60,6 @@ SUBMODULES = [
     "repro.radio.trace",
     "repro.radio.schedule",
     "repro.radio.protocol",
-    "repro.radio.simulator",
     "repro.broadcast",
     "repro.broadcast.centralized",
     "repro.broadcast.distributed",
@@ -95,7 +90,7 @@ class TestSubmodules:
 
 
 class TestSimulate:
-    """simulate() must reproduce each legacy entry point bit for bit."""
+    """The one front door: dispatch, graph arguments and keyword checks."""
 
     @pytest.fixture(scope="class")
     def net(self):
@@ -120,11 +115,41 @@ class TestSimulate:
             "agents",
         }
 
-    def test_broadcast_matches_legacy(self, net, protocol):
-        legacy = repro.simulate_broadcast(net, protocol, seed=11)
-        unified = repro.simulate("broadcast", net, protocol=protocol, seed=11)
-        assert unified.records == legacy.records
-        assert isinstance(unified, repro.SimulationResult)
+    def test_every_process_returns_a_simulation_result(self, net, protocol):
+        keywords = {
+            "broadcast": {"protocol": protocol},
+            "gossip": {"protocol": protocol},
+            "multimessage": {"protocol": protocol, "sources": [0, 1, 2]},
+            "push": {},
+            "push-pull": {},
+            "agents": {"num_agents": 8},
+        }
+        assert set(keywords) == set(repro.available_dynamics())
+        for name, extra in keywords.items():
+            trace = repro.simulate(name, net, seed=11, **extra)
+            assert isinstance(trace, repro.SimulationResult), name
+            assert trace.completed, name
+
+    def test_unknown_keyword_names_the_accepted_ones(self, net, protocol):
+        with pytest.raises(repro.InvalidParameterError) as info:
+            repro.simulate("gossip", net, protocol=protocol, source=3)
+        message = str(info.value)
+        assert "'source'" in message
+        assert "accepted keywords: protocol, p" in message
+
+    def test_missing_keyword_is_invalid_parameter(self, net):
+        from repro.radio.dynamics import BroadcastDynamics
+
+        for process in ("broadcast", BroadcastDynamics):
+            with pytest.raises(repro.InvalidParameterError, match="protocol"):
+                repro.simulate(process, net)
+
+    def test_negative_budget_rejected(self, net, protocol):
+        with pytest.raises(repro.InvalidParameterError, match="max_rounds"):
+            repro.simulate(
+                "broadcast", net, protocol=protocol, max_rounds=-3,
+                raise_on_incomplete=False,
+            )
 
     def test_backend_kwarg_is_result_invariant(self, net, protocol):
         default = repro.simulate("broadcast", net, protocol=protocol, seed=11)
@@ -148,40 +173,6 @@ class TestSimulate:
             repro.simulate(
                 "broadcast", net, protocol=protocol, seed=11, backend="nope"
             )
-
-    def test_gossip_matches_legacy(self, net, protocol):
-        from repro.gossip import simulate_gossip
-
-        legacy = simulate_gossip(net, protocol, seed=11)
-        unified = repro.simulate("gossip", net, protocol=protocol, seed=11)
-        assert unified.records == legacy.records
-
-    def test_multimessage_matches_legacy(self, net, protocol):
-        from repro.gossip import simulate_multimessage
-
-        legacy = simulate_multimessage(net, protocol, [0, 1, 2], seed=11)
-        unified = repro.simulate(
-            "multimessage", net, protocol=protocol, sources=[0, 1, 2], seed=11
-        )
-        assert unified.records == legacy.records
-
-    def test_push_variants_match_legacy(self, net):
-        from repro.singleport import push_broadcast, push_pull_broadcast
-
-        for name, legacy_fn in (
-            ("push", push_broadcast),
-            ("push-pull", push_pull_broadcast),
-        ):
-            legacy = legacy_fn(net.adj, seed=11)
-            unified = repro.simulate(name, net.adj, seed=11)
-            assert unified.records == legacy.records, name
-
-    def test_agents_matches_legacy(self, net):
-        from repro.singleport import agent_broadcast
-
-        legacy = agent_broadcast(net.adj, 8, seed=11)
-        unified = repro.simulate("agents", net.adj, num_agents=8, seed=11)
-        assert unified.records == legacy.records
 
     def test_graph_params_mapping(self, protocol):
         # {"n", "p", "seed"} samples the same connected G(n, p) the

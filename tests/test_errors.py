@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import simulate
 from repro.errors import (
     BroadcastIncompleteError,
     DisconnectedGraphError,
@@ -52,11 +53,11 @@ class TestBroadcastIncomplete:
     def test_real_usage_has_trace(self, star10):
         import numpy as np
 
-        from repro.radio import FunctionProtocol, RadioNetwork, simulate_broadcast
+        from repro.radio import FunctionProtocol, RadioNetwork
 
         silent = FunctionProtocol(
             lambda t, i, ir, rng: np.zeros(i.size, dtype=bool), name="silent"
         )
         with pytest.raises(BroadcastIncompleteError) as exc:
-            simulate_broadcast(RadioNetwork(star10), silent, 0, max_rounds=3)
+            simulate("broadcast", RadioNetwork(star10), protocol=silent, source=0, max_rounds=3)
         assert exc.value.trace.num_rounds == 3

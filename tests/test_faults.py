@@ -5,13 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from repro import simulate
 from repro.broadcast.distributed import DecayProtocol, UniformProtocol
 from repro.errors import (
     BroadcastIncompleteError,
     DisconnectedGraphError,
     InvalidParameterError,
 )
-from repro.faults import CrashSchedule, LossyLinkModel, simulate_broadcast_faulty
+from repro.faults import CrashSchedule, FaultPlan, LossyLinkModel
 from repro.graphs import gnp_connected
 from repro.radio import RadioNetwork
 
@@ -90,26 +91,28 @@ class TestLossyLinkModel:
 
 class TestFaultySimulator:
     def test_no_faults_equals_normal(self, gnp_medium):
-        from repro.radio import simulate_broadcast
-
         net = RadioNetwork(gnp_medium)
-        a = simulate_broadcast(net, UniformProtocol(0.1), 0, seed=5)
-        b = simulate_broadcast_faulty(net, UniformProtocol(0.1), 0, seed=5)
+        a = simulate("broadcast", net, protocol=UniformProtocol(0.1), source=0, seed=5)
+        b = simulate(
+            "broadcast", net, protocol=UniformProtocol(0.1), source=0, faults=FaultPlan(), seed=5,
+        )
         assert a.completion_round == b.completion_round
 
     def test_completes_with_crashes(self, gnp_medium):
         net = RadioNetwork(gnp_medium)
         crashes = CrashSchedule.random(net.n, 0.15, 40, seed=1, protect=[0])
-        trace = simulate_broadcast_faulty(
-            net, DecayProtocol(net.n), crashes=crashes, seed=2, max_rounds=2000
+        trace = simulate(
+            "broadcast", net, protocol=DecayProtocol(net.n), faults=FaultPlan(crashes=crashes),
+            seed=2, max_rounds=2000,
         )
         assert trace.completed
 
     def test_completes_with_lossy_links(self, gnp_medium):
         net = RadioNetwork(gnp_medium)
         links = LossyLinkModel(gnp_medium, 0.6)
-        trace = simulate_broadcast_faulty(
-            net, DecayProtocol(net.n), links=links, seed=3, max_rounds=4000
+        trace = simulate(
+            "broadcast", net, protocol=DecayProtocol(net.n), faults=FaultPlan(links=links), seed=3,
+            max_rounds=4000,
         )
         assert trace.completed
 
@@ -119,9 +122,9 @@ class TestFaultySimulator:
         crash[0] = -1
         crash[1] = -1
         net = RadioNetwork(star10)
-        trace = simulate_broadcast_faulty(
-            net, UniformProtocol(1.0), 0,
-            crashes=CrashSchedule(crash), seed=4, max_rounds=50,
+        trace = simulate(
+            "broadcast", net, protocol=UniformProtocol(1.0), source=0,
+            faults=FaultPlan(crashes=CrashSchedule(crash)), seed=4, max_rounds=50,
         )
         assert trace.completed  # only hub and leaf 1 needed
 
@@ -129,9 +132,9 @@ class TestFaultySimulator:
         # Hub crashes at round 1: nobody else can ever be informed.
         crash = np.full(10, -1, dtype=np.int64)
         crash[0] = 1
-        trace = simulate_broadcast_faulty(
-            RadioNetwork(star10), UniformProtocol(1.0), 0,
-            crashes=CrashSchedule(crash), seed=5, max_rounds=30,
+        trace = simulate(
+            "broadcast", RadioNetwork(star10), protocol=UniformProtocol(1.0), source=0,
+            faults=FaultPlan(crashes=CrashSchedule(crash)), seed=5, max_rounds=30,
             raise_on_incomplete=False,
         )
         assert not trace.completed
@@ -140,30 +143,30 @@ class TestFaultySimulator:
         crash = np.full(10, -1, dtype=np.int64)
         crash[0] = 1
         with pytest.raises(BroadcastIncompleteError):
-            simulate_broadcast_faulty(
-                RadioNetwork(star10), UniformProtocol(1.0), 0,
-                crashes=CrashSchedule(crash), seed=6, max_rounds=30,
+            simulate(
+                "broadcast", RadioNetwork(star10), protocol=UniformProtocol(1.0), source=0,
+                faults=FaultPlan(crashes=CrashSchedule(crash)), seed=6, max_rounds=30,
             )
 
     def test_schedule_size_mismatch_is_parameter_error(self, star10):
         with pytest.raises(InvalidParameterError, match="covers"):
-            simulate_broadcast_faulty(
-                RadioNetwork(star10), UniformProtocol(1.0), 0,
-                crashes=CrashSchedule.none(9),
+            simulate(
+                "broadcast", RadioNetwork(star10), protocol=UniformProtocol(1.0), source=0,
+                faults=FaultPlan(crashes=CrashSchedule.none(9)),
             )
 
     def test_source_out_of_range_is_parameter_error(self, star10):
         with pytest.raises(InvalidParameterError, match="out of range"):
-            simulate_broadcast_faulty(RadioNetwork(star10), UniformProtocol(1.0), 99)
+            simulate("broadcast", RadioNetwork(star10), protocol=UniformProtocol(1.0), source=99)
 
     def test_everyone_crashes_except_protected_source(self, star10):
         # crash_fraction = 1.0 with a protected source: the completion
         # target shrinks to the survivors, so the run still "completes".
         crashes = CrashSchedule.random(10, 1.0, 5, seed=1, protect=[0])
         assert crashes.num_crashes() == 9
-        trace = simulate_broadcast_faulty(
-            RadioNetwork(star10), UniformProtocol(1.0), 0,
-            crashes=crashes, seed=2, max_rounds=50,
+        trace = simulate(
+            "broadcast", RadioNetwork(star10), protocol=UniformProtocol(1.0), source=0,
+            faults=FaultPlan(crashes=crashes), seed=2, max_rounds=50,
         )
         assert trace.completed
 
@@ -171,13 +174,12 @@ class TestFaultySimulator:
         # reliability = 1.0 goes down the fault path but must reproduce
         # the healthy simulator exactly: same seed, same per-round
         # records, same informed rounds (RNG stream parity).
-        from repro.radio import simulate_broadcast
-
         net = RadioNetwork(gnp_small)
         links = LossyLinkModel(gnp_small, 1.0)
-        a = simulate_broadcast(net, UniformProtocol(0.1), 0, seed=11)
-        b = simulate_broadcast_faulty(
-            net, UniformProtocol(0.1), 0, links=links, seed=11
+        a = simulate("broadcast", net, protocol=UniformProtocol(0.1), source=0, seed=11)
+        b = simulate(
+            "broadcast", net, protocol=UniformProtocol(0.1), source=0,
+            faults=FaultPlan(links=links), seed=11,
         )
         assert a.records == b.records
         assert np.array_equal(a.informed_round, b.informed_round)
@@ -188,9 +190,9 @@ class TestFaultySimulator:
         links = LossyLinkModel(gnp_small, 0.7, asymmetric=True)
 
         def run():
-            return simulate_broadcast_faulty(
-                net, DecayProtocol(net.n), links=links, seed=9,
-                max_rounds=4000, raise_on_incomplete=False,
+            return simulate(
+                "broadcast", net, protocol=DecayProtocol(net.n), faults=FaultPlan(links=links),
+                seed=9, max_rounds=4000, raise_on_incomplete=False,
             )
 
         a, b = run(), run()
@@ -202,9 +204,9 @@ class TestFaultySimulator:
 
         g = Adjacency.from_edges(4, [(0, 1), (2, 3)])
         with pytest.raises(DisconnectedGraphError):
-            simulate_broadcast_faulty(RadioNetwork(g), UniformProtocol(1.0), 0)
-        trace = simulate_broadcast_faulty(
-            RadioNetwork(g), UniformProtocol(1.0), 0,
+            simulate("broadcast", RadioNetwork(g), protocol=UniformProtocol(1.0), source=0)
+        trace = simulate(
+            "broadcast", RadioNetwork(g), protocol=UniformProtocol(1.0), source=0,
             check_connected=False, max_rounds=5, raise_on_incomplete=False,
         )
         assert not trace.completed
@@ -218,8 +220,9 @@ class TestFaultySimulator:
         def mean_time(links):
             times = []
             for s in range(5):
-                tr = simulate_broadcast_faulty(
-                    net, DecayProtocol(n), links=links, seed=s, max_rounds=4000
+                tr = simulate(
+                    "broadcast", net, protocol=DecayProtocol(n), faults=FaultPlan(links=links),
+                    seed=s, max_rounds=4000,
                 )
                 times.append(tr.completion_round)
             return np.mean(times)

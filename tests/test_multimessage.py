@@ -4,16 +4,12 @@
 import numpy as np
 import pytest
 
+from repro import simulate
 from repro.broadcast.distributed import UniformProtocol
 from repro.errors import (
     BroadcastIncompleteError,
     DisconnectedGraphError,
     InvalidParameterError,
-)
-from repro.gossip import (
-    multimessage_time,
-    simulate_gossip,
-    simulate_multimessage,
 )
 from repro.graphs import Adjacency, gnp_connected
 from repro.radio import RadioNetwork
@@ -27,8 +23,8 @@ def small_net():
 
 class TestSimulateMultimessage:
     def test_single_token_is_broadcast(self, small_net):
-        trace = simulate_multimessage(
-            small_net, UniformProtocol(0.1), [0], seed=1
+        trace = simulate(
+            "multimessage", small_net, protocol=UniformProtocol(0.1), sources=[0], seed=1,
         )
         assert trace.completed
         assert trace.tokens == 1
@@ -38,10 +34,11 @@ class TestSimulateMultimessage:
         # k = n with sources = identity reproduces gossip exactly (same
         # dynamics; same rng draw pattern).
         n = small_net.n
-        a = simulate_multimessage(
-            small_net, UniformProtocol(0.1), np.arange(n), seed=2, max_rounds=20000
+        a = simulate(
+            "multimessage", small_net, protocol=UniformProtocol(0.1), sources=np.arange(n), seed=2,
+            max_rounds=20000,
         )
-        b = simulate_gossip(small_net, UniformProtocol(0.1), seed=2, max_rounds=20000)
+        b = simulate("gossip", small_net, protocol=UniformProtocol(0.1), seed=2, max_rounds=20000)
         assert a.completion_round == b.completion_round
 
     def test_monotone_in_k(self, small_net):
@@ -52,10 +49,10 @@ class TestSimulateMultimessage:
                 rng = np.random.default_rng(s)
                 srcs = rng.choice(small_net.n, size=k, replace=False)
                 out.append(
-                    multimessage_time(
-                        small_net, UniformProtocol(0.1), srcs,
+                    simulate(
+                        "multimessage", small_net, protocol=UniformProtocol(0.1), sources=srcs,
                         seed=s, max_rounds=20000,
-                    )
+                    ).completion_round
                 )
             return np.mean(out)
 
@@ -63,23 +60,24 @@ class TestSimulateMultimessage:
 
     def test_duplicate_sources_allowed(self, small_net):
         # One node holding two tokens is legal.
-        trace = simulate_multimessage(
-            small_net, UniformProtocol(0.1), [5, 5], seed=3
+        trace = simulate(
+            "multimessage", small_net, protocol=UniformProtocol(0.1), sources=[5, 5], seed=3,
         )
         assert trace.completed
         assert trace.tokens == 2
 
     def test_knowledge_monotone(self, small_net):
-        trace = simulate_multimessage(
-            small_net, UniformProtocol(0.1), [0, 10, 20], seed=4
+        trace = simulate(
+            "multimessage", small_net, protocol=UniformProtocol(0.1), sources=[0, 10, 20], seed=4,
         )
         assert np.all(np.diff(trace.knowledge_curve()) >= 0)
         assert trace.knowledge_curve()[0] == 3
 
     def test_star_two_tokens(self, star10):
         net = RadioNetwork(star10)
-        trace = simulate_multimessage(
-            net, UniformProtocol(0.3), [1, 2], seed=5, max_rounds=5000
+        trace = simulate(
+            "multimessage", net, protocol=UniformProtocol(0.3), sources=[1, 2], seed=5,
+            max_rounds=5000,
         )
         assert trace.completed
         # Leaf tokens must cross the hub: at least 3 rounds.
@@ -87,21 +85,24 @@ class TestSimulateMultimessage:
 
     def test_validation(self, small_net):
         with pytest.raises(InvalidParameterError):
-            simulate_multimessage(small_net, UniformProtocol(0.1), [])
+            simulate("multimessage", small_net, protocol=UniformProtocol(0.1), sources=[])
         with pytest.raises(InvalidParameterError):
-            simulate_multimessage(small_net, UniformProtocol(0.1), [small_net.n])
+            simulate(
+                "multimessage", small_net, protocol=UniformProtocol(0.1), sources=[small_net.n],
+            )
         with pytest.raises(InvalidParameterError):
-            simulate_multimessage(small_net, UniformProtocol(0.1), [-1])
+            simulate("multimessage", small_net, protocol=UniformProtocol(0.1), sources=[-1])
 
     def test_disconnected_rejected(self):
         g = Adjacency.from_edges(4, [(0, 1), (2, 3)])
         with pytest.raises(DisconnectedGraphError):
-            simulate_multimessage(RadioNetwork(g), UniformProtocol(0.5), [0])
+            simulate("multimessage", RadioNetwork(g), protocol=UniformProtocol(0.5), sources=[0])
 
     def test_budget_exhaustion(self, small_net):
         with pytest.raises(BroadcastIncompleteError) as exc:
-            simulate_multimessage(
-                small_net, UniformProtocol(0.05), [0, 1], seed=6, max_rounds=2
+            simulate(
+                "multimessage", small_net, protocol=UniformProtocol(0.05), sources=[0, 1], seed=6,
+                max_rounds=2,
             )
         assert exc.value.trace.tokens == 2
         assert not exc.value.trace.completed
@@ -109,12 +110,17 @@ class TestSimulateMultimessage:
     def test_only_holders_transmit(self, path5):
         # With one token at node 0, round 1 can only feature node 0.
         net = RadioNetwork(path5)
-        trace = simulate_multimessage(
-            net, UniformProtocol(1.0), [0], seed=7, max_rounds=100
+        trace = simulate(
+            "multimessage", net, protocol=UniformProtocol(1.0), sources=[0], seed=7,
+            max_rounds=100,
         )
         assert trace.records[0].num_transmitters == 1
 
     def test_deterministic_given_seed(self, small_net):
-        a = multimessage_time(small_net, UniformProtocol(0.1), [0, 7], seed=8)
-        b = multimessage_time(small_net, UniformProtocol(0.1), [0, 7], seed=8)
+        a = simulate(
+            "multimessage", small_net, protocol=UniformProtocol(0.1), sources=[0, 7], seed=8,
+        ).completion_round
+        b = simulate(
+            "multimessage", small_net, protocol=UniformProtocol(0.1), sources=[0, 7], seed=8,
+        ).completion_round
         assert a == b

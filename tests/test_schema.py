@@ -20,10 +20,9 @@ from repro import (
     gnp_connected,
     result_from_dict,
     simulate,
-    simulate_broadcast,
 )
 from repro.errors import ReproError
-from repro.gossip import run_gossip_batch, simulate_gossip
+from repro.gossip import run_gossip_batch
 from repro.radio.engine import run_broadcast_batch
 from repro.schema import canonical_json, decode_curve, encode_curve
 
@@ -49,7 +48,7 @@ def wire_round_trip(result):
 
 class TestBroadcastTraceRoundTrip:
     def test_round_trip_equality(self, net, protocol):
-        trace = simulate_broadcast(net, protocol, seed=5)
+        trace = simulate("broadcast", net, protocol=protocol, seed=5)
         again = wire_round_trip(trace)
         assert again.completed == trace.completed
         assert again.num_rounds == trace.num_rounds
@@ -59,14 +58,14 @@ class TestBroadcastTraceRoundTrip:
         )
 
     def test_schema_version_pinned(self, net, protocol):
-        doc = simulate_broadcast(net, protocol, seed=5).to_dict()
+        doc = simulate("broadcast", net, protocol=protocol, seed=5).to_dict()
         assert doc["schema_version"] == RESULT_SCHEMA_VERSION
         assert doc["kind"] == "broadcast-trace"
 
 
 class TestGossipTraceRoundTrip:
     def test_round_trip_equality(self, net, protocol):
-        trace = simulate_gossip(net, protocol, seed=5)
+        trace = simulate("gossip", net, protocol=protocol, seed=5)
         again = wire_round_trip(trace)
         assert again.completed == trace.completed
         assert again.num_rounds == trace.num_rounds
@@ -134,7 +133,7 @@ class TestDispatcher:
             )
 
     def test_wrong_version_rejected(self, net, protocol):
-        doc = simulate_broadcast(net, protocol, seed=5).to_dict()
+        doc = simulate("broadcast", net, protocol=protocol, seed=5).to_dict()
         doc["schema_version"] = RESULT_SCHEMA_VERSION + 1
         with pytest.raises(ReproError, match="schema_version"):
             result_from_dict(doc)

@@ -5,35 +5,35 @@ import math
 import numpy as np
 import pytest
 
+from repro import simulate
 from repro.errors import (
     BroadcastIncompleteError,
     DisconnectedGraphError,
     InvalidParameterError,
 )
 from repro.graphs import Adjacency, complete_graph, path_graph
-from repro.singleport import push_broadcast, push_pull_broadcast
 
 
 class TestPush:
     def test_completes_on_star(self, star10):
-        trace = push_broadcast(star10, 0, seed=0)
+        trace = simulate("push", star10, source=0, seed=0)
         assert trace.completed
         # Hub informs one leaf per round: at least 9 rounds.
         assert trace.completion_round >= 9
 
     def test_completes_on_gnp(self, gnp_medium):
-        trace = push_broadcast(gnp_medium, 0, seed=1)
+        trace = simulate("push", gnp_medium, source=0, seed=1)
         assert trace.completed
 
     def test_no_collisions_ever(self, gnp_medium):
-        trace = push_broadcast(gnp_medium, 0, seed=2)
+        trace = simulate("push", gnp_medium, source=0, seed=2)
         assert trace.total_collisions == 0
 
     def test_time_order_log_n_on_clique(self):
         # On K_n push completes in log2 n + ln n + O(1) w.h.p.
         n = 256
         g = complete_graph(n)
-        times = [push_broadcast(g, 0, seed=s).completion_round for s in range(5)]
+        times = [simulate("push", g, source=0, seed=s).completion_round for s in range(5)]
         reference = math.log2(n) + math.log(n)
         assert np.mean(times) < 2 * reference
         assert np.mean(times) > 0.5 * reference
@@ -41,54 +41,54 @@ class TestPush:
     def test_disconnected_raises(self):
         g = Adjacency.from_edges(4, [(0, 1), (2, 3)])
         with pytest.raises(DisconnectedGraphError):
-            push_broadcast(g, 0)
+            simulate("push", g, source=0)
 
     def test_source_out_of_range(self, path5):
         # A bad source id is a parameter error, not a graph property.
         with pytest.raises(InvalidParameterError):
-            push_broadcast(path5, 9)
+            simulate("push", path5, source=9)
         with pytest.raises(InvalidParameterError):
-            push_pull_broadcast(path5, -1)
+            simulate("push-pull", path5, source=-1)
 
     def test_budget_exhaustion(self, path5):
         # A path of 5 with tiny budget: push advances ~1 hop/round.
         with pytest.raises(BroadcastIncompleteError):
-            push_broadcast(path_graph(200), 0, seed=3, max_rounds=5)
+            simulate("push", path_graph(200), source=0, seed=3, max_rounds=5)
 
     def test_deterministic_given_seed(self, gnp_small):
-        a = push_broadcast(gnp_small, 0, seed=9).completion_round
-        b = push_broadcast(gnp_small, 0, seed=9).completion_round
+        a = simulate("push", gnp_small, source=0, seed=9).completion_round
+        b = simulate("push", gnp_small, source=0, seed=9).completion_round
         assert a == b
 
     def test_monotone_informed_curve(self, gnp_small):
-        trace = push_broadcast(gnp_small, 0, seed=4)
+        trace = simulate("push", gnp_small, source=0, seed=4)
         assert np.all(np.diff(trace.informed_curve()) >= 0)
 
 
 class TestPushPull:
     def test_completes(self, gnp_medium):
-        trace = push_pull_broadcast(gnp_medium, 0, seed=5)
+        trace = simulate("push-pull", gnp_medium, source=0, seed=5)
         assert trace.completed
 
     def test_faster_than_push_on_star(self, star10):
         # Pull lets every leaf call the hub in round 1: two rounds total
         # (vs ~n for push).
-        pp = push_pull_broadcast(star10, 0, seed=6).completion_round
-        p = push_broadcast(star10, 0, seed=6).completion_round
+        pp = simulate("push-pull", star10, source=0, seed=6).completion_round
+        p = simulate("push", star10, source=0, seed=6).completion_round
         assert pp <= 3
         assert pp < p
 
     def test_faster_or_equal_on_gnp(self, gnp_medium):
         pp = np.mean(
-            [push_pull_broadcast(gnp_medium, 0, seed=s).completion_round for s in range(4)]
+            [simulate("push-pull", gnp_medium, source=0, seed=s).completion_round for s in range(4)]
         )
         p = np.mean(
-            [push_broadcast(gnp_medium, 0, seed=s).completion_round for s in range(4)]
+            [simulate("push", gnp_medium, source=0, seed=s).completion_round for s in range(4)]
         )
         assert pp <= p
 
     def test_single_node(self):
         g = Adjacency.empty(1)
-        trace = push_broadcast(g, 0, seed=0)
+        trace = simulate("push", g, source=0, seed=0)
         assert trace.completed
         assert trace.num_rounds == 0
