@@ -1,11 +1,12 @@
 """Smoke tests for the example scripts.
 
-Every example is fast (about 1-5 s) and runs end-to-end as a subprocess,
-so the documented entry points stay genuinely executable: running a
-script also compiles it and resolves its imports.
+All examples must compile (cheap API-drift detector), and every example
+is fast (about 1-5 s) and runs end-to-end as a subprocess, so the
+documented entry points stay genuinely executable.
 """
 
 import pathlib
+import py_compile
 import subprocess
 import sys
 
@@ -19,6 +20,11 @@ def test_examples_directory_populated():
     names = {p.name for p in ALL_EXAMPLES}
     assert "quickstart.py" in names
     assert len(names) >= 6
+
+
+@pytest.mark.parametrize("path", ALL_EXAMPLES, ids=lambda p: p.name)
+def test_example_compiles(path):
+    py_compile.compile(str(path), doraise=True)
 
 
 @pytest.mark.parametrize("path", ALL_EXAMPLES, ids=lambda p: p.name)
