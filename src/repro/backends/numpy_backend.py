@@ -31,7 +31,11 @@ directory with ``REPRO_CACHE_DIR``) so fresh processes — every serve
 worker, every fabric worker — skip the probe; the entry is keyed by
 numpy version and re-measured when numpy changes.  Calibration affects
 only *which* path runs — both paths return identical integer counts —
-so it never perturbs trajectories or digests.
+so it never perturbs trajectories or digests.  The broadcast sweeps'
+rounds with many transmissions never reach this backend:
+:meth:`~repro.radio.model.RadioNetwork.step_batch` sends them to the
+bit-sliced reception kernel (:mod:`repro.radio.bitslice`) first, so the
+crossover steers only the rounds left to the counts kernel.
 """
 
 from __future__ import annotations

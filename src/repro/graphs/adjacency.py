@@ -63,6 +63,7 @@ class Adjacency:
         "_degrees",
         "_mask_buf",
         "_gather_arange",
+        "_slots",
         "_dense_buf",
         "_connected",
         "__weakref__",
@@ -81,6 +82,7 @@ class Adjacency:
         self._degrees: np.ndarray | None = None
         self._mask_buf: np.ndarray | None = None
         self._gather_arange: np.ndarray | None = None
+        self._slots: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._dense_buf: np.ndarray | None = None
         self._connected: bool | None = None
 
@@ -336,6 +338,34 @@ class Adjacency:
                 f"masks must have shape ({self.n}, R), got {masks.shape}"
             )
         return get_backend().neighbor_counts_batch(self, masks)
+
+    def slot_layout(self) -> tuple[IntArray, IntArray, IntArray]:
+        """Neighbour lists regrouped by slot, over degree-sorted rows (cached).
+
+        Returns ``(position, offsets, neighbours)``.  Rows are sorted by
+        descending degree (ties by id) and ``position[v]`` is node ``v``'s
+        place in that order.  The rows that have a ``k``-th neighbour are
+        then a prefix of the order: ``neighbours[offsets[k]:offsets[k + 1]]``
+        holds the ``k``-th neighbour of each of them.  The bit-sliced batched
+        reception kernel (:mod:`repro.radio.bitslice`) walks these slots,
+        one gather per slot.
+        """
+        if self._slots is None:
+            n, degs = self.n, self.degrees
+            order = np.argsort(-degs, kind="stable")
+            position = np.empty(n, dtype=np.intp)
+            position[order] = np.arange(n, dtype=np.intp)
+            rows_with = n - np.cumsum(np.bincount(degs, minlength=self.max_degree + 1))
+            offsets = np.zeros(self.max_degree + 1, dtype=np.intp)
+            np.cumsum(rows_with[:-1], out=offsets[1:])
+            row = np.repeat(np.arange(n, dtype=np.intp), degs)
+            slot = np.arange(self._indices.size, dtype=np.intp) - self._indptr[row]
+            neighbours = np.empty(self._indices.size, dtype=np.intp)
+            neighbours[offsets[slot] + position[row]] = self._indices
+            for arr in (position, offsets, neighbours):
+                arr.flags.writeable = False
+            self._slots = (position, offsets, neighbours)
+        return self._slots
 
     def neighborhood_of(self, nodes: IntArray | Sequence[int]) -> IntArray:
         """Sorted unique union of neighbours of ``nodes`` (may include ``nodes``)."""

@@ -14,12 +14,15 @@ distributed protocols both reduce to a sequence of transmitter masks fed to
 from __future__ import annotations
 
 from dataclasses import dataclass
+from time import perf_counter
 
 import numpy as np
 
 from .._typing import BoolArray, IntArray
 from ..errors import GraphError, SimulationError
 from ..graphs.adjacency import Adjacency
+from ..obs import current_observer
+from .bitslice import bits_path_pays, bitsliced_reception, scatter_work
 
 __all__ = ["RadioNetwork", "StepResult", "BatchStepResult", "reception_rule"]
 
@@ -114,8 +117,10 @@ class RadioNetwork:
         if adj.n == 0:
             raise GraphError("radio network needs at least one node")
         self.adj = adj
-        bits = adj.max_degree.bit_length()
-        self._shift = bits if adj.max_degree * (1 + (adj.n << bits)) < 2**63 else None
+        max_degree = adj.max_degree
+        bits = max_degree.bit_length()
+        self._shift = bits if max_degree * (1 + (adj.n << bits)) < 2**63 else None
+        self._gate_args = (adj.indices.size, max_degree, adj.n)
         self._ids = np.arange(1, adj.n + 1, dtype=np.int64)
         self._operand = np.empty(adj.n, dtype=np.int64)
 
@@ -225,6 +230,12 @@ class RadioNetwork:
         transmitter ids; the gossip engine reads it to merge knowledge
         rows.
 
+        With ``assume_informed=True`` and no informer, a round whose
+        transmissions are many enough for :func:`~repro.radio.bitslice.bits_path_pays`
+        runs the bit-sliced kernel
+        (:func:`~repro.radio.bitslice.bitsliced_reception`) instead of
+        exact counts.  Its received and collided sets are the same.
+
         Returns
         -------
         BatchStepResult
@@ -233,6 +244,16 @@ class RadioNetwork:
         """
         transmitting = self._check_mask_batch(transmitting, "transmitting")
         informed = self._check_mask_batch(informed, "informed")
+        num_transmitters = (
+            transmitting.sum(axis=0, dtype=np.int64) if with_transmitters else None
+        )
+        if assume_informed and not with_informer and self._bits_pay(transmitting.T):
+            received, collided = self._bitsliced(transmitting.T, with_collided)
+            return BatchStepResult(
+                received=received.T,
+                collided=None if collided is None else collided.T,
+                num_transmitters=num_transmitters,
+            )
         total = self.adj.neighbor_counts_batch(transmitting)
         if assume_informed:
             carrying = transmitting
@@ -263,11 +284,28 @@ class RadioNetwork:
         return BatchStepResult(
             received=received,
             collided=collided,
-            num_transmitters=(
-                transmitting.sum(axis=0, dtype=np.int64) if with_transmitters else None
-            ),
+            num_transmitters=num_transmitters,
             informer=informer,
         )
+
+    def _bits_pay(self, rows: BoolArray) -> bool:
+        """Whether the bit-sliced kernel should run on the ``(R, n)`` rows."""
+        nnz, max_degree, n = self._gate_args
+        reps = rows.shape[0]
+        # Every pair transmitting bounds the work, so small graphs stop here.
+        return bits_path_pays(nnz, max_degree, n, reps, nnz * reps) and bits_path_pays(
+            nnz, max_degree, n, reps, scatter_work(self.adj, rows)
+        )
+
+    def _bitsliced(self, rows: BoolArray, with_collided: bool):
+        obs = current_observer()
+        if obs is None or not obs.active:
+            return bitsliced_reception(self.adj, rows, with_collided=with_collided)
+        t0 = perf_counter()
+        out = bitsliced_reception(self.adj, rows, with_collided=with_collided)
+        obs.observe("kernel.batch_wall_s", perf_counter() - t0, label="bits")
+        obs.inc("kernel.batch_calls", 1, label="bits")
+        return out
 
     def step_reference(self, transmitting: BoolArray, informed: BoolArray) -> StepResult:
         """Pure-Python reference implementation of :meth:`step`.

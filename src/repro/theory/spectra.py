@@ -63,7 +63,10 @@ def _top_two_eigenvalues(adj: Adjacency) -> tuple[float, float]:
     if n <= 64:
         vals = np.linalg.eigvalsh(m.toarray())
         return float(vals[-1]), float(vals[-2])
-    vals = spla.eigsh(m, k=2, which="LA", return_eigenvectors=False, maxiter=5000)
+    # A fixed start vector: ARPACK's default is random per call, which
+    # made the last digits differ from call to call on one graph.
+    v0 = np.random.default_rng(0).random(n)
+    vals = spla.eigsh(m, k=2, which="LA", v0=v0, return_eigenvectors=False, maxiter=5000)
     vals = np.sort(vals)
     return float(vals[-1]), float(vals[-2])
 

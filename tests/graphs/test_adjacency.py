@@ -247,6 +247,17 @@ class TestBatchKernel:
         with pytest.raises(GraphError, match="shape"):
             k5.neighbor_counts_batch(np.zeros(5, dtype=bool))
 
+    def test_slot_layout_regroups_every_row(self, gnp_small):
+        position, offsets, neighbours = gnp_small.slot_layout()
+        assert gnp_small.slot_layout()[2] is neighbours  # cached
+        degs = gnp_small.degrees
+        # Rows by descending degree: slot k holds the rows of degree > k.
+        assert np.all(np.diff(degs[np.argsort(position)]) <= 0)
+        assert np.array_equal(np.diff(offsets), [np.sum(degs > k) for k in range(offsets.size - 1)])
+        for v in range(gnp_small.n):
+            slots = offsets[: degs[v]] + position[v]
+            assert np.array_equal(neighbours[slots], gnp_small.neighbors(v))
+
 
 class TestSubgraph:
     def test_induced_subgraph(self, k5):

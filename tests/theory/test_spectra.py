@@ -80,6 +80,14 @@ class TestSpectralGap:
             1 - math.cos(2 * math.pi / 10), abs=1e-9
         )
 
+    def test_repeated_calls_bit_identical(self):
+        # The sparse (ARPACK) branch starts from a fixed vector, so one
+        # graph gives one gap to the last bit, call after call.
+        n = 512
+        g = gnp_connected(n, 4 * math.log(n) / n, seed=3)
+        gaps = {spectral_gap(g).hex() for _ in range(4)}
+        assert len(gaps) == 1
+
 
 class TestDerivedQuantities:
     def test_algebraic_connectivity_equals_gap(self):
