@@ -213,8 +213,15 @@ class NumpyBackend(KernelBackend):
     # -- kernels --------------------------------------------------------
 
     def _neighbor_counts(self, adj, mask: np.ndarray) -> np.ndarray:
-        # The bool→int cast goes through the adjacency's cached scratch
-        # buffer, so the hot matvec allocates only its output.
+        """Serial counts through the adjacency's cached int64 scratch.
+
+        The bool→int cast goes through ``adj._mask_buf``, so the hot
+        matvec allocates only its output.  The scratch is shared by
+        every caller of one adjacency, so this kernel is not reentrant:
+        two threads counting on one graph at once can read each other's
+        masks.  (``RadioNetwork.arrivals``, the radio round, does not use
+        it.)
+        """
         if adj._mask_buf is None:
             adj._mask_buf = np.empty(adj.n, dtype=np.int64)
         np.copyto(adj._mask_buf, mask, casting="unsafe")
@@ -264,6 +271,11 @@ class NumpyBackend(KernelBackend):
         transposes) lands in one cached scratch buffer instead of a
         fresh per-round allocation.  Already-conforming int64 input is
         used as-is.
+
+        ``adj._dense_buf`` is shared by every caller of one adjacency, so
+        this path is not reentrant: two threads running batched counts on
+        one graph at once can overwrite each other's operand (as can the
+        scatter path's growing ``adj._gather_arange``).
         """
         if masks.dtype == np.int64 and masks.flags.c_contiguous:
             return adj.matrix().dot(masks)

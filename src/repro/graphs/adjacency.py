@@ -6,13 +6,19 @@ form (``indptr`` / ``indices``), which gives
 
 * ``O(1)`` degree lookups and zero-copy neighbour views,
 * a single cached :class:`scipy.sparse.csr_matrix` for the radio round
-  kernel's "count transmitting neighbours" matvec,
+  kernel's "count transmitting neighbours" matvec, built on first use,
 * cheap vectorized frontier expansion for BFS.
 
 Instances are immutable: the underlying arrays are marked read-only, so a
 graph can be shared between a simulator, a scheduler and an experiment
 runner without defensive copies, and derived facts such as connectivity
-are computed once and cached on the instance.
+are computed once and cached on the instance.  One caveat for threads:
+the numpy backend's count kernels (:meth:`Adjacency.neighbor_counts` and
+:meth:`Adjacency.neighbor_counts_batch`) cast their masks into scratch
+buffers cached on the instance, so two threads must not run them on one
+graph at once.  The serial radio round
+(:meth:`~repro.radio.model.RadioNetwork.step`) keeps no scratch and is
+safe to share.
 """
 
 from __future__ import annotations

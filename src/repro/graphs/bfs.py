@@ -14,10 +14,10 @@ from .._typing import IntArray
 from ..errors import GraphError
 from .adjacency import Adjacency
 
-__all__ = ["gather_neighbors", "bfs_distances", "bfs_tree", "bfs_layers_list"]
+__all__ = ["gather_neighbors", "neighbor_targets", "bfs_distances", "bfs_tree", "bfs_layers_list"]
 
 
-def _neighbor_targets(adj: Adjacency, nodes: IntArray) -> tuple[IntArray, IntArray]:
+def neighbor_targets(adj: Adjacency, nodes: IntArray) -> tuple[IntArray, IntArray]:
     """Concatenated neighbour lists of ``nodes`` and each node's list length."""
     indptr, indices = adj.indptr, adj.indices
     starts = indptr[nodes]
@@ -41,7 +41,7 @@ def gather_neighbors(adj: Adjacency, nodes: IntArray) -> tuple[IntArray, IntArra
     multiplicity (e.g. collision counting) rely on that.
     """
     nodes = np.asarray(nodes, dtype=np.int64)
-    targets, lens = _neighbor_targets(adj, nodes)
+    targets, lens = neighbor_targets(adj, nodes)
     if targets.size == 0:
         return targets, np.empty(0, dtype=np.int64)
     return targets, np.repeat(nodes, lens)
@@ -56,7 +56,7 @@ def _expand_frontier(adj: Adjacency, seen: IntArray, frontier: IntArray) -> IntA
     nothing is sorted.  The returned nodes hold scratch values (below
     ``-1``) until the caller marks them.
     """
-    targets, _ = _neighbor_targets(adj, frontier)
+    targets, _ = neighbor_targets(adj, frontier)
     targets = targets[seen[targets] == -1]
     # Each unseen node keeps one of its slots; the occurrence that reads
     # its own slot back is the one that joins the next frontier.

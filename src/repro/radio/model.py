@@ -1,10 +1,14 @@
 """The radio round kernel.
 
 One communication step of the paper's model, fully vectorized: given the
-transmitter mask, one sparse pass counts how many transmissions reach each
-node and sums the ids of the message-carrying senders among them
+transmitter mask, one pass counts how many transmissions reach each node
+and sums the ids of the message-carrying senders among them
 (:meth:`RadioNetwork.arrivals`), and :func:`reception_rule` classifies every
-node into received / collided / silent.
+node into received / collided / silent.  Only the transmitters' edges
+matter, so when they are few (:func:`gather_pays`) the pass gathers just
+their neighbour lists; otherwise it is one CSR matvec over every edge.
+The serial round keeps no scratch state, so threads may :meth:`~RadioNetwork.step`
+one network at once.
 
 The kernel is deliberately free of protocol logic — schedules and
 distributed protocols both reduce to a sequence of transmitter masks fed to
@@ -21,10 +25,11 @@ import numpy as np
 from .._typing import BoolArray, IntArray
 from ..errors import GraphError, SimulationError
 from ..graphs.adjacency import Adjacency
+from ..graphs.bfs import neighbor_targets
 from ..obs import current_observer
 from .bitslice import bits_path_pays, bitsliced_reception, scatter_work
 
-__all__ = ["RadioNetwork", "StepResult", "BatchStepResult", "reception_rule"]
+__all__ = ["RadioNetwork", "StepResult", "BatchStepResult", "reception_rule", "gather_pays"]
 
 
 @dataclass(frozen=True)
@@ -103,6 +108,29 @@ def reception_rule(
     return listening & (total == 1) & (sums > 0), listening & (total >= 2)
 
 
+#: Cost of one gathered neighbour-list entry (two repeats, a gather and
+#: a float scatter-add), in units of one matvec entry.
+GATHER_ENTRY_COST = 8
+#: Fixed cost of one gather call (finding the transmitters, zeroing and
+#: unpacking the ``n``-long output), in the same units.
+GATHER_CALL_COST = 10_000
+#: Graphs with fewer stored entries always take the matvec, and
+#: :class:`RadioNetwork` decides that once, without looking at any
+#: round's transmitters.  Even an empty round saves them less than half a
+#: matvec, and the rounds that do not gather would still pay for finding
+#: their transmitters.
+GATHER_MIN_NNZ = 2 * GATHER_CALL_COST
+
+
+def gather_pays(nnz: int, work: int) -> bool:
+    """Whether one serial round runs the transmitter gather.
+
+    ``work`` is the number of neighbour-list entries the gather reads
+    (the transmitters' degree sum); the matvec reads all ``nnz``.
+    """
+    return nnz >= GATHER_MIN_NNZ and GATHER_ENTRY_COST * work + GATHER_CALL_COST < nnz
+
+
 class RadioNetwork:
     """A radio network over a fixed undirected topology.
 
@@ -122,7 +150,11 @@ class RadioNetwork:
         self._shift = bits if max_degree * (1 + (adj.n << bits)) < 2**63 else None
         self._gate_args = (adj.indices.size, max_degree, adj.n)
         self._ids = np.arange(1, adj.n + 1, dtype=np.int64)
-        self._operand = np.empty(adj.n, dtype=np.int64)
+        # The gather sums float64 weights, exact while every sum is
+        # below 2**53 (which implies the packing fits in int64).
+        self._may_gather = (
+            adj.indices.size >= GATHER_MIN_NNZ and max_degree * (1 + (adj.n << bits)) < 2**53
+        )
 
     @property
     def n(self) -> int:
@@ -170,22 +202,55 @@ class RadioNetwork:
         )
 
     def arrivals(self, transmitting: BoolArray, carrying: BoolArray) -> tuple[IntArray, IntArray]:
-        """Per-node ``(total, sums)`` for one round, in one sparse pass.
+        """Per-node ``(total, sums)`` for one round, exact integers.
 
         ``total[v]`` counts ``v``'s transmitting neighbours and ``sums[v]``
-        adds ``id + 1`` over those that carry the message: where ``total
-        == 1`` it is the sender's id + 1, or 0 if the sender carries
-        nothing.  Both ride in one ``int64`` operand, ``transmitting +
-        (carrying * (id + 1) << b)`` with ``b`` bits enough for any
-        degree, so one CSR matvec yields ``total`` in the low bits and
-        ``sums`` above them.  Graphs where that could overflow take two.
+        adds ``id + 1`` over those that carry the message (``carrying``
+        must lie inside ``transmitting``): where ``total == 1`` it is the
+        sender's id + 1, or 0 if the sender carries nothing.  Both ride
+        in one packed weight, ``1 + (carrying * (id + 1) << b)`` with
+        ``b`` bits enough for any degree, so one pass yields ``total`` in
+        the low bits and ``sums`` above them.
+
+        Only the transmitters' edges matter, so when they are few
+        (:func:`gather_pays`) one ``bincount`` over the transmitters'
+        neighbour lists does the round; otherwise one CSR matvec reads
+        every stored entry.  Graphs where the packing could overflow take
+        two matvecs.  Every path returns the same integers.
         """
-        operand, matrix = self._operand, self.adj.matrix()
-        np.multiply(carrying, self._ids, out=operand)
+        path = "matvec"
+        if self._may_gather:
+            tx = np.flatnonzero(transmitting)
+            if gather_pays(self._gate_args[0], int(self.adj.degrees[tx].sum())):
+                path = "gather"
+        obs = current_observer()
+        if obs is not None:
+            obs.inc("kernel.serial_calls", 1, label=path)
+        if path == "gather":
+            return self._gather(tx, carrying)
+        return self._matvec(transmitting, carrying)
+
+    def _gather(self, tx: IntArray, carrying: BoolArray) -> tuple[IntArray, IntArray]:
+        """:meth:`arrivals` over the neighbour lists of the transmitters ``tx``.
+
+        The weights are ``float64`` and the per-node sums stay below
+        ``2**53`` (checked once in ``__init__``), so the ``bincount`` is
+        exact.
+        """
+        shift = self._shift
+        targets, lens = neighbor_targets(self.adj, tx)
+        weights = np.where(carrying[tx], ((tx + 1) << shift) + 1.0, 1.0)
+        packed = np.bincount(
+            targets, weights=np.repeat(weights, lens), minlength=self.n
+        ).astype(np.int64)
+        return packed & ((1 << shift) - 1), packed >> shift
+
+    def _matvec(self, transmitting: BoolArray, carrying: BoolArray) -> tuple[IntArray, IntArray]:
+        """:meth:`arrivals` as one CSR matvec over every stored entry."""
+        matrix = self.adj.matrix()
+        operand = np.multiply(carrying, self._ids)
         if self._shift is None:
-            sums = matrix.dot(operand)
-            np.copyto(operand, transmitting)
-            return matrix.dot(operand), sums
+            return matrix.dot(transmitting.astype(np.int64)), matrix.dot(operand)
         operand <<= self._shift
         operand += transmitting
         packed = matrix.dot(operand)

@@ -12,6 +12,8 @@ Two load-bearing properties:
   batch-* analogues.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -182,6 +184,26 @@ class TestRegistryCounters:
         )
         assert reg.counter_value("run.count", label=label) == 1
         assert reg.histogram("round.wall_s", label=label).count == trace.num_rounds
+
+    def test_serial_kernel_path_counted(self):
+        # A uniform 1/d broadcast on a graph above the gather's pre-check:
+        # its sparse rounds gather, and counting them changes nothing.
+        n = 4096
+        d = 2 * math.log(n)
+        big = RadioNetwork(gnp_connected(n, d / n, seed=8))
+        proto = UniformProtocol(1 / d)
+        plain = simulate("broadcast", big, protocol=proto, seed=9)
+        traced, obs = observed(simulate, "broadcast", big, protocol=proto, seed=9)
+        reg = obs.registry
+        assert reg.counter_value("kernel.serial_calls", label="gather") > 0
+        assert (
+            reg.counter_value("kernel.serial_calls", label="gather")
+            + reg.counter_value("kernel.serial_calls", label="matvec")
+            == traced.num_rounds
+        )
+        assert traced.records == plain.records
+        assert np.array_equal(traced.informer, plain.informer)
+        assert np.array_equal(traced.informed_round, plain.informed_round)
 
     def test_batch_counters_match_result(self, net, protocol):
         result, obs = observed(

@@ -15,6 +15,7 @@ Three layers of protection for the engine refactor:
 
 import dataclasses
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -131,6 +132,40 @@ class TestGoldenTraces:
             "broadcast", net64, protocol=DecayProtocol(64), faults=plan, seed=5, max_rounds=2000,
         )
         assert trace_digest(trace) == "5f8cc7d5132b3f36"
+
+
+class TestGatherSizedTraces:
+    """Pins on a graph large enough for the serial transmitter gather.
+
+    ``G(4096, 2 ln n/n)`` is above the gather's static pre-check, so its
+    sparse rounds run the gather and its dense ones the matvec, on the
+    healthy path (``RadioNetwork.step``) and on the fault path
+    (``RadioNetwork.arrivals`` with garbage transmitters).  The digests
+    were captured when every serial round was one matvec.
+    """
+
+    @pytest.fixture(scope="class")
+    def net4096(self):
+        n = 4096
+        net = RadioNetwork(gnp_connected(n, 2 * math.log(n) / n, seed=17))
+        assert net._may_gather
+        return net
+
+    def test_broadcast_uniform(self, net4096):
+        d = 2 * math.log(4096)
+        trace = simulate("broadcast", net4096, protocol=UniformProtocol(1 / d), seed=21)
+        assert trace_digest(trace) == "0c8f92114595b47f"
+
+    def test_broadcast_crash_and_garbage(self, net4096):
+        n = net4096.n
+        plan = FaultPlan(
+            crashes=CrashSchedule.random(n, 0.1, 40, seed=22, protect=[0]),
+            noise=SpuriousNoiseModel.random(n, 0.1, 0.3, seed=23, protect=[0]),
+        )
+        trace = simulate(
+            "broadcast", net4096, protocol=DecayProtocol(n), faults=plan, seed=24, max_rounds=2000,
+        )
+        assert trace_digest(trace) == "c6ef25595b498a8b"
 
 
 class TestOneTokenIsBroadcast:

@@ -1,11 +1,15 @@
 """Unit tests for the radio round kernel (collision semantics)."""
 
+import math
+import threading
+
 import numpy as np
 import pytest
 
 from repro.errors import GraphError, SimulationError
-from repro.graphs import Adjacency
+from repro.graphs import Adjacency, gnp_connected
 from repro.radio import RadioNetwork
+from repro.radio.model import gather_pays
 
 
 def masks(n, transmit, informed):
@@ -142,6 +146,50 @@ class TestReferenceAgreement:
             unpacked.arrivals(transmitting, carrying), packed.arrivals(transmitting, carrying)
         ):
             assert np.array_equal(got, want)
+
+
+class TestReentrancy:
+    def test_two_threads_step_one_network(self):
+        # Rounds share no scratch state: two threads stepping one network
+        # see exactly the single-threaded answers, on both kernel paths.
+        n = 4096
+        g = gnp_connected(n, 2 * math.log(n) / n, seed=3)
+        net = RadioNetwork(g)
+        rng = np.random.default_rng(4)
+        rounds = []
+        for density in (0.002, 0.01, 0.02, 0.3, 0.6, 0.9):
+            transmitting = rng.random(n) < density
+            informed = transmitting & (rng.random(n) < 0.8)
+            rounds.append((transmitting, informed))
+        paths = {
+            gather_pays(g.indices.size, int(g.degrees[t].sum())) for t, _ in rounds
+        }
+        assert paths == {True, False}
+        want = [net.step(t, i) for t, i in rounds]
+        start = threading.Barrier(2)
+        mismatches = []
+
+        def worker(order):
+            start.wait()
+            for _ in range(40):
+                for k in order:
+                    got = net.step(*rounds[k])
+                    if not (
+                        np.array_equal(got.received, want[k].received)
+                        and np.array_equal(got.informer, want[k].informer)
+                        and np.array_equal(got.collided, want[k].collided)
+                    ):
+                        mismatches.append(k)
+
+        threads = [
+            threading.Thread(target=worker, args=(order,))
+            for order in (range(len(rounds)), range(len(rounds) - 1, -1, -1))
+        ]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join()
+        assert mismatches == []
 
 
 class TestStepResult:
