@@ -6,7 +6,7 @@ Usage::
     python -m repro dynamics [--only broadcast,gossip]
     python -m repro describe E4
     python -m repro run E4 --full --seed 7
-    python -m repro run E14 --checkpoint ckpt/ --resume
+    python -m repro run-all --jobs 2 --checkpoint ckpt/ --resume
     python -m repro run E4 --trace-out e4.jsonl
     python -m repro run E4 --json > e4.json
     python -m repro run-all --quick --out results.md
@@ -88,14 +88,15 @@ def _sweep_parent() -> argparse.ArgumentParser:
         default=None,
         metavar="DIR",
         help=(
-            "directory for per-sweep JSON checkpoints; honoured by "
-            "sweep-style experiments (currently E14), ignored by the rest"
+            "directory for the sweep's task checkpoint: each finished "
+            "experiment's outcome is recorded there; needs --jobs, "
+            "--fabric or (run-all) --json"
         ),
     )
     parent.add_argument(
         "--resume",
         action="store_true",
-        help="skip trials already recorded in --checkpoint files",
+        help="skip experiments already completed in the --checkpoint directory",
     )
     parent.add_argument(
         "--jobs",
@@ -446,6 +447,13 @@ def _sweep_flag_error(args) -> str | None:
     """First invalid sweep-flag combination, or ``None`` when consistent."""
     if args.resume and not args.checkpoint:
         return "--resume requires --checkpoint"
+    if args.checkpoint and args.jobs is None and args.fabric is None:
+        # The sequential route has no checkpoint.  run-all --json goes
+        # through the supervised executor; run --json does not.
+        if args.command != "run-all":
+            return "--checkpoint requires --jobs or --fabric"
+        if not args.json:
+            return "--checkpoint requires --jobs, --fabric or --json"
     if args.jobs is not None and args.jobs < 1:
         return "--jobs must be >= 1"
     if args.fabric is not None and args.jobs is not None:
@@ -508,13 +516,7 @@ def _finish_observer(obs: Observer | None, trace_out: str | None) -> None:
 def _run_one(spec, args):
     """Dispatch one experiment through the sequential or supervised path."""
     if args.fabric is None and args.jobs is None:
-        return run_experiment(
-            spec.experiment_id,
-            quick=not args.full,
-            seed=args.seed,
-            checkpoint=args.checkpoint,
-            resume=args.resume,
-        )
+        return run_experiment(spec.experiment_id, quick=not args.full, seed=args.seed)
     common = dict(
         quick=not args.full,
         seed=args.seed,
@@ -699,12 +701,6 @@ def main(argv: list[str] | None = None) -> int:
             print(error, file=sys.stderr)
             return 2
         spec = get_experiment(args.experiment)
-        if args.checkpoint and "checkpoint" not in spec.supported_options():
-            print(
-                f"note: {spec.experiment_id} does not support checkpointing; "
-                "--checkpoint/--resume ignored",
-                file=sys.stderr,
-            )
         obs = _make_observer(args)
         start = time.perf_counter()
         try:
@@ -842,12 +838,7 @@ def main(argv: list[str] | None = None) -> int:
             with _observed(obs):
                 for spec in specs:
                     start = time.perf_counter()
-                    result = spec(
-                        quick=not args.full,
-                        seed=args.seed,
-                        checkpoint=args.checkpoint,
-                        resume=args.resume,
-                    )
+                    result = spec(quick=not args.full, seed=args.seed)
                     elapsed = time.perf_counter() - start
                     chunk = _render(result, args.markdown)
                     print(chunk)

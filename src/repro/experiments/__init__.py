@@ -11,11 +11,6 @@ claim (see DESIGN.md §4 for the index).  Usage::
 The benchmark files under ``benchmarks/`` and the CLI both route through
 :func:`run_experiment`.
 
-Long fault sweeps run on the resilient engine
-(:func:`~repro.experiments.resilient.run_resilient_sweep`): per-trial
-retry with fresh derived seeds, JSON checkpoint/resume, and structured
-failure records instead of aborted tables.
-
 Independent sweep configs fan out over worker processes through
 :func:`~repro.experiments.supervisor.run_supervised_sweep`; per-config
 seeds are spawned from the root before scheduling, so results never
@@ -34,13 +29,6 @@ from .catalog import EXPERIMENTS, get_experiment, run_experiment
 from .fabric import run_fabric_sweep, run_worker
 from .parallel import SweepTask, run_catalog_fabric, run_catalog_supervised
 from .report import format_markdown_table, format_table
-from .resilient import (
-    SweepCheckpoint,
-    SweepResult,
-    TrialOutcome,
-    TrialRecord,
-    run_resilient_sweep,
-)
 from .runner import ExperimentResult, aggregate, outcomes_table
 from .supervisor import (
     SweepTaskCheckpoint,
@@ -58,11 +46,6 @@ __all__ = [
     "outcomes_table",
     "format_table",
     "format_markdown_table",
-    "run_resilient_sweep",
-    "SweepResult",
-    "SweepCheckpoint",
-    "TrialRecord",
-    "TrialOutcome",
     "SweepTask",
     "TaskOutcome",
     "SweepTaskCheckpoint",

@@ -6,7 +6,6 @@ claims, and bench targets — DESIGN.md §4 in executable form.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
 from typing import Callable
 
@@ -29,32 +28,10 @@ class ExperimentSpec:
     bench_target: str
     run: Callable[..., ExperimentResult]
 
-    def supported_options(self) -> frozenset[str]:
-        """Optional keyword arguments this experiment's runner accepts.
-
-        Sweep-style experiments (currently E14) take ``checkpoint`` and
-        ``resume``; the rest only take ``quick`` and ``seed``.
-        """
-        params = inspect.signature(self.run).parameters
-        return frozenset(
-            name
-            for name, param in params.items()
-            if param.kind in (param.KEYWORD_ONLY, param.POSITIONAL_OR_KEYWORD)
-        ) - {"quick", "seed"}
-
-    def __call__(
-        self, quick: bool = True, seed: SeedLike = 0, **options
-    ) -> ExperimentResult:
-        """Run the experiment, forwarding only the options it supports.
-
-        Unsupported options are dropped silently so ``run-all`` can offer
-        ``--checkpoint``/``--resume`` across a catalog where only some
-        experiments are checkpointable.
-        """
-        supported = self.supported_options()
-        extra = {k: v for k, v in options.items() if k in supported}
+    def __call__(self, quick: bool = True, seed: SeedLike = 0) -> ExperimentResult:
+        """Run the experiment inside its ``experiment.<id>`` span."""
         with maybe_span(f"experiment.{self.experiment_id}"):
-            return self.run(quick=quick, seed=seed, **extra)
+            return self.run(quick=quick, seed=seed)
 
 
 EXPERIMENTS: dict[str, ExperimentSpec] = {
@@ -236,18 +213,7 @@ def get_experiment(experiment_id: str) -> ExperimentSpec:
 
 
 def run_experiment(
-    experiment_id: str,
-    *,
-    quick: bool = True,
-    seed: SeedLike = 0,
-    checkpoint: str | None = None,
-    resume: bool = False,
+    experiment_id: str, *, quick: bool = True, seed: SeedLike = 0
 ) -> ExperimentResult:
-    """Run one catalogued experiment and return its result.
-
-    ``checkpoint``/``resume`` reach only experiments whose runner accepts
-    them (see :meth:`ExperimentSpec.supported_options`).
-    """
-    return get_experiment(experiment_id)(
-        quick=quick, seed=seed, checkpoint=checkpoint, resume=resume
-    )
+    """Run one catalogued experiment and return its result."""
+    return get_experiment(experiment_id)(quick=quick, seed=seed)

@@ -1,9 +1,8 @@
 """Parallel sweep executor: fan independent configs over worker processes.
 
 A sweep is a list of independent configurations (one experiment, one
-parameter cell, one resilient sub-sweep) that share nothing but a root
-seed.  This module runs them concurrently without changing what they
-compute:
+parameter cell) that share nothing but a root seed.  This module runs
+them concurrently without changing what they compute:
 
 * **stateless seed derivation** — every config receives a child of the
   root ``SeedSequence`` (``spawn_seeds(seed, len(tasks))``), derived
@@ -19,12 +18,7 @@ compute:
   the structured :class:`~repro.experiments.supervisor.TaskOutcome`
   records; :meth:`~repro.experiments.supervisor.TaskOutcome.unwrap`
   turns one into its result, or raises for a failed task;
-* **checkpoint composition** — tasks may themselves be
-  :func:`~repro.experiments.resilient.run_resilient_sweep` calls: each
-  child ``SeedSequence`` carries a distinct ``spawn_key``, which the
-  resilient engine's per-(trial, attempt) derivation preserves, so two
-  parallel sweep configs never collide on trial streams even though all
-  children share the root's entropy.  On top of that, a sweep-level
+* **task-level checkpointing** — a sweep-level
   :class:`~repro.experiments.supervisor.SweepTaskCheckpoint` lets an
   interrupted ``run-all --jobs N`` resume past completed experiments.
 
@@ -65,29 +59,17 @@ __all__ = [
 def child_seed_int(child: np.random.SeedSequence) -> int:
     """Collapse a spawned child into a plain integer seed.
 
-    Experiment runners (and their checkpoint ``config_key`` strings)
-    traffic in integer seeds; the first word of the child's generated
-    state is a deterministic 64-bit digest of ``(entropy, spawn_key)``,
-    so distinct configs keep distinct streams.
+    Experiment runners traffic in integer seeds; the first word of the
+    child's generated state is a deterministic 64-bit digest of
+    ``(entropy, spawn_key)``, so distinct configs keep distinct streams.
     """
     return int(child.generate_state(1, np.uint64)[0])
 
 
 def _run_catalog_task(
-    seed: np.random.SeedSequence,
-    *,
-    experiment_id: str,
-    quick: bool,
-    checkpoint: str | None,
-    resume: bool,
+    seed: np.random.SeedSequence, *, experiment_id: str, quick: bool
 ) -> ExperimentResult:
-    spec = get_experiment(experiment_id)
-    return spec(
-        quick=quick,
-        seed=child_seed_int(seed),
-        checkpoint=checkpoint,
-        resume=resume,
-    )
+    return get_experiment(experiment_id)(quick=quick, seed=child_seed_int(seed))
 
 
 def _catalog_checkpoint(
@@ -98,9 +80,8 @@ def _catalog_checkpoint(
 ) -> SweepTaskCheckpoint | None:
     """The sweep-level checkpoint for a catalog run, if requested.
 
-    Lives alongside the per-experiment trial checkpoints in the same
-    directory.  The config key pins the id list (child seeds depend on
-    task position), the mode and the root seed, so a resume under any
+    The config key pins the id list (child seeds depend on task
+    position), the mode and the root seed, so a resume under any
     different configuration refuses to mix.
     """
     if checkpoint is None:
@@ -110,8 +91,9 @@ def _catalog_checkpoint(
     from ..io import result_from_payload, result_to_payload
 
     key = f"catalog:quick={quick}:seed={seed}:ids={','.join(experiment_ids)}"
-    # One manifest per configuration: `run E14` and `run-all` can share a
-    # checkpoint directory without tripping the refuse-to-mix guard.
+    # One manifest per configuration: `run E7 --jobs 1` and `run-all
+    # --jobs 2` can share a checkpoint directory without tripping the
+    # refuse-to-mix guard.
     digest = sha1(key.encode()).hexdigest()[:10]
     return SweepTaskCheckpoint(
         Path(checkpoint) / f"catalog-tasks-{digest}.json",
@@ -121,23 +103,13 @@ def _catalog_checkpoint(
     )
 
 
-def _catalog_tasks(
-    experiment_ids: Sequence[str],
-    quick: bool,
-    checkpoint: str | None,
-    resume: bool,
-) -> list[SweepTask]:
+def _catalog_tasks(experiment_ids: Sequence[str], quick: bool) -> list[SweepTask]:
     """One :class:`SweepTask` per catalogued experiment, keyed by its id."""
     return [
         SweepTask(
             key=experiment_id,
             fn=_run_catalog_task,
-            kwargs={
-                "experiment_id": experiment_id,
-                "quick": quick,
-                "checkpoint": checkpoint,
-                "resume": resume,
-            },
+            kwargs={"experiment_id": experiment_id, "quick": quick},
         )
         for experiment_id in experiment_ids
     ]
@@ -160,18 +132,18 @@ def run_catalog_supervised(
     digested from its spawned child (:func:`child_seed_int`), so the
     result tables are a pure function of ``(experiment_ids, quick,
     seed)`` — independent of ``jobs`` and of any crash recovery.
-    ``checkpoint``/``resume`` serve double duty: they are forwarded to
-    experiments that support trial-level checkpointing, *and* they back
-    a sweep-level :class:`~repro.experiments.supervisor.SweepTaskCheckpoint`
-    (``<checkpoint>/catalog-tasks.json``) that lets a resumed run skip
-    experiments that already completed.
+    ``checkpoint``/``resume`` back a sweep-level
+    :class:`~repro.experiments.supervisor.SweepTaskCheckpoint`
+    (``<checkpoint>/catalog-tasks-<sha1[:10]>.json``, one file per
+    configuration) that lets a resumed run skip experiments that already
+    completed.
 
     Returns outcomes (``ok`` / ``timeout`` / ``crashed`` / ``error``) in
     catalog order — a poisoned experiment degrades to a failed outcome
     instead of aborting its siblings.
     """
     return run_supervised_sweep(
-        _catalog_tasks(experiment_ids, quick, checkpoint, resume),
+        _catalog_tasks(experiment_ids, quick),
         jobs=jobs,
         seed=seed,
         task_timeout=task_timeout,
@@ -209,7 +181,7 @@ def run_catalog_fabric(
     from .fabric import run_fabric_sweep
 
     return run_fabric_sweep(
-        _catalog_tasks(experiment_ids, quick, checkpoint, resume),
+        _catalog_tasks(experiment_ids, quick),
         seed=seed,
         listen=listen,
         workers=workers,

@@ -231,70 +231,26 @@ def outcome_counts(
     return counts
 
 
-class JsonCheckpoint:
-    """One config-keyed JSON checkpoint file: load, save, quarantine.
+class SweepTaskCheckpoint:
+    """JSON checkpoint of a supervised sweep's terminal task outcomes.
 
-    The file is ``{"config_key": ..., <entries_field>: [...]}``.  Writes
-    are atomic (:func:`~repro._atomic.atomic_write`) so a kill mid-flush
+    Records whole *tasks* of a parallel sweep, so an interrupted
+    ``run-all --jobs N`` resumes past completed experiments.  On resume
+    only ``ok`` outcomes are skipped — failed tasks get a fresh chance.
+
+    The file is ``{"config_key": ..., "tasks": [...]}``.  Writes are
+    atomic (:func:`~repro._atomic.atomic_write`) so a kill mid-flush
     cannot corrupt it.  A truncated or garbage file (a kill mid-write on
     a filesystem without atomic replace, a stray file at the checkpoint
     path) is *quarantined* — renamed ``*.corrupt`` with a warning — and
     the sweep restarts fresh, instead of a hard crash on resume.  A
     ``config_key`` mismatch still raises: that file is a healthy
     checkpoint for a *different* sweep, and silently discarding it would
-    mix samples.
-    """
-
-    entries_field: str  # the JSON key of the entry list, set by subclasses
-    kind: str  # what the quarantine warning calls the file
-
-    def __init__(self, path: str | Path, config_key: str = ""):
-        self.path = Path(path)
-        self.config_key = config_key
-
-    def exists(self) -> bool:
-        return self.path.exists()
-
-    def _load_entries(self, decode: Callable[[dict], Any]) -> list:
-        """Decoded entries; empty when absent or quarantined."""
-        if not self.path.exists():
-            return []
-        try:
-            payload = json.loads(self.path.read_text())
-            stored_key = payload["config_key"]
-            entries = [decode(entry) for entry in payload[self.entries_field]]
-        except (AttributeError, KeyError, TypeError, ValueError, OSError):
-            quarantine_checkpoint(self.path, kind=self.kind)
-            return []
-        if stored_key != self.config_key:
-            raise ReproError(
-                f"checkpoint {self.path} was written for config "
-                f"{stored_key!r}, sweep is {self.config_key!r}; refusing to mix"
-            )
-        return entries
-
-    def _save_entries(self, entries: list) -> None:
-        payload = {"config_key": self.config_key, self.entries_field: entries}
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        atomic_write(self.path, json.dumps(payload, indent=2) + "\n")
-
-
-class SweepTaskCheckpoint(JsonCheckpoint):
-    """JSON checkpoint of a supervised sweep's terminal task outcomes.
-
-    The sibling of :class:`~repro.experiments.resilient.SweepCheckpoint`
-    one level up: where that one records *trials inside* one sweep
-    config, this one records whole *tasks* of a parallel sweep, so an
-    interrupted ``run-all --jobs N`` resumes past completed experiments.
-    On resume only ``ok`` outcomes are skipped — failed tasks get a
-    fresh chance.
+    mix results.
 
     ``encode``/``decode`` convert an ``ok`` task result to/from its JSON
     form (default: stored verbatim, so results must be JSON-serialisable).
     """
-
-    entries_field = "tasks"
-    kind = "sweep-task checkpoint"
 
     def __init__(
         self,
@@ -304,17 +260,37 @@ class SweepTaskCheckpoint(JsonCheckpoint):
         encode: Callable[[Any], Any] | None = None,
         decode: Callable[[Any], Any] | None = None,
     ):
-        super().__init__(path, config_key)
+        self.path = Path(path)
+        self.config_key = config_key
         self.encode = encode
         self.decode = decode
 
+    def exists(self) -> bool:
+        return self.path.exists()
+
     def load(self) -> dict[str, TaskOutcome]:
         """Outcomes keyed by task key; empty when absent or quarantined."""
-        outcomes = self._load_entries(lambda t: TaskOutcome.from_json(t, self.decode))
+        if not self.path.exists():
+            return {}
+        try:
+            payload = json.loads(self.path.read_text())
+            stored_key = payload["config_key"]
+            outcomes = [TaskOutcome.from_json(t, self.decode) for t in payload["tasks"]]
+        except (AttributeError, KeyError, TypeError, ValueError, OSError):
+            quarantine_checkpoint(self.path, kind="sweep-task checkpoint")
+            return {}
+        if stored_key != self.config_key:
+            raise ReproError(
+                f"checkpoint {self.path} was written for config "
+                f"{stored_key!r}, sweep is {self.config_key!r}; refusing to mix"
+            )
         return {o.key: o for o in outcomes}
 
     def save(self, outcomes: dict[str, TaskOutcome]) -> None:
-        self._save_entries([outcomes[k].to_json(self.encode) for k in sorted(outcomes)])
+        tasks = [outcomes[k].to_json(self.encode) for k in sorted(outcomes)]
+        payload = {"config_key": self.config_key, "tasks": tasks}
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        atomic_write(self.path, json.dumps(payload, indent=2) + "\n")
 
 
 def quarantine_checkpoint(path: Path, *, kind: str = "checkpoint") -> Path:

@@ -21,9 +21,9 @@ A :class:`~repro.faults.plan.FaultPlan` bundles any subset; pass it as
 ``repro.simulate(..., faults=plan)``.  The unified round driver
 (:func:`repro.radio.dynamics.run_dissemination`) consumes the plan, so
 faulty and healthy runs share one code path.  Experiment E14 measures
-which protocol's redundancy pays for itself under each adversary; the
-resilient sweep runner (:mod:`repro.experiments.resilient`) keeps long
-fault sweeps alive through per-trial failures.
+which protocol's redundancy pays for itself under each adversary, one
+seeded ``raise_on_incomplete=False`` trial at a time, so a stalled
+broadcast lands in the table as a failed trial instead of an exception.
 
 See docs/FAULTS.md for the precise per-round semantics.
 """

@@ -591,7 +591,7 @@ def run_dissemination(
         graph share a single BFS.
     raise_on_incomplete: raise :class:`BroadcastIncompleteError` on a
         budget miss (default); ``False`` returns the partial trace —
-        resilient sweeps use that to record structured failures.
+        fault sweeps such as E14 use that to count stalled trials.
     obs: an :class:`~repro.obs.Observer` receiving per-round metrics and
         trace events; defaults to the ambient observer installed with
         :func:`~repro.obs.use_observer`, if any.  Observation never

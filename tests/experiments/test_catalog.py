@@ -6,11 +6,15 @@ interface: correct id, populated rows, claimed columns present, fits sane.
 These are the integration tests that keep the benchmark harness honest.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.errors import InvalidParameterError
 from repro.experiments import EXPERIMENTS, get_experiment, run_experiment
+from repro.io import result_wire
+from repro.schema import canonical_json
 
 
 class TestRegistry:
@@ -31,6 +35,35 @@ class TestRegistry:
             get_experiment("E99")
 
 
+# sha256 of canonical_json(result_wire(...)) for every quick run at
+# seed 123: each table, fit and note pinned at full float precision.
+QUICK_SEED_123_DIGESTS = {
+    "E1": "915680ec621b009ee67fa6f60368b10a73f36dea90bc423c02b0d23e52aa886b",
+    "E2": "8446b127aae01820be392dad26cb2cf11c2b0f5906bb961ef071de0d61c85a1b",
+    "E3": "a2bb4e8bfa292282b4e8512789dd22e1eb4aedec87001cb7a6f172e6ac7b01eb",
+    "E4": "eec1396e33f02cad6e24ec72f891c1f8704f04a072263364aeba8cf394d08f9c",
+    "E5": "cb7ad007edc0f6c338cb230973d3b9df6c5dafacde30a7eaf90010b719ff8110",
+    "E6": "f0ab2539efd61aea2c07efcf2a956b332a53f918043035de5a8e52c09d7a8309",
+    "E7": "05bb56622d5e49a8d90bda0f4b46a05ab1b9a9503b35c5ccfb5e97f4be0b8909",
+    "E8": "62987a83f9b6169b67118abb62339c4628607017e3950957c4ec9153811c4346",
+    "E9": "667fce18e868fa651a6e773c7c49d72db7191e06fc24ef1bc6696cb02c68dfac",
+    "E10": "7a092fe69aa52e93af12a875e507366a4ebb6bcb9eb293d82983f095651725a6",
+    "E11": "673ae660b42dbd4ab6768a29b66430547c415d59f8c8d801bc0b47af1805faf4",
+    "E12": "5e148fbb91eb477b7b003661f0586567fcc1485ea45da478b256e63c2819c0bf",
+    "E13": "8185ab387c359f5642e8663787d2704212204049f0af58e76755491c284b246e",
+    "E14": "71000c3a5be8e7d523bed967eedfc24af0a2432063309f1c5c448c432f671861",
+    "E15": "3bc06151af4f73573c9e8317a610f2a6f9cee4d95d9e72ed683840e88c76a2bb",
+    "E16": "c6f55c3d54fb9eb4a2c21e0aa255d77fc7e79efa0c4d0888584ee98961ec80ed",
+    "E17": "2ffc28536fdf486a6c36fa973139327d273653b85ce5d00521fe44a670793373",
+    "E18": "427ec36c06a3a2bfc134305ffaf562f6fc74e992d646d06f0bcd5d228eb9f7cf",
+    "E19": "5dfa9439293299362fed73c0193060e1ef628dfde83d33773d8e5571020fb35a",
+    "E20": "0b15776f70a0ed0afc8550756708eee24ba4df40d2268c9d5d398e57b1c32215",
+    "E21": "0e5493b123b41c9a8ce1c4980d4478d7930812c1bffbe60cceac2ec51e179622",
+    "E22": "5e829dcb6b5c4f76ef0f63cb15f564f8222fe49affc38829b52dc8c5b5492404",
+    "E23": "3240e572ff8e61e588750017db0d09b9051f15dbb0060250ba1ecec43837adc3",
+}
+
+
 @pytest.mark.parametrize("eid", list(EXPERIMENTS))
 class TestEveryExperimentRuns:
     def test_quick_run_produces_table(self, eid):
@@ -43,6 +76,8 @@ class TestEveryExperimentRuns:
             assert any(col in row for row in result.rows), (
                 f"{eid}: column {col!r} missing from all rows"
             )
+        document = canonical_json(result_wire(result)).encode()
+        assert hashlib.sha256(document).hexdigest() == QUICK_SEED_123_DIGESTS[eid]
 
 
 class TestClaimShapes:

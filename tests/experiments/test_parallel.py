@@ -14,7 +14,6 @@ from repro.experiments.parallel import (
     run_catalog_supervised,
     run_supervised_sweep,
 )
-from repro.experiments.resilient import run_resilient_sweep
 from repro.rng import spawn_seeds
 
 
@@ -30,20 +29,6 @@ def unwrapped_catalog(experiment_ids, **kwargs):
 def _draw(seed, count=4):
     """Module-level so it pickles into worker processes."""
     return list(np.random.default_rng(seed).random(count))
-
-
-def _sweep_mean(seed, trials=5):
-    """A resilient sub-sweep as one parallel config (module-level)."""
-    result = run_resilient_sweep(
-        lambda index, rng: _trial(index, rng), trials, seed=seed
-    )
-    return result.mean_rounds()
-
-
-def _trial(index, rng):
-    from repro.experiments.resilient import TrialOutcome
-
-    return TrialOutcome(completed=True, rounds=float(rng.integers(1, 100)), informed_fraction=1.0)
 
 
 class TestRunParallelSweep:
@@ -76,38 +61,6 @@ class TestRunParallelSweep:
 
     def test_empty_tasks(self):
         assert unwrapped_sweep([], jobs=2, seed=0) == []
-
-
-class TestResilientComposition:
-    def test_parallel_resilient_sweeps_match_serial(self):
-        # Each config is a whole resilient sweep seeded by its spawned
-        # child; worker-process execution must not change any trial.
-        tasks = [
-            SweepTask(key=f"cfg{i}", fn=_sweep_mean, kwargs={"trials": 4})
-            for i in range(3)
-        ]
-        serial = unwrapped_sweep(tasks, jobs=1, seed=77)
-        fanned = unwrapped_sweep(tasks, jobs=2, seed=77)
-        assert serial == fanned
-
-    def test_sibling_configs_have_distinct_trial_streams(self):
-        # Spawned children share entropy and differ only by spawn_key;
-        # the resilient engine's per-trial derivation must preserve it
-        # (the pre-fix behaviour collapsed all siblings onto one stream).
-        means = unwrapped_sweep(
-            [SweepTask(key=f"cfg{i}", fn=_sweep_mean) for i in range(4)],
-            jobs=1,
-            seed=5,
-        )
-        assert len(set(means)) == 4
-
-    def test_spawned_children_derive_distinct_attempt_rngs(self):
-        from repro.experiments.resilient import _attempt_rng
-
-        kids = spawn_seeds(0, 2)
-        a = _attempt_rng(kids[0], 0, 0).random()
-        b = _attempt_rng(kids[1], 0, 0).random()
-        assert a != b
 
 
 class TestChildSeedInt:

@@ -509,6 +509,22 @@ class TestSweepTaskCheckpoint:
         assert [t["key"] for t in payload["tasks"]] == ["t0", "t1", "t2"]
 
 
+class TestMalformedTaskCheckpoint:
+    """Valid JSON of the wrong shape is quarantined like a torn file."""
+
+    @pytest.mark.parametrize(
+        "garbage",
+        ['{"tasks": []}', '{"config_key": "cfg", "tasks": "nope"}', "[1, 2]"],
+    )
+    def test_wrong_shape_quarantined_with_bytes_kept(self, tmp_path, garbage):
+        path = tmp_path / "tasks.json"
+        path.write_text(garbage)
+        with pytest.warns(RuntimeWarning, match="quarantined"):
+            assert SweepTaskCheckpoint(path, "cfg").load() == {}
+        assert not path.exists()
+        assert (tmp_path / "tasks.json.corrupt").read_text() == garbage
+
+
 class TestObservability:
     def test_recovery_emits_exec_events_and_metrics(self, tmp_path):
         registry = MetricsRegistry()

@@ -1,10 +1,16 @@
 """Unit tests for the adversarial fault models and the FaultPlan bundle."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro import simulate
-from repro.broadcast.distributed import UniformProtocol
+from repro.broadcast.distributed import (
+    EGRandomizedProtocol,
+    EpochRestartProtocol,
+    UniformProtocol,
+)
 from repro.errors import InvalidParameterError
 from repro.faults import (
     AdversarialJammer,
@@ -14,7 +20,9 @@ from repro.faults import (
     LossyLinkModel,
     SpuriousNoiseModel,
 )
+from repro.graphs import gnp_connected
 from repro.radio import RadioNetwork
+from repro.rng import spawn_generators
 
 
 def flood():
@@ -270,3 +278,47 @@ class TestFaultPlan:
                 "broadcast", RadioNetwork(star10), protocol=flood(), source=0,
                 faults=FaultPlan(), crashes=CrashSchedule.none(10),
             )
+
+
+class TestChurnResilienceDemo:
+    """Epoch restart completes where the strict Theorem 7 rule stalls."""
+
+    @pytest.fixture(scope="class")
+    def churn_setup(self):
+        n = 256
+        p = 4.0 * math.log(n) / n
+        return RadioNetwork(gnp_connected(n, p, seed=42)), n, p
+
+    def _traces(self, churn_setup, proto_factory, trials=6):
+        net, n, p = churn_setup
+        traces = []
+        for rng in spawn_generators(3, trials):
+            plan = FaultPlan(
+                churn=ChurnSchedule.random(
+                    n, 0.6, 120, mean_downtime=40.0, seed=rng, protect=[0]
+                )
+            )
+            traces.append(simulate(
+                "broadcast", net, protocol=proto_factory(), faults=plan, seed=rng,
+                p=p, max_rounds=600, check_connected=False, raise_on_incomplete=False,
+            ))
+        return traces
+
+    def test_stock_strict_protocol_stalls_under_churn(self, churn_setup):
+        _, n, p = churn_setup
+        traces = self._traces(
+            churn_setup, lambda: EGRandomizedProtocol(n, p, strict_participation=True)
+        )
+        stalled = [t for t in traces if not t.completed]
+        assert stalled, "strict EG completed every trial under forgetful churn"
+        # A stall is a measured outcome with partial progress.
+        for trace in stalled:
+            assert 0.0 < trace.num_informed / trace.n < 1.0
+
+    def test_epoch_restart_completes_under_same_churn(self, churn_setup):
+        _, n, p = churn_setup
+        traces = self._traces(
+            churn_setup,
+            lambda: EpochRestartProtocol.for_eg(n, p, strict_participation=True),
+        )
+        assert all(t.completed for t in traces)

@@ -117,6 +117,18 @@ class TestJobs:
         assert main(["run-all", "--only", "E7", "--fabric", ":0", "--workers", "-1"]) == 2
         assert "--workers must be >= 0" in capsys.readouterr().err
 
+    def test_checkpoint_rejected_on_sequential_route(self, tmp_path, capsys):
+        # Only the supervised executor keeps a checkpoint; the sequential
+        # route would silently recompute everything on --resume.
+        ck = str(tmp_path / "ck")
+        assert main(["run", "E14", "--checkpoint", ck]) == 2
+        assert "--checkpoint requires --jobs or --fabric" in capsys.readouterr().err
+        assert main(["profile", "E7", "--checkpoint", ck]) == 2
+        assert "--checkpoint requires --jobs or --fabric" in capsys.readouterr().err
+        assert main(["run-all", "--checkpoint", ck]) == 2
+        assert "--checkpoint requires --jobs, --fabric or --json" in capsys.readouterr().err
+        assert not (tmp_path / "ck").exists()
+
     def test_run_all_fabric_matches_jobs(self, tmp_path, capsys):
         """A loopback fabric run produces the byte-identical report."""
         out_jobs = tmp_path / "jobs.md"
@@ -153,18 +165,20 @@ class TestJobs:
 
     def test_run_all_with_jobs_resumes_past_completed(self, tmp_path, capsys):
         ck = str(tmp_path / "ck")
+        first, resumed = tmp_path / "first.md", tmp_path / "resumed.md"
         args = ["run-all", "--only", "E7", "--jobs", "1", "--seed", "5",
                 "--checkpoint", ck]
-        assert main(args) == 0
+        assert main(args + ["--out", str(first)]) == 0
         manifests = list(tmp_path.glob("ck/catalog-tasks-*.json"))
         assert len(manifests) == 1
         capsys.readouterr()
-        assert main(args + ["--resume"]) == 0
+        assert main(args + ["--resume", "--out", str(resumed)]) == 0
         out = capsys.readouterr().out
         # The resumed run served E7 from the sweep checkpoint but still
-        # prints its table and the outcome summary.
+        # prints its table, byte for byte, and the outcome summary.
         assert "[E7]" in out
         assert "supervised sweep summary" in out
+        assert resumed.read_bytes() == first.read_bytes()
 
 
 class TestRunOut:
