@@ -6,29 +6,68 @@ entries immortal: the same spec always produces the same bytes, so a hit
 is an exact replay of the original execution and entries never need
 invalidation — the cache only grows, and growing it is the point.
 
+The cache stores and returns a result as its canonical JSON bytes
+(:func:`~repro.schema.canonical_json`), never as a parsed document: the
+server splices those bytes straight into its response, so a hit is a
+file read plus a socket write.
+
 Layout (git-style two-character fan-out to keep directories small)::
 
-    <root>/ab/abcdef....json    # {"schema_version", "key", "result"}
+    <root>/ab/abcdef....json
+
+Each entry is one canonical JSON document followed by a newline::
+
+    {"key":"<key>","result":<result bytes>,"schema_version":1,"sha256":"<digest>"}
+
+``sha256`` is the hex digest of the result bytes.  Sorted keys put
+``key`` and ``result`` first and ``schema_version`` and ``sha256`` last,
+so the key, the version and the digest sit at fixed offsets from the
+ends of the file and :meth:`ResultCache.get` checks all three without
+parsing the document.
 
 Writes are atomic (write-tmp-then-replace), so a crashed server never
-leaves a half-written entry.  A corrupt or tampered entry — unparsable
-JSON, wrong embedded key, unknown schema version — is **quarantined** to
+leaves a half-written entry.  A corrupt or tampered entry — truncated or
+unparsable bytes, wrong embedded key, unknown schema version, a result
+whose bytes no longer match their digest — is **quarantined** to
 ``*.corrupt`` (the checkpoint convention of
 :func:`repro.experiments.supervisor.quarantine_checkpoint`) and treated
 as a miss: the job re-executes and rewrites the entry instead of failing
 the request.
+
+An entry written before the digest existed (``{"key", "result",
+"schema_version"}`` with the current version and no ``sha256``) is a
+plain miss and is *not* quarantined: the job re-executes, and since the
+result is a pure function of the spec, the rewritten entry carries the
+identical ``result`` bytes plus their digest.
 """
 
 from __future__ import annotations
 
-import json
+import hashlib
 from pathlib import Path
 
 from .._atomic import atomic_write
 from ..experiments.supervisor import quarantine_checkpoint
-from ..schema import RESULT_SCHEMA_VERSION, canonical_json
+from ..schema import RESULT_SCHEMA_VERSION
 
 __all__ = ["ResultCache"]
+
+#: Bytes between the result and the digest: the schema version field.
+_VERSION = b',"schema_version":%d' % RESULT_SCHEMA_VERSION
+#: The whole tail of an entry written before the digest existed.
+_LEGACY_TAIL = _VERSION + b"}\n"
+
+
+def _head(key: str) -> bytes:
+    return b'{"key":"%s","result":' % key.encode("ascii")
+
+
+def _tail(digest: str) -> bytes:
+    return _VERSION + b',"sha256":"%s"}\n' % digest.encode("ascii")
+
+
+#: Everything after the result: the version, then a hex sha256 digest.
+_TAIL_LEN = len(_tail("0" * 64))
 
 
 class ResultCache:
@@ -42,42 +81,43 @@ class ResultCache:
         """Entry path for a cache key (two-character fan-out)."""
         return self.root / key[:2] / f"{key}.json"
 
-    def get(self, key: str) -> dict | None:
-        """The stored result document, or ``None`` on miss.
+    def get(self, key: str) -> bytes | None:
+        """The stored result's canonical JSON bytes, or ``None`` on miss.
 
-        A corrupt entry is quarantined to ``*.corrupt`` and reported as
-        a miss — the caller re-executes and overwrites.
+        The bytes are verified against the entry's key, schema version
+        and digest but never parsed.  A corrupt entry is quarantined to
+        ``*.corrupt`` and reported as a miss — the caller re-executes
+        and overwrites.  A pre-digest entry is a miss left in place.
         """
         path = self.path_for(key)
-        if not path.exists():
-            return None
         try:
-            envelope = json.loads(path.read_text())
-            stored_key = envelope["key"]
-            result = envelope["result"]
-            version = envelope["schema_version"]
-        except (KeyError, TypeError, ValueError, OSError):
+            data = path.read_bytes()
+        except FileNotFoundError:
+            return None
+        except OSError:
             quarantine_checkpoint(path, kind="result cache entry")
             return None
-        if version != RESULT_SCHEMA_VERSION or stored_key != key:
-            quarantine_checkpoint(path, kind="result cache entry")
-            return None
-        return result
+        head = _head(key)
+        if data.startswith(head):
+            if data.endswith(_LEGACY_TAIL):
+                return None
+            if len(data) >= len(head) + _TAIL_LEN:
+                body = data[len(head) : -_TAIL_LEN]
+                if data.endswith(_tail(hashlib.sha256(body).hexdigest())):
+                    return body
+        quarantine_checkpoint(path, kind="result cache entry")
+        return None
 
-    def put(self, key: str, result: dict) -> Path:
-        """Store a result document under ``key`` (atomic, last write wins).
+    def put(self, key: str, body: bytes) -> Path:
+        """Store a result's canonical JSON bytes under ``key``.
 
-        Concurrent writers of the same key are harmless: determinism
-        means they are writing identical bytes.
+        Atomic, last write wins.  Concurrent writers of the same key are
+        harmless: determinism means they are writing identical bytes.
         """
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        envelope = {
-            "schema_version": RESULT_SCHEMA_VERSION,
-            "key": key,
-            "result": result,
-        }
-        return atomic_write(path, canonical_json(envelope) + "\n")
+        digest = hashlib.sha256(body).hexdigest()
+        return atomic_write(path, _head(key) + body + _tail(digest))
 
     def __contains__(self, key: str) -> bool:
         return self.path_for(key).exists()

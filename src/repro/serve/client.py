@@ -120,7 +120,7 @@ class _HttpTransport:
             headers = {"Content-Type": "application/json"} if body else {}
             conn.request(method, path, body=body, headers=headers)
             response = conn.getresponse()
-            payload = json.loads(response.read().decode() or "null")
+            payload = json.loads(response.read() or b"null")
             return response.status, response.getheader("Retry-After"), payload
         finally:
             conn.close()

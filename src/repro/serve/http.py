@@ -20,7 +20,13 @@ POST endpoints accept ``?wait=SECONDS`` (or ``wait=1`` to wait
 indefinitely via ``wait=true``) to block until the job is terminal —
 the smoke-test and CLI path.  Blocking waits run in the default
 executor, so the event loop keeps serving while a handler sleeps on a
-job's ``done`` event.
+job's ``done`` event; a job that is already terminal (every cache hit)
+answers without that thread hop.
+
+A finished job's result goes out as the canonical JSON bytes the job
+holds (see :mod:`repro.serve.cache`): the handler encodes only the
+status head and splices ``"result":<bytes>`` onto it, so a cache hit is
+never parsed or re-encoded on the event loop.
 
 The server is deliberately minimal: HTTP/1.1, one request per
 connection (``Connection: close``), no TLS, no auth — a front door for
@@ -54,7 +60,7 @@ from ..errors import (
 from ..obs import Observer
 from .chaos import ServeChaos
 from .runner import Job, JobManager
-from .types import JobSpec, SweepSpec, spec_from_dict
+from .types import JOB_DONE, JobSpec, SweepSpec, spec_from_dict
 
 __all__ = ["Server", "serve_forever"]
 
@@ -79,6 +85,22 @@ _REASONS = {
 
 def _json_bytes(payload: dict) -> bytes:
     return (json.dumps(payload, separators=(",", ":")) + "\n").encode()
+
+
+def _status_bytes(job: Job) -> bytes:
+    """A job's status document with its result bytes spliced in.
+
+    ``result`` is the last key of :meth:`JobStatus.to_dict`, so encoding
+    the head without it and appending ``,"result":<bytes>}`` gives the
+    same document as encoding the parsed result in place.
+    """
+    payload = job.head().to_dict()
+    body = job.body if payload["state"] == JOB_DONE else None
+    if body is None:
+        return _json_bytes(payload)
+    del payload["result"]
+    head = json.dumps(payload, separators=(",", ":")).encode()
+    return b"".join((head[:-1], b',"result":', body, b"}\n"))
 
 
 class _HttpError(Exception):
@@ -259,7 +281,16 @@ class Server:
         *,
         headers: dict | None = None,
     ) -> None:
-        body = _json_bytes(payload)
+        await self._send(writer, status, _json_bytes(payload), headers=headers)
+
+    async def _send(
+        self,
+        writer: asyncio.StreamWriter,
+        status: int,
+        body: bytes,
+        *,
+        headers: dict | None = None,
+    ) -> None:
         reason = _REASONS.get(status, "Unknown")
         extra = "".join(
             f"{name}: {value}\r\n" for name, value in (headers or {}).items()
@@ -271,7 +302,8 @@ class Server:
             f"{extra}"
             f"Connection: close\r\n\r\n"
         ).encode("latin-1")
-        writer.write(head + body)
+        writer.write(head)
+        writer.write(body)
         await writer.drain()
 
     # -- routing -------------------------------------------------------
@@ -359,11 +391,15 @@ class Server:
     ) -> None:
         spec = self._parse_spec(path, body)
         job = self.manager.submit(spec)
+        await self._wait_for(job, query)
+        await self._send(writer, 200, _status_bytes(job))
+
+    async def _wait_for(self, job: Job, query: dict) -> None:
+        """Honour ``?wait=``; a terminal job returns without a thread hop."""
         wait = self._wait_timeout(query)
-        if wait is not False:
+        if wait is not False and not job.done.is_set():
             loop = asyncio.get_running_loop()
             await loop.run_in_executor(None, job.done.wait, wait)
-        await self._send_json(writer, 200, job.status().to_dict())
 
     def _find_job(self, job_id: str) -> Job:
         job = self.manager.job(job_id)
@@ -382,17 +418,14 @@ class Server:
         """
         job = self._find_job(job_id)
         self.manager.cancel(job.id)
-        await self._send_json(writer, 200, job.status().to_dict())
+        await self._send(writer, 200, _status_bytes(job))
 
     async def _job_status(
         self, writer: asyncio.StreamWriter, job_id: str, query: dict
     ) -> None:
         job = self._find_job(job_id)
-        wait = self._wait_timeout(query)
-        if wait is not False:
-            loop = asyncio.get_running_loop()
-            await loop.run_in_executor(None, job.done.wait, wait)
-        await self._send_json(writer, 200, job.status().to_dict())
+        await self._wait_for(job, query)
+        await self._send(writer, 200, _status_bytes(job))
 
     async def _stream_events(
         self, writer: asyncio.StreamWriter, job_id: str

@@ -43,6 +43,7 @@ Resilience (see ``docs/SERVICE.md`` → *Resilience semantics*):
 
 from __future__ import annotations
 
+import json
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from itertools import count
@@ -60,6 +61,7 @@ from ..errors import (
 )
 from ..obs import MetricsRegistry, Observer, current_observer, use_observer
 from ..obs.sinks import SCHEMA_VERSION
+from ..schema import canonical_json
 from .cache import ResultCache
 from .chaos import ServeChaos
 from .journal import JobJournal
@@ -222,6 +224,10 @@ class Job:
     included); ``cancel_event`` is the cooperative cancellation flag.
     Both are enforced by :meth:`raise_if_interrupted`, which the job's
     trace sink calls at every engine round/task boundary.
+
+    A finished job holds its result as ``body``, the canonical JSON bytes
+    the cache stores and the server sends; :attr:`result` decodes them
+    on demand for in-process callers.
     """
 
     def __init__(self, job_id: str, spec, key: str, *, cache: str = "miss"):
@@ -230,7 +236,7 @@ class Job:
         self.key = key
         self.cache = cache
         self.state = JOB_QUEUED
-        self.result: dict | None = None
+        self.body: bytes | None = None
         self.error = ""
         self.elapsed_s = 0.0
         self.done = threading.Event()
@@ -239,6 +245,11 @@ class Job:
         self.journaled = False
         self._events: list[dict] = []
         self._lock = threading.Lock()
+
+    @property
+    def result(self) -> dict | None:
+        """The result document, decoded from ``body`` on each access."""
+        return None if self.body is None else json.loads(self.body)
 
     def cancel(self) -> None:
         """Request cooperative cancellation (takes effect next round)."""
@@ -268,8 +279,8 @@ class Job:
         with self._lock:
             return len(self._events)
 
-    def status(self) -> JobStatus:
-        """An immutable snapshot of the job for the wire."""
+    def head(self) -> JobStatus:
+        """A snapshot of the job without its result (nothing decoded)."""
         return JobStatus(
             id=self.id,
             kind=self.spec.kind,
@@ -279,8 +290,13 @@ class Job:
             error=self.error,
             elapsed_s=self.elapsed_s,
             events=self.num_events(),
-            result=self.result,
         )
+
+    def status(self) -> JobStatus:
+        """A snapshot of the job with its result document decoded."""
+        status = self.head()
+        status.result = self.result
+        return status
 
 
 class _JobTraceSink:
@@ -434,7 +450,7 @@ class JobManager:
                 self._inc("serve.cache.hits")
                 job = Job(self._next_id(), spec, key, cache="hit")
                 job.state = JOB_DONE
-                job.result = cached
+                job.body = cached
                 job.done.set()
                 self._jobs[job.id] = job
                 return job
@@ -674,11 +690,14 @@ class JobManager:
             finally:
                 # Terminal events below must never re-raise.
                 sink.armed = False
-            # Inside the handlers: a put that raises (an unwritable disk,
-            # a result strict JSON cannot hold) fails the job instead of
-            # escaping the worker and leaving it non-terminal forever.
+            # Inside the handlers: an encode that raises (a result strict
+            # JSON cannot hold) or a put that raises (an unwritable disk)
+            # fails the job instead of escaping the worker and leaving it
+            # non-terminal forever.  These bytes are the only encoding:
+            # the cache stores them and the server sends them.
+            body = canonical_json(result).encode()
             if self.cache is not None:
-                self.cache.put(job.key, result)
+                self.cache.put(job.key, body)
         except JobCancelledError as exc:
             job.error = str(exc)
             job.state = JOB_CANCELLED
@@ -689,7 +708,7 @@ class JobManager:
             job.error = f"{type(exc).__name__}: {exc}"
             job.state = JOB_FAILED
         else:
-            job.result = result
+            job.body = body
             job.state = JOB_DONE
         job.elapsed_s = Observer.clock() - start
         if job.state in (JOB_CANCELLED, JOB_TIMEOUT):

@@ -1,10 +1,14 @@
 """Unit tests for the content-addressed result cache."""
 
+import hashlib
 import json
+import warnings
 
 import pytest
 
+from repro.schema import canonical_json
 from repro.serve.cache import ResultCache
+from repro.serve.runner import JobManager, execute_spec
 from repro.serve.types import JobSpec
 
 SPEC = JobSpec(
@@ -14,6 +18,18 @@ SPEC = JobSpec(
     seed=5,
 )
 RESULT = {"schema_version": 1, "kind": "broadcast-trace", "n": 30}
+BODY = canonical_json(RESULT).encode()
+
+
+def entry(key: str, result: dict, *, version: int = 1) -> str:
+    """An entry in the on-disk layout, built by a JSON encoder."""
+    envelope = {
+        "schema_version": version,
+        "key": key,
+        "result": result,
+        "sha256": hashlib.sha256(canonical_json(result).encode()).hexdigest(),
+    }
+    return canonical_json(envelope) + "\n"
 
 
 class TestResultCache:
@@ -22,15 +38,25 @@ class TestResultCache:
         key = SPEC.cache_key()
         assert cache.get(key) is None
         assert key not in cache
-        cache.put(key, RESULT)
-        assert cache.get(key) == RESULT
+        cache.put(key, BODY)
+        assert cache.get(key) == BODY
         assert key in cache
         assert len(cache) == 1
+
+    def test_entry_is_one_canonical_document(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        key = SPEC.cache_key()
+        path = cache.put(key, BODY)
+        text = path.read_text()
+        assert text == entry(key, RESULT)
+        envelope = json.loads(text)
+        assert envelope["result"] == RESULT
+        assert envelope["sha256"] == hashlib.sha256(BODY).hexdigest()
 
     def test_fanout_layout(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         key = SPEC.cache_key()
-        cache.put(key, RESULT)
+        cache.put(key, BODY)
         path = cache.path_for(key)
         assert path.parent.name == key[:2]
         assert path.exists()
@@ -47,21 +73,17 @@ class TestResultCache:
         corpses = list((tmp_path / "cache").rglob("*.corrupt"))
         assert len(corpses) == 1
         # The slot is reusable after quarantine.
-        cache.put(key, RESULT)
-        assert cache.get(key) == RESULT
+        cache.put(key, BODY)
+        assert cache.get(key) == BODY
 
     def test_wrong_key_entry_quarantined(self, tmp_path):
         # A tampered entry whose embedded key disagrees with its address
-        # must not be served.
+        # must not be served, even with a digest that matches its body.
         cache = ResultCache(tmp_path / "cache")
         key = SPEC.cache_key()
         path = cache.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(
-            json.dumps(
-                {"schema_version": 1, "key": "0" * 64, "result": RESULT}
-            )
-        )
+        path.write_text(entry("0" * 64, RESULT))
         with pytest.warns(RuntimeWarning, match="quarantined"):
             assert cache.get(key) is None
         assert list((tmp_path / "cache").rglob("*.corrupt"))
@@ -71,7 +93,7 @@ class TestResultCache:
         # UTF-8, invalid JSON.  It must read as a miss, never a crash.
         cache = ResultCache(tmp_path / "cache")
         key = SPEC.cache_key()
-        cache.put(key, RESULT)
+        cache.put(key, BODY)
         path = cache.path_for(key)
         whole = path.read_bytes()
         path.write_bytes(whole[: len(whole) // 2])
@@ -80,17 +102,55 @@ class TestResultCache:
         assert key not in cache
         assert list((tmp_path / "cache").rglob("*.corrupt"))
         # The slot refills and serves again.
-        cache.put(key, RESULT)
-        assert cache.get(key) == RESULT
+        cache.put(key, BODY)
+        assert cache.get(key) == BODY
 
     def test_wrong_schema_version_quarantined(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         key = SPEC.cache_key()
         path = cache.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(
-            json.dumps({"schema_version": 999, "key": key, "result": RESULT})
-        )
+        path.write_text(entry(key, RESULT, version=999))
         with pytest.warns(RuntimeWarning, match="quarantined"):
             assert cache.get(key) is None
         assert list((tmp_path / "cache").rglob("*.corrupt"))
+
+    def test_tampered_body_fails_digest_and_is_quarantined(self, tmp_path):
+        # An edit that leaves the entry valid JSON — key and version
+        # intact — is caught by the digest alone.
+        cache = ResultCache(tmp_path / "cache")
+        key = SPEC.cache_key()
+        path = cache.put(key, BODY)
+        tampered = path.read_text().replace('"n":30', '"n":31')
+        assert json.loads(tampered)["result"] == {**RESULT, "n": 31}
+        path.write_text(tampered)
+        with pytest.warns(RuntimeWarning, match="quarantined"):
+            assert cache.get(key) is None
+        corpses = list((tmp_path / "cache").rglob("*.corrupt"))
+        assert [c.read_text() for c in corpses] == [tampered]
+
+
+class TestLegacyEntry:
+    def test_pre_digest_entry_is_a_miss_then_rewritten(self, tmp_path):
+        spec = SPEC
+        key = spec.cache_key()
+        result = execute_spec(spec)
+        cache = ResultCache(tmp_path / "cache")
+        path = cache.path_for(key)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        # The layout before the digest: {"key", "result", "schema_version"}.
+        legacy = {"schema_version": 1, "key": key, "result": result}
+        path.write_text(canonical_json(legacy) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cache.get(key) is None  # a miss, no quarantine warning
+            assert path.exists()
+            with JobManager(cache=cache, workers=1) as manager:
+                job = manager.submit(spec)
+                assert manager.wait(job, timeout=30)
+                assert job.cache == "miss" and job.state == "done"
+                assert manager.num_executions == 1
+        assert not list((tmp_path / "cache").rglob("*.corrupt"))
+        rewritten = json.loads(path.read_text())
+        assert rewritten["result"] == legacy["result"]
+        assert cache.get(key) == canonical_json(result).encode()

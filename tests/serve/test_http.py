@@ -16,7 +16,9 @@ import pytest
 from repro.errors import ServeError
 from repro.obs.sinks import validate_event
 from repro.schema import canonical_json
-from repro.serve import Client, JobManager, JobSpec, ServeChaos, Server
+from repro.serve import Client, JobManager, JobSpec, JobStatus, ServeChaos, Server
+from repro.serve.http import _json_bytes
+from repro.serve.runner import execute_spec
 
 GRAPH = {"n": 30, "p": 0.3, "seed": 1}
 SIM_PAYLOAD = {
@@ -31,25 +33,19 @@ SIM_PAYLOAD = {
 @pytest.fixture
 def served(tmp_path):
     """A live server on an ephemeral port; yields (client, manager)."""
-    manager = JobManager(cache=tmp_path / "cache", workers=2)
-    loop = asyncio.new_event_loop()
-    thread = threading.Thread(target=loop.run_forever, daemon=True)
-    thread.start()
-    server = Server(manager=manager)
-    asyncio.run_coroutine_threadsafe(server.start(), loop).result(10)
-    try:
-        yield Client(server.address), manager
-    finally:
-        asyncio.run_coroutine_threadsafe(server.close(), loop).result(10)
-        loop.call_soon_threadsafe(loop.stop)
-        thread.join(timeout=10)
-        manager.shutdown()
+    with live_server(manager=JobManager(cache=tmp_path / "cache", workers=2)) as server:
+        yield Client(server.address), server.manager
 
 
 @contextlib.contextmanager
-def live_server(**server_kwargs):
-    """A live server built with arbitrary kwargs; yields the Server."""
+def live_server(executor=None, **server_kwargs):
+    """A live server built with arbitrary kwargs; yields the Server.
+
+    ``executor``, when given, becomes the event loop's default executor.
+    """
     loop = asyncio.new_event_loop()
+    if executor is not None:
+        loop.set_default_executor(executor)
     thread = threading.Thread(target=loop.run_forever, daemon=True)
     thread.start()
     server = Server(**server_kwargs)
@@ -60,6 +56,8 @@ def live_server(**server_kwargs):
         asyncio.run_coroutine_threadsafe(server.close(), loop).result(10)
         loop.call_soon_threadsafe(loop.stop)
         thread.join(timeout=10)
+        assert not thread.is_alive()
+        loop.close()
         server.manager.shutdown()
 
 
@@ -69,19 +67,27 @@ def _raw(client: Client, method: str, path: str, body: dict | None = None):
 
 
 def _raw_full(client: Client, method: str, path: str, body: dict | None = None):
+    status, headers, raw = _raw_bytes(client, method, path, body)
+    return status, headers, json.loads(raw or b"null")
+
+
+def _raw_bytes(client: Client, method: str, path: str, body: dict | None = None):
+    """One request; the status, headers and undecoded response body."""
     conn = HTTPConnection(client._transport.netloc, timeout=30)
     try:
         payload = json.dumps(body).encode() if body is not None else None
         conn.request(method, path, body=payload)
         response = conn.getresponse()
-        headers = dict(response.getheaders())
-        return (
-            response.status,
-            headers,
-            json.loads(response.read().decode() or "null"),
-        )
+        return response.status, dict(response.getheaders()), response.read()
     finally:
         conn.close()
+
+
+def _result_slice(raw: bytes) -> bytes:
+    """The bytes of ``result``, the last key of a status document."""
+    start = raw.index(b',"result":') + len(b',"result":')
+    assert raw.endswith(b"}\n")
+    return raw[start:-2]
 
 
 class TestSimulateEndpoint:
@@ -125,6 +131,95 @@ class TestSimulateEndpoint:
         )
         assert status == 400
         assert "simulate" in payload["error"]
+
+
+class TestHitsAsBytes:
+    """A hit is served as the cached bytes, pinned to the old encoder."""
+
+    def test_hit_body_matches_parsed_encoding(self, served):
+        client, _ = served
+        spec = JobSpec.from_dict(SIM_PAYLOAD)
+        assert client.submit(spec).cache == "miss"
+        status, _headers, posted = _raw_bytes(
+            client, "POST", "/v1/simulate?wait=true", SIM_PAYLOAD
+        )
+        assert status == 200
+        hit = JobStatus.from_dict(json.loads(posted))
+        status, _headers, fetched = _raw_bytes(client, "GET", f"/v1/jobs/{hit.id}")
+        assert status == 200
+        for raw in (posted, fetched):
+            parsed = JobStatus.from_dict(json.loads(raw))
+            assert parsed.cache == "hit"
+            # Byte-identical to encoding the parsed document in place.
+            assert raw == _json_bytes(parsed.to_dict())
+            assert _result_slice(raw) == canonical_json(execute_spec(spec)).encode()
+
+    def test_miss_body_carries_the_canonical_bytes(self, served):
+        client, _ = served
+        status, _headers, raw = _raw_bytes(
+            client, "POST", "/v1/simulate?wait=true", SIM_PAYLOAD
+        )
+        assert status == 200
+        assert json.loads(raw)["cache"] == "miss"
+        spec = JobSpec.from_dict(SIM_PAYLOAD)
+        assert _result_slice(raw) == canonical_json(execute_spec(spec)).encode()
+
+    def test_hit_is_neither_parsed_nor_reencoded(self, served, monkeypatch):
+        client, _ = served
+        cold = client.submit(JobSpec.from_dict(SIM_PAYLOAD))
+        assert cold.cache == "miss"
+
+        class NoJson:
+            def __getattr__(self, name):
+                raise AssertionError(f"json.{name} called on a cache hit")
+
+        def no_encode(payload):
+            raise AssertionError("canonical_json called on a cache hit")
+
+        encoded = []
+
+        class SpyJson:
+            loads = staticmethod(json.loads)
+
+            @staticmethod
+            def dumps(payload, **kwargs):
+                encoded.append(payload)
+                return json.dumps(payload, **kwargs)
+
+        monkeypatch.setattr("repro.serve.cache.json", NoJson(), raising=False)
+        monkeypatch.setattr("repro.serve.runner.json", NoJson())
+        monkeypatch.setattr("repro.serve.runner.canonical_json", no_encode)
+        monkeypatch.setattr("repro.serve.http.json", SpyJson())
+        status, _headers, raw = _raw_bytes(
+            client, "POST", "/v1/simulate?wait=true", SIM_PAYLOAD
+        )
+        assert status == 200, raw
+        assert json.loads(raw)["cache"] == "hit"
+        assert _result_slice(raw) == canonical_json(cold.result).encode()
+        # The server encoded the status head only, never the result.
+        assert encoded and all("result" not in payload for payload in encoded)
+
+    def test_terminal_job_skips_the_executor(self, tmp_path):
+        from concurrent.futures import ThreadPoolExecutor
+
+        class CountingExecutor(ThreadPoolExecutor):
+            calls = 0
+
+            def submit(self, fn, *args, **kwargs):
+                CountingExecutor.calls += 1
+                return super().submit(fn, *args, **kwargs)
+
+        with CountingExecutor(max_workers=2) as executor, live_server(
+            executor=executor, cache=tmp_path / "cache"
+        ) as server:
+            client = Client(server.address)
+            cold = client.submit(JobSpec.from_dict(SIM_PAYLOAD))
+            assert cold.cache == "miss"
+            CountingExecutor.calls = 0
+            warm = client.submit(JobSpec.from_dict(SIM_PAYLOAD))
+            assert warm.cache == "hit"
+            assert client.job(warm.id, wait=True).ok
+            assert CountingExecutor.calls == 0
 
 
 class TestJobEndpoints:

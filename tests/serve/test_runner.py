@@ -13,7 +13,7 @@ from repro.schema import canonical_json
 from repro.serve.cache import ResultCache
 from repro.serve.client import Client, load_result
 from repro.serve.journal import JobJournal
-from repro.serve.runner import JobManager, iter_job_events
+from repro.serve.runner import JobManager, execute_spec, iter_job_events
 from repro.serve.types import JOB_CANCELLED, JOB_TIMEOUT, JobSpec
 
 GRAPH = {"n": 30, "p": 0.3, "seed": 1}
@@ -64,6 +64,25 @@ class TestCacheSemantics:
             assert canonical_json(cold.result) == canonical_json(warm.result)
             assert manager.num_executions == 1
             assert manager.registry.counter_value("serve.cache.hits") == 1
+
+    def test_miss_encodes_once_and_caches_those_bytes(self, monkeypatch, tmp_path):
+        encodes = []
+
+        def counting_canonical_json(payload):
+            encodes.append(payload)
+            return canonical_json(payload)
+
+        monkeypatch.setattr(
+            "repro.serve.runner.canonical_json", counting_canonical_json
+        )
+        with JobManager(cache=tmp_path / "cache", workers=1) as manager:
+            job = manager.submit(make_spec())
+            assert manager.wait(job, timeout=30) and job.state == "done"
+            assert len(encodes) == 1
+            truth = canonical_json(execute_spec(make_spec())).encode()
+            assert job.body == truth
+            assert manager.cache.get(job.key) == truth
+            assert job.status().result == json.loads(truth)
 
     def test_differing_seeds_miss(self, tmp_path):
         with JobManager(cache=tmp_path / "cache", workers=1) as manager:
@@ -174,6 +193,17 @@ class TestFailures:
             assert job.result is None
             # Failures are never cached: a resubmit re-executes.
             assert job.key not in manager.cache
+
+    def test_result_strict_json_cannot_hold_fails_without_cache(self, monkeypatch):
+        monkeypatch.setattr(
+            "repro.serve.runner.execute_spec", lambda spec: {"x": float("inf")}
+        )
+        with JobManager(cache=None, workers=1) as manager:
+            job = manager.submit(make_spec())
+            assert manager.wait(job, timeout=30)
+            assert job.state == "failed"
+            assert "JSON compliant" in job.error
+            assert job.result is None
 
     def test_unknown_process_fails_cleanly(self, tmp_path):
         with JobManager(cache=None, workers=1) as manager:
