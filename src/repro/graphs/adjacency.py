@@ -9,16 +9,24 @@ form (``indptr`` / ``indices``), which gives
   kernel's "count transmitting neighbours" matvec, built on first use,
 * cheap vectorized frontier expansion for BFS.
 
-Instances are immutable: the underlying arrays are marked read-only, so a
-graph can be shared between a simulator, a scheduler and an experiment
-runner without defensive copies, and derived facts such as connectivity
-are computed once and cached on the instance.  One caveat for threads:
-the numpy backend's count kernels (:meth:`Adjacency.neighbor_counts` and
-:meth:`Adjacency.neighbor_counts_batch`) cast their masks into scratch
-buffers cached on the instance, so two threads must not run them on one
-graph at once.  The serial radio round
-(:meth:`~repro.radio.model.RadioNetwork.step`) keeps no scratch and is
-safe to share.
+Instances are immutable: the underlying arrays, and the cached matrix's,
+are marked read-only, so a graph can be shared between a simulator, a
+scheduler and an experiment runner without defensive copies, and derived
+facts such as connectivity are computed once and cached on the instance
+(computing one twice gives the same value).
+
+Threads do share instances: the job server's
+:class:`~repro.serve.runner.JobManager` keeps networks in a graph map and
+runs several worker threads on one cached network at once.  That is safe
+on the serial radio round (:meth:`~repro.radio.model.RadioNetwork.step`
+and :meth:`~repro.radio.model.RadioNetwork.arrivals`), which keeps no
+scratch.  The count kernels stay off-limits to a shared graph:
+:meth:`Adjacency.neighbor_counts` and
+:meth:`Adjacency.neighbor_counts_batch` (and
+:meth:`~repro.radio.model.RadioNetwork.step_batch`, which calls them)
+cast their masks into scratch buffers cached on the instance
+(``_mask_buf``, ``_dense_buf``, ``_gather_arange``), so two threads must
+not run them on one graph at once.
 """
 
 from __future__ import annotations
@@ -292,7 +300,7 @@ class Adjacency:
         ids above them) needs no temporary copy of the data array.
         """
         if self._matrix is None:
-            self._matrix = sp.csr_matrix(
+            matrix = sp.csr_matrix(
                 (
                     np.ones(self._indices.size, dtype=np.int64),
                     self._indices.copy(),
@@ -300,6 +308,9 @@ class Adjacency:
                 ),
                 shape=(self.n, self.n),
             )
+            for arr in (matrix.data, matrix.indices, matrix.indptr):
+                arr.flags.writeable = False
+            self._matrix = matrix
         return self._matrix
 
     def neighbor_counts(self, mask: BoolArray | np.ndarray) -> IntArray:

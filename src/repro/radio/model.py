@@ -150,6 +150,7 @@ class RadioNetwork:
         self._shift = bits if max_degree * (1 + (adj.n << bits)) < 2**63 else None
         self._gate_args = (adj.indices.size, max_degree, adj.n)
         self._ids = np.arange(1, adj.n + 1, dtype=np.int64)
+        self._ids.flags.writeable = False
         # The gather sums float64 weights, exact while every sum is
         # below 2**53 (which implies the packing fits in int64).
         self._may_gather = (

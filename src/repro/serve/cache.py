@@ -8,8 +8,9 @@ invalidation — the cache only grows, and growing it is the point.
 
 The cache stores and returns a result as its canonical JSON bytes
 (:func:`~repro.schema.canonical_json`), never as a parsed document: the
-server splices those bytes straight into its response, so a hit is a
-file read plus a socket write.
+server splices those bytes straight into its response, so a hit is at
+most a file read plus a socket write (the job manager keeps recent
+result bytes in memory, so most hits skip the read).
 
 Layout (git-style two-character fan-out to keep directories small)::
 

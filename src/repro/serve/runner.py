@@ -15,7 +15,10 @@ The middle layer of the client/runner/types split.  Two halves:
   with a stored result is a **cache hit** (job born terminal, no
   execution), a key already executing **coalesces** onto the in-flight
   job (concurrent identical requests cost one execution), and a fresh
-  key is queued onto a bounded thread pool.  Each executing job runs
+  key is queued onto a bounded thread pool.  Hit bodies and repeated
+  graphs stay in memory in two bounded maps (see :class:`JobManager`);
+  a spec that is not deterministic skips all of this and executes
+  every time.  Each executing job runs
   under its own :class:`~repro.obs.Observer` whose sink tees every
   engine event (``run-*``, ``round``, ``batch-*``, ``exec-*``) into the
   job's replayable event buffer — the stream behind
@@ -45,13 +48,15 @@ from __future__ import annotations
 
 import json
 import threading
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
+from contextvars import ContextVar
 from itertools import count
 from pathlib import Path
 from typing import Iterable
 from warnings import warn
 
-from ..api import simulate
+from ..api import _as_network, simulate
 from ..errors import (
     InvalidParameterError,
     JobCancelledError,
@@ -61,6 +66,7 @@ from ..errors import (
 )
 from ..obs import MetricsRegistry, Observer, current_observer, use_observer
 from ..obs.sinks import SCHEMA_VERSION
+from ..radio.model import RadioNetwork
 from ..schema import canonical_json
 from .cache import ResultCache
 from .chaos import ServeChaos
@@ -156,6 +162,12 @@ def build_protocol(spec: dict, graph: dict):
 # Pure execution
 # ----------------------------------------------------------------------
 
+#: Where a deterministic job gets its network.  :meth:`JobManager._run`
+#: sets this to the manager's graph map around :func:`execute_spec`;
+#: unset, as for every other caller, :func:`execute_job` samples a fresh
+#: graph from the spec.
+_NETWORKS: ContextVar = ContextVar("repro_serve_networks", default=None)
+
 
 def execute_job(spec: JobSpec) -> dict:
     """Run one simulate job and return its result document.
@@ -163,15 +175,22 @@ def execute_job(spec: JobSpec) -> dict:
     A round-budget miss returns the partial trace (the document records
     ``completed`` per the result schema) rather than failing the job —
     an incomplete run is a valid, cacheable answer to the question the
-    spec asked.
+    spec asked.  Inside a :class:`JobManager` worker a deterministic
+    spec may run on a cached network; the graph is a pure function of
+    its mapping, so the document is the same.
     """
     kwargs = dict(spec.params)
     protocol_spec = kwargs.pop("protocol", None)
     if protocol_spec is not None:
         kwargs["protocol"] = build_protocol(protocol_spec, spec.graph)
+    networks = _NETWORKS.get()
     result = simulate(
         spec.process,
-        dict(spec.graph),
+        # Not bound to a name: a network built here is freed as soon as
+        # the run returns, before its result is encoded.
+        networks(spec.graph)
+        if networks is not None and spec.deterministic
+        else dict(spec.graph),
         seed=spec.seed,
         max_rounds=spec.max_rounds,
         raise_on_incomplete=False,
@@ -208,6 +227,64 @@ def execute_spec(spec) -> dict:
 # ----------------------------------------------------------------------
 # Jobs and the manager
 # ----------------------------------------------------------------------
+
+#: Byte budget of a manager's graph map (networks by graph mapping),
+#: counted by :func:`_network_bytes`.
+GRAPH_MAP_BYTES = 64 << 20
+#: Byte budget of a manager's body map (result bytes by cache key).
+BODY_MAP_BYTES = 64 << 20
+#: How many once-built graph mappings a manager remembers, so that a
+#: second request for one admits its network to the graph map.
+SEEN_GRAPHS = 1024
+
+
+def _network_bytes(network: RadioNetwork) -> int:
+    """An upper bound on the bytes a network holds on the serial path.
+
+    The CSR arrays, the degree and id vectors, and the ``int64`` matrix
+    that :meth:`~repro.graphs.adjacency.Adjacency.matrix` builds on first
+    use (copies of the CSR arrays plus one data entry per stored entry).
+    Counting the lazily built fields up front keeps the budget a bound
+    however the network is used after it is admitted.
+    """
+    adj = network.adj
+    csr = adj.indptr.nbytes + adj.indices.nbytes
+    return 2 * csr + 8 * adj.indices.size + 16 * adj.n
+
+
+class _LRU:
+    """A least-recently-used map under a byte budget.
+
+    Not thread-safe: the :class:`JobManager` holds its lock around every
+    call.  A value larger than the whole budget is not admitted.
+    """
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.bytes = 0
+        self._entries: OrderedDict[str, tuple[object, int]] = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key: str):
+        entry = self._entries.get(key)
+        if entry is None:
+            return None
+        self._entries.move_to_end(key)
+        return entry[0]
+
+    def put(self, key: str, value, size: int) -> None:
+        if size > self.budget:
+            return
+        old = self._entries.pop(key, None)
+        if old is not None:
+            self.bytes -= old[1]
+        self._entries[key] = (value, size)
+        self.bytes += size
+        while self.bytes > self.budget:
+            _key, (_value, evicted) = self._entries.popitem(last=False)
+            self.bytes -= evicted
 
 
 class Job:
@@ -347,6 +424,20 @@ class JobManager:
     obs: optional external :class:`~repro.obs.Observer`: its registry
         receives the ``serve.*`` series on top of the manager's own, and
         its sink receives a tee of every job's events.
+
+    The manager keeps its working set in two bounded LRU maps, each
+    under a fixed byte budget (:data:`GRAPH_MAP_BYTES`,
+    :data:`BODY_MAP_BYTES`).  The **graph map** holds networks by
+    canonical graph mapping; a network is admitted on the second
+    request for its graph (a bounded set of :data:`SEEN_GRAPHS` keys
+    remembers the first), so traffic that never repeats a graph retains
+    none.  Worker threads share a cached network: served dynamics run
+    only the serial round, which keeps no scratch on it.  The **body
+    map** holds result bytes by cache key, filled by finished misses and
+    by disk hits, so every hit on one key shares one ``bytes`` object
+    and reads the disk at most once while it stays in memory.  Only
+    :attr:`~repro.serve.types.JobSpec.deterministic` specs use the maps,
+    the result cache and coalescing; any other spec executes every time.
     """
 
     def __init__(
@@ -379,7 +470,12 @@ class JobManager:
         )
         self._lock = threading.Lock()
         self._jobs: dict[str, Job] = {}
+        # Keyed by cache key, or by job id for a spec that is not
+        # deterministic (see _slot).
         self._inflight: dict[str, Job] = {}
+        self._graphs = _LRU(GRAPH_MAP_BYTES)
+        self._seen_graphs: OrderedDict[str, None] = OrderedDict()
+        self._bodies = _LRU(BODY_MAP_BYTES)
         self._ids = count(1)
         self._executions = 0
         self._max_pending = max_pending
@@ -439,21 +535,22 @@ class JobManager:
                     "job manager is draining; retry against a live server"
                 )
             self._inc("serve.requests", label=spec.kind)
-            inflight = self._inflight.get(key)
-            if inflight is not None:
-                # Identical spec already executing: one execution serves
-                # every concurrent caller.
-                self._inc("serve.cache.coalesced")
-                return inflight
-            cached = self.cache.get(key) if self.cache is not None else None
-            if cached is not None:
-                self._inc("serve.cache.hits")
-                job = Job(self._next_id(), spec, key, cache="hit")
-                job.state = JOB_DONE
-                job.body = cached
-                job.done.set()
-                self._jobs[job.id] = job
-                return job
+            if spec.deterministic:
+                inflight = self._inflight.get(key)
+                if inflight is not None:
+                    # Identical spec already executing: one execution
+                    # serves every concurrent caller.
+                    self._inc("serve.cache.coalesced")
+                    return inflight
+                cached = self._cached_body(key)
+                if cached is not None:
+                    self._inc("serve.cache.hits")
+                    job = Job(self._next_id(), spec, key, cache="hit")
+                    job.state = JOB_DONE
+                    job.body = cached
+                    job.done.set()
+                    self._jobs[job.id] = job
+                    return job
             self._inc("serve.cache.misses")
             if len(self._inflight) >= self._max_pending:
                 self._inc("serve.rejections")
@@ -470,7 +567,7 @@ class JobManager:
                     self.journal.record_submit(key, spec.to_dict())
                     self._inc("serve.journal.submits")
             self._jobs[job.id] = job
-            self._inflight[key] = job
+            self._inflight[self._slot(job)] = job
             self._executions += 1
             self._inc("serve.executions", label=spec.kind)
             self._set_depth()
@@ -549,23 +646,30 @@ class JobManager:
 
     def stats(self) -> dict:
         """Headline counters for ``GET /v1/healthz``."""
+        # Counting cache entries walks the cache directory: never under
+        # the admission lock.
+        entries = len(self.cache) if self.cache is not None else 0
         with self._lock:
             states: dict[str, int] = {}
             for job in self._jobs.values():
                 states[job.state] = states.get(job.state, 0) + 1
+            counter = self.registry.counter_value
             return {
                 "jobs": states,
                 "executions": self._executions,
                 "draining": self._draining or self._closed,
                 "cache": {
-                    "hits": int(self.registry.counter_value("serve.cache.hits")),
-                    "misses": int(
-                        self.registry.counter_value("serve.cache.misses")
-                    ),
-                    "coalesced": int(
-                        self.registry.counter_value("serve.cache.coalesced")
-                    ),
-                    "entries": len(self.cache) if self.cache is not None else 0,
+                    "hits": int(counter("serve.cache.hits")),
+                    "memory_hits": int(counter("serve.cache.memory_hits")),
+                    "misses": int(counter("serve.cache.misses")),
+                    "coalesced": int(counter("serve.cache.coalesced")),
+                    "entries": entries,
+                },
+                "graphs": {
+                    "hits": int(counter("serve.graphs.hits")),
+                    "misses": int(counter("serve.graphs.misses")),
+                    "entries": len(self._graphs),
+                    "bytes": self._graphs.bytes,
                 },
             }
 
@@ -651,7 +755,7 @@ class JobManager:
                 if job.state == JOB_QUEUED:
                     job.error = "server shutting down"
                     job.state = JOB_FAILED
-                    self._inflight.pop(job.key, None)
+                    self._inflight.pop(self._slot(job), None)
                     self._inc("serve.jobs", label=job.state)
                     job.done.set()
             self._set_depth()
@@ -660,6 +764,51 @@ class JobManager:
 
     def _next_id(self) -> str:
         return f"job-{next(self._ids):06d}"
+
+    @staticmethod
+    def _slot(job: Job) -> str:
+        """The job's ``_inflight`` key: a spec that is not deterministic
+        never coalesces, so it is keyed by job id."""
+        return job.key if job.spec.deterministic else job.id
+
+    def _cached_body(self, key: str) -> bytes | None:
+        """A stored result's bytes, from memory or from disk (lock held)."""
+        if self.cache is None:
+            return None
+        body = self._bodies.get(key)
+        if body is not None:
+            self._inc("serve.cache.memory_hits")
+            return body
+        body = self.cache.get(key)
+        if body is not None:
+            self._bodies.put(key, body, len(body))
+        return body
+
+    def _network(self, graph: dict) -> RadioNetwork:
+        """The network of a deterministic graph mapping (worker threads).
+
+        A graph-map hit is shared.  A miss builds the network outside
+        the lock and admits it only if the graph was requested before.
+        """
+        key = json.dumps(graph, sort_keys=True)
+        with self._lock:
+            network = self._graphs.get(key)
+            if network is not None:
+                self._inc("serve.graphs.hits")
+                return network
+            self._inc("serve.graphs.misses")
+            admit = key in self._seen_graphs
+            if admit:
+                del self._seen_graphs[key]
+            else:
+                self._seen_graphs[key] = None
+                if len(self._seen_graphs) > SEEN_GRAPHS:
+                    self._seen_graphs.popitem(last=False)
+        network = _as_network(graph)
+        if admit:
+            with self._lock:
+                self._graphs.put(key, network, _network_bytes(network))
+        return network
 
     def _run(self, job: Job) -> None:
         start = Observer.clock()
@@ -684,10 +833,12 @@ class JobManager:
                 job.raise_if_interrupted()
             job.state = JOB_RUNNING
             sink.armed = True
+            networks = _NETWORKS.set(self._network)
             try:
                 with use_observer(obs):
                     result = execute_spec(job.spec)
             finally:
+                _NETWORKS.reset(networks)
                 # Terminal events below must never re-raise.
                 sink.armed = False
             # Inside the handlers: an encode that raises (a result strict
@@ -696,7 +847,7 @@ class JobManager:
             # non-terminal forever.  These bytes are the only encoding:
             # the cache stores them and the server sends them.
             body = canonical_json(result).encode()
-            if self.cache is not None:
+            if self.cache is not None and job.spec.deterministic:
                 self.cache.put(job.key, body)
         except JobCancelledError as exc:
             job.error = str(exc)
@@ -737,7 +888,13 @@ class JobManager:
             # which is either a cache hit or a byte-identical re-run.
             self.journal.record_terminal(job.key, job.state)
         with self._lock:
-            self._inflight.pop(job.key, None)
+            self._inflight.pop(self._slot(job), None)
+            if (
+                job.state == JOB_DONE
+                and self.cache is not None
+                and job.spec.deterministic
+            ):
+                self._bodies.put(job.key, job.body, len(job.body))
             self.registry.merge_snapshot(registry.snapshot())
             if self._obs is not None and self._obs.registry is not None:
                 self._obs.registry.merge_snapshot(registry.snapshot())

@@ -13,8 +13,10 @@ Two request shapes exist:
 Both canonicalise to a sorted, compact JSON document
 (:meth:`JobSpec.canonical_json`) whose sha256 is the job's
 **content-addressed cache key**.  Determinism makes this sound: every
-simulation is a pure function of its canonical spec, so equal keys mean
-equal results, forever.  Fields that cannot change the result are
+seeded simulation is a pure function of its canonical spec, so equal
+keys mean equal results, forever.  A spec with an unseeded graph or run
+is not (:attr:`JobSpec.deterministic`), and the server never caches
+its result.  Fields that cannot change the result are
 excluded from the key — ``backend`` (all kernel backends are
 bit-identical) and ``jobs`` (``jobs=1 ≡ jobs=N`` byte-identity) — so a
 numba client and a numpy client share cache entries.
@@ -203,6 +205,22 @@ class JobSpec:
     def kind(self) -> str:
         return "simulate"
 
+    @property
+    def deterministic(self) -> bool:
+        """Whether the result is a pure function of this spec.
+
+        True when both the graph seed and the run seed are ints.  A
+        missing or null seed draws fresh OS entropy, so such a spec
+        names a random sample, not one result: the job server executes
+        it every time and keeps none of it in any cache.
+        """
+        graph_seed = self.graph.get("seed")
+        return (
+            self.seed is not None
+            and isinstance(graph_seed, int)
+            and not isinstance(graph_seed, bool)
+        )
+
     @classmethod
     def from_dict(cls, payload: dict) -> "JobSpec":
         """Parse and validate a wire payload (unknown fields rejected)."""
@@ -314,6 +332,11 @@ class SweepSpec:
     @property
     def kind(self) -> str:
         return "sweep"
+
+    @property
+    def deterministic(self) -> bool:
+        """Always true: a sweep's seed is a required int."""
+        return True
 
     @classmethod
     def from_dict(cls, payload: dict) -> "SweepSpec":

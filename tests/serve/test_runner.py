@@ -538,3 +538,266 @@ class TestDrain:
         # recover() would re-execute the deliberately-endless spec.)
         entries = JobJournal(journal_dir).recover()
         assert [entry.key for entry in entries] == [job.key]
+
+
+def graph_spec(graph_seed: int, run_seed: int) -> JobSpec:
+    return make_spec(
+        graph={"n": 400, "p": 0.03, "seed": graph_seed},
+        params={"protocol": {"kind": "uniform", "q": 0.08}},
+        seed=run_seed,
+        max_rounds=2000,
+    )
+
+
+def fresh_body(spec: JobSpec) -> bytes:
+    """The spec's document from a fresh graph build, outside any manager."""
+    return canonical_json(execute_spec(spec)).encode()
+
+
+def cached_networks(manager: JobManager) -> list:
+    return [network for network, _size in manager._graphs._entries.values()]
+
+
+def reachable_arrays(obj, seen=None):
+    """Every numpy array reachable from ``obj`` through its attributes."""
+    import numpy as np
+
+    seen = set() if seen is None else seen
+    if id(obj) in seen or obj is None or isinstance(obj, (bool, int, float, str)):
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, (tuple, list)):
+        children = list(obj)
+    else:
+        children = list(getattr(obj, "__dict__", {}).values())
+        for cls in type(obj).__mro__:
+            children += [
+                getattr(obj, slot)
+                for slot in getattr(cls, "__slots__", ())
+                if slot != "__weakref__" and hasattr(obj, slot)
+            ]
+    return [arr for child in children for arr in reachable_arrays(child, seen)]
+
+
+class TestGraphMap:
+    def test_threads_share_one_graph_and_match_fresh_builds(self, tmp_path):
+        specs = [graph_spec(5, run_seed) for run_seed in range(8)]
+        with JobManager(cache=tmp_path / "cache", workers=2) as manager:
+            # The first request builds and forgets; the second admits.
+            jobs = []
+            for spec in specs[:2]:
+                jobs.append(manager.submit(spec))
+                assert manager.wait(jobs[-1], timeout=60)
+            # The rest run two at a time on the one cached network.
+            jobs += [manager.submit(spec) for spec in specs[2:]]
+            for job in jobs:
+                assert manager.wait(job, timeout=60) and job.state == "done"
+            graphs = manager.stats()["graphs"]
+            assert graphs["misses"] == 2 and graphs["hits"] == len(specs) - 2
+            assert graphs["entries"] == 1 and graphs["bytes"] > 0
+        for spec, job in zip(specs, jobs):
+            assert job.body == fresh_body(spec)
+
+    def test_stress_shared_maps_under_thread_switching(self, tmp_path):
+        import sys
+
+        specs = [
+            make_spec(graph={"n": 60, "p": 0.15, "seed": i % 3}, seed=i)
+            for i in range(24)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with JobManager(cache=tmp_path / "cache", workers=4) as manager:
+                jobs = [manager.submit(spec) for spec in specs * 2]
+                for job in jobs:
+                    assert manager.wait(job, timeout=60) and job.state == "done"
+                stats = manager.stats()
+        finally:
+            sys.setswitchinterval(interval)
+        # No lost update: every execution counted once, and the map's
+        # byte total is the sum of its entries.
+        graphs = stats["graphs"]
+        assert graphs["hits"] + graphs["misses"] == stats["executions"]
+        assert graphs["bytes"] == sum(
+            size for _network, size in manager._graphs._entries.values()
+        )
+        assert graphs["entries"] <= 3
+        bodies = {spec.cache_key(): fresh_body(spec) for spec in specs}
+        assert all(job.body == bodies[job.key] for job in jobs)
+
+    def test_graphs_that_never_repeat_leave_the_map_empty(self, tmp_path):
+        with JobManager(cache=tmp_path / "cache", workers=2) as manager:
+            jobs = [manager.submit(graph_spec(seed, seed)) for seed in range(4)]
+            for job in jobs:
+                assert manager.wait(job, timeout=60) and job.state == "done"
+            graphs = manager.stats()["graphs"]
+            assert graphs == {"hits": 0, "misses": 4, "entries": 0, "bytes": 0}
+
+    def test_lru_evicts_past_the_byte_budget(self, monkeypatch, tmp_path):
+        from repro.api import _as_network
+        from repro.serve import runner
+
+        size = runner._network_bytes(_as_network(graph_spec(0, 0).graph))
+        # Room for two of these graphs (their sizes differ by a few
+        # per cent between seeds), never three.
+        monkeypatch.setattr(runner, "GRAPH_MAP_BYTES", int(2.5 * size))
+        with JobManager(cache=None, workers=1) as manager:
+            for graph_seed in range(3):
+                for run_seed in range(2):
+                    job = manager.submit(graph_spec(graph_seed, run_seed))
+                    assert manager.wait(job, timeout=60)
+            graphs = manager.stats()["graphs"]
+            assert graphs["entries"] == 2
+            assert graphs["bytes"] <= runner.GRAPH_MAP_BYTES
+            kept = {network.adj for network in cached_networks(manager)}
+            oldest = _as_network(graph_spec(0, 0).graph).adj
+            assert oldest not in kept
+            # The most recent graph is still served from memory.
+            hits = graphs["hits"]
+            job = manager.submit(graph_spec(2, 9))
+            assert manager.wait(job, timeout=60)
+            assert manager.stats()["graphs"]["hits"] == hits + 1
+
+    def test_lru_keeps_the_recently_used_entry(self):
+        from repro.serve.runner import _LRU
+
+        lru = _LRU(budget=10)
+        lru.put("a", "A", 4)
+        lru.put("b", "B", 4)
+        assert lru.get("a") == "A"  # now "b" is the oldest
+        lru.put("c", "C", 4)
+        assert lru.get("b") is None and lru.get("a") == "A"
+        assert len(lru) == 2 and lru.bytes == 8
+        lru.put("huge", "H", 11)  # larger than the budget: not admitted
+        assert lru.get("huge") is None and len(lru) == 2
+
+    def test_cached_network_arrays_are_read_only(self, tmp_path):
+        with JobManager(cache=None, workers=2) as manager:
+            jobs = [manager.submit(graph_spec(3, seed)) for seed in range(4)]
+            for job in jobs:
+                assert manager.wait(job, timeout=60) and job.state == "done"
+            (network,) = cached_networks(manager)
+        # The serial rounds built the lazily cached fields.
+        assert network.adj._matrix is not None and network.adj._connected
+        arrays = reachable_arrays(network)
+        assert len(arrays) >= 7
+        assert not [arr for arr in arrays if arr.flags.writeable]
+
+
+class TestBodyMap:
+    def test_hits_on_one_key_share_one_bytes_object(self, tmp_path):
+        with JobManager(cache=tmp_path / "cache", workers=1) as manager:
+            cold = manager.submit(make_spec())
+            assert manager.wait(cold, timeout=30)
+            hits = [manager.submit(make_spec()) for _ in range(3)]
+            assert all(job.cache == "hit" and job.body is cold.body for job in hits)
+            assert manager.stats()["cache"]["memory_hits"] == 3
+
+    def test_disk_entry_is_read_once_per_key(self, tmp_path):
+        reads = []
+
+        class CountingCache(ResultCache):
+            def get(self, key):
+                reads.append(key)
+                return super().get(key)
+
+        with JobManager(cache=tmp_path / "cache", workers=1) as manager:
+            cold = manager.submit(make_spec())
+            assert manager.wait(cold, timeout=30)
+        with JobManager(cache=CountingCache(tmp_path / "cache"), workers=1) as manager:
+            warm = [manager.submit(make_spec()) for _ in range(4)]
+            assert len(reads) == 1
+            assert all(job.cache == "hit" and job.body is warm[0].body for job in warm)
+            assert warm[0].body == cold.body
+            assert manager.registry.counter_value("serve.cache.memory_hits") == 3
+
+    def test_no_cache_executes_every_request(self):
+        with JobManager(cache=None, workers=1) as manager:
+            jobs = []
+            for _ in range(3):
+                jobs.append(manager.submit(make_spec()))
+                assert manager.wait(jobs[-1], timeout=30)
+            assert [job.cache for job in jobs] == ["miss"] * 3
+            assert manager.num_executions == 3
+            assert len({job.body for job in jobs}) == 1
+
+
+class TestNondeterministicSpecs:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            make_spec(graph={"n": 200, "p": 0.1}),
+            make_spec(seed=None),
+            make_spec(graph={"n": 200, "p": 0.1}, seed=None),
+        ],
+        ids=["unseeded-graph", "unseeded-run", "unseeded-both"],
+    )
+    def test_executes_every_time_and_is_never_cached(self, spec, tmp_path):
+        with JobManager(cache=tmp_path / "cache", workers=1) as manager:
+            jobs = []
+            for _ in range(3):
+                jobs.append(manager.submit(spec))
+                assert manager.wait(jobs[-1], timeout=30)
+                assert jobs[-1].state == "done"
+            assert [job.cache for job in jobs] == ["miss"] * 3
+            assert manager.num_executions == 3
+            assert len(manager.cache) == 0 and spec.cache_key() not in manager.cache
+            stats = manager.stats()
+            assert stats["graphs"] == {"hits": 0, "misses": 0, "entries": 0, "bytes": 0}
+            assert len(manager._bodies) == 0
+
+    def test_concurrent_identical_specs_do_not_coalesce(self, monkeypatch, tmp_path):
+        release = threading.Event()
+        calls = []
+
+        def slow_execute(spec):
+            calls.append(spec)
+            release.wait(10)
+            return {"schema_version": 1, "kind": "broadcast-trace"}
+
+        monkeypatch.setattr("repro.serve.runner.execute_spec", slow_execute)
+        spec = make_spec(seed=None)
+        with JobManager(cache=tmp_path / "cache", workers=2) as manager:
+            first = manager.submit(spec)
+            second = manager.submit(spec)
+            assert second is not first
+            # Both count as pending: neither displaced the other.
+            assert manager.registry.gauge_value("serve.queue.depth") == 2
+            release.set()
+            assert manager.wait(first, timeout=10) and manager.wait(second, timeout=10)
+            assert len(calls) == 2 and manager.num_executions == 2
+            assert manager.stats()["jobs"] == {"done": 2}
+
+
+class TestStats:
+    def test_counting_cache_entries_does_not_block_submit(self, tmp_path):
+        counting = threading.Event()
+        release = threading.Event()
+
+        class SlowCountCache(ResultCache):
+            def __len__(self):
+                counting.set()
+                release.wait(10)
+                return super().__len__()
+
+        with JobManager(cache=SlowCountCache(tmp_path / "cache"), workers=1) as manager:
+            stats = []
+            reader = threading.Thread(target=lambda: stats.append(manager.stats()))
+            reader.start()
+            try:
+                assert counting.wait(10)
+                submitted = []
+                writer = threading.Thread(
+                    target=lambda: submitted.append(manager.submit(make_spec()))
+                )
+                writer.start()
+                writer.join(5)
+                assert submitted, "submit blocked behind the cache walk"
+            finally:
+                release.set()
+                reader.join(10)
+            assert manager.wait(submitted[0], timeout=30)
+            assert stats and stats[0]["cache"]["entries"] == 0

@@ -111,6 +111,17 @@ class TestJobSpec:
         with pytest.raises(InvalidParameterError, match="deadline_s"):
             make_spec(deadline_s=bad)
 
+    def test_deterministic_needs_both_seeds_as_ints(self):
+        assert make_spec().deterministic
+        assert make_spec(graph={**GRAPH, "seed": 0}, seed=0).deterministic
+        assert not make_spec(seed=None).deterministic
+        assert not make_spec(graph={"n": 40, "p": 0.3}).deterministic
+        for seed in (None, True, 1.0, "1"):
+            assert not make_spec(graph={**GRAPH, "seed": seed}).deterministic
+
+    def test_sweeps_are_deterministic(self):
+        assert SweepSpec(experiments=("E1",)).deterministic
+
 
 class TestSweepSpec:
     def test_round_trip(self):
