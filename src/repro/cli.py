@@ -6,7 +6,7 @@ Usage::
     python -m repro dynamics [--only broadcast,gossip]
     python -m repro describe E4
     python -m repro run E4 --full --seed 7
-    python -m repro run-all --jobs 2 --checkpoint ckpt/ --resume
+    python -m repro run-all --jobs 2 --checkpoint ckpt/
     python -m repro run E4 --trace-out e4.jsonl
     python -m repro run E4 --json > e4.json
     python -m repro run-all --quick --out results.md
@@ -20,7 +20,7 @@ Usage::
 
 Flags shared across subcommands (``--seed``, ``--jobs``,
 ``--task-timeout``, ``--max-task-retries``, ``--checkpoint``,
-``--resume``, ``--trace-out``, ``--full``, ``--markdown``, ``--only``,
+``--trace-out``, ``--full``, ``--markdown``, ``--only``,
 ``--backend``) are
 declared once on parent parsers, so their defaults and help text cannot
 drift between ``run``, ``run-all`` and ``profile``.  ``--backend``
@@ -30,7 +30,10 @@ through the supervised executor (``repro.experiments.supervisor``):
 worker crashes are retried on the experiment's original child seed,
 hung experiments expire against ``--task-timeout``, and ``run-all``
 prints a per-task outcome summary instead of dying on a poisoned
-experiment.
+experiment.  ``--checkpoint DIR`` roots the sweep's store there: every
+completed experiment is stored, and a rerun (or another sweep with an
+experiment at the same position under the same ``--seed``) serves it
+from the store instead of executing it.
 
 ``--fabric HOST:PORT`` routes the same sweep through the multi-host
 coordinator/worker fabric (``repro.experiments.fabric``) instead of the
@@ -81,22 +84,20 @@ def _render_parent() -> argparse.ArgumentParser:
 
 
 def _sweep_parent() -> argparse.ArgumentParser:
-    """Shared sweep flags: ``--checkpoint``, ``--resume``, ``--jobs``."""
+    """Shared sweep flags: ``--checkpoint``, ``--jobs`` and the executor knobs."""
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument(
         "--checkpoint",
         default=None,
         metavar="DIR",
         help=(
-            "directory for the sweep's task checkpoint: each finished "
-            "experiment's outcome is recorded there; needs --jobs, "
-            "--fabric or (run-all) --json"
+            "root of the sweep's result store: each completed experiment "
+            "is stored there, and experiments already stored under the "
+            "same --seed, mode and position are served from it instead of "
+            "executed (rerun with the same DIR to continue an interrupted "
+            "sweep; delete DIR after changing experiment code); needs "
+            "--jobs, --fabric or (run-all) --json"
         ),
-    )
-    parent.add_argument(
-        "--resume",
-        action="store_true",
-        help="skip experiments already completed in the --checkpoint directory",
     )
     parent.add_argument(
         "--jobs",
@@ -303,8 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SPEC",
         help=(
-            "JSON network-fault schedule (repro.experiments.chaos."
-            "save_net_chaos) applied to this worker's sends; test-only"
+            "JSON fault-schedule spec (repro.chaos.FaultSchedule.save) "
+            "whose wire rules act on this worker's sends; test-only"
         ),
     )
 
@@ -381,8 +382,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SPEC",
         help=(
-            "JSON serve-chaos schedule (repro.serve.save_serve_chaos) "
-            "injecting execution holds and connection resets; test-only"
+            "JSON fault-schedule spec (repro.chaos.FaultSchedule.save) "
+            "whose hold and reset rules delay executions and abort "
+            "connections; test-only"
         ),
     )
 
@@ -445,10 +447,8 @@ def _render(result, markdown: bool) -> str:
 
 def _sweep_flag_error(args) -> str | None:
     """First invalid sweep-flag combination, or ``None`` when consistent."""
-    if args.resume and not args.checkpoint:
-        return "--resume requires --checkpoint"
     if args.checkpoint and args.jobs is None and args.fabric is None:
-        # The sequential route has no checkpoint.  run-all --json goes
+        # The sequential route has no store.  run-all --json goes
         # through the supervised executor; run --json does not.
         if args.command != "run-all":
             return "--checkpoint requires --jobs or --fabric"
@@ -521,7 +521,6 @@ def _run_one(spec, args):
         quick=not args.full,
         seed=args.seed,
         checkpoint=args.checkpoint,
-        resume=args.resume,
         task_timeout=args.task_timeout,
         max_task_retries=args.max_task_retries,
     )
@@ -599,10 +598,10 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "worker":
-        from .experiments.chaos import load_net_chaos
+        from .chaos import FaultSchedule
         from .experiments.fabric import run_worker
 
-        chaos = load_net_chaos(args.chaos_net) if args.chaos_net else None
+        chaos = FaultSchedule.load(args.chaos_net) if args.chaos_net else None
         try:
             return run_worker(
                 args.connect,
@@ -628,9 +627,9 @@ def main(argv: list[str] | None = None) -> int:
         journal = None if args.no_journal else (args.journal or args.cache)
         chaos = None
         if args.chaos is not None:
-            from .serve import load_serve_chaos
+            from .chaos import FaultSchedule
 
-            chaos = load_serve_chaos(args.chaos)
+            chaos = FaultSchedule.load(args.chaos)
         try:
             serve_forever(
                 args.host,
@@ -770,7 +769,6 @@ def main(argv: list[str] | None = None) -> int:
                             listen=args.fabric,
                             workers=args.workers,
                             checkpoint=args.checkpoint,
-                            resume=args.resume,
                             task_timeout=args.task_timeout,
                             max_task_retries=args.max_task_retries,
                         )
@@ -783,20 +781,21 @@ def main(argv: list[str] | None = None) -> int:
                             seed=args.seed,
                             jobs=args.jobs if args.jobs is not None else 1,
                             checkpoint=args.checkpoint,
-                            resume=args.resume,
                             task_timeout=args.task_timeout,
                             max_task_retries=args.max_task_retries,
                         )
             except KeyboardInterrupt:
                 # The coordinator/supervisor has already released leases
-                # (BYE to workers) and flushed completed outcomes, so the
-                # sweep is resumable from --checkpoint.
+                # (BYE to workers) and stored every completed result, so
+                # with a store the same command continues the sweep.
                 _finish_observer(obs, args.trace_out)
-                print(
-                    "interrupted: completed outcomes are checkpointed; "
-                    "rerun with --resume to continue",
-                    file=sys.stderr,
-                )
+                print("interrupted", file=sys.stderr)
+                if args.checkpoint:
+                    print(
+                        f"completed experiments are stored in {args.checkpoint}; "
+                        f"rerun with --checkpoint {args.checkpoint} to continue",
+                        file=sys.stderr,
+                    )
                 return 130
             elapsed = time.perf_counter() - start
             failed = sum(1 for outcome in outcomes if not outcome.ok)

@@ -152,12 +152,12 @@ class FabricError(ExecutorError):
 class CoordinatorHalted(FabricError):
     """The fabric coordinator stopped before the sweep finished.
 
-    Raised by the ``halt_after`` chaos hook
+    Raised by a ``halt`` rule in the coordinator's chaos schedule
     (:func:`~repro.experiments.fabric.run_fabric_sweep`), which
-    simulates coordinator death mid-sweep: terminal outcomes up to the
-    halt are already flushed to the sweep checkpoint, so a subsequent
-    ``resume=True`` run proves restart recovery.  Carries how many
-    terminal outcomes had been recorded.
+    simulates coordinator death mid-sweep: every ``ok`` result recorded
+    before the halt is already in the sweep's store, so a rerun with
+    the same store serves them without executing and proves restart
+    recovery.  Carries how many terminal outcomes had been recorded.
     """
 
     def __init__(self, message: str, completed: int = 0):

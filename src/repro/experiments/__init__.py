@@ -31,8 +31,8 @@ from .parallel import SweepTask, run_catalog_fabric, run_catalog_supervised
 from .report import format_markdown_table, format_table
 from .runner import ExperimentResult, aggregate, outcomes_table
 from .supervisor import (
-    SweepTaskCheckpoint,
     TaskOutcome,
+    TaskStore,
     outcome_counts,
     run_supervised_sweep,
 )
@@ -48,7 +48,7 @@ __all__ = [
     "format_markdown_table",
     "SweepTask",
     "TaskOutcome",
-    "SweepTaskCheckpoint",
+    "TaskStore",
     "outcome_counts",
     "run_supervised_sweep",
     "run_fabric_sweep",

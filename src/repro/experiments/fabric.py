@@ -38,23 +38,24 @@ The coordinator's stance, in the order things go wrong:
   in-process on the same :class:`~repro.experiments.supervisor.TaskLedger`,
   so the sweep completes byte-identically with zero fabric and each
   task keeps the attempt budget the fabric already charged;
-* **coordinator restart** — terminal outcomes flush incrementally to a
-  :class:`~repro.experiments.supervisor.SweepTaskCheckpoint` (atomic
-  writes, corrupt files quarantined), so a killed coordinator resumes
-  past completed tasks without re-executing them.  ``halt_after`` is
-  the chaos hook that simulates the kill.
+* **coordinator restart** — with a
+  :class:`~repro.experiments.supervisor.TaskStore`, each ``ok`` result
+  is put in the content-addressed store as it lands (atomic writes,
+  corrupt entries quarantined), so a killed coordinator's rerun serves
+  the completed tasks from the store without re-executing them — and
+  without listening at all when every task is a hit.  A ``halt`` rule
+  in the ``chaos`` schedule simulates the kill.
 
 The coordinator is a transport: attempt charging, retry-or-fail,
-terminal outcomes and the checkpoint flush all live in the
+terminal outcomes and the store all live in the
 :class:`~repro.experiments.supervisor.TaskLedger` it shares with the
 local supervised pool.  The wire protocol lives in
 :mod:`repro.experiments.wire` (pickle frames — a trusted-cluster
-transport, loopback or lab network only), and the
-deterministic network faults that verify all of the above live in
-:mod:`repro.experiments.chaos` (:class:`~repro.experiments.chaos.NetChaos`).
-``tests/experiments/test_fabric.py`` pins a chaos-ridden distributed
-sweep — worker crashes, a partition, one coordinator restart —
-byte-for-byte against the serial run.
+transport, loopback or lab network only), and the deterministic faults
+that verify all of the above are one :class:`~repro.chaos.FaultSchedule`
+per process.  ``tests/experiments/test_fabric.py`` pins a chaos-ridden
+distributed sweep — worker crashes, a partition, one coordinator
+restart — byte-for-byte against the serial run.
 
 CLI: ``repro worker --connect HOST:PORT`` starts a worker;
 ``repro run-all --fabric :PORT --workers N`` drives a loopback fabric.
@@ -75,15 +76,16 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
+from ..chaos import FaultSchedule
 from ..errors import CoordinatorHalted, InvalidParameterError
 from .supervisor import (
     TASK_CRASHED,
     TASK_ERROR,
     TASK_OK,
     SweepTask,
-    SweepTaskCheckpoint,
     TaskLedger,
     TaskOutcome,
+    TaskStore,
     open_ledger,
     run_in_process,
 )
@@ -212,9 +214,9 @@ def run_worker(
     a ``goodbye`` naming its abandoned lease so the coordinator can
     requeue it uncharged before the process exits.
 
-    ``chaos`` is a :class:`~repro.experiments.chaos.NetChaos` schedule
-    applied to this worker's outgoing messages (``repro worker
-    --chaos-net SPEC`` loads one); ``exit_on_disconnect`` controls the
+    ``chaos`` is a :class:`~repro.chaos.FaultSchedule` applied to this
+    worker's outgoing messages (``repro worker --chaos-net SPEC`` loads
+    one); ``exit_on_disconnect`` controls the
     self-termination described in ``WORKER_DISCONNECT_EXIT_CODE``.
 
     Returns a process exit code: 0 after ``bye`` or coordinator EOF,
@@ -373,9 +375,8 @@ class _Coordinator:
         steal_after: float,
         max_worker_respawns: int,
         lease_timeout: float,
-        halt_after: int | None,
         worker_chaos: Sequence[str | Path | None] | None,
-        net_chaos,
+        chaos: FaultSchedule | None,
     ):
         self.ledger = ledger
         # Observability goes through the ledger's observer.
@@ -390,10 +391,10 @@ class _Coordinator:
         self.ack_timeout = ack_timeout
         self.worker_wait = worker_wait
         self.lease_timeout = lease_timeout
-        self.net_chaos = net_chaos
+        self.chaos = chaos
         self.steal_after = steal_after
         self.max_worker_respawns = max_worker_respawns
-        self.halt_after = halt_after
+        self.outcomes_seen = 0  # recorded outcomes shown to the chaos schedule
         self.worker_chaos = list(worker_chaos) if worker_chaos else []
         self.selector = selectors.DefaultSelector()
         self.listener: socket.socket | None = None
@@ -449,10 +450,7 @@ class _Coordinator:
                 self._check_resends()
                 self._check_liveness()
                 self._check_deadlines()
-                if self.halt_after is not None and (
-                    self.ledger.recorded >= self.halt_after
-                ):
-                    self._halt()
+                self._check_halt()
                 if self._should_degrade(start):
                     self._degrade()
             self._finish()
@@ -470,7 +468,7 @@ class _Coordinator:
         conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         worker = _WorkerConn(
             worker_id=f"w{next(self._ids)}",
-            channel=FramedChannel(conn, chaos=self.net_chaos),
+            channel=FramedChannel(conn, chaos=self.chaos),
         )
         self.workers[worker.worker_id] = worker
         self.selector.register(conn, selectors.EVENT_READ, worker)
@@ -849,16 +847,22 @@ class _Coordinator:
         ledger.queue = deque(pending)
         run_in_process(ledger)
 
-    def _halt(self) -> None:
-        """The chaos hook: die abruptly, as a killed coordinator would."""
-        completed = self.ledger.recorded
-        self._emit("fabric-halt", completed=completed)
-        self._teardown(farewell=False)
-        raise CoordinatorHalted(
-            f"coordinator halted after {completed} outcomes "
-            "(halt_after chaos hook)",
-            completed=completed,
-        )
+    def _check_halt(self) -> None:
+        """Show each newly recorded outcome to the chaos schedule; on a
+        ``halt`` rule, die abruptly, as a killed coordinator would."""
+        if self.chaos is None:
+            return
+        while self.outcomes_seen < self.ledger.recorded:
+            self.outcomes_seen += 1
+            if self.chaos.fire("outcome", "halt") is not None:
+                completed = self.ledger.recorded
+                self._emit("fabric-halt", completed=completed)
+                self._teardown(farewell=False)
+                raise CoordinatorHalted(
+                    f"coordinator halted after {completed} outcomes "
+                    "(chaos halt rule)",
+                    completed=completed,
+                )
 
     def _finish(self) -> None:
         self._emit(
@@ -917,19 +921,17 @@ def run_fabric_sweep(
     steal_after: float = 5.0,
     max_worker_respawns: int = 6,
     lease_timeout: float | None = None,
-    checkpoint: str | Path | SweepTaskCheckpoint | None = None,
-    resume: bool = False,
-    config_key: str = "",
-    halt_after: int | None = None,
+    store: TaskStore | None = None,
     worker_chaos: Sequence[str | Path | None] | None = None,
-    net_chaos=None,
+    chaos: FaultSchedule | None = None,
 ) -> list[TaskOutcome]:
     """Run sweep tasks on the coordinator/worker fabric.
 
     The multi-host generalisation of
     :func:`~repro.experiments.supervisor.run_supervised_sweep`: same
     task model, same structured :class:`TaskOutcome` records, same
-    ``SweepTaskCheckpoint`` resume, same seed discipline — task ``i``
+    :class:`~repro.experiments.supervisor.TaskStore`, same seed
+    discipline — task ``i``
     receives the ``i``-th spawned child of ``seed`` on every attempt on
     every host, so a fabric sweep is byte-identical to the ``jobs=1``
     run regardless of worker count, scheduling, recovery or theft.
@@ -958,15 +960,19 @@ def run_fabric_sweep(
         the heartbeat interval) has its assignment retransmitted to the
         same worker — a finished worker answers from its result cache,
         recovering a result frame the network ate.
-    halt_after: chaos hook — after this many newly recorded terminal
-        outcomes the coordinator tears down abruptly and raises
-        :class:`~repro.errors.CoordinatorHalted`, simulating coordinator
-        death; rerun with ``resume=True`` to prove restart recovery.
-    worker_chaos: per-spawned-worker net-chaos spec paths
-        (:func:`~repro.experiments.chaos.save_net_chaos`), for tests.
-    net_chaos: a :class:`~repro.experiments.chaos.NetChaos` applied to
-        the *coordinator's* outgoing sends (dropped / duplicated
-        ``task`` frames), for tests.
+    store: as for :func:`~repro.experiments.supervisor.run_supervised_sweep`;
+        a sweep whose every task is a store hit returns without
+        listening.
+    worker_chaos: per-spawned-worker fault-schedule spec paths
+        (:meth:`~repro.chaos.FaultSchedule.save`), for tests.
+    chaos: the *coordinator's* :class:`~repro.chaos.FaultSchedule`, for
+        tests: its wire rules act on outgoing sends (dropped /
+        duplicated ``task`` frames), and a ``halt`` rule (kind
+        ``"outcome"``) fires on a newly recorded terminal outcome — the
+        coordinator tears down abruptly and raises
+        :class:`~repro.errors.CoordinatorHalted`, simulating its death.
+        Rerun with the same store (and schedule, whose spent halt rule
+        stays spent) to prove restart recovery.
 
     Returns outcomes in task order, with ``host``/``requeued``/
     ``lost_leases`` attribution filled in.
@@ -977,19 +983,13 @@ def run_fabric_sweep(
         raise InvalidParameterError(
             f"heartbeat_interval must be positive, got {heartbeat_interval}"
         )
-    if halt_after is not None and halt_after < 1:
-        raise InvalidParameterError(
-            f"halt_after must be >= 1, got {halt_after}"
-        )
     ledger = open_ledger(
         tasks,
         scope="fabric",
         seed=seed,
         task_timeout=task_timeout,
         max_task_retries=max_task_retries,
-        checkpoint=checkpoint,
-        resume=resume,
-        config_key=config_key,
+        store=store,
     )
     if not ledger.queue:
         return ledger.results()
@@ -1012,9 +1012,8 @@ def run_fabric_sweep(
         lease_timeout=(
             lease_timeout if lease_timeout is not None else 8.0 * heartbeat_interval
         ),
-        halt_after=halt_after,
         worker_chaos=worker_chaos,
-        net_chaos=net_chaos,
+        chaos=chaos,
     )
     coordinator.start()
     try:

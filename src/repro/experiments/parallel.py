@@ -18,9 +18,14 @@ them concurrently without changing what they compute:
   the structured :class:`~repro.experiments.supervisor.TaskOutcome`
   records; :meth:`~repro.experiments.supervisor.TaskOutcome.unwrap`
   turns one into its result, or raises for a failed task;
-* **task-level checkpointing** — a sweep-level
-  :class:`~repro.experiments.supervisor.SweepTaskCheckpoint` lets an
-  interrupted ``run-all --jobs N`` resume past completed experiments.
+* **one store** — with a ``checkpoint`` directory, every completed
+  experiment's result lands in a content-addressed
+  :class:`~repro.serve.cache.ResultCache` rooted there, keyed by its
+  task's function, kwargs and seed child
+  (:func:`~repro.experiments.supervisor.task_store_key`).  Rerunning an
+  interrupted ``run-all --jobs N`` — or any sweep that has an
+  experiment at the same position under the same ``--seed`` — serves
+  those experiments from the store instead of executing them.
 
 ``repro run-all --jobs N`` (and ``repro run --jobs N``) route through
 :func:`run_catalog_supervised`; ``--fabric`` routes the same task list
@@ -31,7 +36,7 @@ identical seed discipline — the two paths are byte-identical.
 
 from __future__ import annotations
 
-from pathlib import Path
+import json
 from typing import Sequence
 
 import numpy as np
@@ -41,8 +46,8 @@ from .catalog import get_experiment
 from .runner import ExperimentResult
 from .supervisor import (
     SweepTask,
-    SweepTaskCheckpoint,
     TaskOutcome,
+    TaskStore,
     run_supervised_sweep,
 )
 
@@ -72,35 +77,27 @@ def _run_catalog_task(
     return get_experiment(experiment_id)(quick=quick, seed=child_seed_int(seed))
 
 
-def _catalog_checkpoint(
-    checkpoint: str | None,
-    experiment_ids: Sequence[str],
-    quick: bool,
-    seed: SeedLike,
-) -> SweepTaskCheckpoint | None:
-    """The sweep-level checkpoint for a catalog run, if requested.
+def _encode_result(result: ExperimentResult) -> bytes:
+    from ..io import result_wire
+    from ..schema import canonical_json
 
-    The config key pins the id list (child seeds depend on task
-    position), the mode and the root seed, so a resume under any
-    different configuration refuses to mix.
-    """
+    return canonical_json(result_wire(result)).encode()
+
+
+def _decode_result(body: bytes) -> ExperimentResult:
+    from ..io import result_from_wire
+
+    return result_from_wire(json.loads(body))
+
+
+def _catalog_store(checkpoint: str | None) -> TaskStore | None:
+    """The store rooted at ``checkpoint``: experiment results in their
+    wire form, the same document ``run --json`` prints."""
     if checkpoint is None:
         return None
-    from hashlib import sha1
+    from ..serve.cache import ResultCache
 
-    from ..io import result_from_payload, result_to_payload
-
-    key = f"catalog:quick={quick}:seed={seed}:ids={','.join(experiment_ids)}"
-    # One manifest per configuration: `run E7 --jobs 1` and `run-all
-    # --jobs 2` can share a checkpoint directory without tripping the
-    # refuse-to-mix guard.
-    digest = sha1(key.encode()).hexdigest()[:10]
-    return SweepTaskCheckpoint(
-        Path(checkpoint) / f"catalog-tasks-{digest}.json",
-        config_key=key,
-        encode=result_to_payload,
-        decode=result_from_payload,
-    )
+    return TaskStore(ResultCache(checkpoint), _encode_result, _decode_result)
 
 
 def _catalog_tasks(experiment_ids: Sequence[str], quick: bool) -> list[SweepTask]:
@@ -122,7 +119,6 @@ def run_catalog_supervised(
     seed: SeedLike = 0,
     jobs: int = 1,
     checkpoint: str | None = None,
-    resume: bool = False,
     task_timeout: float | None = None,
     max_task_retries: int = 2,
 ) -> list[TaskOutcome]:
@@ -132,11 +128,12 @@ def run_catalog_supervised(
     digested from its spawned child (:func:`child_seed_int`), so the
     result tables are a pure function of ``(experiment_ids, quick,
     seed)`` — independent of ``jobs`` and of any crash recovery.
-    ``checkpoint``/``resume`` back a sweep-level
-    :class:`~repro.experiments.supervisor.SweepTaskCheckpoint`
-    (``<checkpoint>/catalog-tasks-<sha1[:10]>.json``, one file per
-    configuration) that lets a resumed run skip experiments that already
-    completed.
+    ``checkpoint`` names the root of the sweep's store: completed
+    experiments are stored there, and experiments already stored (by
+    this sweep or another with the same ``quick``, ``seed`` and
+    position) are served from it with ``attempts=1``, ``elapsed=0.0``
+    and ``host="store"``.  Delete the directory after changing
+    experiment code: a store is valid for one code version.
 
     Returns outcomes (``ok`` / ``timeout`` / ``crashed`` / ``error``) in
     catalog order — a poisoned experiment degrades to a failed outcome
@@ -148,8 +145,7 @@ def run_catalog_supervised(
         seed=seed,
         task_timeout=task_timeout,
         max_task_retries=max_task_retries,
-        checkpoint=_catalog_checkpoint(checkpoint, experiment_ids, quick, seed),
-        resume=resume,
+        store=_catalog_store(checkpoint),
     )
 
 
@@ -161,18 +157,17 @@ def run_catalog_fabric(
     listen: str = "127.0.0.1:0",
     workers: int = 0,
     checkpoint: str | None = None,
-    resume: bool = False,
     task_timeout: float | None = None,
     max_task_retries: int = 2,
 ) -> list[TaskOutcome]:
     """Run catalogued experiments on the multi-host sweep fabric.
 
     The fabric twin of :func:`run_catalog_supervised`: the same task
-    list, seed derivation and sweep-level checkpoint manifest, executed
-    by :func:`~repro.experiments.fabric.run_fabric_sweep` instead of the
+    list, seed derivation and store, executed by
+    :func:`~repro.experiments.fabric.run_fabric_sweep` instead of the
     local pool — so ``run-all --jobs 1`` and ``run-all --fabric :0
-    --workers N`` produce byte-identical tables, and an interrupted
-    fabric run resumes from the same manifest a pool run would.
+    --workers N`` produce byte-identical tables, and a fabric run is
+    served from the same store entries a pool run wrote.
 
     ``workers=0`` listens on ``listen`` for externally started ``repro
     worker --connect`` processes and degrades to in-process execution
@@ -187,8 +182,7 @@ def run_catalog_fabric(
         workers=workers,
         task_timeout=task_timeout,
         max_task_retries=max_task_retries,
-        checkpoint=_catalog_checkpoint(checkpoint, experiment_ids, quick, seed),
-        resume=resume,
+        store=_catalog_store(checkpoint),
     )
 
 

@@ -5,7 +5,7 @@ seed.  :class:`TaskLedger` is the one state machine every executor runs
 them on: it owns the task list, the seed children spawned once from the
 root, the queue, and the per-task attempt accounting, and it is the only
 place that charges and refunds attempts, decides retry versus failure,
-records the terminal :class:`TaskOutcome` and flushes the checkpoint.
+records the terminal :class:`TaskOutcome` and stores its result.
 Transports only move tasks:
 
 * **the local process pool** (:class:`_Supervisor`, ``jobs > 1``) fans
@@ -43,15 +43,20 @@ exactly the stance ``docs/FAULTS.md`` takes toward the simulated channel:
   :class:`TaskOutcome` (``ok`` / ``timeout`` / ``crashed`` / ``error``
   with attempt counts), never as an uncaught exception, so ``run-all``
   reports and skips a poisoned experiment instead of dying;
-* **sweep-level checkpointing** — :class:`SweepTaskCheckpoint` persists
-  completed task outcomes so an interrupted ``run-all --jobs N``
-  resumes past finished experiments;
+* **one store** — every task is a pure function of its function, its
+  kwargs and its spawned seed child, so with a :class:`TaskStore` each
+  ``ok`` result is put in a content-addressed
+  :class:`~repro.serve.cache.ResultCache` under the sha256 of exactly
+  that triple (:func:`task_store_key`).  A rerun — after an interrupt,
+  or a different sweep that shares a task at the same position under
+  the same root seed — serves those tasks from the store before any
+  transport starts.  Resuming is nothing but store hits;
 * **observability** — retries, worker crashes, pool rebuilds, timeouts
   and degradation emit ``exec-*`` trace events and ``exec.*`` metrics
   through the ambient :class:`~repro.obs.Observer`, so
   ``repro profile`` shows recovery activity.
 
-Verification is its own subsystem: :mod:`repro.experiments.chaos`
+Verification is its own subsystem: :mod:`repro.chaos`
 injects deterministic worker crashes, hangs and errors, and
 ``tests/experiments/test_supervisor.py`` pins both the recovery
 behaviour and result byte-identity with the unfaulted run.
@@ -59,20 +64,18 @@ behaviour and result byte-identity with the unfaulted run.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import time
-import warnings
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, ProcessPoolExecutor
 from concurrent.futures import wait as futures_wait
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .._atomic import atomic_write
-from ..errors import InvalidParameterError, ReproError, SweepTaskError
+from ..errors import InvalidParameterError, SweepTaskError
 from ..rng import spawn_seeds
 from ..obs import (
     MemoryTraceSink,
@@ -83,6 +86,7 @@ from ..obs import (
     use_observer,
 )
 from ..obs.sinks import SCHEMA_VERSION
+from ..schema import canonical_json
 
 __all__ = [
     "TASK_OK",
@@ -91,7 +95,8 @@ __all__ = [
     "TASK_ERROR",
     "SweepTask",
     "TaskOutcome",
-    "SweepTaskCheckpoint",
+    "TaskStore",
+    "task_store_key",
     "run_supervised_sweep",
     "outcome_counts",
 ]
@@ -104,6 +109,9 @@ TASK_ERROR = "error"      # task raised on every allowed attempt
 
 #: ``TaskOutcome.host`` of attempts run by this process or its pool.
 LOCAL_HOST = "local"
+
+#: ``TaskOutcome.host`` of outcomes served from a :class:`TaskStore`.
+STORE_HOST = "store"
 
 
 @dataclass(frozen=True)
@@ -129,14 +137,18 @@ class TaskOutcome:
     last raised exception object for ``error`` outcomes (crash and
     timeout leave nothing to re-raise) and never crosses serialisation.
 
-    The executor-shard attribution fields exist for the multi-host
-    fabric (:mod:`repro.experiments.fabric`) and stay at their zero
-    values under single-host supervision: ``host`` names the executor
-    shard that produced the terminal attempt (``"local"`` for the
-    in-process and pool paths), ``requeued`` counts how many times the
-    task was put back on the queue by recovery, and ``lost_leases`` how
-    many of those requeues were a lease revoked from a partitioned,
-    disconnected or expired worker.
+    ``host`` names the executor shard that produced the terminal
+    attempt (``"local"`` for the in-process and pool paths, a worker
+    identity on the fabric, ``"store"`` for a store hit), ``requeued``
+    counts how many times recovery put the task back on the queue (one
+    per ``task-requeue`` event, on either transport), and
+    ``lost_leases`` how many of those requeues were a fabric lease
+    revoked from a partitioned, disconnected or expired worker.
+
+    A store hit reports ``attempts=1`` (the one attempt whose result was
+    stored), ``elapsed=0.0`` and ``host="store"``: every ``ok`` outcome
+    has at least one attempt, and a healthy sweep's ``run-all --json``
+    document is the same whether it executed or was served.
     """
 
     key: str
@@ -171,42 +183,6 @@ class TaskOutcome:
             outcome=self,
         )
 
-    def to_json(self, encode: Callable[[Any], Any] | None = None) -> dict:
-        """Checkpoint form; ``encode`` serialises the ``ok`` result."""
-        result = None
-        if self.ok:
-            result = encode(self.result) if encode is not None else self.result
-        return {
-            "key": self.key,
-            "status": self.status,
-            "attempts": self.attempts,
-            "elapsed": self.elapsed,
-            "error": self.error,
-            "host": self.host,
-            "requeued": self.requeued,
-            "lost_leases": self.lost_leases,
-            "result": result,
-        }
-
-    @classmethod
-    def from_json(
-        cls, payload: dict, decode: Callable[[Any], Any] | None = None
-    ) -> "TaskOutcome":
-        result = payload["result"]
-        if result is not None and decode is not None:
-            result = decode(result)
-        return cls(
-            key=payload["key"],
-            status=payload["status"],
-            result=result,
-            attempts=payload["attempts"],
-            elapsed=payload["elapsed"],
-            error=payload.get("error", ""),
-            host=payload.get("host", ""),
-            requeued=payload.get("requeued", 0),
-            lost_leases=payload.get("lost_leases", 0),
-        )
-
 
 def outcome_counts(
     outcomes: Sequence[TaskOutcome], *, with_recovery: bool = False
@@ -231,86 +207,53 @@ def outcome_counts(
     return counts
 
 
-class SweepTaskCheckpoint:
-    """JSON checkpoint of a supervised sweep's terminal task outcomes.
+def _encode_json(result: Any) -> bytes:
+    return canonical_json(result).encode()
 
-    Records whole *tasks* of a parallel sweep, so an interrupted
-    ``run-all --jobs N`` resumes past completed experiments.  On resume
-    only ``ok`` outcomes are skipped — failed tasks get a fresh chance.
 
-    The file is ``{"config_key": ..., "tasks": [...]}``.  Writes are
-    atomic (:func:`~repro._atomic.atomic_write`) so a kill mid-flush
-    cannot corrupt it.  A truncated or garbage file (a kill mid-write on
-    a filesystem without atomic replace, a stray file at the checkpoint
-    path) is *quarantined* — renamed ``*.corrupt`` with a warning — and
-    the sweep restarts fresh, instead of a hard crash on resume.  A
-    ``config_key`` mismatch still raises: that file is a healthy
-    checkpoint for a *different* sweep, and silently discarding it would
-    mix results.
+@dataclass(frozen=True)
+class TaskStore:
+    """Where a sweep keeps its ``ok`` results: a cache plus their codec.
 
-    ``encode``/``decode`` convert an ``ok`` task result to/from its JSON
-    form (default: stored verbatim, so results must be JSON-serialisable).
+    ``cache`` is a :class:`~repro.serve.cache.ResultCache` (anything
+    with ``get(key) -> bytes | None`` and ``put(key, bytes)``);
+    ``encode``/``decode`` turn a task result into canonical bytes and
+    back (default: canonical JSON, so results must be JSON values).
+
+    A store is valid for one code version: its keys name a task's
+    function, kwargs and seed, not the code behind them, so delete the
+    store after editing the code a task runs (as with the serve cache).
+    Entries are immutable and crash-safe; a corrupt one is quarantined
+    by the cache and its task simply reruns.
     """
 
-    def __init__(
-        self,
-        path: str | Path,
-        config_key: str = "",
-        *,
-        encode: Callable[[Any], Any] | None = None,
-        decode: Callable[[Any], Any] | None = None,
-    ):
-        self.path = Path(path)
-        self.config_key = config_key
-        self.encode = encode
-        self.decode = decode
-
-    def exists(self) -> bool:
-        return self.path.exists()
-
-    def load(self) -> dict[str, TaskOutcome]:
-        """Outcomes keyed by task key; empty when absent or quarantined."""
-        if not self.path.exists():
-            return {}
-        try:
-            payload = json.loads(self.path.read_text())
-            stored_key = payload["config_key"]
-            outcomes = [TaskOutcome.from_json(t, self.decode) for t in payload["tasks"]]
-        except (AttributeError, KeyError, TypeError, ValueError, OSError):
-            quarantine_checkpoint(self.path, kind="sweep-task checkpoint")
-            return {}
-        if stored_key != self.config_key:
-            raise ReproError(
-                f"checkpoint {self.path} was written for config "
-                f"{stored_key!r}, sweep is {self.config_key!r}; refusing to mix"
-            )
-        return {o.key: o for o in outcomes}
-
-    def save(self, outcomes: dict[str, TaskOutcome]) -> None:
-        tasks = [outcomes[k].to_json(self.encode) for k in sorted(outcomes)]
-        payload = {"config_key": self.config_key, "tasks": tasks}
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        atomic_write(self.path, json.dumps(payload, indent=2) + "\n")
+    cache: Any
+    encode: Callable[[Any], bytes] = _encode_json
+    decode: Callable[[bytes], Any] = json.loads
 
 
-def quarantine_checkpoint(path: Path, *, kind: str = "checkpoint") -> Path:
-    """Move a corrupt checkpoint aside (``*.corrupt``) and warn.
+def task_store_key(task: SweepTask, child: np.random.SeedSequence) -> str:
+    """The content address of a task's result: sha256 of its canonical
+    ``{fn: module.qualname, kwargs, seed: [entropy, spawn_key]}``.
 
-    A truncated or garbage checkpoint should restart the sweep fresh,
-    not kill the resume — the original bytes are preserved for forensics
-    instead of being overwritten by the next flush.
+    A task keeps its key across sweeps as long as its function, its
+    kwargs and its seed child (root seed and position) are the same, so
+    the key is also what lets two different sweeps share results.
+    ``kwargs`` must be JSON values.
     """
-    quarantined = path.with_name(path.name + ".corrupt")
+    fn = task.fn
+    document = {
+        "fn": f"{fn.__module__}.{fn.__qualname__}",
+        "kwargs": task.kwargs,
+        "seed": [child.entropy, list(child.spawn_key)],
+    }
     try:
-        path.replace(quarantined)
-    except OSError:  # pragma: no cover - renaming across mounts etc.
-        quarantined = path
-    warnings.warn(
-        f"corrupt {kind} {path} quarantined to {quarantined}; starting fresh",
-        RuntimeWarning,
-        stacklevel=3,
-    )
-    return quarantined
+        text = canonical_json(document)
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameterError(
+            f"task {task.key!r} cannot be stored: its kwargs are not JSON ({exc})"
+        ) from exc
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 # ----------------------------------------------------------------------
@@ -332,21 +275,24 @@ class TaskLedger:
     ``scope`` is the owning sweep's metric family: ``"exec"``
     (:func:`run_supervised_sweep`) or ``"fabric"``
     (:func:`~repro.experiments.fabric.run_fabric_sweep`).  Terminal
-    outcomes count under ``<scope>.tasks``; a requeue emits
-    ``exec-task-retry`` or ``fabric-task-requeue``, and only the latter
-    feeds :attr:`TaskOutcome.requeued`.
+    outcomes count under ``<scope>.tasks`` and requeues under
+    ``<scope>.task_requeues``; every requeue, on either transport,
+    emits one ``task-requeue`` event and feeds
+    :attr:`TaskOutcome.requeued`.
+
+    With a ``store``, ``keys[i]`` is task ``i``'s
+    :func:`task_store_key` and every ``ok`` result is put under it.
     """
 
     def __init__(
         self,
         tasks: list[SweepTask],
         children: list[np.random.SeedSequence],
-        resumed: dict[int, TaskOutcome],
         *,
         scope: str,
         task_timeout: float | None,
         max_task_retries: int,
-        checkpoint: SweepTaskCheckpoint | None,
+        store: TaskStore | None,
         obs: Observer | None,
     ):
         self.tasks = tasks
@@ -354,12 +300,15 @@ class TaskLedger:
         self.scope = scope
         self.task_timeout = task_timeout
         self.max_attempts = 1 + max_task_retries
-        self.checkpoint = checkpoint
-        self.obs = obs
-        self.outcomes: dict[int, TaskOutcome] = dict(resumed)
-        self.queue: deque[int] = deque(
-            i for i in range(len(tasks)) if i not in resumed
+        self.store = store
+        self.keys = (
+            [task_store_key(t, c) for t, c in zip(tasks, children)]
+            if store is not None
+            else []
         )
+        self.obs = obs
+        self.outcomes: dict[int, TaskOutcome] = {}
+        self.queue: deque[int] = deque(range(len(tasks)))
         self.attempts = [0] * len(tasks)
         self.requeues = [0] * len(tasks)
         self.lost_leases = [0] * len(tasks)
@@ -421,25 +370,17 @@ class TaskLedger:
         return False
 
     def _requeue(self, index: int, reason: str) -> None:
+        """Put ``index`` back on the queue; ``attempt`` is the number
+        its next attempt will carry."""
         self.queue.appendleft(index)
-        key = self.tasks[index].key
-        if self.scope == "exec":
-            self.inc("exec.task_retries")
-            self.emit(
-                "exec-task-retry",
-                task=key,
-                attempt=self.attempts[index] + 1,
-                reason=reason,
-            )
-        else:
-            self.requeues[index] += 1
-            self.inc("fabric.requeues")
-            self.emit(
-                "fabric-task-requeue",
-                task=key,
-                attempt=self.attempts[index],
-                reason=reason,
-            )
+        self.requeues[index] += 1
+        self.inc(f"{self.scope}.task_requeues")
+        self.emit(
+            "task-requeue",
+            task=self.tasks[index].key,
+            attempt=self.attempts[index] + 1,
+            reason=reason,
+        )
 
     def expire(self, index: int, *, host: str) -> None:
         """Record a deadline expiry: terminal, never retried."""
@@ -466,7 +407,7 @@ class TaskLedger:
         error: str = "",
         exception=None,
     ) -> None:
-        """Record the terminal outcome of ``index`` and flush the checkpoint."""
+        """Record the terminal outcome of ``index``; store an ``ok`` result."""
         outcome = TaskOutcome(
             key=self.tasks[index].key,
             status=status,
@@ -484,8 +425,29 @@ class TaskLedger:
         self.inc(f"{self.scope}.tasks", label=status)
         if self.obs is not None:
             self.obs.observe(f"{self.scope}.task_wall_s", outcome.elapsed, label=status)
-        if self.checkpoint is not None:
-            self.checkpoint.save({o.key: o for o in self.outcomes.values()})
+        if self.store is not None and status == TASK_OK:
+            self.store.cache.put(self.keys[index], self.store.encode(result))
+
+    def serve_from_store(self) -> None:
+        """Record every task whose result the store holds as ``ok``.
+
+        A hit is not an execution: it is dequeued with ``attempts=1``,
+        ``elapsed=0.0`` and ``host="store"``, and it is not counted in
+        :attr:`recorded` or in the ``<scope>.tasks`` metric.
+        """
+        for index, key in enumerate(self.keys):
+            body = self.store.cache.get(key)
+            if body is None:
+                continue
+            self.outcomes[index] = TaskOutcome(
+                key=self.tasks[index].key,
+                status=TASK_OK,
+                result=self.store.decode(body),
+                attempts=1,
+                elapsed=0.0,
+                host=STORE_HOST,
+            )
+        self.queue = deque(i for i in self.queue if i not in self.outcomes)
 
 
 def open_ledger(
@@ -495,15 +457,15 @@ def open_ledger(
     seed,
     task_timeout: float | None,
     max_task_retries: int,
-    checkpoint: str | Path | SweepTaskCheckpoint | None,
-    resume: bool,
-    config_key: str,
+    store: TaskStore | None,
 ) -> TaskLedger:
-    """Validate, spawn the children and resume: both executors' preamble.
+    """Validate, spawn the children, serve store hits: every executor's preamble.
 
     Task ``i`` gets the ``i``-th child of ``seed``, spawned here once.
-    With ``resume=True`` tasks whose key has an ``ok`` outcome in the
-    checkpoint are done before the sweep starts.
+    With a ``store``, tasks whose result it holds are recorded ``ok``
+    before any transport starts.  An unseeded sweep (``seed=None``)
+    never uses the store: its children draw fresh entropy, so no result
+    could ever be served again.
     """
     if max_task_retries < 0:
         raise InvalidParameterError(
@@ -514,33 +476,22 @@ def open_ledger(
             f"task_timeout must be positive, got {task_timeout}"
         )
     tasks = list(tasks)
-    if checkpoint is not None and not isinstance(checkpoint, SweepTaskCheckpoint):
-        checkpoint = SweepTaskCheckpoint(checkpoint, config_key)
-    if checkpoint is not None and len({t.key for t in tasks}) != len(tasks):
-        raise InvalidParameterError("sweep checkpointing requires unique task keys")
     children = list(spawn_seeds(seed, len(tasks)))
-
-    resumed: dict[int, TaskOutcome] = {}
-    if checkpoint is not None and resume and checkpoint.exists():
-        on_record = checkpoint.load()
-        for i, task in enumerate(tasks):
-            previous = on_record.get(task.key)
-            if previous is not None and previous.ok:
-                resumed[i] = previous
-
     obs = current_observer()
     if obs is not None and not obs.active:
         obs = None
-    return TaskLedger(
+    ledger = TaskLedger(
         tasks,
         children,
-        resumed,
         scope=scope,
         task_timeout=task_timeout,
         max_task_retries=max_task_retries,
-        checkpoint=checkpoint,
+        store=store if seed is not None else None,
         obs=obs,
     )
+    if ledger.store is not None:
+        ledger.serve_from_store()
+    return ledger
 
 
 # ----------------------------------------------------------------------
@@ -862,9 +813,7 @@ def run_supervised_sweep(
     task_timeout: float | None = None,
     max_task_retries: int = 2,
     max_pool_rebuilds: int = 3,
-    checkpoint: str | Path | SweepTaskCheckpoint | None = None,
-    resume: bool = False,
-    config_key: str = "",
+    store: TaskStore | None = None,
 ) -> list[TaskOutcome]:
     """Run sweep tasks under supervision; one :class:`TaskOutcome` each.
 
@@ -886,19 +835,17 @@ def run_supervised_sweep(
         task is recorded ``crashed``/``error``.
     max_pool_rebuilds: spontaneous pool breaks tolerated before the
         sweep degrades to serial in-process execution.
-    checkpoint: path (or :class:`SweepTaskCheckpoint`) persisting
-        terminal outcomes; with ``resume=True`` tasks whose key has an
-        ``ok`` outcome on record are skipped (failed ones rerun).
-        Requires task keys to be unique.
-    config_key: identifies the sweep configuration inside the
-        checkpoint; resuming under a different key raises.
+    store: a :class:`TaskStore`; each ``ok`` result is put in it as it
+        lands, and tasks it already holds are served without executing
+        (failed tasks were never stored, so they rerun).  Ignored when
+        ``seed`` is ``None``.
 
     Returns
     -------
     Outcomes in task order (:meth:`TaskOutcome.unwrap` turns one into
-    its result or its exception).  ``KeyboardInterrupt`` flushes nothing
-    extra (terminal outcomes are flushed as they land) and shuts the
-    pool down with ``cancel_futures=True`` before propagating.
+    its result or its exception).  ``KeyboardInterrupt`` stores nothing
+    extra (results are stored as they land) and shuts the pool down
+    with ``cancel_futures=True`` before propagating.
     """
     if jobs < 1:
         raise InvalidParameterError(f"jobs must be >= 1, got {jobs}")
@@ -912,9 +859,7 @@ def run_supervised_sweep(
         seed=seed,
         task_timeout=task_timeout,
         max_task_retries=max_task_retries,
-        checkpoint=checkpoint,
-        resume=resume,
-        config_key=config_key,
+        store=store,
     )
     supervisor = _Supervisor(ledger, jobs=jobs, max_pool_rebuilds=max_pool_rebuilds)
     try:

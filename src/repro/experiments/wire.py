@@ -19,7 +19,7 @@ fabric can think entirely in messages:
   ``selectors`` loop instead and uses :class:`FrameDecoder` to turn
   arbitrary byte chunks into whole messages;
 * **fault injection** — a channel accepts an optional
-  :class:`~repro.experiments.chaos.NetChaos` schedule and consults it on
+  :class:`~repro.chaos.FaultSchedule` and consults it on
   every send, so dropped / delayed / duplicated messages and partition
   windows are injected below the fabric's own logic.  The healthy
   channel is the zero-fault special case, like every other fault model
@@ -48,6 +48,8 @@ import socket
 import struct
 import threading
 import time
+
+from ..chaos import NET_ACTIONS
 
 __all__ = [
     "MSG_HELLO",
@@ -196,7 +198,8 @@ class FramedChannel:
 
     ``send`` is serialised by a lock so the worker's heartbeat thread
     and its task loop can share the channel.  ``chaos`` (a
-    :class:`~repro.experiments.chaos.NetChaos`) is consulted per send:
+    :class:`~repro.chaos.FaultSchedule`) is consulted per send, with the
+    message kind as the rule kind:
 
     * ``drop`` — the message is silently discarded;
     * ``delay`` — the sender sleeps before writing (delaying everything
@@ -229,7 +232,7 @@ class FramedChannel:
             now = time.monotonic()
             if now < self._mute_until:
                 return False
-            action = self.chaos.on_send(message.get("kind", ""))
+            action = self.chaos.fire(message.get("kind", ""), *NET_ACTIONS)
             if action is not None:
                 if action.action == "drop":
                     return False

@@ -106,10 +106,7 @@ def result_to_payload(result: ExperimentResult) -> dict:
     """An experiment result as a plain-JSON-typed dict.
 
     Normalised through the JSON codec (NumPy scalars become Python
-    numbers), so the payload can be embedded in any JSON document — the
-    supervised executor's sweep-level checkpoint
-    (:class:`~repro.experiments.supervisor.SweepTaskCheckpoint`) stores
-    completed ``run-all`` results this way.
+    numbers), so the payload can be embedded in any JSON document.
     """
     payload = {
         "experiment_id": result.experiment_id,

@@ -23,19 +23,22 @@ full schema):
     the lockstep engines' analogues; ``batch-round`` carries ``active``
     (trials still running), ``transmitters``/``collisions`` summed over
     active trials, and ``wall_s``.
-``exec-task-retry`` / ``exec-task-timeout`` / ``exec-worker-crash`` /
+``task-requeue``
+    a sweep task put back on the queue by recovery, on either transport
+    (the supervised pool or the fabric): ``task``, ``attempt`` (the
+    number its next attempt will carry) and ``reason``.
+``exec-task-timeout`` / ``exec-worker-crash`` /
 ``exec-pool-rebuild`` / ``exec-degraded``
     executor-health events from the supervised parallel executor
-    (:mod:`repro.experiments.supervisor`): task requeues, deadline
-    expiries, broken-pool recoveries and degradation to serial
-    execution.
+    (:mod:`repro.experiments.supervisor`): deadline expiries,
+    broken-pool recoveries and degradation to serial execution.
 ``fabric-start`` / ``fabric-worker-join`` / ``fabric-worker-lost`` /
-``fabric-task-requeue`` / ``fabric-task-steal`` /
+``fabric-task-steal`` /
 ``fabric-duplicate-result`` / ``fabric-task-timeout`` /
 ``fabric-degraded`` / ``fabric-halt`` / ``fabric-end``
     coordinator-side events from the multi-host sweep fabric
     (:mod:`repro.experiments.fabric`): worker membership, lease
-    revocations and requeues, speculative steals, idempotent
+    revocations, speculative steals, idempotent
     duplicate-result discards, and degradation to the local pool.
 ``serve-job-start`` / ``serve-job-cancelled`` / ``serve-job-end``
     job-server events from the simulation-as-a-service front door
@@ -84,9 +87,11 @@ _REQUIRED_KEYS: dict[str, tuple[str, ...]] = {
     "batch-start": ("run", "engine", "backend", "n", "repetitions", "max_rounds"),
     "batch-round": ("run", "engine", "t", "active", "wall_s"),
     "batch-end": ("run", "engine", "rounds", "num_completed", "wall_s"),
+    # A sweep task requeued by recovery, on the pool or the fabric
+    # (repro.experiments.supervisor.TaskLedger); see docs/FAULTS.md.
+    "task-requeue": ("task", "attempt", "reason"),
     # Executor-health events from the supervised parallel executor
     # (repro.experiments.supervisor); see docs/FAULTS.md.
-    "exec-task-retry": ("task", "attempt", "reason"),
     "exec-task-timeout": ("task", "elapsed_s"),
     "exec-worker-crash": ("victims",),
     "exec-pool-rebuild": ("rebuilds", "requeued"),
@@ -96,7 +101,6 @@ _REQUIRED_KEYS: dict[str, tuple[str, ...]] = {
     "fabric-start": ("address", "tasks"),
     "fabric-worker-join": ("worker", "host"),
     "fabric-worker-lost": ("worker", "leases", "reason"),
-    "fabric-task-requeue": ("task", "attempt", "reason"),
     "fabric-task-steal": ("task", "worker"),
     "fabric-duplicate-result": ("task", "worker"),
     "fabric-task-timeout": ("task", "elapsed_s"),

@@ -18,16 +18,16 @@ layered strictly:
   (``repro serve``) with SIGTERM drain and journal recovery;
 * :mod:`repro.serve.client` — one :class:`Client` API over both the
   HTTP (retrying, reconnecting) and in-process transports
-  (``repro submit``);
-* :mod:`repro.serve.chaos` — deterministic server-side fault injection
-  for the serve-chaos suite.
+  (``repro submit``).
+
+Deterministic server-side fault injection for the serve-chaos suite is a
+:class:`repro.chaos.FaultSchedule` (``hold`` and ``reset`` rules).
 
 See docs/SERVICE.md for the wire contract, resilience semantics and
 operational notes.
 """
 
 from .cache import ResultCache
-from .chaos import ServeChaos, load_serve_chaos, save_serve_chaos
 from .client import Client, load_result
 from .http import Server, serve_forever
 from .journal import JobJournal
@@ -59,9 +59,6 @@ __all__ = [
     "iter_job_events",
     "ResultCache",
     "JobJournal",
-    "ServeChaos",
-    "load_serve_chaos",
-    "save_serve_chaos",
     "JobSpec",
     "SweepSpec",
     "JobStatus",

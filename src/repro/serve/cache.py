@@ -1,7 +1,10 @@
 """Content-addressed on-disk result cache.
 
 Every job's result document is stored under the sha256 of its canonical
-spec (:meth:`~repro.serve.types.JobSpec.cache_key`).  Determinism makes
+spec (:meth:`~repro.serve.types.JobSpec.cache_key`); a sweep with a
+store (:class:`~repro.experiments.supervisor.TaskStore`, ``run-all
+--checkpoint DIR``) keeps each task's result under the sha256 of its
+function, kwargs and seed child the same way.  Determinism makes
 entries immortal: the same spec always produces the same bytes, so a hit
 is an exact replay of the original execution and entries never need
 invalidation — the cache only grows, and growing it is the point.
@@ -30,10 +33,9 @@ Writes are atomic (write-tmp-then-replace), so a crashed server never
 leaves a half-written entry.  A corrupt or tampered entry — truncated or
 unparsable bytes, wrong embedded key, unknown schema version, a result
 whose bytes no longer match their digest — is **quarantined** to
-``*.corrupt`` (the checkpoint convention of
-:func:`repro.experiments.supervisor.quarantine_checkpoint`) and treated
-as a miss: the job re-executes and rewrites the entry instead of failing
-the request.
+``*.corrupt`` (with a warning) and treated as a
+miss: the job re-executes and rewrites the entry instead of failing the
+request.
 
 An entry written before the digest existed (``{"key", "result",
 "schema_version"}`` with the current version and no ``sha256``) is a
@@ -45,10 +47,10 @@ identical ``result`` bytes plus their digest.
 from __future__ import annotations
 
 import hashlib
+import warnings
 from pathlib import Path
 
 from .._atomic import atomic_write
-from ..experiments.supervisor import quarantine_checkpoint
 from ..schema import RESULT_SCHEMA_VERSION
 
 __all__ = ["ResultCache"]
@@ -69,6 +71,26 @@ def _tail(digest: str) -> bytes:
 
 #: Everything after the result: the version, then a hex sha256 digest.
 _TAIL_LEN = len(_tail("0" * 64))
+
+
+def _quarantine(path: Path) -> Path:
+    """Move a corrupt entry aside (``*.corrupt``) and warn.
+
+    The original bytes are kept for forensics instead of being
+    overwritten by the re-execution's fresh entry.
+    """
+    quarantined = path.with_name(path.name + ".corrupt")
+    try:
+        path.replace(quarantined)
+    except OSError:  # pragma: no cover - renaming across mounts etc.
+        quarantined = path
+    warnings.warn(
+        f"corrupt result cache entry {path} quarantined to {quarantined}; "
+        "recomputing",
+        RuntimeWarning,
+        stacklevel=3,
+    )
+    return quarantined
 
 
 class ResultCache:
@@ -96,7 +118,7 @@ class ResultCache:
         except FileNotFoundError:
             return None
         except OSError:
-            quarantine_checkpoint(path, kind="result cache entry")
+            _quarantine(path)
             return None
         head = _head(key)
         if data.startswith(head):
@@ -106,7 +128,7 @@ class ResultCache:
                 body = data[len(head) : -_TAIL_LEN]
                 if data.endswith(_tail(hashlib.sha256(body).hexdigest())):
                     return body
-        quarantine_checkpoint(path, kind="result cache entry")
+        _quarantine(path)
         return None
 
     def put(self, key: str, body: bytes) -> Path:

@@ -51,6 +51,7 @@ import json
 import signal
 from urllib.parse import parse_qs, urlsplit
 
+from ..chaos import FaultSchedule
 from ..errors import (
     InvalidParameterError,
     JobQueueFullError,
@@ -58,7 +59,6 @@ from ..errors import (
     ServerDrainingError,
 )
 from ..obs import Observer
-from .chaos import ServeChaos
 from .runner import Job, JobManager
 from .types import JOB_DONE, JobSpec, SweepSpec, spec_from_dict
 
@@ -135,7 +135,7 @@ class Server:
         workers: int = 2,
         max_pending: int = 256,
         journal=None,
-        chaos: ServeChaos | None = None,
+        chaos: FaultSchedule | None = None,
         obs: Observer | None = None,
     ):
         self.host = host
@@ -193,7 +193,7 @@ class Server:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        if self.chaos is not None and self.chaos.on_connection():
+        if self.chaos is not None and self.chaos.fire("connection", "reset"):
             # Injected connection reset: abort (RST) before any response
             # bytes, which is what the retrying client must survive.
             writer.transport.abort()
@@ -465,7 +465,7 @@ def serve_forever(
     max_pending: int = 256,
     journal=None,
     drain_s: float = 30.0,
-    chaos: ServeChaos | None = None,
+    chaos: FaultSchedule | None = None,
     obs: Observer | None = None,
     ready=None,
 ) -> None:

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from contextvars import ContextVar
@@ -57,6 +58,7 @@ from typing import Iterable
 from warnings import warn
 
 from ..api import _as_network, simulate
+from ..chaos import FaultSchedule
 from ..errors import (
     InvalidParameterError,
     JobCancelledError,
@@ -69,7 +71,6 @@ from ..obs.sinks import SCHEMA_VERSION
 from ..radio.model import RadioNetwork
 from ..schema import canonical_json
 from .cache import ResultCache
-from .chaos import ServeChaos
 from .journal import JobJournal
 from .types import (
     JOB_CANCELLED,
@@ -418,9 +419,13 @@ class JobManager:
         path for one, or ``None`` to run without crash recovery.  Call
         :meth:`recover` after construction to replay incomplete jobs
         from a previous process.
-    chaos: optional :class:`~repro.serve.chaos.ServeChaos` schedule —
-        deterministic fault injection for the chaos suite; never set in
-        production.
+    chaos: optional :class:`~repro.chaos.FaultSchedule` — deterministic
+        fault injection for the chaos suite; never set in production.
+        Its ``hold`` rules (kind ``"execute"``) sleep an execution
+        ``seconds`` before it runs; the counter advances before the
+        sleep, so the journal replay of a job killed mid-hold runs
+        unheld.  Its ``reset`` rules act on the HTTP server's
+        connections (:class:`~repro.serve.http.Server`).
     obs: optional external :class:`~repro.obs.Observer`: its registry
         receives the ``serve.*`` series on top of the manager's own, and
         its sink receives a tee of every job's events.
@@ -447,7 +452,7 @@ class JobManager:
         workers: int = 2,
         max_pending: int = 256,
         journal: JobJournal | str | Path | None = None,
-        chaos: ServeChaos | None = None,
+        chaos: FaultSchedule | None = None,
         obs: Observer | None = None,
     ):
         if workers < 1:
@@ -829,8 +834,10 @@ class JobManager:
             # the execution entirely.
             job.raise_if_interrupted()
             if self.chaos is not None:
-                self.chaos.on_execute()
-                job.raise_if_interrupted()
+                hold = self.chaos.fire("execute", "hold")
+                if hold is not None:
+                    time.sleep(hold.seconds)
+                    job.raise_if_interrupted()
             job.state = JOB_RUNNING
             sink.armed = True
             networks = _NETWORKS.set(self._network)

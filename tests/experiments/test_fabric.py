@@ -12,7 +12,6 @@ coordinator), so an injected ``os._exit`` is a genuine worker death and
 an injected partition a genuine silent socket — nothing is mocked.
 """
 
-import json
 import os
 import signal
 import subprocess
@@ -23,19 +22,20 @@ from pathlib import Path
 
 import pytest
 
+from repro.chaos import FaultRule, FaultSchedule, attempt_count, chaos_task
 from repro.errors import CoordinatorHalted, InvalidParameterError
 from repro.experiments import run_fabric_sweep, run_supervised_sweep
-from repro.experiments.chaos import (
-    NetChaos,
-    NetFault,
-    attempt_count,
-    chaos_task,
-    load_net_chaos,
-    save_net_chaos,
+from repro.experiments.supervisor import (
+    TASK_OK,
+    SweepTask,
+    TaskOutcome,
+    TaskStore,
+    task_store_key,
 )
-from repro.experiments.supervisor import TASK_OK, SweepTask, TaskOutcome
 from repro.obs import MemoryTraceSink, MetricsRegistry, Observer, use_observer
 from repro.obs.sinks import validate_event
+from repro.rng import spawn_seeds
+from repro.serve.cache import ResultCache
 
 #: Aggressive failure-detection knobs so chaos tests finish in seconds.
 FAST = dict(heartbeat_interval=0.2, liveness_timeout=1.5, worker_wait=60.0)
@@ -74,6 +74,11 @@ def barrier_task(seed, *, barrier_dir, parties, **chaos_kwargs):
     return chaos_task(seed, **chaos_kwargs)
 
 
+def halt_on(outcome, state_dir):
+    """A coordinator schedule that halts on its ``outcome``-th recorded outcome."""
+    return FaultSchedule(state_dir, [FaultRule("outcome", "halt", after=outcome - 1)])
+
+
 def serial_reference(count, state_dir, seed):
     """The ``jobs=1`` comparator: same payloads, zero injections."""
     outcomes = run_supervised_sweep(
@@ -83,40 +88,46 @@ def serial_reference(count, state_dir, seed):
 
 
 class TestNetChaosSchedule:
+    """The wire rules of a :class:`FaultSchedule` (what ``repro worker
+    --chaos-net`` loads)."""
+
     def test_action_validation(self):
-        with pytest.raises(ValueError, match="unknown net-fault action"):
-            NetFault(kind="task", action="explode")
-        with pytest.raises(ValueError, match="invalid net-fault window"):
-            NetFault(kind="task", action="drop", count=0)
-        with pytest.raises(ValueError, match="invalid net-fault window"):
-            NetFault(kind="task", action="delay", after=-1)
+        with pytest.raises(ValueError, match="unknown fault action"):
+            FaultRule(kind="task", action="explode")
+        with pytest.raises(ValueError, match="invalid fault window"):
+            FaultRule(kind="task", action="drop", count=-1)
+        with pytest.raises(ValueError, match="invalid fault window"):
+            FaultRule(kind="task", action="delay", after=-1)
 
     def test_fires_by_occurrence_window(self, tmp_path):
-        chaos = NetChaos(
-            tmp_path, [NetFault(kind="task", action="drop", after=2, count=2)]
+        chaos = FaultSchedule(
+            tmp_path, [FaultRule(kind="task", action="drop", after=2, count=2)]
         )
-        fired = [chaos.on_send("task") is not None for _ in range(6)]
+        fired = [chaos.fire("task", "drop") is not None for _ in range(6)]
         assert fired == [False, False, True, True, False, False]
+        # A site that cannot act on a rule neither fires nor counts it.
+        assert chaos.fire("task", "hold") is None
+        assert chaos.seen(0) == 6
 
     def test_counters_survive_process_death(self, tmp_path):
         """A respawned worker resumes its schedule, not restarts it."""
-        faults = [NetFault(kind="result", action="drop", after=1, count=1)]
-        first = NetChaos(tmp_path, faults)
-        assert first.on_send("result") is None
-        # Simulate death: a brand-new NetChaos over the same state_dir
+        faults = [FaultRule(kind="result", action="drop", after=1, count=1)]
+        first = FaultSchedule(tmp_path, faults)
+        assert first.fire("result", "drop") is None
+        # Simulate death: a brand-new schedule over the same state_dir
         # (what a respawned worker constructs) continues at occurrence 2.
-        reborn = NetChaos(tmp_path, faults)
-        assert reborn.on_send("result") is not None
-        assert reborn.on_send("result") is None
+        reborn = FaultSchedule(tmp_path, faults)
+        assert reborn.fire("result", "drop") is not None
+        assert reborn.fire("result", "drop") is None
 
     def test_spec_file_round_trip(self, tmp_path):
         faults = [
-            NetFault(kind="*", action="delay", after=3, count=2, seconds=0.5),
-            NetFault(kind="result", action="partition", seconds=1.0),
+            FaultRule(kind="*", action="delay", after=3, count=2, seconds=0.5),
+            FaultRule(kind="result", action="partition", seconds=1.0),
         ]
-        spec = save_net_chaos(tmp_path / "spec.json", tmp_path / "state", faults)
-        loaded = load_net_chaos(spec)
-        assert loaded.faults == faults
+        spec = FaultSchedule(tmp_path / "state", faults).save(tmp_path / "spec.json")
+        loaded = FaultSchedule.load(spec)
+        assert loaded.rules == faults
         assert loaded.state_dir == tmp_path / "state"
 
 
@@ -131,24 +142,21 @@ class TestValidationAndEdges:
             run_fabric_sweep(task, task_timeout=0.0)
         with pytest.raises(InvalidParameterError):
             run_fabric_sweep(task, heartbeat_interval=0.0)
-        with pytest.raises(InvalidParameterError):
-            run_fabric_sweep(task, halt_after=0)
 
     def test_empty_tasks(self):
         assert run_fabric_sweep([], seed=0) == []
 
-    def test_checkpoint_requires_unique_keys(self, tmp_path):
-        tasks = counted_tasks(1, tmp_path) * 2
-        with pytest.raises(InvalidParameterError, match="unique"):
-            run_fabric_sweep(tasks, checkpoint=tmp_path / "c.json")
+    def test_store_requires_json_kwargs(self, tmp_path):
+        store = TaskStore(ResultCache(tmp_path / "store"))
+        tasks = [SweepTask(key="t0", fn=chaos_task, kwargs={"state_dir": tmp_path})]
+        with pytest.raises(InvalidParameterError, match="not JSON"):
+            run_fabric_sweep(tasks, seed=0, store=store)
 
     def test_fully_resumed_sweep_never_listens(self, tmp_path, monkeypatch):
         """All tasks on record: return immediately, no socket, no workers."""
-        ckpt = tmp_path / "c.json"
+        store = TaskStore(ResultCache(tmp_path / "store"))
         tasks = counted_tasks(3, tmp_path / "exec")
-        first = run_fabric_sweep(
-            tasks, seed=5, worker_wait=0.2, checkpoint=ckpt, config_key="k"
-        )
+        first = run_fabric_sweep(tasks, seed=5, worker_wait=0.2, store=store)
         assert all(o.ok for o in first)
         import socket as socket_module
 
@@ -156,11 +164,9 @@ class TestValidationAndEdges:
             raise AssertionError("fully-resumed sweep opened a socket")
 
         monkeypatch.setattr(socket_module.socket, "bind", explode)
-        again = run_fabric_sweep(
-            tasks, seed=5, checkpoint=ckpt, config_key="k", resume=True
-        )
+        again = run_fabric_sweep(tasks, seed=5, store=store)
         assert [o.result for o in again] == [o.result for o in first]
-        # Completed tasks were served from the checkpoint, not re-run.
+        # Completed tasks were served from the store, not re-run.
         assert all(attempt_count(tmp_path / "exec", f"t{i}") == 1 for i in range(3))
 
 
@@ -273,7 +279,7 @@ class TestLoopbackFabric:
         assert crashed.attempts == 2
         kinds = [e["kind"] for e in sink.events]
         assert "fabric-worker-lost" in kinds
-        assert "fabric-task-requeue" in kinds
+        assert "task-requeue" in kinds
         for event in sink.events:
             validate_event(event)
 
@@ -281,9 +287,9 @@ class TestLoopbackFabric:
         """A ``task`` frame the network ate never acks; the lease is
         revoked and the attempt refunded — nothing ever ran."""
         reference = serial_reference(6, tmp_path / "serial", seed=3)
-        chaos = NetChaos(
+        chaos = FaultSchedule(
             tmp_path / "coord",
-            [NetFault(kind="task", action="drop", after=1, count=1)],
+            [FaultRule(kind="task", action="drop", after=1, count=1)],
         )
         sink = MemoryTraceSink()
         with use_observer(Observer(MetricsRegistry(), sink)):
@@ -292,13 +298,13 @@ class TestLoopbackFabric:
                 seed=3,
                 workers=2,
                 ack_timeout=0.6,
-                net_chaos=chaos,
+                chaos=chaos,
                 **FAST,
             )
         assert [o.result for o in outcomes] == reference
         assert all(o.ok and o.attempts == 1 for o in outcomes)
         reasons = [
-            e["reason"] for e in sink.events if e["kind"] == "fabric-task-requeue"
+            e["reason"] for e in sink.events if e["kind"] == "task-requeue"
         ]
         assert "undelivered" in reasons
 
@@ -307,9 +313,9 @@ class TestLoopbackFabric:
         copy from its result cache and the coordinator discards the
         duplicate result idempotently."""
         reference = serial_reference(6, tmp_path / "serial", seed=3)
-        chaos = NetChaos(
+        chaos = FaultSchedule(
             tmp_path / "coord",
-            [NetFault(kind="task", action="duplicate", after=2, count=1)],
+            [FaultRule(kind="task", action="duplicate", after=2, count=1)],
         )
         sink = MemoryTraceSink()
         with use_observer(Observer(MetricsRegistry(), sink)):
@@ -317,7 +323,7 @@ class TestLoopbackFabric:
                 counted_tasks(6, tmp_path / "fab"),
                 seed=3,
                 workers=2,
-                net_chaos=chaos,
+                chaos=chaos,
                 **FAST,
             )
         assert [o.result for o in outcomes] == reference
@@ -332,11 +338,10 @@ class TestLoopbackFabric:
         """A lost ``result`` frame is recovered without re-execution: the
         quiet lease is retransmitted and the worker answers from cache."""
         reference = serial_reference(4, tmp_path / "serial", seed=9)
-        spec = save_net_chaos(
-            tmp_path / "w0.json",
+        spec = FaultSchedule(
             tmp_path / "w0-state",
-            [NetFault(kind="result", action="drop", after=0, count=1)],
-        )
+            [FaultRule(kind="result", action="drop", after=0, count=1)],
+        ).save(tmp_path / "w0.json")
         registry = MetricsRegistry()
         with use_observer(Observer(registry, None)):
             outcomes = run_fabric_sweep(
@@ -376,16 +381,15 @@ class TestLoopbackFabric:
             )
             for task in counted_tasks(8, tmp_path / "fab")
         ]
-        spec = save_net_chaos(
-            tmp_path / "w0.json",
+        spec = FaultSchedule(
             tmp_path / "w0-state",
             [
-                NetFault(
+                FaultRule(
                     kind="result", action="partition", after=0, count=1,
                     seconds=3.0,
                 )
             ],
-        )
+        ).save(tmp_path / "w0.json")
         sink = MemoryTraceSink()
         with use_observer(Observer(MetricsRegistry(), sink)):
             outcomes = run_fabric_sweep(
@@ -446,74 +450,77 @@ class TestLoopbackFabric:
 
 
 class TestCoordinatorRestart:
-    """Coordinator death and resume: the checkpoint is the contract."""
+    """Coordinator death and rerun: the store is the contract."""
 
     def test_halt_then_resume_without_double_execution(self, tmp_path):
-        """Kill the coordinator after 3 outcomes; the atomic checkpoint
-        write means the resumed run skips exactly the completed tasks —
-        none of them execute a second time."""
+        """Kill the coordinator on its 3rd outcome; every result is in
+        the store the moment it is recorded, so the rerun skips exactly
+        the completed tasks — none of them execute a second time."""
         reference = serial_reference(8, tmp_path / "serial", seed=13)
-        ckpt = tmp_path / "ckpt.json"
+        store = TaskStore(ResultCache(tmp_path / "store"))
+        chaos = halt_on(3, tmp_path / "coord")
         with pytest.raises(CoordinatorHalted) as excinfo:
             run_fabric_sweep(
                 counted_tasks(8, tmp_path / "fab"),
                 seed=13,
                 workers=2,
-                checkpoint=ckpt,
-                config_key="restart-demo",
-                halt_after=3,
+                store=store,
+                chaos=chaos,
                 **FAST,
             )
         assert excinfo.value.completed >= 3
-        # The atomic tmp-then-replace save means the file on disk is a
-        # complete, valid snapshot even though the coordinator died.
-        on_disk = json.loads(ckpt.read_text())
-        completed_keys = {entry["key"] for entry in on_disk["tasks"]}
+        # The atomic tmp-then-replace puts mean every entry on disk is a
+        # complete, valid result even though the coordinator died.
+        tasks = counted_tasks(8, tmp_path / "fab")
+        completed_keys = {
+            task.key
+            for task, child in zip(tasks, spawn_seeds(13, 8))
+            if task_store_key(task, child) in store.cache
+        }
         assert len(completed_keys) >= 3
+        # The same schedule again: its halt rule is spent.
         outcomes = run_fabric_sweep(
-            counted_tasks(8, tmp_path / "fab"),
-            seed=13,
-            workers=2,
-            checkpoint=ckpt,
-            config_key="restart-demo",
-            resume=True,
-            **FAST,
+            tasks, seed=13, workers=2, store=store, chaos=chaos, **FAST
         )
         assert [o.result for o in outcomes] == reference
         assert all(o.ok for o in outcomes)
-        # Tasks checkpointed before the halt ran exactly once in total.
+        assert {o.key for o in outcomes if o.host == "store"} == completed_keys
+        # Tasks stored before the halt ran exactly once in total.
         for key in completed_keys:
             assert attempt_count(tmp_path / "fab", key) == 1
 
     def test_corrupt_checkpoint_quarantined_and_rerun(self, tmp_path):
-        """A checkpoint torn by a crash mid-write is quarantined (not
-        trusted, not fatal) and the sweep simply re-runs in full."""
+        """A store entry torn by a crash mid-write is quarantined (not
+        trusted, not fatal) and only its task re-runs."""
         reference = serial_reference(4, tmp_path / "serial", seed=17)
-        ckpt = tmp_path / "ckpt.json"
+        store = TaskStore(ResultCache(tmp_path / "store"))
         with pytest.raises(CoordinatorHalted):
             run_fabric_sweep(
                 counted_tasks(4, tmp_path / "fab"),
                 seed=17,
                 workers=2,
-                checkpoint=ckpt,
-                config_key="corrupt-demo",
-                halt_after=2,
+                store=store,
+                chaos=halt_on(2, tmp_path / "coord"),
                 **FAST,
             )
-        ckpt.write_text('{"config_key": "corrupt-demo", "tasks": [TORN')
+        entries = sorted(store.cache.root.glob("*/*.json"))
+        assert len(entries) >= 2
+        torn = entries[0]
+        torn.write_text('{"key": "' + torn.stem + '", "result": [TORN')
         with pytest.warns(RuntimeWarning, match="quarantined"):
             outcomes = run_fabric_sweep(
-                counted_tasks(4, tmp_path / "fab2"),
+                counted_tasks(4, tmp_path / "fab"),
                 seed=17,
                 workers=2,
-                checkpoint=ckpt,
-                config_key="corrupt-demo",
-                resume=True,
+                store=store,
                 **FAST,
             )
         assert [o.result for o in outcomes] == reference
         assert all(o.ok for o in outcomes)
-        assert ckpt.with_suffix(".json.corrupt").exists()
+        assert torn.with_suffix(".json.corrupt").exists()
+        # Only the torn entry's task and the never-stored ones executed.
+        executed = [o for o in outcomes if o.host != "store"]
+        assert len(executed) == 4 - (len(entries) - 1)
 
 
 class TestWorkerInterrupt:
@@ -598,7 +605,7 @@ class TestWorkerInterrupt:
         assert interrupted.requeued >= 1
         assert interrupted.lost_leases == 0
         reasons = [
-            e["reason"] for e in sink.events if e["kind"] == "fabric-task-requeue"
+            e["reason"] for e in sink.events if e["kind"] == "task-requeue"
         ]
         assert "goodbye" in reasons
 
@@ -612,32 +619,31 @@ class TestAcceptance:
         count = 10
         reference = serial_reference(count, tmp_path / "serial", seed=101)
         state = tmp_path / "fab"
-        ckpt = tmp_path / "ckpt.json"
         # Worker 0 partitions for 2.5s after its second result; task t4
         # crashes whichever worker runs it first.
-        spec = save_net_chaos(
-            tmp_path / "w0.json",
+        spec = FaultSchedule(
             tmp_path / "w0-state",
             [
-                NetFault(
+                FaultRule(
                     kind="result", action="partition", after=2, count=1,
                     seconds=2.5,
                 )
             ],
-        )
+        ).save(tmp_path / "w0.json")
         kwargs = dict(
             seed=101,
             workers=2,
-            checkpoint=ckpt,
-            config_key="acceptance",
+            store=TaskStore(ResultCache(tmp_path / "store")),
             worker_chaos=[spec, None],
+            # The coordinator dies on its 4th outcome, once.
+            chaos=halt_on(4, tmp_path / "coord"),
             **FAST,
         )
         tasks = counted_tasks(count, state, t4={"crash_attempts": 1})
         with pytest.raises(CoordinatorHalted):
-            run_fabric_sweep(tasks, halt_after=4, **kwargs)
-        # One coordinator restart, resuming from the flushed checkpoint.
-        outcomes = run_fabric_sweep(tasks, resume=True, **kwargs)
+            run_fabric_sweep(tasks, **kwargs)
+        # One coordinator restart, served from the store where it can be.
+        outcomes = run_fabric_sweep(tasks, **kwargs)
 
         assert [o.result for o in outcomes] == reference
         assert [o.key for o in outcomes] == [f"t{i}" for i in range(count)]
@@ -649,11 +655,11 @@ class TestAcceptance:
         # crashed exactly once (only attempt 1 is scheduled to crash)
         # and then re-executed successfully.  How many executions the
         # counter shows races with the halt: the crash and rerun may
-        # land either side of the restart, and a rerun completing after
-        # halt_after fires is lost with the unflushed checkpoint and
-        # legitimately re-executed on resume — so 2 or 3 total, never 1
-        # (an unsurfaced crash) and never more (a re-run of
-        # checkpointed work).
+        # land either side of the restart, and a rerun whose result
+        # reaches the coordinator after the halt is lost with it and
+        # legitimately re-executed on restart — so 2 or 3 total, never 1
+        # (an unsurfaced crash) and never more (a re-run of stored
+        # work).
         assert 2 <= attempt_count(state, "t4") <= 3
         if outcomes[4].attempts == 2:
             assert outcomes[4].lost_leases >= 1

@@ -7,16 +7,14 @@ The acceptance properties pinned here:
 * a deadline-expired task yields a ``timeout`` outcome without aborting
   or stalling the remaining tasks;
 * degradation to serial execution still completes the sweep;
-* sweep-level resume skips completed tasks.
+* a rerun with the sweep's store skips completed tasks.
 """
 
-import json
 import time
 
 import pytest
 
-from repro.errors import InvalidParameterError, ReproError, SweepTaskError
-from repro.experiments.chaos import (
+from repro.chaos import (
     CRASH_EXIT_CODE,
     ChaosError,
     attempt_count,
@@ -24,6 +22,7 @@ from repro.experiments.chaos import (
     chaos_task,
     healthy_task,
 )
+from repro.errors import InvalidParameterError, SweepTaskError
 from repro.experiments.runner import outcomes_table
 from repro.experiments.supervisor import (
     TASK_CRASHED,
@@ -31,10 +30,11 @@ from repro.experiments.supervisor import (
     TASK_OK,
     TASK_TIMEOUT,
     SweepTask,
-    SweepTaskCheckpoint,
     TaskOutcome,
+    TaskStore,
     outcome_counts,
     run_supervised_sweep,
+    task_store_key,
 )
 from repro.obs import (
     MemoryTraceSink,
@@ -43,6 +43,8 @@ from repro.obs import (
     use_observer,
 )
 from repro.obs.sinks import validate_event
+from repro.rng import spawn_seeds
+from repro.serve.cache import ResultCache
 
 
 def healthy_tasks(count):
@@ -53,7 +55,7 @@ def chaos_sweep_task(key, state_dir, **injections):
     return SweepTask(
         key=key,
         fn=chaos_task,
-        kwargs={"key": key, "state_dir": state_dir, **injections},
+        kwargs={"key": key, "state_dir": str(state_dir), **injections},
     )
 
 
@@ -117,7 +119,7 @@ class TestChaosHarness:
 
         code = (
             "import numpy as np\n"
-            "from repro.experiments.chaos import chaos_task\n"
+            "from repro.chaos import chaos_task\n"
             "child = np.random.SeedSequence(0).spawn(1)[0]\n"
             "try:\n"
             f"    chaos_task(child, key='k', state_dir={str(tmp_path)!r}, "
@@ -135,20 +137,15 @@ class TestChaosHarness:
 
 
 class TestTaskOutcome:
-    def test_json_round_trip(self):
-        outcome = TaskOutcome(
-            key="E7", status=TASK_OK, result=[1.5, 2.5], attempts=2, elapsed=0.25
+    def test_failed_outcome_drops_result(self, tmp_path):
+        """Only ``ok`` results reach the store; a failed task reruns."""
+        store = TaskStore(ResultCache(tmp_path / "store"))
+        tasks = [chaos_sweep_task("e", tmp_path / "chaos", error_attempts=99)]
+        outcomes = run_supervised_sweep(
+            tasks, jobs=1, seed=0, max_task_retries=0, store=store
         )
-        again = TaskOutcome.from_json(outcome.to_json())
-        assert again == outcome
-
-    def test_failed_outcome_drops_result(self):
-        outcome = TaskOutcome(
-            key="E7", status=TASK_ERROR, result="stale", error="boom"
-        )
-        payload = outcome.to_json()
-        assert payload["result"] is None
-        assert TaskOutcome.from_json(payload).error == "boom"
+        assert outcomes[0].status == TASK_ERROR
+        assert len(store.cache) == 0
 
     def test_outcome_counts(self):
         outcomes = [
@@ -168,34 +165,6 @@ class TestTaskOutcome:
         # Zero recovery stays invisible, even when asked for.
         clean = [TaskOutcome(key="a", status=TASK_OK)]
         assert outcome_counts(clean, with_recovery=True) == {TASK_OK: 1}
-
-    def test_shard_attribution_json_round_trip(self):
-        outcome = TaskOutcome(
-            key="E7",
-            status=TASK_CRASHED,
-            attempts=3,
-            error="worker lost (partition)",
-            host="lab-3/4411",
-            requeued=2,
-            lost_leases=1,
-        )
-        again = TaskOutcome.from_json(outcome.to_json())
-        assert (again.host, again.requeued, again.lost_leases) == ("lab-3/4411", 2, 1)
-        assert again == outcome
-
-    def test_from_json_tolerates_pre_fabric_payloads(self):
-        """Checkpoints written before shard attribution existed load with
-        neutral defaults instead of KeyErrors."""
-        legacy = {
-            "key": "E7",
-            "status": TASK_OK,
-            "result": [1.0],
-            "attempts": 1,
-            "elapsed": 0.5,
-            "error": "",
-        }
-        outcome = TaskOutcome.from_json(legacy)
-        assert (outcome.host, outcome.requeued, outcome.lost_leases) == ("", 0, 0)
 
     def test_local_sweep_stamps_local_host(self):
         outcomes = run_supervised_sweep(healthy_tasks(2), jobs=1, seed=0)
@@ -258,10 +227,17 @@ class TestHealthyPath:
         with pytest.raises(InvalidParameterError):
             run_supervised_sweep(healthy_tasks(1), task_timeout=0.0)
 
-    def test_checkpoint_requires_unique_keys(self, tmp_path):
-        tasks = [SweepTask(key="dup", fn=healthy_task)] * 2
-        with pytest.raises(InvalidParameterError, match="unique task keys"):
-            run_supervised_sweep(tasks, checkpoint=tmp_path / "ck.json")
+    def test_store_requires_json_kwargs(self, tmp_path):
+        """Store keys hash the kwargs, so they must be JSON; task keys
+        need not be unique (the content address tells tasks apart)."""
+        store = TaskStore(ResultCache(tmp_path / "store"))
+        bad = [SweepTask(key="t", fn=healthy_task, kwargs={"draws": {1, 2}})]
+        with pytest.raises(InvalidParameterError, match="not JSON"):
+            run_supervised_sweep(bad, seed=0, store=store)
+        twins = [SweepTask(key="dup", fn=healthy_task)] * 2
+        outcomes = run_supervised_sweep(twins, seed=0, store=store)
+        assert outcomes[0].result != outcomes[1].result  # distinct children
+        assert len(store.cache) == 2
 
 
 class TestCrashRecovery:
@@ -442,53 +418,76 @@ class TestInterrupt:
 
 
 class TestSweepTaskCheckpoint:
-    def _outcomes(self):
-        return {
-            "a": TaskOutcome(key="a", status=TASK_OK, result=[1.0], attempts=1),
-            "b": TaskOutcome(key="b", status=TASK_ERROR, error="boom", attempts=3),
-        }
+    """The sweep's task checkpoint is its store (``--checkpoint DIR``):
+    each ``ok`` result under the sha256 of its task's function, kwargs
+    and seed child."""
 
     def test_round_trip(self, tmp_path):
-        ck = SweepTaskCheckpoint(tmp_path / "tasks.json", "cfg")
-        ck.save(self._outcomes())
-        loaded = ck.load()
-        assert loaded["a"].result == [1.0]
-        assert loaded["b"].status == TASK_ERROR
+        store = TaskStore(ResultCache(tmp_path / "store"))
+        first = run_supervised_sweep(healthy_tasks(2), jobs=1, seed=4, store=store)
+        again = run_supervised_sweep(healthy_tasks(2), jobs=1, seed=4, store=store)
+        assert [o.result for o in again] == [o.result for o in first]
+        assert all(o.host == "local" and o.attempts == 1 for o in first)
+        # A hit is one stored attempt, served in no time by the store.
+        assert [(o.host, o.attempts, o.elapsed) for o in again] == [
+            ("store", 1, 0.0), ("store", 1, 0.0)
+        ]
 
-    def test_config_key_mismatch_raises(self, tmp_path):
-        ck = SweepTaskCheckpoint(tmp_path / "tasks.json", "cfg")
-        ck.save(self._outcomes())
-        with pytest.raises(ReproError, match="refusing to mix"):
-            SweepTaskCheckpoint(tmp_path / "tasks.json", "other").load()
+    def test_different_config_never_mixes(self, tmp_path):
+        """Seed, position, function and kwargs are all in the key, so a
+        different sweep configuration cannot be served another's result."""
+        store = TaskStore(ResultCache(tmp_path / "store"))
+        run_supervised_sweep(healthy_tasks(2), jobs=1, seed=4, store=store)
+        for tasks, seed in [
+            (healthy_tasks(2), 5),
+            ([SweepTask(key="t0", fn=healthy_task, kwargs={"draws": 5})], 4),
+            ([SweepTask(key="t0", fn=chaos_payload)], 4),
+        ]:
+            outcomes = run_supervised_sweep(tasks, jobs=1, seed=seed, store=store)
+            assert all(o.host == "local" for o in outcomes)
+
+    def test_unseeded_sweep_never_hits(self, tmp_path):
+        """``seed=None`` draws fresh entropy: nothing is stored or served."""
+        store = TaskStore(ResultCache(tmp_path / "store"))
+        first = run_supervised_sweep(healthy_tasks(2), jobs=1, seed=None, store=store)
+        again = run_supervised_sweep(healthy_tasks(2), jobs=1, seed=None, store=store)
+        assert len(store.cache) == 0
+        assert all(o.host == "local" for o in first + again)
 
     def test_corrupt_file_quarantined(self, tmp_path):
-        path = tmp_path / "tasks.json"
+        store = TaskStore(ResultCache(tmp_path / "store"))
+        first = run_supervised_sweep(healthy_tasks(2), jobs=1, seed=0, store=store)
+        key = task_store_key(healthy_tasks(1)[0], spawn_seeds(0, 2)[0])
+        path = store.cache.path_for(key)
         path.write_text('{"truncated')
         with pytest.warns(RuntimeWarning, match="quarantined"):
-            assert SweepTaskCheckpoint(path, "cfg").load() == {}
-        assert (tmp_path / "tasks.json.corrupt").exists()
+            again = run_supervised_sweep(
+                healthy_tasks(2), jobs=1, seed=0, store=store
+            )
+        assert path.with_name(path.name + ".corrupt").exists()
+        # Only the corrupt entry's task reran; the result is unchanged.
+        assert [o.host for o in again] == ["local", "store"]
+        assert [o.result for o in again] == [o.result for o in first]
 
     def test_resume_skips_completed_tasks(self, tmp_path):
-        """Acceptance: sweep-level resume does not rerun finished tasks."""
+        """Acceptance: a rerun with the store does not rerun finished tasks."""
         state = tmp_path / "chaos"
-        ck_path = tmp_path / "tasks.json"
+        store = TaskStore(ResultCache(tmp_path / "store"))
         tasks = [
             chaos_sweep_task("fine", state),
             chaos_sweep_task("flaky", state, error_attempts=1),
         ]
         first = run_supervised_sweep(
-            tasks, jobs=1, seed=6, max_task_retries=0,
-            checkpoint=ck_path, config_key="cfg",
+            tasks, jobs=1, seed=6, max_task_retries=0, store=store,
         )
         assert first[0].ok
         assert first[1].status == TASK_ERROR
         assert attempt_count(state, "fine") == 1
 
         resumed = run_supervised_sweep(
-            tasks, jobs=1, seed=6, max_task_retries=0,
-            checkpoint=ck_path, config_key="cfg", resume=True,
+            tasks, jobs=1, seed=6, max_task_retries=0, store=store,
         )
-        # `fine` was served from the checkpoint — no new attempt; the
+        # `fine` was served from the store — no new attempt; the
         # failed task got a fresh chance and succeeded (error window: 1).
         assert attempt_count(state, "fine") == 1
         assert attempt_count(state, "flaky") == 2
@@ -500,29 +499,45 @@ class TestSweepTaskCheckpoint:
         assert [o.result for o in resumed] == [o.result for o in baseline]
 
     def test_terminal_outcomes_flushed_incrementally(self, tmp_path):
-        ck_path = tmp_path / "tasks.json"
-        run_supervised_sweep(
-            healthy_tasks(3), jobs=1, seed=0, checkpoint=ck_path, config_key="cfg"
-        )
-        payload = json.loads(ck_path.read_text())
-        assert payload["config_key"] == "cfg"
-        assert [t["key"] for t in payload["tasks"]] == ["t0", "t1", "t2"]
+        """Each result is stored as it lands, so an interrupt loses only
+        the task still running and the rerun starts there."""
+        store = TaskStore(ResultCache(tmp_path / "store"))
+        seen = []
+
+        def task(seed):
+            seen.append(len(store.cache))
+            if len(seen) == 3:
+                raise KeyboardInterrupt
+            return healthy_task(seed)
+
+        tasks = [SweepTask(key=f"t{i}", fn=task) for i in range(3)]
+        with pytest.raises(KeyboardInterrupt):
+            run_supervised_sweep(tasks, jobs=1, seed=0, store=store)
+        assert seen == [0, 1, 2]
+        outcomes = run_supervised_sweep(tasks, jobs=1, seed=0, store=store)
+        assert [o.host for o in outcomes] == ["store", "store", "local"]
 
 
 class TestMalformedTaskCheckpoint:
-    """Valid JSON of the wrong shape is quarantined like a torn file."""
+    """A store entry holding valid JSON of the wrong shape is quarantined
+    like a torn file, and its task reruns."""
 
     @pytest.mark.parametrize(
         "garbage",
         ['{"tasks": []}', '{"config_key": "cfg", "tasks": "nope"}', "[1, 2]"],
     )
     def test_wrong_shape_quarantined_with_bytes_kept(self, tmp_path, garbage):
-        path = tmp_path / "tasks.json"
+        store = TaskStore(ResultCache(tmp_path / "store"))
+        task = healthy_tasks(1)
+        path = store.cache.path_for(task_store_key(task[0], spawn_seeds(0, 1)[0]))
+        path.parent.mkdir(parents=True)
         path.write_text(garbage)
         with pytest.warns(RuntimeWarning, match="quarantined"):
-            assert SweepTaskCheckpoint(path, "cfg").load() == {}
-        assert not path.exists()
-        assert (tmp_path / "tasks.json.corrupt").read_text() == garbage
+            outcomes = run_supervised_sweep(task, jobs=1, seed=0, store=store)
+        assert outcomes[0].ok and outcomes[0].host == "local"
+        corrupt = path.with_name(path.name + ".corrupt")
+        assert corrupt.read_text() == garbage
+        assert store.cache.get(path.stem) is not None  # rewritten
 
 
 class TestObservability:
@@ -535,16 +550,24 @@ class TestObservability:
         with use_observer(Observer(registry, sink)):
             outcomes = run_supervised_sweep(tasks, jobs=2, seed=8)
         assert all(o.ok for o in outcomes)
-        kinds = [e["kind"] for e in sink.events if e["kind"].startswith("exec-")]
+        kinds = [e["kind"] for e in sink.events]
         assert "exec-worker-crash" in kinds
         assert "exec-pool-rebuild" in kinds
-        assert "exec-task-retry" in kinds
+        assert "task-requeue" in kinds
         for event in sink.events:
-            if event["kind"].startswith("exec-"):
+            if event["kind"].startswith("exec-") or event["kind"] == "task-requeue":
                 validate_event(event)
+        # One requeue per recovery, on the outcome and in the metric;
+        # `attempt` names the attempt the requeue queues.
+        requeue = next(
+            e for e in sink.events
+            if e["kind"] == "task-requeue" and e["task"] == "c"
+        )
+        assert requeue["attempt"] == 2
+        assert outcomes[0].requeued >= 1
         assert registry.counter_value("exec.worker_crashes") >= 1
         assert registry.counter_value("exec.pool_rebuilds") >= 1
-        assert registry.counter_value("exec.task_retries") >= 1
+        assert registry.counter_value("exec.task_requeues") >= 1
         assert registry.counter_value("exec.tasks", label="ok") == 3
         wall = registry.histogram("exec.task_wall_s", label="ok")
         assert wall is not None and wall.count == 3

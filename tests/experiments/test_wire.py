@@ -4,7 +4,7 @@ import socket
 
 import pytest
 
-from repro.experiments.chaos import NetChaos, NetFault
+from repro.chaos import FaultRule, FaultSchedule
 from repro.experiments.wire import (
     FABRIC_SECRET_ENV,
     MAX_FRAME_BYTES,
@@ -167,7 +167,7 @@ class TestFramedChannel:
 
     def test_chaos_drop_swallows_message(self, tmp_path):
         left, right = socket.socketpair()
-        chaos = NetChaos(tmp_path, [NetFault(kind="result", action="drop")])
+        chaos = FaultSchedule(tmp_path, [FaultRule(kind="result", action="drop")])
         a = FramedChannel(left, chaos=chaos)
         b = FramedChannel(right)
         try:
@@ -180,7 +180,7 @@ class TestFramedChannel:
 
     def test_chaos_duplicate_writes_twice(self, tmp_path):
         left, right = socket.socketpair()
-        chaos = NetChaos(tmp_path, [NetFault(kind="task", action="duplicate")])
+        chaos = FaultSchedule(tmp_path, [FaultRule(kind="task", action="duplicate")])
         a = FramedChannel(left, chaos=chaos)
         b = FramedChannel(right)
         try:
@@ -196,9 +196,9 @@ class TestFramedChannel:
         resumes — the liveness detector on the other side is what must
         notice, not the sender."""
         left, right = socket.socketpair()
-        chaos = NetChaos(
+        chaos = FaultSchedule(
             tmp_path,
-            [NetFault(kind="result", action="partition", seconds=0.2)],
+            [FaultRule(kind="result", action="partition", seconds=0.2)],
         )
         a = FramedChannel(left, chaos=chaos)
         b = FramedChannel(right)
@@ -216,7 +216,7 @@ class TestFramedChannel:
 
     def test_chaos_only_consults_matching_kind(self, tmp_path):
         left, right = socket.socketpair()
-        chaos = NetChaos(tmp_path, [NetFault(kind="result", action="drop")])
+        chaos = FaultSchedule(tmp_path, [FaultRule(kind="result", action="drop")])
         a = FramedChannel(left, chaos=chaos)
         b = FramedChannel(right)
         try:

@@ -91,7 +91,7 @@ class TestValidateEvent:
 
     def test_accepts_executor_health_events(self):
         validate_event(
-            {"v": 1, "kind": "exec-task-retry", "task": "E7", "attempt": 2,
+            {"v": 1, "kind": "task-requeue", "task": "E7", "attempt": 2,
              "reason": "worker process died"}
         )
         validate_event(
@@ -107,7 +107,7 @@ class TestValidateEvent:
     def test_rejects_malformed_executor_events(self):
         with pytest.raises(ValueError, match="attempt"):
             validate_event(
-                {"v": 1, "kind": "exec-task-retry", "task": "E7",
+                {"v": 1, "kind": "task-requeue", "task": "E7",
                  "reason": "crash"}
             )
         with pytest.raises(ValueError, match="must be int"):

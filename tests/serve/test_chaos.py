@@ -1,6 +1,7 @@
 """Serve-chaos acceptance: resilience promises proven on real processes.
 
-The deterministic harness (:class:`repro.serve.ServeChaos`) pins a job
+The deterministic harness (a :class:`repro.chaos.FaultSchedule` with
+``hold`` and ``reset`` rules) pins a job
 in flight long enough for the test to SIGKILL the server, then the
 restarted process — same cache and journal directories — must replay
 the job from its journal and produce the byte-identical result.  The
@@ -20,15 +21,9 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.chaos import FaultRule, FaultSchedule
 from repro.schema import canonical_json
-from repro.serve import (
-    Client,
-    JobJournal,
-    JobSpec,
-    ServeChaos,
-    load_serve_chaos,
-    save_serve_chaos,
-)
+from repro.serve import Client, JobJournal, JobManager, JobSpec
 from repro.serve.runner import execute_spec
 
 SPEC_PAYLOAD = {
@@ -42,47 +37,104 @@ SPEC_PAYLOAD = {
 SRC_DIR = str(Path(repro.__file__).resolve().parents[1])
 
 
+def hold(jobs, seconds):
+    return FaultRule("execute", "hold", count=jobs, seconds=seconds)
+
+
+def reset(connections):
+    return FaultRule("connection", "reset", count=connections)
+
+
 class TestHarness:
     def test_counters_survive_process_death(self, tmp_path):
-        # Two instances over one state_dir stand in for the server
+        # Two managers over one state_dir stand in for the server
         # before and after a kill: the schedule resumes, not replays.
-        first = ServeChaos(tmp_path, hold_jobs=1, hold_s=0.0)
-        first.on_execute()  # consumes the single hold
-        second = ServeChaos(tmp_path, hold_jobs=1, hold_s=0.0)
-        t0 = time.monotonic()
-        second.on_execute()  # already spent: must not sleep
-        assert time.monotonic() - t0 < 0.5
-        assert (tmp_path / "serve-hold.count").read_text() == "2"
+        spec = JobSpec.from_dict(SPEC_PAYLOAD)
+        first = JobManager(chaos=FaultSchedule(tmp_path, [hold(1, 0.0)]))
+        try:
+            job = first.submit(spec)  # consumes the single hold
+            assert first.wait(job, timeout=30) and job.state == "done"
+        finally:
+            first.shutdown()
+        second = JobManager(chaos=FaultSchedule(tmp_path, [hold(1, 30.0)]))
+        try:
+            t0 = time.monotonic()
+            job = second.submit(spec)  # already spent: must not sleep
+            assert second.wait(job, timeout=30) and job.state == "done"
+            assert time.monotonic() - t0 < 10.0
+        finally:
+            second.shutdown()
+        assert (tmp_path / "rule0.count").read_text() == "2"
 
     def test_connection_schedule(self, tmp_path):
-        chaos = ServeChaos(tmp_path, reset_connections=2)
-        assert chaos.on_connection() is True
-        assert chaos.on_connection() is True
-        assert chaos.on_connection() is False
+        chaos = FaultSchedule(tmp_path, [reset(2)])
+        assert chaos.fire("connection", "reset") is not None
+        assert chaos.fire("connection", "reset") is not None
+        assert chaos.fire("connection", "reset") is None
 
     def test_zero_schedule_is_free(self, tmp_path):
-        chaos = ServeChaos(tmp_path)
-        chaos.on_execute()
-        assert chaos.on_connection() is False
+        chaos = FaultSchedule(tmp_path)
+        assert chaos.fire("execute", "hold") is None
+        assert chaos.fire("connection", "reset") is None
         assert list(tmp_path.glob("*.count")) == []  # no counter files
 
     def test_negative_counts_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match=">= 0"):
-            ServeChaos(tmp_path, hold_jobs=-1)
+        with pytest.raises(ValueError, match="invalid fault window"):
+            FaultSchedule(tmp_path, [hold(-1, 0.0)])
+
+    def test_concurrent_consultations_never_lose_a_count(self, tmp_path):
+        """Executions consult the schedule from several threads at once;
+        no read-increment-replace may be lost, and each hold fires once."""
+        import sys
+        import threading
+
+        chaos = FaultSchedule(tmp_path, [hold(5, 0.0)])
+        fired = []
+
+        def consult():
+            for _ in range(20):
+                if chaos.fire("execute", "hold") is not None:
+                    fired.append(1)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=consult) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert chaos.seen(0) == 160
+        assert len(fired) == 5
 
     def test_spec_file_round_trip(self, tmp_path):
-        path = save_serve_chaos(
-            tmp_path / "chaos.json",
-            tmp_path / "state",
-            hold_jobs=3,
-            hold_s=1.5,
-            reset_connections=2,
-        )
-        chaos = load_serve_chaos(path)
+        path = FaultSchedule(
+            tmp_path / "state", [hold(3, 1.5), reset(2)]
+        ).save(tmp_path / "chaos.json")
+        chaos = FaultSchedule.load(path)
         assert chaos.state_dir == tmp_path / "state"
-        assert chaos.hold_jobs == 3
-        assert chaos.hold_s == 1.5
-        assert chaos.reset_connections == 2
+        assert chaos.rules == [hold(3, 1.5), reset(2)]
+
+    def test_spec_file_written_atomically(self, tmp_path, monkeypatch):
+        """The spec goes through the crash-safe writer, so a server or
+        worker never loads a torn schedule."""
+        import repro.chaos
+
+        written = []
+        real = repro.chaos.atomic_write
+        monkeypatch.setattr(
+            repro.chaos,
+            "atomic_write",
+            lambda path, data: written.append(path) or real(path, data),
+        )
+        path = FaultSchedule(tmp_path / "state", [reset(1)]).save(
+            tmp_path / "chaos.json"
+        )
+        assert written == [path]
+        assert [p.name for p in tmp_path.iterdir()] == ["chaos.json"]
 
 
 def _start_server(tmp_path: Path, log_name: str, *extra: str):
@@ -143,13 +195,10 @@ class TestKillRestartReplay:
     def test_sigkill_mid_job_replays_byte_identically(self, tmp_path):
         spec = JobSpec.from_dict(SPEC_PAYLOAD)
         reference = canonical_json(execute_spec(spec))
-        chaos_spec = save_serve_chaos(
-            tmp_path / "chaos.json",
-            tmp_path / "chaos-state",
-            hold_jobs=1,
-            hold_s=300.0,
-        )
-        hold_counter = tmp_path / "chaos-state" / "serve-hold.count"
+        chaos_spec = FaultSchedule(
+            tmp_path / "chaos-state", [hold(1, 300.0)]
+        ).save(tmp_path / "chaos.json")
+        hold_counter = tmp_path / "chaos-state" / "rule0.count"
         journal = JobJournal(tmp_path / "cache", fsync=False)
 
         server, url = _start_server(

@@ -16,7 +16,8 @@ import pytest
 from repro.errors import ServeError
 from repro.obs.sinks import validate_event
 from repro.schema import canonical_json
-from repro.serve import Client, JobManager, JobSpec, JobStatus, ServeChaos, Server
+from repro.chaos import FaultRule, FaultSchedule
+from repro.serve import Client, JobManager, JobSpec, JobStatus, Server
 from repro.serve.http import _json_bytes
 from repro.serve.runner import execute_spec
 
@@ -348,7 +349,9 @@ class TestResilienceEndpoints:
 
 class TestClientRetries:
     def test_client_survives_reset_connections(self, tmp_path):
-        chaos = ServeChaos(tmp_path / "chaos", reset_connections=2)
+        chaos = FaultSchedule(
+            tmp_path / "chaos", [FaultRule("connection", "reset", count=2)]
+        )
         with live_server(cache=tmp_path / "cache", chaos=chaos) as server:
             client = Client(server.address, backoff_s=0.01)
             status = client.submit(JobSpec.from_dict(SIM_PAYLOAD))
@@ -356,11 +359,13 @@ class TestClientRetries:
             assert client._transport.retried == 2
         # The counter records every consulted connection: two aborted
         # plus the one that finally got through.
-        counter = tmp_path / "chaos" / "serve-reset.count"
+        counter = tmp_path / "chaos" / "rule0.count"
         assert counter.read_text() == "3"
 
     def test_retries_exhausted_raises(self, tmp_path):
-        chaos = ServeChaos(tmp_path / "chaos", reset_connections=100)
+        chaos = FaultSchedule(
+            tmp_path / "chaos", [FaultRule("connection", "reset", count=100)]
+        )
         with live_server(cache=None, chaos=chaos) as server:
             client = Client(server.address, retries=1, backoff_s=0.01)
             with pytest.raises(ServeError, match="2 attempt"):

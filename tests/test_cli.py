@@ -169,16 +169,66 @@ class TestJobs:
         args = ["run-all", "--only", "E7", "--jobs", "1", "--seed", "5",
                 "--checkpoint", ck]
         assert main(args + ["--out", str(first)]) == 0
-        manifests = list(tmp_path.glob("ck/catalog-tasks-*.json"))
-        assert len(manifests) == 1
+        entries = list(tmp_path.glob("ck/*/*.json"))
+        assert len(entries) == 1
         capsys.readouterr()
-        assert main(args + ["--resume", "--out", str(resumed)]) == 0
+        assert main(args + ["--out", str(resumed)]) == 0
         out = capsys.readouterr().out
-        # The resumed run served E7 from the sweep checkpoint but still
-        # prints its table, byte for byte, and the outcome summary.
+        # The rerun served E7 from the store but still prints its
+        # table, byte for byte, and the outcome summary.
         assert "[E7]" in out
         assert "supervised sweep summary" in out
         assert resumed.read_bytes() == first.read_bytes()
+        summary = out[out.index("supervised sweep summary"):]
+        assert "store" in summary
+
+    def test_run_all_reuses_stored_experiments_across_sweeps(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """A store outlives its sweep: E3 keeps position 0 and the root
+        seed in both sweeps, so the second is served E3 without running
+        it; E9 is new and executes.  Both reports match fresh runs."""
+        import repro.experiments.parallel as parallel
+
+        executed = []
+        real = parallel.get_experiment
+        monkeypatch.setattr(
+            parallel,
+            "get_experiment",
+            lambda experiment_id: executed.append(experiment_id) or real(experiment_id),
+        )
+        ck = ["--checkpoint", str(tmp_path / "ck")]
+        reports = {}
+        for only, store in [("E3,E7", ck), ("E3,E9", ck), ("E3,E7", []), ("E3,E9", [])]:
+            out = tmp_path / f"{only}-{bool(store)}.md"
+            args = ["run-all", "--only", only, "--jobs", "1", "--seed", "3"]
+            assert main(args + store + ["--out", str(out)]) == 0
+            reports[only, bool(store)] = out.read_bytes()
+        capsys.readouterr()
+        # Stored runs execute E3, E7, E9 once each; fresh runs all four.
+        assert executed == ["E3", "E7", "E9", "E3", "E7", "E3", "E9"]
+        assert reports["E3,E7", True] == reports["E3,E7", False]
+        assert reports["E3,E9", True] == reports["E3,E9", False]
+
+    @pytest.mark.parametrize("store", [False, True])
+    def test_interrupt_hint_only_with_a_store(self, tmp_path, capsys, monkeypatch, store):
+        """Ctrl-C points at --checkpoint only when results were stored."""
+        import repro.experiments
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(repro.experiments, "run_catalog_supervised", interrupted)
+        ck = str(tmp_path / "ck")
+        args = ["run-all", "--only", "E7", "--jobs", "1"]
+        assert main(args + (["--checkpoint", ck] if store else [])) == 130
+        err = capsys.readouterr().err
+        assert "interrupted" in err
+        assert "--resume" not in err
+        if store:
+            assert f"rerun with --checkpoint {ck} to continue" in err
+        else:
+            assert "--checkpoint" not in err
 
 
 class TestRunOut:
@@ -204,7 +254,9 @@ class TestSharedParents:
         assert args.seed == 7
         assert args.jobs == 3
         assert args.checkpoint == "ckpt"
-        assert args.resume is False
+        # A rerun with the same --checkpoint is the resume: no flag.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(command + ["--checkpoint", "ckpt", "--resume"])
 
     @pytest.mark.parametrize("command", [["run", "E4"], ["run-all"], ["profile", "E4"]])
     def test_supervision_flags(self, command):
