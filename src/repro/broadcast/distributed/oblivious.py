@@ -16,7 +16,7 @@ import numpy as np
 
 from ..._typing import BoolArray, IntArray
 from ...errors import InvalidParameterError
-from ...radio.protocol import RadioProtocol, bernoulli_mask
+from ...radio.protocol import RadioProtocol, bernoulli_mask, bernoulli_mask_batch
 
 __all__ = ["ObliviousProtocol"]
 
@@ -31,7 +31,13 @@ class ObliviousProtocol(RadioProtocol):
         probabilities; a sequence repeats cyclically once exhausted.
     name:
         Report label.
+
+    The mask depends on ``t`` alone, so the protocol is batch-capable:
+    :meth:`transmit_mask_batch` draws each trial's column exactly as
+    :meth:`transmit_mask` would, including the draw of a ``q = 1`` round.
     """
+
+    supports_batch = True
 
     def __init__(
         self,
@@ -77,3 +83,12 @@ class ObliviousProtocol(RadioProtocol):
         rng: np.random.Generator,
     ) -> BoolArray:
         return bernoulli_mask(rng, self.probability_at(t), informed.size)
+
+    def transmit_mask_batch(
+        self,
+        t: int,
+        informed: BoolArray,
+        informed_round: IntArray,
+        rngs: Sequence[np.random.Generator],
+    ) -> BoolArray:
+        return bernoulli_mask_batch(rngs, self.probability_at(t), informed.shape[0])

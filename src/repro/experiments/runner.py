@@ -234,11 +234,11 @@ def protocol_times(
     a graph still pays for only one BFS, cached on its adjacency.
 
     Protocols that advertise ``supports_batch`` (uniform, decay, the
-    Theorem 7 randomized protocol) are measured on the lockstep driver
-    (:func:`~repro.radio.engine.run_broadcast_batch`): all repetitions
-    advance together, one batched count kernel per round.  The per-trial
-    streams are spawned identically in both paths, so the dispatch is
-    bit-for-bit invisible in the results (pinned by
+    Theorem 7 randomized protocol, oblivious ``q(t)``) are measured on
+    the lockstep driver (:func:`~repro.radio.engine.run_broadcast_batch`):
+    all repetitions advance together, one batched count kernel per
+    round.  The per-trial streams are spawned identically in both paths,
+    so the dispatch is bit-for-bit invisible in the results (pinned by
     ``tests/radio/test_batch.py``).
     """
     return _dissemination_times(

@@ -125,10 +125,7 @@ def minimal_covering(
     # Greedy: residual gain per candidate, recomputed lazily with a max-heap
     # style pass.  Candidate pools in our workloads are modest (schedule
     # cleanup, Lemma 4 experiments), so a simple argmax loop suffices.
-    gains = np.array(
-        [int(np.count_nonzero(uncovered[adj.neighbors(x)])) for x in candidates],
-        dtype=np.int64,
-    )
+    gains = adj.neighbor_counts(target_mask)[candidates]
     alive = gains > 0
     while np.any(uncovered):
         # Lazy refresh: re-evaluate the current best until stable.
@@ -248,10 +245,7 @@ def greedy_independent_cover(
     counts = np.zeros(adj.n, dtype=np.int64)  # hits per target from S
     # Order candidates by how many targets they reach, descending; random
     # tie-break keeps repeated rounds from reusing identical sets.
-    reach = np.array(
-        [int(np.count_nonzero(target_mask[adj.neighbors(x)])) for x in candidates],
-        dtype=np.int64,
-    )
+    reach = adj.neighbor_counts(target_mask)[candidates]
     order = np.lexsort((rng.random(candidates.size), -reach))
     chosen: list[int] = []
     for k in order:

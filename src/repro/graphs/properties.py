@@ -94,47 +94,95 @@ def eccentricity(adj: Adjacency, v: int) -> int:
     return int(dist.max())
 
 
+#: Byte budget of one level's gathered ``(nnz, words)`` block in
+#: :func:`_max_eccentricity`: the source words are processed in chunks
+#: that fit it (at least one word per chunk), so the kernel's memory is
+#: bounded whatever the number of sources.
+GATHER_BYTES = 4 << 20
+
+
+def _max_eccentricity(adj: Adjacency, sources) -> int:
+    """Largest eccentricity over ``sources`` by bit-parallel BFS.
+
+    Every source owns one bit of a ``uint64`` word per node, so one level
+    of 64 breadth-first searches is one OR-gather over the CSR
+    (``bitwise_or.reduceat`` of ``frontier[indices]`` at ``indptr``)
+    followed by ``new = next & ~reached``; the answer is the number of
+    levels until every source has reached every node.  Exact, and equal to
+    the maximum of :func:`~repro.graphs.bfs.bfs_distances` over the
+    sources.  Raises :class:`GraphError` when some source does not reach
+    every node.
+    """
+    n = adj.n
+    sources = np.asarray(sources, dtype=np.int64)
+    if sources.size == 0 or n == 1:
+        return 0
+    # An isolated node disconnects the graph; ruling it out also keeps
+    # every ``reduceat`` segment non-empty, which that ufunc needs.
+    if np.any(adj.degrees == 0):
+        raise GraphError("graph is not connected; diameter undefined")
+    indptr, indices = adj.indptr, adj.indices
+    starts = indptr[:-1]
+    chunk_bits = 64 * max(1, GATHER_BYTES // (8 * indices.size))
+    best = 0
+    for lo in range(0, sources.size, chunk_bits):
+        chunk = sources[lo : lo + chunk_bits]
+        bits = np.arange(chunk.size)
+        words = -(-chunk.size // 64)
+        frontier = np.zeros((n, words), dtype=np.uint64)
+        # ``.at``, not ``|=``: a source sampled twice sets two bits of one word.
+        lanes = np.uint64(1) << (bits % 64).astype(np.uint64)
+        np.bitwise_or.at(frontier, (chunk, bits // 64), lanes)
+        full = np.full(words, np.iinfo(np.uint64).max, dtype=np.uint64)
+        if chunk.size % 64:
+            full[-1] = np.uint64((1 << (chunk.size % 64)) - 1)
+        reached = frontier.copy()
+        levels = 0
+        while not np.array_equal(reached, np.broadcast_to(full, reached.shape)):
+            frontier = np.bitwise_or.reduceat(frontier[indices], starts, axis=0)
+            frontier &= ~reached
+            if not frontier.any():
+                raise GraphError("graph is not connected; diameter undefined")
+            reached |= frontier
+            levels += 1
+        best = max(best, levels)
+    return best
+
+
 def diameter(adj: Adjacency, *, exact_limit: int = 2048, samples: int = 64, seed: SeedLike = None) -> int:
     """Diameter of a connected graph.
 
-    Exact (all-sources BFS) for ``n <= exact_limit``; otherwise a
-    double-sweep lower bound refined with ``samples`` random-source BFS
-    runs, which on random graphs is almost always exact because
-    eccentricities concentrate within ±1.
+    Exact (all-sources bit-parallel BFS, see :func:`_max_eccentricity`)
+    for ``n <= exact_limit``; otherwise a double-sweep lower bound refined
+    with ``samples`` random-source BFS runs, which on random graphs is
+    almost always exact because eccentricities concentrate within ±1.
     """
     n = adj.n
     if n == 0:
         raise GraphError("diameter of the empty graph is undefined")
     if n <= exact_limit:
-        best = 0
-        for v in range(n):
-            dist = bfs_distances(adj, v)
-            if np.any(dist < 0):
-                raise GraphError("graph is not connected; diameter undefined")
-            best = max(best, int(dist.max()))
-        return best
+        return _max_eccentricity(adj, np.arange(n))
     return diameter_lower_bound(adj, samples=samples, seed=seed)
 
 
 def diameter_lower_bound(adj: Adjacency, *, samples: int = 64, seed: SeedLike = None) -> int:
-    """Double-sweep + sampled-eccentricity lower bound on the diameter."""
+    """Double-sweep + sampled-eccentricity lower bound on the diameter.
+
+    The ``samples`` random sources run together as one bit-parallel BFS.
+    """
     n = adj.n
     if n == 0:
         raise GraphError("diameter of the empty graph is undefined")
     rng = as_generator(seed)
-    best = 0
     # Double sweep: BFS from a random node, then from the farthest node found.
     start = int(rng.integers(n))
     dist = bfs_distances(adj, start)
     if np.any(dist < 0):
         raise GraphError("graph is not connected; diameter undefined")
     far = int(np.argmax(dist))
-    dist = bfs_distances(adj, far)
-    best = int(dist.max())
-    for _ in range(samples):
-        v = int(rng.integers(n))
-        best = max(best, int(bfs_distances(adj, v).max()))
-    return best
+    best = int(bfs_distances(adj, far).max())
+    sampled = [int(rng.integers(n)) for _ in range(samples)]
+    return max(best, _max_eccentricity(adj, sampled))
 
 
 def degree_histogram(adj: Adjacency) -> IntArray:

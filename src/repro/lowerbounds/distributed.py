@@ -20,11 +20,9 @@ import math
 import numpy as np
 
 from .._typing import SeedLike
-from ..api import simulate
 from ..broadcast.distributed.oblivious import ObliviousProtocol
 from ..errors import InvalidParameterError
 from ..radio.model import RadioNetwork
-from ..rng import spawn_generators
 
 __all__ = ["oblivious_candidates", "best_oblivious_time"]
 
@@ -107,22 +105,26 @@ def best_oblivious_time(
 
     Each candidate is run ``trials`` times with independent streams;
     candidates that fail to complete within the budget score ``inf``.
+    The trials of one candidate advance together on the lockstep driver
+    (:func:`~repro.experiments.runner.protocol_times`), which spawns
+    their streams from ``seed`` exactly as ``trials`` serial
+    ``simulate("broadcast", ...)`` runs would.
 
     Returns ``(best_mean_rounds, best_name, per_candidate_means)``.
     """
+    # Imported here: the experiment catalogue imports this module.
+    from ..experiments.runner import protocol_times
+
     if trials < 1:
         raise InvalidParameterError(f"trials must be >= 1, got {trials}")
     means: dict[str, float] = {}
     best = math.inf
     best_name = ""
     for proto in candidates:
-        times = []
-        for rng in spawn_generators(seed, trials):
-            trace = simulate(
-                "broadcast", network, protocol=proto, source=source, seed=rng,
-                max_rounds=max_rounds, raise_on_incomplete=False,
-            )
-            times.append(trace.completion_round if trace.completed else math.inf)
+        times = protocol_times(
+            network, proto, repetitions=trials, seed=seed, source=source,
+            max_rounds=max_rounds,
+        )
         mean = float(np.mean(times))
         means[proto.name] = mean
         if mean < best:

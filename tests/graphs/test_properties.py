@@ -1,5 +1,7 @@
 """Unit tests for connectivity / diameter / degree properties."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,9 @@ from repro.graphs import (
     is_connected,
     path_graph,
 )
+from repro.graphs.bfs import bfs_distances
 from repro.graphs.properties import (
+    GATHER_BYTES,
     connected_components,
     degree_histogram,
     diameter_lower_bound,
@@ -116,6 +120,52 @@ class TestEccentricityDiameter:
 
     def test_diameter_lower_bound_path(self):
         assert diameter_lower_bound(path_graph(50), samples=8, seed=0) == 49
+
+    def test_diameter_lower_bound_disconnected_raises(self):
+        g = Adjacency.from_edges(4, [(0, 1), (2, 3)])
+        with pytest.raises(GraphError):
+            diameter_lower_bound(g, seed=0)
+
+
+class TestBitParallelDiameter:
+    """The all-sources kernel packs 64 BFS sources into one ``uint64`` word."""
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 130])
+    def test_word_boundaries(self, n):
+        assert diameter(path_graph(n)) == n - 1
+        if n >= 3:
+            assert diameter(cycle_graph(n)) == n // 2
+        g = gnp(n, 0.2, seed=n)
+        if is_connected(g):
+            per_source = max(int(bfs_distances(g, v).max()) for v in range(n))
+            assert diameter(g) == per_source
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 130])
+    @pytest.mark.parametrize("cut", ["isolated-node", "two-paths"])
+    def test_disconnected_raises(self, n, cut):
+        # A path with one edge removed: the last one, or the middle one.
+        removed = n - 2 if cut == "isolated-node" else n // 2 - 1
+        edges = [(v, v + 1) for v in range(n - 1) if v != removed]
+        with pytest.raises(GraphError, match="not connected"):
+            diameter(Adjacency.from_edges(n, edges))
+
+    def test_complete_graph_spans_several_chunks(self):
+        g = complete_graph(800)
+        chunk_sources = 64 * max(1, GATHER_BYTES // (8 * g.indices.size))
+        assert chunk_sources < g.n / 4
+        assert diameter(g) == 1
+
+    def test_dense_graph_memory_stays_chunked(self):
+        # Unchunked, the 16 source words of a 1024-clique would gather a
+        # 134 MB block per level; chunked, one word's 8 MB.
+        g = complete_graph(1024)
+        tracemalloc.start()
+        try:
+            assert diameter(g) == 1
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 8 * g.indices.size
 
 
 class TestDegreeHistogram:

@@ -2,13 +2,31 @@
 
 import math
 
+import numpy as np
 import pytest
 
+from repro import simulate
 from repro.broadcast.distributed import ObliviousProtocol
 from repro.errors import InvalidParameterError
 from repro.graphs import gnp_connected
 from repro.lowerbounds.distributed import best_oblivious_time, oblivious_candidates
 from repro.radio import RadioNetwork
+from repro.rng import spawn_generators
+
+
+def serial_means(network, candidates, trials, seed, max_rounds=None):
+    """Per-candidate means from one serial ``simulate`` per trial."""
+    means = {}
+    for proto in candidates:
+        times = []
+        for rng in spawn_generators(seed, trials):
+            trace = simulate(
+                "broadcast", network, protocol=proto, seed=rng,
+                max_rounds=max_rounds, raise_on_incomplete=False,
+            )
+            times.append(trace.completion_round if trace.completed else math.inf)
+        means[proto.name] = float(np.mean(times))
+    return means
 
 
 class TestCandidates:
@@ -68,6 +86,24 @@ class TestBestObliviousTime:
         )
         assert math.isinf(means["silent"])
         assert math.isinf(best)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_means_equal_serial_simulate(self, net, seed):
+        network, n, p = net
+        cands = oblivious_candidates(n, p)
+        _, _, means = best_oblivious_time(network, cands, trials=3, seed=seed)
+        assert means == serial_means(network, cands, 3, seed)
+
+    def test_generator_seed_spawns_in_candidate_order(self, net):
+        # A Generator seed is drawn once per candidate, in order, on both paths.
+        network, n, p = net
+        cands = oblivious_candidates(n, p)[:6]
+        _, _, means = best_oblivious_time(
+            network, cands, trials=3, seed=np.random.default_rng(9), max_rounds=40
+        )
+        assert means == serial_means(
+            network, cands, 3, np.random.default_rng(9), max_rounds=40
+        )
 
     def test_trials_validation(self, net):
         network, n, p = net

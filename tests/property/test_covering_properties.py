@@ -7,11 +7,13 @@ arbitrary random bipartite instances.
 """
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import GraphError
 from repro.graphs import gnp
+from repro.rng import as_generator
 from repro.graphs.covering import (
     cover_counts,
     greedy_independent_cover,
@@ -38,6 +40,142 @@ def make_instance(params):
     X = np.arange(0, cut, dtype=np.int64)
     Y = np.arange(cut, n, dtype=np.int64)
     return g, X, Y
+
+
+# Candidate and target sets drawn independently: they may overlap, be
+# empty, or hold candidates that reach no target at all.
+subsets = st.integers(min_value=1, max_value=40).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.floats(min_value=0.0, max_value=0.9),
+        st.integers(min_value=0, max_value=10_000),
+        st.lists(st.integers(0, n - 1), max_size=n),
+        st.lists(st.integers(0, n - 1), max_size=n),
+    )
+)
+
+
+def reference_minimal_covering(g, candidates, targets):
+    """``minimal_covering`` with its per-candidate gain comprehension."""
+    candidates = np.unique(np.asarray(candidates, dtype=np.int64))
+    targets = np.unique(np.asarray(targets, dtype=np.int64))
+    if targets.size == 0:
+        return np.empty(0, dtype=np.int64)
+    target_mask = np.zeros(g.n, dtype=bool)
+    target_mask[targets] = True
+    if candidates.size == 0 or np.any(cover_counts(g, candidates, targets) == 0):
+        raise GraphError("no covering exists")
+    uncovered = target_mask.copy()
+    chosen = []
+    gains = np.array(
+        [int(np.count_nonzero(uncovered[g.neighbors(x)])) for x in candidates],
+        dtype=np.int64,
+    )
+    alive = gains > 0
+    while np.any(uncovered):
+        while True:
+            best = int(np.argmax(np.where(alive, gains, -1)))
+            true_gain = int(np.count_nonzero(uncovered[g.neighbors(candidates[best])]))
+            if true_gain == gains[best]:
+                break
+            gains[best] = true_gain
+            alive[best] = true_gain > 0
+        x = int(candidates[best])
+        chosen.append(x)
+        uncovered[g.neighbors(x)] = False
+        alive[best] = False
+        gains[best] = 0
+    cover = np.array(sorted(chosen), dtype=np.int64)
+    cover_mask = np.zeros(g.n, dtype=bool)
+    cover_mask[cover] = True
+    counts = g.neighbor_counts(cover_mask)
+    keep = np.ones(cover.size, dtype=bool)
+    for k, x in enumerate(cover):
+        nbrs = g.neighbors(x)
+        mine = nbrs[target_mask[nbrs]]
+        if mine.size and np.all(counts[mine] >= 2):
+            keep[k] = False
+            counts[mine] -= 1
+    return cover[keep]
+
+
+def reference_greedy_independent_cover(g, candidates, targets, seed):
+    """``greedy_independent_cover`` with its per-candidate reach comprehension."""
+    candidates = np.unique(np.asarray(candidates, dtype=np.int64))
+    targets = np.unique(np.asarray(targets, dtype=np.int64))
+    empty = np.empty(0, dtype=np.int64)
+    if targets.size == 0:
+        return empty, empty
+    rng = as_generator(seed)
+    target_mask = np.zeros(g.n, dtype=bool)
+    target_mask[targets] = True
+    counts = np.zeros(g.n, dtype=np.int64)
+    reach = np.array(
+        [int(np.count_nonzero(target_mask[g.neighbors(x)])) for x in candidates],
+        dtype=np.int64,
+    )
+    order = np.lexsort((rng.random(candidates.size), -reach))
+    chosen = []
+    for k in order:
+        if reach[k] == 0:
+            break
+        x = int(candidates[k])
+        mine = g.neighbors(x)[target_mask[g.neighbors(x)]]
+        if np.count_nonzero(counts[mine] == 0) > np.count_nonzero(counts[mine] == 1):
+            chosen.append(x)
+            counts[mine] += 1
+    if not chosen:
+        for k in order:
+            if reach[k] > 0:
+                x = int(candidates[k])
+                counts[g.neighbors(x)[target_mask[g.neighbors(x)]]] += 1
+                chosen.append(x)
+                break
+        if not chosen:
+            return empty, empty
+    return np.array(sorted(chosen), dtype=np.int64), targets[counts[targets] == 1]
+
+
+class TestVectorisedGains:
+    """The candidates' gains come from one ``neighbor_counts`` call; the
+    results match the per-candidate comprehension exactly."""
+
+    @given(subsets)
+    @settings(max_examples=150, deadline=None)
+    def test_minimal_covering_matches_reference(self, params):
+        n, p, seed, candidates, targets = params
+        g = gnp(n, p, seed=seed)
+        try:
+            expected = reference_minimal_covering(g, candidates, targets)
+        except GraphError:
+            with pytest.raises(GraphError):
+                minimal_covering(g, candidates, targets)
+            return
+        got = minimal_covering(g, candidates, targets)
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+
+    @given(subsets)
+    @settings(max_examples=150, deadline=None)
+    def test_greedy_independent_cover_matches_reference(self, params):
+        n, p, seed, candidates, targets = params
+        g = gnp(n, p, seed=seed)
+        cover, informed = greedy_independent_cover(g, candidates, targets, seed=seed)
+        ref_cover, ref_informed = reference_greedy_independent_cover(
+            g, candidates, targets, seed
+        )
+        assert np.array_equal(cover, ref_cover) and cover.dtype == ref_cover.dtype
+        assert np.array_equal(informed, ref_informed)
+
+    def test_empty_targets_and_zero_reach(self):
+        g = gnp(12, 0.0, seed=0)  # no edges: every candidate reaches nothing
+        cover, informed = greedy_independent_cover(g, [0, 1, 2], [5, 6], seed=0)
+        assert cover.size == 0 and informed.size == 0
+        cover, informed = greedy_independent_cover(g, [0, 1, 2], [], seed=0)
+        assert cover.size == 0 and informed.size == 0
+        assert minimal_covering(g, [0, 1], []).size == 0
+        with pytest.raises(GraphError):
+            minimal_covering(g, [0, 1], [5])
 
 
 class TestMinimalCovering:

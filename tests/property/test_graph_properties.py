@@ -1,11 +1,16 @@
 """Property-based tests for the graph substrate (hypothesis)."""
 
+from unittest import mock
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graphs import Adjacency, gnm, gnp
+from repro.errors import GraphError
+from repro.graphs import Adjacency, gnm, gnp, properties
 from repro.graphs.bfs import bfs_distances, bfs_layers_list, bfs_tree
+from repro.graphs.properties import diameter, diameter_lower_bound
 from repro.graphs.random_graphs import pair_count
 
 # Strategy: arbitrary edge lists over small node ranges.
@@ -127,3 +132,75 @@ class TestBfsInvariants:
             if parent[v] >= 0:
                 assert dist[v] == dist[parent[v]] + 1
                 assert g.has_edge(int(parent[v]), v)
+
+
+def oracle_diameter(g):
+    """One BFS per source; ``None`` when some source misses a node."""
+    best = 0
+    for v in range(g.n):
+        dist = bfs_distances(g, v)
+        if np.any(dist < 0):
+            return None
+        best = max(best, int(dist.max()))
+    return best
+
+
+def oracle_lower_bound(g, samples, seed):
+    """The double sweep plus one BFS per sampled source, draw for draw."""
+    rng = np.random.default_rng(seed)
+    dist = bfs_distances(g, int(rng.integers(g.n)))
+    if np.any(dist < 0):
+        return None
+    best = int(bfs_distances(g, int(np.argmax(dist))).max())
+    for _ in range(samples):
+        best = max(best, int(bfs_distances(g, int(rng.integers(g.n))).max()))
+    return best
+
+
+# Sizes on both sides of the 64-source word boundary, densities from
+# empty (disconnected) to complete.
+wide_gnp_params = st.tuples(
+    st.integers(min_value=1, max_value=150),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.integers(min_value=0, max_value=10_000),
+)
+
+
+class TestBitParallelDiameter:
+    @given(wide_gnp_params)
+    @settings(max_examples=80, deadline=None)
+    def test_matches_per_source_bfs(self, params):
+        n, p, seed = params
+        g = gnp(n, p, seed=seed)
+        expected = oracle_diameter(g)
+        if expected is None:
+            with pytest.raises(GraphError):
+                diameter(g)
+        else:
+            assert diameter(g) == expected
+
+    @given(wide_gnp_params, st.integers(0, 100))
+    @settings(max_examples=40, deadline=None)
+    def test_chunked_sources_match(self, params, budget):
+        # A tiny gather budget forces one 64-source word per chunk.
+        n, p, seed = params
+        g = gnp(n, p, seed=seed)
+        expected = oracle_diameter(g)
+        with mock.patch.object(properties, "GATHER_BYTES", budget):
+            if expected is None:
+                with pytest.raises(GraphError):
+                    diameter(g)
+            else:
+                assert diameter(g) == expected
+
+    @given(wide_gnp_params, st.integers(0, 130))
+    @settings(max_examples=40, deadline=None)
+    def test_lower_bound_matches_serial_sampling(self, params, samples):
+        n, p, seed = params
+        g = gnp(n, p, seed=seed)
+        expected = oracle_lower_bound(g, samples, seed)
+        if expected is None:
+            with pytest.raises(GraphError):
+                diameter_lower_bound(g, samples=samples, seed=seed)
+        else:
+            assert diameter_lower_bound(g, samples=samples, seed=seed) == expected

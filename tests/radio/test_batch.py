@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.backends import available_backend_names, use_backend
+from repro.broadcast.distributed import ObliviousProtocol
 from repro.broadcast.distributed.decay import DecayProtocol
 from repro.broadcast.distributed.eg_randomized import EGRandomizedProtocol
 from repro.broadcast.distributed.uniform import UniformProtocol
@@ -46,6 +47,14 @@ PROTOCOLS = [
     pytest.param(
         lambda n, p: EGRandomizedProtocol(n, p, strict_participation=True),
         id="eg-strict",
+    ),
+    pytest.param(
+        lambda n, p: ObliviousProtocol(lambda t: min(1.0, 2.0 / t), name="harmonic"),
+        id="oblivious-callable",
+    ),
+    pytest.param(
+        lambda n, p: ObliviousProtocol([1.0, 1.0 / (p * n), 0.5 / (p * n)], name="seq"),
+        id="oblivious-sequence",
     ),
 ]
 
@@ -225,6 +234,32 @@ class TestStepBatch:
             net.step_batch(
                 np.zeros((net.n, 2), dtype=int), np.zeros((net.n, 2), dtype=bool)
             )
+
+
+class TestObliviousBatch:
+    def test_advertises_batch(self):
+        assert ObliviousProtocol([0.5]).supports_batch
+
+    def test_full_probability_round_still_draws(self):
+        # q = 1 transmits everywhere, yet each trial's stream advances by
+        # one random(n) block, as the serial transmit_mask does.
+        proto = ObliviousProtocol([1.0])
+        rngs = spawn_generators(4, 3)
+        twin = spawn_generators(4, 3)
+        informed = np.ones((25, 3), dtype=bool)
+        mask = proto.transmit_mask_batch(1, informed, np.zeros((25, 3), dtype=np.int64), rngs)
+        assert mask.shape == (25, 3) and mask.all()
+        for used, fresh in zip(rngs, twin):
+            fresh.random(25)
+            assert used.random() == fresh.random()
+
+    def test_out_of_range_probability_raises_on_batch_path(self, medium):
+        net, p = medium
+        proto = ObliviousProtocol(lambda t: 0.5 if t < 3 else 1.5)
+        with pytest.raises(InvalidParameterError, match="outside"):
+            run_broadcast_batch(net, proto, repetitions=4, seed=0, max_rounds=10)
+        with pytest.raises(InvalidParameterError, match="outside"):
+            protocol_times(net, proto, repetitions=4, seed=0, max_rounds=10)
 
 
 class TestBernoulliMaskBatch:
