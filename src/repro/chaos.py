@@ -36,7 +36,7 @@ The sites, the ``kind`` each offers and the actions it acts on:
 site                                      kind             actions
 ========================================  ===============  =======================================
 :func:`chaos_task`                        the task key     ``crash``, ``error``, ``hang``
-``FramedChannel.send`` (fabric wire)      message kind     ``drop``, ``delay``, ``duplicate``,
+``SendFaults.plan`` (fabric wire)         message kind     ``drop``, ``delay``, ``duplicate``,
                                                            ``partition``
 fabric coordinator, per recorded outcome  ``"outcome"``    ``halt``
 ``JobManager``, per execution             ``"execute"``    ``hold``

@@ -282,6 +282,10 @@ class TaskLedger:
 
     With a ``store``, ``keys[i]`` is task ``i``'s
     :func:`task_store_key` and every ``ok`` result is put under it.
+
+    The ledger reads no clock: transitions that stamp a time take
+    ``now`` from their transport (the monotonic clock for the pool and
+    the in-process loop, whatever clock drives the fabric's core).
     """
 
     def __init__(
@@ -334,16 +338,16 @@ class TaskLedger:
         """Outcomes in task order (call once :meth:`done`)."""
         return [self.outcomes[i] for i in range(len(self.tasks))]
 
-    def elapsed(self, index: int) -> float:
+    def elapsed(self, index: int, now: float) -> float:
         started = self.first_started.get(index)
-        return time.monotonic() - started if started is not None else 0.0
+        return now - started if started is not None else 0.0
 
     # -- transitions ---------------------------------------------------
 
-    def charge(self, index: int) -> None:
-        """An attempt of ``index`` starts: it costs one unit of budget."""
+    def charge(self, index: int, now: float) -> None:
+        """An attempt of ``index`` starts at ``now``: it costs one unit of budget."""
         self.attempts[index] += 1
-        self.first_started.setdefault(index, time.monotonic())
+        self.first_started.setdefault(index, now)
 
     def refund(self, index: int, reason: str = "") -> None:
         """Requeue ``index`` uncharged: its attempt never got a fair run.
@@ -360,13 +364,14 @@ class TaskLedger:
             self.queue.appendleft(index)
 
     def retry_or_fail(
-        self, index: int, status: str, reason: str, *, host: str, exception=None
+        self, index: int, status: str, reason: str, *, now: float, host: str,
+        exception=None,
     ) -> bool:
         """Requeue ``index`` if budget remains; else record ``status``."""
         if self.attempts[index] < self.max_attempts:
             self._requeue(index, reason)
             return True
-        self.record(index, status, error=reason, host=host, exception=exception)
+        self.record(index, status, now=now, error=reason, host=host, exception=exception)
         return False
 
     def _requeue(self, index: int, reason: str) -> None:
@@ -382,17 +387,18 @@ class TaskLedger:
             reason=reason,
         )
 
-    def expire(self, index: int, *, host: str) -> None:
+    def expire(self, index: int, *, now: float, host: str) -> None:
         """Record a deadline expiry: terminal, never retried."""
         self.inc(f"{self.scope}.task_timeouts")
         self.emit(
             f"{self.scope}-task-timeout",
             task=self.tasks[index].key,
-            elapsed_s=self.elapsed(index),
+            elapsed_s=self.elapsed(index, now),
         )
         self.record(
             index,
             TASK_TIMEOUT,
+            now=now,
             error=f"deadline of {self.task_timeout}s expired",
             host=host,
         )
@@ -402,18 +408,20 @@ class TaskLedger:
         index: int,
         status: str,
         *,
+        now: float,
         host: str,
         result: Any = None,
         error: str = "",
         exception=None,
     ) -> None:
-        """Record the terminal outcome of ``index``; store an ``ok`` result."""
+        """Record the terminal outcome of ``index`` at ``now``; store an
+        ``ok`` result."""
         outcome = TaskOutcome(
             key=self.tasks[index].key,
             status=status,
             result=result,
             attempts=self.attempts[index],
-            elapsed=self.elapsed(index),
+            elapsed=self.elapsed(index, now),
             error=error,
             host=host,
             requeued=self.requeues[index],
@@ -553,32 +561,35 @@ def run_in_process(ledger: TaskLedger) -> None:
     while ledger.queue:
         index = ledger.queue.popleft()
         task = ledger.tasks[index]
-        ledger.charge(index)
         started = time.monotonic()
+        ledger.charge(index, started)
         try:
             with maybe_span("sweep.task", label=task.key):
                 result = _call_task(task, ledger.children[index])
         except KeyboardInterrupt:
             raise
         except Exception as exc:  # noqa: BLE001 — supervision is the point
-            if not _overdue(ledger, index, started):
+            now = time.monotonic()
+            if not _overdue(ledger, index, started, now):
                 ledger.retry_or_fail(
                     index,
                     TASK_ERROR,
                     f"{type(exc).__name__}: {exc}",
+                    now=now,
                     host=LOCAL_HOST,
                     exception=exc,
                 )
             continue
-        if not _overdue(ledger, index, started):
-            ledger.record(index, TASK_OK, result=result, host=LOCAL_HOST)
+        now = time.monotonic()
+        if not _overdue(ledger, index, started, now):
+            ledger.record(index, TASK_OK, now=now, result=result, host=LOCAL_HOST)
 
 
-def _overdue(ledger: TaskLedger, index: int, started: float) -> bool:
+def _overdue(ledger: TaskLedger, index: int, started: float, now: float) -> bool:
     """Post-hoc deadline check of one in-process attempt; expires it."""
-    if ledger.task_timeout is None or time.monotonic() - started <= ledger.task_timeout:
+    if ledger.task_timeout is None or now - started <= ledger.task_timeout:
         return False
-    ledger.expire(index, host=LOCAL_HOST)
+    ledger.expire(index, now=now, host=LOCAL_HOST)
     return True
 
 
@@ -601,11 +612,11 @@ class _Supervisor:
         self.worker_payloads: dict[int, tuple] = {}
         self.rebuilds = 0
 
-    def _record_ok(self, index: int, result: Any) -> None:
+    def _record_ok(self, index: int, result: Any, now: float) -> None:
         if self.ledger.obs is not None:
             result, snapshot, events = result
             self.worker_payloads[index] = (snapshot, events)
-        self.ledger.record(index, TASK_OK, result=result, host=LOCAL_HOST)
+        self.ledger.record(index, TASK_OK, now=now, result=result, host=LOCAL_HOST)
 
     # -- pool mechanics ------------------------------------------------
 
@@ -615,13 +626,10 @@ class _Supervisor:
 
     def _submit(self, pool: ProcessPoolExecutor, inflight: dict, index: int) -> None:
         ledger = self.ledger
-        ledger.charge(index)
+        now = time.monotonic()
+        ledger.charge(index, now)
         fn = _call_task if ledger.obs is None else _call_task_observed
-        deadline = (
-            time.monotonic() + ledger.task_timeout
-            if ledger.task_timeout is not None
-            else None
-        )
+        deadline = now + ledger.task_timeout if ledger.task_timeout is not None else None
         future = pool.submit(fn, ledger.tasks[index], ledger.children[index])
         inflight[future] = _Flight(index=index, deadline=deadline)
 
@@ -664,9 +672,10 @@ class _Supervisor:
         # task is charged one attempt; the poisoned one runs out of
         # budget first while innocents retry through.
         requeued = 0
+        now = time.monotonic()
         for index in reversed(victims):
             if ledger.retry_or_fail(
-                index, TASK_CRASHED, "worker process died", host=LOCAL_HOST
+                index, TASK_CRASHED, "worker process died", now=now, host=LOCAL_HOST
             ):
                 requeued += 1
         pool.shutdown(wait=False, cancel_futures=True)
@@ -700,7 +709,7 @@ class _Supervisor:
             return pool
         for index, future in expired:
             del inflight[future]
-            self.ledger.expire(index, host=LOCAL_HOST)
+            self.ledger.expire(index, now=now, host=LOCAL_HOST)
         survivors = self._drain_victims(inflight)
         for index in reversed(survivors):
             self.ledger.refund(index)
@@ -742,6 +751,7 @@ class _Supervisor:
                     set(inflight), timeout=timeout, return_when=FIRST_COMPLETED
                 )
                 broke = False
+                now = time.monotonic()
                 for future in sorted(done, key=lambda f: inflight[f].index):
                     flight = inflight.pop(future)
                     try:
@@ -755,11 +765,12 @@ class _Supervisor:
                             flight.index,
                             TASK_ERROR,
                             f"{type(exc).__name__}: {exc}",
+                            now=now,
                             host=LOCAL_HOST,
                             exception=exc,
                         )
                     else:
-                        self._record_ok(flight.index, result)
+                        self._record_ok(flight.index, result, now)
                 if broke:
                     pool = self._handle_pool_break(pool, inflight)
                     if pool is None:

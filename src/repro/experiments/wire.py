@@ -13,17 +13,19 @@ fabric can think entirely in messages:
   distributed PDES engines take toward their MPI ranks;
 * **channels** — :class:`FramedChannel` wraps a connected socket with a
   thread-safe :meth:`~FramedChannel.send` (workers heartbeat from a
-  background thread while the main thread executes tasks) and a
-  blocking :meth:`~FramedChannel.recv` for the worker's
-  single-message-at-a-time loop.  The coordinator is a non-blocking
-  ``selectors`` loop instead and uses :class:`FrameDecoder` to turn
-  arbitrary byte chunks into whole messages;
+  background thread while the main thread executes tasks), a blocking
+  :meth:`~FramedChannel.recv` for the worker's
+  single-message-at-a-time loop, and :meth:`~FramedChannel.read` for
+  the coordinator's ``selectors`` loop, which decodes whatever one
+  readable chunk completes;
 * **fault injection** — a channel accepts an optional
   :class:`~repro.chaos.FaultSchedule` and consults it on
   every send, so dropped / delayed / duplicated messages and partition
-  windows are injected below the fabric's own logic.  The healthy
-  channel is the zero-fault special case, like every other fault model
-  in this codebase;
+  windows are injected below the fabric's own logic.  The decision is
+  :class:`SendFaults`, on the caller's clock, so the in-memory channels
+  of the virtual-time tests replay a schedule exactly as a socket does.
+  The healthy channel is the zero-fault special case, like every other
+  fault model in this codebase;
 * **authentication** — with ``REPRO_FABRIC_SECRET`` set (both ends),
   every frame carries an HMAC-SHA256 tag over its payload; a missing or
   mismatched tag raises :class:`ValueError`, which both the coordinator
@@ -33,9 +35,8 @@ fabric can think entirely in messages:
   stops accidental cross-talk and casual frame injection on a shared
   lab segment.  Authenticity, not secrecy — frames stay plaintext.
 
-Message construction helpers stamp the ``kind`` field; everything else
-is plain dict keys, kept flat so messages remain cheap to construct and
-inspect.
+Messages are flat dicts whose ``kind`` field names them; the kinds and
+what they mean belong to the protocol, :mod:`repro.experiments.fabric_core`.
 """
 
 from __future__ import annotations
@@ -52,38 +53,16 @@ import time
 from ..chaos import NET_ACTIONS
 
 __all__ = [
-    "MSG_HELLO",
-    "MSG_TASK",
-    "MSG_ACK",
-    "MSG_RESULT",
-    "MSG_HEARTBEAT",
-    "MSG_BYE",
-    "MSG_GOODBYE",
     "MAX_FRAME_BYTES",
     "FABRIC_SECRET_ENV",
     "fabric_secret",
     "encode_frame",
     "FrameDecoder",
     "FramedChannel",
+    "SendFaults",
     "parse_address",
     "format_address",
 ]
-
-#: Worker -> coordinator: announce host identity after connecting.
-MSG_HELLO = "hello"
-#: Coordinator -> worker: one task assignment (key, attempt, payload).
-MSG_TASK = "task"
-#: Worker -> coordinator: assignment received (an unacked lease past its
-#: ack window means the ``task`` frame died on the wire).
-MSG_ACK = "ack"
-#: Worker -> coordinator: terminal report of one task attempt.
-MSG_RESULT = "result"
-#: Worker -> coordinator: liveness beacon (sent from a side thread).
-MSG_HEARTBEAT = "heartbeat"
-#: Coordinator -> worker: sweep is over, disconnect cleanly.
-MSG_BYE = "bye"
-#: Worker -> coordinator: clean exit, release any held lease.
-MSG_GOODBYE = "goodbye"
 
 #: Upper bound on one frame; a longer length prefix means a corrupt or
 #: hostile stream and the connection is dropped instead of allocated for.
@@ -193,60 +172,88 @@ class FrameDecoder:
             messages.append(message)
 
 
+class SendFaults:
+    """One sender's wire faults: a :class:`~repro.chaos.FaultSchedule`
+    consulted per outgoing message, with the message kind as the rule
+    kind, on the caller's clock.
+
+    :meth:`plan` answers how many copies of a message go out and after
+    what delay:
+
+    * ``drop`` — none, the message is silently discarded;
+    * ``delay`` — one, after the sender waits ``seconds`` (delaying
+      everything that sender sends behind it, as a congested uplink
+      would);
+    * ``duplicate`` — two, back-to-back;
+    * ``partition`` — none, and *every* send in the next ``seconds`` is
+      discarded too, heartbeats included, so the peer's liveness
+      detector sees a genuine partition.
+
+    Injection happens on the sending side only: a drop on ``A``'s send
+    is indistinguishable from a drop on ``B``'s receive.
+    """
+
+    def __init__(self, chaos=None):
+        self.chaos = chaos
+        self.mute_until = float("-inf")
+
+    def plan(self, kind: str, now: float) -> tuple[int, float]:
+        """``(copies, delay)`` of one ``kind`` message sent at ``now``."""
+        if self.chaos is None:
+            return 1, 0.0
+        if now < self.mute_until:
+            return 0, 0.0
+        rule = self.chaos.fire(kind, *NET_ACTIONS)
+        if rule is None:
+            return 1, 0.0
+        if rule.action == "partition":
+            self.mute_until = now + rule.seconds
+        if rule.action in ("drop", "partition"):
+            return 0, 0.0
+        if rule.action == "delay":
+            return 1, rule.seconds
+        return 2, 0.0
+
+
 class FramedChannel:
     """A connected socket speaking length-prefixed pickled messages.
 
     ``send`` is serialised by a lock so the worker's heartbeat thread
-    and its task loop can share the channel.  ``chaos`` (a
-    :class:`~repro.chaos.FaultSchedule`) is consulted per send, with the
-    message kind as the rule kind:
-
-    * ``drop`` — the message is silently discarded;
-    * ``delay`` — the sender sleeps before writing (delaying everything
-      behind it, as a congested uplink would);
-    * ``duplicate`` — the frame is written twice back-to-back;
-    * ``partition`` — opens a wall-clock window during which *every*
-      send is discarded, heartbeats included, so the peer's liveness
-      detector sees a genuine partition.
-
-    Injection happens on the sending side only: a drop on ``A``'s send
-    is indistinguishable from a drop on ``B``'s receive, and send-side
-    keeps the receive path allocation-free.
+    and its task loop can share the channel; ``chaos`` (a
+    :class:`~repro.chaos.FaultSchedule`) acts on every send as
+    :class:`SendFaults` describes, on the monotonic clock.
     """
 
     def __init__(self, sock: socket.socket, *, chaos=None, secret=_ENV_SECRET):
         self.sock = sock
-        self.chaos = chaos
+        self.faults = SendFaults(chaos)
         self.secret = _resolve_secret(secret)
         self._decoder = FrameDecoder(secret=self.secret)
         self._send_lock = threading.Lock()
-        self._mute_until = 0.0
         # One recv() chunk can decode several messages; the surplus
         # queues here and drains before the socket is read again.
         self._pending: list[dict] = []
 
     def send(self, message: dict) -> bool:
         """Write one message; False when chaos swallowed it."""
-        copies = 1
-        if self.chaos is not None:
-            now = time.monotonic()
-            if now < self._mute_until:
-                return False
-            action = self.chaos.fire(message.get("kind", ""), *NET_ACTIONS)
-            if action is not None:
-                if action.action == "drop":
-                    return False
-                if action.action == "partition":
-                    self._mute_until = now + action.seconds
-                    return False
-                if action.action == "delay":
-                    time.sleep(action.seconds)
-                elif action.action == "duplicate":
-                    copies = 2
+        copies, delay = self.faults.plan(message.get("kind", ""), time.monotonic())
+        if not copies:
+            return False
+        if delay:
+            time.sleep(delay)
         frame = encode_frame(message, secret=self.secret)
         with self._send_lock:
             self.sock.sendall(frame * copies)
         return True
+
+    def read(self) -> list[dict] | None:
+        """Read one chunk; every message it completes, ``None`` on EOF.
+
+        Raises :class:`ValueError` on a corrupt or unauthenticated
+        stream.
+        """
+        data = self.sock.recv(65536)
+        return self._decoder.feed(data) if data else None
 
     def recv(self, timeout: float | None = None) -> dict | None:
         """Block for the next whole message; ``None`` on clean EOF.
@@ -254,17 +261,14 @@ class FramedChannel:
         Raises :class:`socket.timeout` when ``timeout`` elapses between
         reads (the worker's way of noticing a silent coordinator).
         """
-        if self._pending:
-            return self._pending.pop(0)
-        self.sock.settimeout(timeout)
-        while True:
-            data = self.sock.recv(65536)
-            if not data:
+        if not self._pending:
+            self.sock.settimeout(timeout)
+        while not self._pending:
+            messages = self.read()
+            if messages is None:
                 return None
-            messages = self._decoder.feed(data)
-            if messages:
-                self._pending.extend(messages[1:])
-                return messages[0]
+            self._pending.extend(messages)
+        return self._pending.pop(0)
 
     def close(self) -> None:
         """Close the underlying socket (idempotent, best-effort)."""

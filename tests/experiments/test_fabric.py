@@ -2,29 +2,48 @@
 
 The contract under test is the one the supervisor established and the
 fabric extends across machines: **no failure mode changes a single byte
-of the results.**  Every test here compares a chaos-ridden distributed
-sweep byte-for-byte against the serial (``jobs=1``) run — worker
-crashes, network partitions, dropped / duplicated frames, coordinator
-death and restart included.
+of the results.**  Every sweep here is compared byte-for-byte against
+the serial (``jobs=1``) run — worker crashes, network partitions,
+dropped / duplicated frames, coordinator death and restart included.
 
-Loopback workers are real ``repro worker`` subprocesses (spawned by the
-coordinator), so an injected ``os._exit`` is a genuine worker death and
-an injected partition a genuine silent socket — nothing is mocked.
+The tests run on two layers:
+
+* **virtual time** — the fault scenarios drive the coordinator's sans-IO
+  core (:class:`~repro.experiments.fabric_core.CoordinatorCore`) from
+  ``virtual_fabric.py``: in-memory workers on a fake clock, at the
+  production heartbeat of one second.  The workers answer with the real
+  ``serve_task``, the faults are real :class:`FaultSchedule` rules
+  replayed by the real ``SendFaults``, and the tasks are real chaos
+  tasks; only sockets, subprocesses and waiting are simulated, so a
+  20-second straggler or a liveness window costs nothing;
+* **real processes** — the acceptance tests spawn real ``repro worker``
+  subprocesses over loopback TCP, so an injected ``os._exit`` is a
+  genuine worker death and a partition a genuine silent socket: the
+  healthy, authenticated and worker-crash sweeps, and one chaos-ridden
+  sweep with a coordinator restart.
 """
 
-import os
-import signal
-import subprocess
-import sys
+import ast
+import socket
+import tempfile
 import threading
-import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.chaos import FaultRule, FaultSchedule, attempt_count, chaos_task
+import repro.experiments.fabric_core as fabric_core
+from repro.chaos import (
+    FaultRule,
+    FaultSchedule,
+    attempt_count,
+    chaos_task,
+    healthy_task,
+)
 from repro.errors import CoordinatorHalted, InvalidParameterError
-from repro.experiments import run_fabric_sweep, run_supervised_sweep
+from repro.experiments import run_fabric_sweep, run_supervised_sweep, run_worker
+from repro.experiments.fabric_core import MSG_TASK
 from repro.experiments.supervisor import (
     TASK_OK,
     SweepTask,
@@ -32,13 +51,18 @@ from repro.experiments.supervisor import (
     TaskStore,
     task_store_key,
 )
+from repro.experiments.wire import FramedChannel
 from repro.obs import MemoryTraceSink, MetricsRegistry, Observer, use_observer
 from repro.obs.sinks import validate_event
 from repro.rng import spawn_seeds
 from repro.serve.cache import ResultCache
 
-#: Aggressive failure-detection knobs so chaos tests finish in seconds.
-FAST = dict(heartbeat_interval=0.2, liveness_timeout=1.5, worker_wait=60.0)
+from .virtual_fabric import Crash, Interrupt, Stall, VirtualFabric
+
+#: The real-process tests' heartbeat: a worker silent for 2.4 s (less
+#: than the acceptance test's 2.5 s partition) is partitioned, and the
+#: coordinator waits 6 s for a first worker before it degrades.
+FAST = dict(heartbeat_interval=0.4)
 
 
 def counted_tasks(count, state_dir, **overrides):
@@ -58,22 +82,6 @@ def counted_tasks(count, state_dir, **overrides):
     return tasks
 
 
-def barrier_task(seed, *, barrier_dir, parties, **chaos_kwargs):
-    """:func:`chaos_task` held until ``parties`` distinct tasks started.
-
-    No task can finish before that many run at once, so with one task
-    in flight per worker, each of ``parties`` workers is certain to run
-    one.  Module-level so spawned workers can unpickle it.
-    """
-    barrier = Path(barrier_dir)
-    barrier.mkdir(parents=True, exist_ok=True)
-    (barrier / chaos_kwargs["key"]).touch()
-    deadline = time.monotonic() + 60.0
-    while len(list(barrier.iterdir())) < parties and time.monotonic() < deadline:
-        time.sleep(0.02)
-    return chaos_task(seed, **chaos_kwargs)
-
-
 def halt_on(outcome, state_dir):
     """A coordinator schedule that halts on its ``outcome``-th recorded outcome."""
     return FaultSchedule(state_dir, [FaultRule("outcome", "halt", after=outcome - 1)])
@@ -85,6 +93,11 @@ def serial_reference(count, state_dir, seed):
         counted_tasks(count, state_dir), jobs=1, seed=seed
     )
     return [o.result for o in outcomes]
+
+
+def interrupted_task(seed):
+    """A task whose worker gets ``^C`` while running it."""
+    raise KeyboardInterrupt
 
 
 class TestNetChaosSchedule:
@@ -156,7 +169,10 @@ class TestValidationAndEdges:
         """All tasks on record: return immediately, no socket, no workers."""
         store = TaskStore(ResultCache(tmp_path / "store"))
         tasks = counted_tasks(3, tmp_path / "exec")
-        first = run_fabric_sweep(tasks, seed=5, worker_wait=0.2, store=store)
+        # No workers: the first run degrades after 15 heartbeats (0.3 s).
+        first = run_fabric_sweep(
+            tasks, seed=5, heartbeat_interval=0.02, store=store
+        )
         assert all(o.ok for o in first)
         import socket as socket_module
 
@@ -170,6 +186,84 @@ class TestValidationAndEdges:
         assert all(attempt_count(tmp_path / "exec", f"t{i}") == 1 for i in range(3))
 
 
+class TestCore:
+    """The coordinator core itself: pure, and never wedged by a silent peer."""
+
+    def test_core_does_no_io_and_reads_no_clock(self):
+        tree = ast.parse(Path(fabric_core.__file__).read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+        assert not imported & {"socket", "selectors", "subprocess", "time", "threading"}
+        names = {
+            node.attr if isinstance(node, ast.Attribute) else node.id
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Attribute, ast.Name))
+        }
+        assert "monotonic" not in names
+
+    def test_lost_hello_connection_is_dropped_and_worker_returns(self, tmp_path):
+        """A worker whose ``hello`` the network ate never becomes ready.
+        Its connection is dropped after the liveness window, the worker
+        exits on the closed connection, and its respawn joins and runs
+        the sweep on the fabric, before the worker wait runs out."""
+        reference = serial_reference(2, tmp_path / "serial", seed=0)
+        lost_hello = FaultSchedule(
+            tmp_path / "w0", [FaultRule("hello", "drop", count=1)]
+        )
+        fabric = VirtualFabric(workers=1, worker_chaos=[lost_hello])
+        outcomes = fabric.run(counted_tasks(2, tmp_path / "fab"), seed=0)
+        assert [o.result for o in outcomes] == reference
+        assert all(o.ok and o.host == "virtual-0" for o in outcomes)
+        # Dropped after 6 heartbeats, respawned, joined: never degraded.
+        assert 6.0 < fabric.now < 15.0
+        assert fabric.respawns == 1
+
+    def test_silent_connection_does_not_block_degradation(self, tmp_path):
+        """A connection that never says anything (a port probe) does not
+        count as a worker: with no ready worker the sweep degrades."""
+        reference = serial_reference(2, tmp_path / "serial", seed=0)
+        mute = FaultSchedule(tmp_path / "probe", [FaultRule("*", "drop", count=10**6)])
+        sink = MemoryTraceSink()
+        with use_observer(Observer(MetricsRegistry(), sink)):
+            outcomes = VirtualFabric(workers=0, external=1, worker_chaos=[mute]).run(
+                counted_tasks(2, tmp_path / "fab"), seed=0
+            )
+        assert [o.result for o in outcomes] == reference
+        assert all(o.ok and o.host == "local" for o in outcomes)
+        degraded = next(e for e in sink.events if e["kind"] == "fabric-degraded")
+        assert degraded["reason"] == "no-workers"
+
+
+    def test_stale_failure_leaves_the_current_lease(self, tmp_path):
+        """A duplicated ``task`` frame is answered twice from the worker's
+        cache.  The second failure report arrives after the retry was
+        leased, and the retry's frame is lost: the stale report must not
+        take the new lease away, or nothing ever notices the lost frame
+        and the sweep never ends."""
+        reference = serial_reference(1, tmp_path / "serial", seed=4)
+        chaos = FaultSchedule(
+            tmp_path / "coord",
+            [
+                FaultRule(kind="task", action="duplicate", after=0, count=1),
+                FaultRule(kind="task", action="drop", after=1, count=1),
+            ],
+        )
+        sink = MemoryTraceSink()
+        with use_observer(Observer(MetricsRegistry(), sink)):
+            outcomes = VirtualFabric(workers=1, chaos=chaos).run(
+                counted_tasks(1, tmp_path / "fab", t0={"error_attempts": 1}),
+                seed=4,
+            )
+        assert [o.result for o in outcomes] == reference
+        assert outcomes[0].attempts == 2
+        reasons = [e["reason"] for e in sink.events if e["kind"] == "task-requeue"]
+        assert "undelivered" in reasons
+
+
 class TestDegradedPath:
     """No workers ever join: the fabric must finish locally, identically."""
 
@@ -177,12 +271,8 @@ class TestDegradedPath:
         reference = serial_reference(4, tmp_path / "serial", seed=42)
         sink = MemoryTraceSink()
         with use_observer(Observer(MetricsRegistry(), sink)):
-            outcomes = run_fabric_sweep(
-                counted_tasks(4, tmp_path / "fab"),
-                seed=42,
-                workers=0,
-                worker_wait=0.3,
-            )
+            fabric = VirtualFabric(workers=0)
+            outcomes = fabric.run(counted_tasks(4, tmp_path / "fab"), seed=42)
         assert [o.result for o in outcomes] == reference
         assert all(o.status == TASK_OK and o.host == "local" for o in outcomes)
         kinds = [e["kind"] for e in sink.events]
@@ -190,27 +280,26 @@ class TestDegradedPath:
         degraded = next(e for e in sink.events if e["kind"] == "fabric-degraded")
         assert degraded["reason"] == "no-workers"
         assert degraded["remaining"] == 4
+        # After the worker wait of 15 heartbeats, not before.
+        assert fabric.now >= 15.0
         for event in sink.events:
             validate_event(event)
 
     def test_one_attempt_budget_across_degrade(self, tmp_path):
         """Attempts the fabric charged count against the degraded run:
-        a task crashes its only worker, then fails in-process until its
-        one ``1 + max_task_retries`` budget is spent — not a fresh one."""
+        a task crashes its only worker (an external one, which nobody
+        restarts), then fails in-process until its one
+        ``1 + max_task_retries`` budget is spent — not a fresh one."""
         state = tmp_path / "fab"
         registry = MetricsRegistry()
         sink = MemoryTraceSink()
         with use_observer(Observer(registry, sink)):
-            outcomes = run_fabric_sweep(
+            outcomes = VirtualFabric(workers=0, external=1).run(
                 counted_tasks(
                     2, state, t0={"crash_attempts": 1, "error_attempts": 99}
                 ),
                 seed=5,
-                workers=1,
                 max_task_retries=2,
-                max_worker_respawns=0,
-                heartbeat_interval=0.2,
-                worker_wait=5.0,
             )
         poisoned = outcomes[0]
         assert poisoned.status == "error"
@@ -230,7 +319,9 @@ class TestDegradedPath:
 
 @pytest.mark.usefixtures("tmp_path")
 class TestLoopbackFabric:
-    """Real spawned workers over loopback TCP — the distributed paths."""
+    """The distributed paths.  The healthy, authenticated and crash
+    sweeps run real worker subprocesses over loopback TCP; the wire
+    faults run in virtual time."""
 
     def test_healthy_sweep_byte_identical(self, tmp_path):
         reference = serial_reference(6, tmp_path / "serial", seed=42)
@@ -293,13 +384,8 @@ class TestLoopbackFabric:
         )
         sink = MemoryTraceSink()
         with use_observer(Observer(MetricsRegistry(), sink)):
-            outcomes = run_fabric_sweep(
-                counted_tasks(6, tmp_path / "fab"),
-                seed=3,
-                workers=2,
-                ack_timeout=0.6,
-                chaos=chaos,
-                **FAST,
+            outcomes = VirtualFabric(workers=2, chaos=chaos).run(
+                counted_tasks(6, tmp_path / "fab"), seed=3
             )
         assert [o.result for o in outcomes] == reference
         assert all(o.ok and o.attempts == 1 for o in outcomes)
@@ -319,12 +405,8 @@ class TestLoopbackFabric:
         )
         sink = MemoryTraceSink()
         with use_observer(Observer(MetricsRegistry(), sink)):
-            outcomes = run_fabric_sweep(
-                counted_tasks(6, tmp_path / "fab"),
-                seed=3,
-                workers=2,
-                chaos=chaos,
-                **FAST,
+            outcomes = VirtualFabric(workers=2, chaos=chaos).run(
+                counted_tasks(6, tmp_path / "fab"), seed=3
             )
         assert [o.result for o in outcomes] == reference
         kinds = [e["kind"] for e in sink.events]
@@ -338,19 +420,14 @@ class TestLoopbackFabric:
         """A lost ``result`` frame is recovered without re-execution: the
         quiet lease is retransmitted and the worker answers from cache."""
         reference = serial_reference(4, tmp_path / "serial", seed=9)
-        spec = FaultSchedule(
+        chaos = FaultSchedule(
             tmp_path / "w0-state",
             [FaultRule(kind="result", action="drop", after=0, count=1)],
-        ).save(tmp_path / "w0.json")
+        )
         registry = MetricsRegistry()
         with use_observer(Observer(registry, None)):
-            outcomes = run_fabric_sweep(
-                counted_tasks(4, tmp_path / "fab"),
-                seed=9,
-                workers=1,
-                lease_timeout=0.8,
-                worker_chaos=[spec],
-                **FAST,
+            outcomes = VirtualFabric(workers=1, worker_chaos=[chaos]).run(
+                counted_tasks(4, tmp_path / "fab"), seed=9
             )
         assert [o.result for o in outcomes] == reference
         assert all(o.ok and o.attempts == 1 for o in outcomes)
@@ -363,42 +440,26 @@ class TestLoopbackFabric:
         """A partition window mutes heartbeats too; the coordinator
         declares the worker lost and requeues its leases.
 
-        The partition triggers on worker 0's *first* result send, and
-        the tasks hold at a two-party barrier: otherwise the worker that
-        joins first can drain all eight tiny tasks before worker 0 even
-        says hello, and the fault never fires.
+        The partition opens on worker 0's first result send and outlasts
+        the 6-heartbeat liveness window; each task takes 2 s, so worker
+        1 is still draining the queue when the window expires (with the
+        queue dry, the quiet lease would be stolen first).
         """
         reference = serial_reference(8, tmp_path / "serial", seed=11)
-        tasks = [
-            SweepTask(
-                key=task.key,
-                fn=barrier_task,
-                kwargs={
-                    **task.kwargs,
-                    "barrier_dir": str(tmp_path / "barrier"),
-                    "parties": 2,
-                },
-            )
-            for task in counted_tasks(8, tmp_path / "fab")
-        ]
-        spec = FaultSchedule(
+        partition = FaultSchedule(
             tmp_path / "w0-state",
             [
                 FaultRule(
                     kind="result", action="partition", after=0, count=1,
-                    seconds=3.0,
+                    seconds=10.0,
                 )
             ],
-        ).save(tmp_path / "w0.json")
+        )
         sink = MemoryTraceSink()
         with use_observer(Observer(MetricsRegistry(), sink)):
-            outcomes = run_fabric_sweep(
-                tasks,
-                seed=11,
-                workers=2,
-                worker_chaos=[spec, None],
-                **FAST,
-            )
+            outcomes = VirtualFabric(
+                workers=2, worker_chaos=[partition], task_seconds=2.0
+            ).run(counted_tasks(8, tmp_path / "fab"), seed=11)
         assert [o.result for o in outcomes] == reference
         assert all(o.ok for o in outcomes)
         lost = [e for e in sink.events if e["kind"] == "fabric-worker-lost"]
@@ -409,40 +470,20 @@ class TestLoopbackFabric:
         the straggler; first result wins, accounting stays clean."""
         reference = serial_reference(3, tmp_path / "serial", seed=21)
         sink = MemoryTraceSink()
-        start = time.perf_counter()
+        fabric = VirtualFabric(workers=2, slow={"t0": [20.0]})
         with use_observer(Observer(MetricsRegistry(), sink)):
-            outcomes = run_fabric_sweep(
-                counted_tasks(
-                    3,
-                    tmp_path / "fab",
-                    t0={"hang_attempts": 1, "hang_seconds": 20.0},
-                ),
-                seed=21,
-                workers=2,
-                steal_after=0.5,
-                **FAST,
-            )
-        elapsed = time.perf_counter() - start
+            outcomes = fabric.run(counted_tasks(3, tmp_path / "fab"), seed=21)
         assert [o.result for o in outcomes] == reference
         assert all(o.ok and o.attempts == 1 for o in outcomes)
         assert any(e["kind"] == "fabric-task-steal" for e in sink.events)
         # The twin finished the sweep; nobody waited out the 20s straggler.
-        assert elapsed < 15.0
+        assert fabric.now < 15.0
 
     def test_task_timeout_is_terminal(self, tmp_path):
         """PR 5 parity: a deadline expiry is a terminal timeout outcome,
         and the sweep's siblings are unharmed."""
-        outcomes = run_fabric_sweep(
-            counted_tasks(
-                3,
-                tmp_path / "fab",
-                t1={"hang_attempts": 9, "hang_seconds": 60.0},
-            ),
-            seed=2,
-            workers=2,
-            task_timeout=1.5,
-            max_worker_respawns=2,
-            **FAST,
+        outcomes = VirtualFabric(workers=2, slow={"t1": [60.0] * 9}).run(
+            counted_tasks(3, tmp_path / "fab"), seed=2, task_timeout=1.5
         )
         assert outcomes[0].ok and outcomes[2].ok
         assert outcomes[1].status == "timeout"
@@ -460,13 +501,8 @@ class TestCoordinatorRestart:
         store = TaskStore(ResultCache(tmp_path / "store"))
         chaos = halt_on(3, tmp_path / "coord")
         with pytest.raises(CoordinatorHalted) as excinfo:
-            run_fabric_sweep(
-                counted_tasks(8, tmp_path / "fab"),
-                seed=13,
-                workers=2,
-                store=store,
-                chaos=chaos,
-                **FAST,
+            VirtualFabric(workers=2, chaos=chaos).run(
+                counted_tasks(8, tmp_path / "fab"), seed=13, store=store
             )
         assert excinfo.value.completed >= 3
         # The atomic tmp-then-replace puts mean every entry on disk is a
@@ -479,8 +515,8 @@ class TestCoordinatorRestart:
         }
         assert len(completed_keys) >= 3
         # The same schedule again: its halt rule is spent.
-        outcomes = run_fabric_sweep(
-            tasks, seed=13, workers=2, store=store, chaos=chaos, **FAST
+        outcomes = VirtualFabric(workers=2, chaos=chaos).run(
+            tasks, seed=13, store=store
         )
         assert [o.result for o in outcomes] == reference
         assert all(o.ok for o in outcomes)
@@ -495,25 +531,16 @@ class TestCoordinatorRestart:
         reference = serial_reference(4, tmp_path / "serial", seed=17)
         store = TaskStore(ResultCache(tmp_path / "store"))
         with pytest.raises(CoordinatorHalted):
-            run_fabric_sweep(
-                counted_tasks(4, tmp_path / "fab"),
-                seed=17,
-                workers=2,
-                store=store,
-                chaos=halt_on(2, tmp_path / "coord"),
-                **FAST,
+            VirtualFabric(workers=2, chaos=halt_on(2, tmp_path / "coord")).run(
+                counted_tasks(4, tmp_path / "fab"), seed=17, store=store
             )
         entries = sorted(store.cache.root.glob("*/*.json"))
         assert len(entries) >= 2
         torn = entries[0]
         torn.write_text('{"key": "' + torn.stem + '", "result": [TORN')
         with pytest.warns(RuntimeWarning, match="quarantined"):
-            outcomes = run_fabric_sweep(
-                counted_tasks(4, tmp_path / "fab"),
-                seed=17,
-                workers=2,
-                store=store,
-                **FAST,
+            outcomes = VirtualFabric(workers=2).run(
+                counted_tasks(4, tmp_path / "fab"), seed=17, store=store
             )
         assert [o.result for o in outcomes] == reference
         assert all(o.ok for o in outcomes)
@@ -527,79 +554,56 @@ class TestWorkerInterrupt:
     """SIGINT to a worker releases its lease before the process exits."""
 
     def test_sigint_sends_goodbye_and_lease_is_refunded(self, tmp_path):
-        import repro
+        # The worker side: ^C inside a task acks it, says goodbye naming
+        # the abandoned task, and exits 130.
+        received = []
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            port = listener.getsockname()[1]
 
+            def coordinate():
+                conn, _addr = listener.accept()
+                channel = FramedChannel(conn)
+                received.append(channel.recv(timeout=10))
+                channel.send(
+                    {
+                        "kind": MSG_TASK,
+                        "index": 0,
+                        "key": "t0",
+                        "attempt": 1,
+                        "task": SweepTask(key="t0", fn=interrupted_task),
+                        "seed": None,
+                    }
+                )
+                while (message := channel.recv(timeout=10)) is not None:
+                    received.append(message)
+                channel.close()
+
+            thread = threading.Thread(target=coordinate)
+            thread.start()
+            code = run_worker(
+                f"127.0.0.1:{port}", heartbeat_interval=60.0, exit_on_disconnect=False
+            )
+            thread.join(timeout=30.0)
+        assert not thread.is_alive()
+        assert code == 130
+        assert [m["kind"] for m in received] == ["hello", "ack", "goodbye"]
+        assert received[-1]["abandoned"] == "t0"
+
+        # The coordinator side: the goodbye refunds the attempt.  The
+        # worker is an external one (nobody respawns it), so the
+        # interrupted task finishes on the degraded local pool.
         reference = serial_reference(3, tmp_path / "serial", seed=31)
         state = tmp_path / "fab"
-        tasks = counted_tasks(
-            3, state, t0={"hang_attempts": 1, "hang_seconds": 30.0}
-        )
-        # Pre-pick a port so the test can dial its own worker at it.
-        import socket as socket_module
-
-        probe = socket_module.socket()
-        probe.bind(("127.0.0.1", 0))
-        port = probe.getsockname()[1]
-        probe.close()
-
         sink = MemoryTraceSink()
-        results = {}
-
-        def coordinate():
-            with use_observer(Observer(MetricsRegistry(), sink)):
-                results["outcomes"] = run_fabric_sweep(
-                    tasks,
-                    seed=31,
-                    listen=f"127.0.0.1:{port}",
-                    workers=0,
-                    heartbeat_interval=0.2,
-                    liveness_timeout=2.0,
-                    worker_wait=2.0,
-                )
-
-        thread = threading.Thread(target=coordinate)
-        thread.start()
-        env = dict(os.environ)
-        env["PYTHONPATH"] = (
-            str(Path(repro.__file__).resolve().parents[1])
-            + os.pathsep
-            + env.get("PYTHONPATH", "")
-        )
-        worker = subprocess.Popen(
-            [
-                sys.executable,
-                "-m",
-                "repro",
-                "worker",
-                "--connect",
-                f"127.0.0.1:{port}",
-                "--heartbeat",
-                "0.2",
-            ],
-            env=env,
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
-        )
-        try:
-            # Wait until the worker is executing the straggler, then ^C it.
-            deadline = time.monotonic() + 30.0
-            while (
-                attempt_count(state, "t0") < 1 and time.monotonic() < deadline
-            ):
-                time.sleep(0.05)
-            assert attempt_count(state, "t0") >= 1, "worker never started t0"
-            time.sleep(0.3)
-            worker.send_signal(signal.SIGINT)
-            assert worker.wait(timeout=15.0) == 130
-        finally:
-            if worker.poll() is None:  # pragma: no cover - cleanup only
-                worker.kill()
-            thread.join(timeout=120.0)
-        assert not thread.is_alive()
-        outcomes = results["outcomes"]
+        with use_observer(Observer(MetricsRegistry(), sink)):
+            outcomes = VirtualFabric(
+                workers=0,
+                external=1,
+                slow={"t0": [30.0]},
+                script=[Interrupt(at=2.0, slot=0)],
+            ).run(counted_tasks(3, state), seed=31)
+        assert attempt_count(state, "t0") == 2  # on the worker, then locally
         assert [o.result for o in outcomes] == reference
-        # The goodbye refunded the attempt: the interrupted task finished
-        # on the degraded local pool with clean accounting.
         interrupted = outcomes[0]
         assert interrupted.ok
         assert interrupted.requeued >= 1
@@ -663,3 +667,116 @@ class TestAcceptance:
         assert 2 <= attempt_count(state, "t4") <= 3
         if outcomes[4].attempts == 2:
             assert outcomes[4].lost_leases >= 1
+
+
+# ----------------------------------------------------------------------
+# Random fault scripts against the core
+# ----------------------------------------------------------------------
+
+# Worker rules leave heartbeats out of their kinds: every consultation
+# writes a counter file, and a partition mutes heartbeats anyway.
+wire_rules = st.lists(
+    st.builds(
+        FaultRule,
+        kind=st.sampled_from(("hello", "ack", "result", "goodbye")),
+        action=st.sampled_from(("drop", "duplicate", "delay", "partition")),
+        after=st.integers(0, 6),
+        count=st.integers(1, 3),
+        seconds=st.sampled_from((0.5, 3.0, 9.0)),
+    ),
+    max_size=3,
+)
+coordinator_rules = st.lists(
+    st.builds(
+        FaultRule,
+        kind=st.sampled_from(("task", "bye", "*")),
+        action=st.sampled_from(("drop", "duplicate", "delay", "partition")),
+        after=st.integers(0, 6),
+        count=st.integers(1, 3),
+        seconds=st.sampled_from((0.5, 3.0, 9.0)),
+    ),
+    max_size=2,
+)
+times = st.floats(0.0, 40.0)
+script_events = st.lists(
+    st.one_of(
+        st.builds(Crash, at=times, slot=st.integers(0, 2)),
+        st.builds(Interrupt, at=times, slot=st.integers(0, 2)),
+        st.builds(Stall, at=times, seconds=st.sampled_from((2.0, 7.0, 20.0))),
+    ),
+    max_size=4,
+)
+
+
+class TestFaultScripts:
+    """Any interleaving of drops, duplicates, delays (late results),
+    partitions, crashes, goodbyes and coordinator clock jumps: every
+    task is recorded exactly once, ``attempts`` stays within
+    ``[0, 1 + max_task_retries]`` at every step, every ``ok`` result is
+    the serial run's, and the sweep always finishes."""
+
+    @given(
+        worker_rules=st.lists(wire_rules, min_size=2, max_size=2),
+        coord_rules=coordinator_rules,
+        script=script_events,
+        errors=st.lists(st.integers(0, 3), min_size=4, max_size=4),
+        task_seconds=st.sampled_from((0.0, 0.7, 3.0)),
+        external=st.integers(0, 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_every_task_recorded_once_with_serial_results(
+        self, worker_rules, coord_rules, script, errors, task_seconds, external
+    ):
+        max_task_retries = 2
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            # Tasks with injected errors count attempts in files; the rest
+            # are healthy (no file I/O), with the same payloads.
+            healthy = [
+                SweepTask(key=f"t{i}", fn=healthy_task, kwargs={"draws": 3})
+                for i in range(4)
+            ]
+            reference = [o.result for o in run_supervised_sweep(healthy, seed=7)]
+            overrides = {
+                f"t{i}": {"error_attempts": n} for i, n in enumerate(errors) if n
+            }
+            faulty = counted_tasks(4, root / "fab", **overrides)
+            tasks = [f if f.key in overrides else h for f, h in zip(faulty, healthy)]
+
+            def check(core):
+                ledger = core.ledger
+                assert all(
+                    0 <= a <= ledger.max_attempts for a in ledger.attempts
+                ), ledger.attempts
+                # A worker is busy exactly while it holds a lease.
+                for worker_id, worker in core.workers.items():
+                    if worker.busy is not None:
+                        assert worker_id in core.leases.get(worker.busy, {})
+
+            fabric = VirtualFabric(
+                workers=2,
+                external=external,
+                worker_chaos=[
+                    FaultSchedule(root / f"w{slot}", rules)
+                    for slot, rules in enumerate(worker_rules)
+                ],
+                chaos=FaultSchedule(root / "coord", coord_rules),
+                task_seconds=task_seconds,
+                script=script,
+                check=check,
+            )
+            registry = MetricsRegistry()
+            with use_observer(Observer(registry, None)):
+                outcomes = fabric.run(
+                    tasks, seed=7, max_task_retries=max_task_retries
+                )
+            ledger = fabric.core.ledger
+            assert ledger.recorded == 4
+            assert sum(
+                registry.counter_value("fabric.tasks", label=status)
+                for status in ("ok", "error", "crashed", "timeout")
+            ) == 4
+            for outcome, expected in zip(outcomes, reference):
+                assert 1 <= outcome.attempts <= 1 + max_task_retries
+                if outcome.ok:
+                    assert outcome.result == expected

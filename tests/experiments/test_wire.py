@@ -5,13 +5,13 @@ import socket
 import pytest
 
 from repro.chaos import FaultRule, FaultSchedule
+from repro.experiments.fabric_core import MSG_HEARTBEAT, MSG_RESULT
 from repro.experiments.wire import (
     FABRIC_SECRET_ENV,
     MAX_FRAME_BYTES,
-    MSG_HEARTBEAT,
-    MSG_RESULT,
     FrameDecoder,
     FramedChannel,
+    SendFaults,
     encode_frame,
     fabric_secret,
     format_address,
@@ -225,3 +225,30 @@ class TestFramedChannel:
         finally:
             a.close()
             b.close()
+
+
+class TestSendFaults:
+    """The send-side fault decision on the caller's clock: what a socket
+    channel does on the monotonic clock and an in-memory one on a fake
+    clock."""
+
+    def test_plan_on_a_fake_clock(self, tmp_path):
+        faults = SendFaults(
+            FaultSchedule(
+                tmp_path,
+                [
+                    FaultRule(kind="task", action="duplicate"),
+                    FaultRule(kind="result", action="delay", seconds=2.0),
+                    FaultRule(kind="ack", action="partition", seconds=5.0),
+                ],
+            )
+        )
+        assert faults.plan("task", 0.0) == (2, 0.0)
+        assert faults.plan("task", 0.0) == (1, 0.0)  # window passed
+        assert faults.plan("result", 1.0) == (1, 2.0)
+        assert faults.plan("ack", 10.0) == (0, 0.0)  # opens the outage
+        assert faults.plan("heartbeat", 14.9) == (0, 0.0)  # muted too
+        assert faults.plan("heartbeat", 15.0) == (1, 0.0)  # outage over
+
+    def test_no_schedule_is_the_healthy_wire(self):
+        assert SendFaults().plan("task", 0.0) == (1, 0.0)
