@@ -235,25 +235,15 @@ def simulate(
     # nullcontext when no backend was asked for: ``use_backend(None)``
     # would *clear* an ambient explicit selection, not keep it.
     scope = use_backend(backend) if backend is not None else nullcontext()
-    with scope:
-        if obs is None:
-            return run_dissemination(
-                network,
-                dynamics,
-                plan=faults,
-                seed=seed,
-                max_rounds=max_rounds,
-                check_connected=check_connected,
-                raise_on_incomplete=raise_on_incomplete,
-            )
-        with use_observer(obs):
-            return run_dissemination(
-                network,
-                dynamics,
-                plan=faults,
-                seed=seed,
-                max_rounds=max_rounds,
-                check_connected=check_connected,
-                raise_on_incomplete=raise_on_incomplete,
-                obs=obs,
-            )
+    observed = use_observer(obs) if obs is not None else nullcontext()
+    with scope, observed:
+        return run_dissemination(
+            network,
+            dynamics,
+            plan=faults,
+            seed=seed,
+            max_rounds=max_rounds,
+            check_connected=check_connected,
+            raise_on_incomplete=raise_on_incomplete,
+            obs=obs,
+        )

@@ -36,7 +36,6 @@ class DecayProtocol(RadioProtocol):
     """
 
     name = "decay"
-    supports_batch = True
 
     def __init__(self, n: int, *, phase_length: int | None = None):
         if n < 2:

@@ -57,7 +57,6 @@ class EGRandomizedProtocol(RadioProtocol):
     """
 
     name = "eg-randomized"
-    supports_batch = True
 
     def __init__(
         self,

@@ -37,8 +37,6 @@ class ObliviousProtocol(RadioProtocol):
     :meth:`transmit_mask` would, including the draw of a ``q = 1`` round.
     """
 
-    supports_batch = True
-
     def __init__(
         self,
         probability: Callable[[int], float] | Sequence[float],

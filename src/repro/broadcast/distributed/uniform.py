@@ -23,7 +23,6 @@ class UniformProtocol(RadioProtocol):
     """Transmit with fixed probability ``q`` in every round."""
 
     name = "uniform"
-    supports_batch = True
 
     def __init__(self, q: float):
         if not 0.0 < q <= 1.0:

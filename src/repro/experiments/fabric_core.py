@@ -14,9 +14,12 @@ coordinator, in the order things go wrong:
   child, so ``jobs=1 ≡ fabric(N)`` survives any recovery;
 * **idempotent completion** — the first terminal result wins; a late or
   duplicated one is discarded (``fabric-duplicate-result``);
-* **acks and resends** — an unacked lease is requeued uncharged (the
-  ``task`` frame died); a quiet acked lease is retransmitted, and the
-  worker answers from its result cache (the ``result`` frame died);
+* **acks and resends** — an unacked lease is requeued uncharged and
+  redelivered to its worker (the ``task`` frame or its ``ack`` died: a
+  worker that already ran the attempt answers from its result cache, so
+  a lost ack buys no extra execution); a quiet acked lease is
+  retransmitted, and the worker answers from its result cache (the
+  ``result`` frame died);
 * **work stealing** — once the queue is dry, an idle worker twins the
   oldest in-flight task; the loser is a duplicate;
 * **degradation** — with no ready worker for the worker wait, the rest
@@ -42,7 +45,7 @@ Every window is a fixed multiple of the workers' heartbeat interval:
 window                     heartbeats  when it passes
 =========================  ==========  ======================================
 ``LIVENESS_HEARTBEATS``    6           a silent or hello-less peer is dropped
-``ACK_HEARTBEATS``         4           an unacked lease is requeued uncharged
+``ACK_HEARTBEATS``         4           an unacked lease is redelivered uncharged
 ``LEASE_HEARTBEATS``       8           a quiet acked lease is retransmitted
 ``STEAL_HEARTBEATS``       5           a lease may be twinned (queue dry)
 ``WORKER_WAIT_HEARTBEATS`` 15          no ready worker: run the rest locally
@@ -417,7 +420,7 @@ class CoordinatorCore:
             else:
                 ledger.refund(index, reason)
         if worker.ready:
-            self._inc("fabric.workers_lost")
+            self._inc("fabric.workers_lost", label=reason)
             self._emit(
                 "fabric-worker-lost", worker=worker_id, leases=len(revoked), reason=reason
             )
@@ -434,17 +437,28 @@ class CoordinatorCore:
                 )
 
     def _check_acks(self, now: float) -> None:
-        """Requeue unacked assignments uncharged: the worker never saw
-        the ``task`` frame, so nothing ran."""
+        """Requeue unacked assignments uncharged, back to the same worker.
+
+        Either the ``task`` frame died and nothing ran, or only its
+        ``ack`` died and the attempt ran.  The coordinator cannot tell,
+        so the same attempt goes to the same worker again: a worker that
+        ran it answers from its result cache, one that never saw it runs
+        it now.  If the worker is lost instead, its lease is charged like
+        any lost lease.
+        """
         unacked = [
             (index, worker_id)
             for index, leases in self.leases.items()
             for worker_id, lease in leases.items()
             if not lease.acked and now - lease.started > self.ack_timeout
         ]
+        ledger = self.ledger
         for index, worker_id in unacked:
             if self._revoke(index, worker_id):
-                self.ledger.refund(index, "undelivered")
+                ledger.refund(index, "undelivered")
+                ledger.queue.remove(index)
+                ledger.charge(index, now)
+                self._send_task(now, worker_id, index)
 
     def _check_resends(self, now: float) -> None:
         """Retransmit acked leases quiet past the lease window.

@@ -1,4 +1,10 @@
-"""Result containers and measurement helpers shared by all experiments."""
+"""Result containers and measurement helpers shared by all experiments.
+
+The three ``*_times`` sweeps measure completion rounds over repetitions
+with one call each to the round driver,
+:func:`repro.radio.dynamics.run_dissemination`: every trial of every
+protocol, healthy or under a fault plan, runs in one lockstep batch.
+"""
 
 from __future__ import annotations
 
@@ -8,16 +14,11 @@ from typing import Any
 import numpy as np
 
 from .._typing import SeedLike
-from ..errors import InvalidParameterError
-from ..gossip.batch import run_gossip_batch, run_multimessage_batch
 from ..gossip.dynamics import GossipDynamics, MultiMessageDynamics
-from ..gossip.trace import GossipTrace
 from ..obs import maybe_span
 from ..radio.dynamics import BroadcastDynamics, run_dissemination
-from ..radio.engine import BatchBroadcastResult, run_broadcast_batch
 from ..radio.model import RadioNetwork
 from ..radio.protocol import RadioProtocol
-from ..rng import spawn_generators
 from ..theory.fitting import FitResult
 from .report import format_markdown_table, format_table
 
@@ -160,57 +161,29 @@ def aggregate(values) -> dict[str, float]:
 
 
 def _dissemination_times(
-    span, batch, dynamics_cls, network, protocol, placement, faults, with_fractions, **run
+    span, dynamics_cls, network, protocol, placement, faults, with_fractions, *,
+    repetitions, seed, max_rounds, p, check_connected,
 ):
-    """The batch-or-serial dispatch behind the three ``*_times`` sweeps.
+    """The one driver call behind the three ``*_times`` sweeps.
 
-    Fault-free runs of ``supports_batch`` protocols go to the lockstep
-    entry point ``batch``; everything else runs ``dynamics_cls`` trial by
-    trial under :func:`~repro.radio.dynamics.run_dissemination` on the
-    same spawned streams, so the dispatch is bit-for-bit invisible in the
-    results.  ``placement`` holds the ``source``/``sources`` keyword and
-    ``run`` the keywords both paths share.
+    ``placement`` holds the ``source``/``sources`` keyword of
+    ``dynamics_cls.build``.  Trial ``r`` runs on
+    ``spawn_generators(seed, repetitions)[r]``.
     """
-    repetitions = run["repetitions"]
-    if repetitions < 1:
-        raise InvalidParameterError(f"repetitions must be >= 1, got {repetitions}")
-    fault_free = faults is None or faults.is_null
+    dynamics = dynamics_cls.build(network, protocol=protocol, p=p, **placement)
     with maybe_span(span, label=protocol.name):
-        if fault_free and getattr(protocol, "supports_batch", False):
-            result = batch(network, protocol, **placement, **run)
-            rounds = result.completion_rounds
-            fractions = (
-                result.informed_fractions
-                if isinstance(result, BatchBroadcastResult)
-                else result.knowledge_fractions
-            )
-        else:
-            rounds = np.full(repetitions, np.inf)
-            fractions = np.ones(repetitions)
-            for i, rng in enumerate(spawn_generators(run["seed"], repetitions)):
-                trace = run_dissemination(
-                    network,
-                    dynamics_cls.build(network, protocol=protocol, p=run["p"], **placement),
-                    plan=faults,
-                    seed=rng,
-                    max_rounds=run["max_rounds"],
-                    check_connected=run["check_connected"],
-                    raise_on_incomplete=False,
-                )
-                if trace.completed:
-                    rounds[i] = trace.completion_round
-                else:
-                    fractions[i] = _final_fraction(trace)
+        run = run_dissemination(
+            network,
+            dynamics,
+            repetitions=repetitions,
+            plan=faults,
+            seed=seed,
+            max_rounds=max_rounds,
+            check_connected=check_connected,
+        )
     if with_fractions:
-        return rounds, fractions
-    return rounds
-
-
-def _final_fraction(trace) -> float:
-    """How far an incomplete serial trial got (informed or known pairs)."""
-    if isinstance(trace, GossipTrace):
-        return float(np.sum(trace.knowledge_counts)) / float(trace.n * trace.tokens)
-    return trace.num_informed / trace.n
+        return run.completion_rounds, run.fractions
+    return run.completion_rounds
 
 
 def protocol_times(
@@ -233,16 +206,14 @@ def protocol_times(
     ``check_connected=False`` skips the reachability check; with it on,
     a graph still pays for only one BFS, cached on its adjacency.
 
-    Protocols that advertise ``supports_batch`` (uniform, decay, the
-    Theorem 7 randomized protocol, oblivious ``q(t)``) are measured on
-    the lockstep driver (:func:`~repro.radio.engine.run_broadcast_batch`):
-    all repetitions advance together, one batched count kernel per
-    round.  The per-trial streams are spawned identically in both paths,
-    so the dispatch is bit-for-bit invisible in the results (pinned by
+    All repetitions advance together on the round driver, one batched
+    count kernel per round; trial ``r`` draws exactly what
+    ``simulate("broadcast", ...)`` seeded with
+    ``spawn_generators(seed, repetitions)[r]`` draws (pinned by
     ``tests/radio/test_batch.py``).
     """
     return _dissemination_times(
-        "sweep.protocol_times", run_broadcast_batch, BroadcastDynamics, network, protocol,
+        "sweep.protocol_times", BroadcastDynamics, network, protocol,
         {"source": source}, None, with_fractions, repetitions=repetitions, seed=seed,
         max_rounds=max_rounds, p=p, check_connected=check_connected,
     )
@@ -262,16 +233,13 @@ def gossip_times(
 ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """Gossip completion times over repetitions; ``inf`` for budget misses.
 
-    The gossip twin of :func:`protocol_times`, with identical dispatch:
-    ``supports_batch`` protocols on fault-free runs are measured on the
-    lockstep driver (:func:`~repro.gossip.batch.run_gossip_batch`),
-    everything else — including any run with an active ``faults`` plan —
-    runs serially over spawned per-trial streams.  The two paths are
-    bit-for-bit identical.  ``with_fractions=True`` additionally returns
-    the per-trial final fraction of known (node, rumor) pairs.
+    The gossip twin of :func:`protocol_times`, on the same driver; an
+    active ``faults`` plan applies to every trial (docs/FAULTS.md).
+    ``with_fractions=True`` additionally returns the per-trial final
+    fraction of known (node, rumor) pairs.
     """
     return _dissemination_times(
-        "sweep.gossip_times", run_gossip_batch, GossipDynamics, network, protocol,
+        "sweep.gossip_times", GossipDynamics, network, protocol,
         {}, faults, with_fractions, repetitions=repetitions, seed=seed,
         max_rounds=max_rounds, p=p, check_connected=check_connected,
     )
@@ -292,12 +260,11 @@ def multimessage_times(
 ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """k-token completion times over repetitions; ``inf`` for budget misses.
 
-    Dispatch mirrors :func:`gossip_times`: fault-free ``supports_batch``
-    runs use :func:`~repro.gossip.batch.run_multimessage_batch`, the rest
-    run serially.  All repetitions share the ``sources`` token placement.
+    Runs like :func:`gossip_times`.  All repetitions share the
+    ``sources`` token placement.
     """
     return _dissemination_times(
-        "sweep.multimessage_times", run_multimessage_batch, MultiMessageDynamics, network,
+        "sweep.multimessage_times", MultiMessageDynamics, network,
         protocol, {"sources": sources}, faults, with_fractions, repetitions=repetitions,
         seed=seed, max_rounds=max_rounds, p=p, check_connected=check_connected,
     )

@@ -1,25 +1,26 @@
 """Batched multi-trial gossip and k-token dissemination.
 
 :func:`run_gossip_batch` and :func:`run_multimessage_batch` are thin
-builders over the one lockstep driver,
-:func:`repro.radio.dynamics.run_lockstep`, which also runs
-:func:`~repro.radio.engine.run_broadcast_batch`: ``R`` independent
-fault-free trials advance in vectorized lockstep, one batched count
-kernel per round (:meth:`RadioNetwork.step_batch` with informer
-extraction) instead of one sparse matvec per trial.  The knowledge
-dynamics supply only their trial-major state; knowledge merging stays
-per-trial (a row-gather OR over each trial's receivers) — the batchable
-cost is the channel, and that is where the serial path spends its time.
+builders over the one round driver,
+:func:`repro.radio.dynamics.run_dissemination`, which also runs
+:func:`~repro.radio.engine.run_broadcast_batch`: ``R`` independent trials
+advance in vectorized lockstep, one batched count kernel per round
+(:meth:`RadioNetwork.step_batch` with informer extraction) instead of one
+sparse matvec per trial.  The knowledge dynamics keep one trial-major
+state; knowledge merging stays per-trial (a row-gather OR over each
+trial's receivers) — the batchable cost is the channel.
 
 Bit-for-bit equivalence: trial ``r`` consumes exactly the RNG draws its
-serial ``repro.simulate("gossip", ...)`` /
-``repro.simulate("multimessage", ...)`` counterpart seeded with
-``spawn_generators(seed, R)[r]`` would — protocols draw one ``random(n)``
-block per *active* trial per round and a completed trial stops drawing.  ``tests/radio/test_dynamics.py`` pins this.
+``repro.simulate("gossip", ...)`` / ``repro.simulate("multimessage",
+...)`` counterpart seeded with ``spawn_generators(seed, R)[r]`` would —
+protocols draw one ``random(n)`` block per *active* trial per round and
+a completed trial stops drawing.  ``tests/radio/test_dynamics.py`` pins
+this.
 
 Like the broadcast batch, this path keeps no per-round traces; it exists
-for Monte-Carlo timing sweeps (E13, E20).  Fault plans are serial-only —
-:func:`~repro.experiments.runner.gossip_times` dispatches accordingly.
+for Monte-Carlo timing sweeps (E13, E20).  Fault plans run on the same
+driver at any ``R``: :func:`~repro.experiments.runner.gossip_times` and
+:func:`~repro.experiments.runner.multimessage_times` take one.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .._typing import FloatArray, IntArray, SeedLike
-from ..radio.dynamics import run_lockstep
+from ..radio.dynamics import run_dissemination
 from ..radio.engine import BatchResult
 from ..radio.model import RadioNetwork
 from ..radio.protocol import RadioProtocol
@@ -83,7 +84,7 @@ class BatchGossipResult(BatchResult):
         return self._stats("complete_node_totals").copy()
 
     def summary(self) -> dict:
-        """Headline numbers for reports (mirrors the serial traces)."""
+        """Headline numbers for reports (mirrors the traces)."""
         return {"tokens": self.num_tokens, **super().summary()}
 
     def to_dict(self) -> dict:
@@ -127,7 +128,7 @@ def _run_knowledge_batch(
     **kwargs,
 ) -> BatchGossipResult:
     dynamics.track_first_complete = with_first_complete
-    run = run_lockstep(network, dynamics, **kwargs)
+    run = run_dissemination(network, dynamics, **kwargs)
     return BatchGossipResult(
         network.n, num_tokens, run.completion_rounds, run.fractions,
         dynamics.first_complete_rounds, run.num_rounds, run.transmissions_per_round,
@@ -188,8 +189,8 @@ def run_multimessage_batch(
     """Run ``repetitions`` independent healthy k-token trials in lockstep.
 
     All trials share the ``sources`` token placement; per-trial source
-    draws need the serial path.  Bit-for-bit equivalent to sequential
-    ``repro.simulate("multimessage", ...)`` calls seeded with
+    draws need one call per placement.  Bit-for-bit equivalent to
+    sequential ``repro.simulate("multimessage", ...)`` calls seeded with
     ``spawn_generators(seed, repetitions)``.  ``with_stats``/``obs``
     behave as in :func:`~repro.radio.engine.run_broadcast_batch`.
     """

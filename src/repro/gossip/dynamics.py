@@ -47,23 +47,23 @@ def default_gossip_round_cap(n: int) -> int:
 class KnowledgeDynamics(Dynamics):
     """Shared knowledge-matrix state for gossip-family processes.
 
-    Subclasses set up ``knowledge`` (shape ``(n, k)``) and ``has_round``
-    (the round each node first held a token — the protocol's
-    ``informed_round``) in :meth:`start` and define which nodes count as
-    content holders; reception always means "OR the sender's row into
-    mine" and the trace vocabulary is :class:`GossipRoundRecord` /
-    :class:`GossipTrace`.
+    Subclasses set up ``knowledge`` (shape ``(R, n, k)``, one matrix per
+    trial) and ``has_round`` (the round each node first held a token —
+    the protocol's ``informed_round``) in :meth:`start` and define which
+    nodes count as content holders; reception always means "OR the
+    sender's row into mine" and the trace vocabulary is
+    :class:`GossipRoundRecord` / :class:`GossipTrace`.
     """
 
     supports_faults = True
-    # Row merging needs to know who the unique sender was, so the fault
-    # path and the lockstep kernel must extract informers (the healthy
-    # serial kernel always does).
+    # Row merging needs to know who the unique sender was, so batched and
+    # faulty rounds must extract informers (a single healthy round always
+    # does).
     needs_informer = True
-    batch_state = ("knowledge", "has_round")
-    #: Lockstep runs record, per trial, the round after which some node
-    #: first knew every token (the accumulate-vs-disseminate split E13
-    #: reports) into ``first_complete_rounds`` when this is set.
+    trial_state = ("knowledge", "has_round")
+    #: When set, untraced runs record per trial the round after which
+    #: some node first knew every token (the accumulate-vs-disseminate
+    #: split E13 reports) into ``first_complete_rounds``.
     track_first_complete = False
 
     def __init__(self, protocol: RadioProtocol, p: float | None = None):
@@ -82,45 +82,39 @@ class KnowledgeDynamics(Dynamics):
         """Mask of deliverable tokens given the eventually-alive nodes."""
         raise NotImplementedError
 
-    def transmit_mask(self, t, rng):
-        return self.protocol.transmit_mask(t, self.content_mask(), self.has_round, rng)
-
-    def update(self, t, outcome):
-        recv = outcome.receivers
-        if recv.size:
-            # Synchronous merge: OR in the senders' rows as of round start
-            # (fancy indexing copies the sender rows before assignment,
-            # and a sender is never simultaneously a receiver).
-            self.knowledge[recv] |= self.knowledge[outcome.senders]
-            fresh = recv[self.has_round[recv] < 0]
-            self.has_round[fresh] = t
-
-    def batch_start(self, network, repetitions):
-        super().batch_start(network, repetitions)
+    def _start(self, rngs, knowledge: BoolArray, has_round: IntArray) -> None:
+        """Stack the one-trial initial state once per trial."""
+        trials = len(rngs)
+        self.knowledge = np.broadcast_to(knowledge, (trials,) + knowledge.shape).copy()
+        self.has_round = np.broadcast_to(has_round, (trials,) + has_round.shape).copy()
+        self.first_complete_rounds = None
         if self.track_first_complete:
-            self.first_complete_rounds = np.full(repetitions, np.inf)
-            self._note_first_complete(0, np.arange(repetitions))
+            self.first_complete_rounds = np.full(trials, np.inf)
+            self._note_first_complete(0, np.arange(trials))
 
-    def batch_holders(self):
-        return self.knowledge.any(axis=2)
-
-    def batch_holder_rounds(self):
+    def holder_rounds(self):
         return self.has_round
 
-    def batch_update(self, t, step, trial_ids):
-        received = step.received
-        informer = step.informer
+    def _trace_counts(self):
+        """Tokens known per node in the traced run's one row."""
+        return self.knowledge[0].sum(axis=1)
+
+    def update(self, t, outcome, trial_ids):
+        received = outcome.received
+        informer = outcome.informer
         # Knowledge merging is inherently per-trial: each trial gathers
         # its own sender rows.  The loop body is O(receivers · k), tiny
-        # next to the batched channel kernel.
+        # next to the channel kernel.  The merge is synchronous: fancy
+        # indexing copies the sender rows as of round start, and a sender
+        # is never simultaneously a receiver.
         for idx in range(trial_ids.size):
-            recv = np.flatnonzero(received[:, idx])
+            recv = np.flatnonzero(received[idx])
             if recv.size:
                 K = self.knowledge[idx]
-                K[recv] |= K[informer[recv, idx]]
+                K[recv] |= K[informer[idx, recv]]
                 fresh = recv[self.has_round[idx, recv] < 0]
                 self.has_round[idx, fresh] = t
-        if self.track_first_complete:
+        if self.first_complete_rounds is not None:
             self._note_first_complete(t, trial_ids)
 
     def _note_first_complete(self, t, trial_ids):
@@ -130,28 +124,24 @@ class KnowledgeDynamics(Dynamics):
             if hits.any():
                 self.first_complete_rounds[trial_ids[hits]] = float(t)
 
-    def batch_finished(self):
-        return self.knowledge.all(axis=(1, 2))
+    def finished(self, target, full_target):
+        if full_target:
+            return self.knowledge.all(axis=(1, 2))
+        required = self.knowledge[:, target][:, :, self.token_target(target)]
+        return required.all(axis=(1, 2))
 
-    def batch_complete_nodes(self):
-        return int(self.knowledge.all(axis=2).sum())
-
-    def batch_fractions(self):
+    def fractions(self):
         return self.knowledge.sum(axis=(1, 2)) / float(self._n * self._k)
 
-    def complete(self, target, full_target):
-        if full_target:
-            return bool(np.all(self.knowledge))
-        return bool(
-            np.all(self.knowledge[np.ix_(target, self.token_target(target))])
-        )
+    def complete_nodes(self):
+        return int(self.knowledge.all(axis=2).sum())
 
     def record(self, t, outcome):
-        counts = self.knowledge.sum(axis=1)
+        counts = self._trace_counts()
         return GossipRoundRecord(
             round_index=t,
             num_transmitters=outcome.num_transmitters,
-            num_receivers=int(outcome.receivers.size),
+            num_receivers=int(np.count_nonzero(outcome.received)),
             pairs_known=int(counts.sum()),
             min_knowledge=int(counts.min()),
             nodes_complete=int(np.count_nonzero(counts == self._k)),
@@ -164,14 +154,15 @@ class KnowledgeDynamics(Dynamics):
         }
 
     def finish(self, trace, target, full_target, finished):
+        knowledge = self.knowledge[0]
         if finished and not full_target:
             # Mirror broadcast's target-relative completion report: nodes
             # outside the target set and tokens that died with their only
             # holders are filled in, so ``trace.completed`` reads true
             # exactly when the deliverable sub-problem finished.
-            self.knowledge[~target, :] = True
-            self.knowledge[:, ~self.token_target(target)] = True
-        trace.knowledge_counts = self.knowledge.sum(axis=1).astype(np.int64)
+            knowledge[~target, :] = True
+            knowledge[:, ~self.token_target(target)] = True
+        trace.knowledge_counts = knowledge.sum(axis=1).astype(np.int64)
 
 
 class GossipDynamics(KnowledgeDynamics):
@@ -190,17 +181,16 @@ class GossipDynamics(KnowledgeDynamics):
         """``simulate("gossip", network, protocol=..., p=...)``."""
         return cls(protocol, p)
 
-    def start(self, network, rng, fault_path):
+    def start(self, network, rngs, with_tree):
         n = network.n
         self._n = n
         self._k = n
         self.protocol.prepare(n, self.p, 0)
-        self.knowledge = np.eye(n, dtype=bool)
-        self._all_informed = np.ones(n, dtype=bool)
-        self.has_round = np.zeros(n, dtype=np.int64)
+        self._start(rngs, np.eye(n, dtype=bool), np.zeros(n, dtype=np.int64))
 
-    def content_mask(self):
-        return self._all_informed
+    def content(self):
+        # Every node always holds at least its own rumor.
+        return np.ones(self.has_round.shape, dtype=bool)
 
     def token_target(self, target):
         # Token j is node j's rumor: rumors of permanently dead nodes are
@@ -208,18 +198,18 @@ class GossipDynamics(KnowledgeDynamics):
         return target
 
     def forget(self, ids):
-        self.knowledge[ids] = False
-        self.knowledge[ids, ids] = True  # a rejoining node re-derives its own rumor
+        self.knowledge[:, ids] = False
+        self.knowledge[:, ids, ids] = True  # a rejoining node re-derives its own rumor
 
     def make_trace(self):
-        counts = self.knowledge.sum(axis=1)
+        counts = self._trace_counts()
         return GossipTrace(
             n=self._n,
             initial_nodes_complete=int(np.count_nonzero(counts == self._k)),
         )
 
     def incomplete_message(self, max_rounds, target, full_target):
-        counts = self.knowledge.sum(axis=1)
+        counts = self._trace_counts()
         return (
             f"{self.protocol.name}: gossip incomplete after {max_rounds} rounds "
             f"(min knowledge {int(counts.min())}/{self._n})"
@@ -260,32 +250,32 @@ class MultiMessageDynamics(KnowledgeDynamics):
         """
         return cls(protocol, check_sources(sources, network.n), p)
 
-    def start(self, network, rng, fault_path):
+    def start(self, network, rngs, with_tree):
         n = network.n
         k = self.sources.size
         self._n = n
         self._k = k
         self.protocol.prepare(n, self.p, int(self.sources[0]))
-        self.knowledge = np.zeros((n, k), dtype=bool)
-        self.knowledge[self.sources, np.arange(k)] = True
-        self.has_round = np.full(n, -1, dtype=np.int64)
-        self.has_round[self.sources] = 0
         # Kept for churn recovery: a rejoining node falls back to the
         # tokens it originated.
-        self._initial = self.knowledge.copy()
+        self._initial = np.zeros((n, k), dtype=bool)
+        self._initial[self.sources, np.arange(k)] = True
+        has_round = np.full(n, -1, dtype=np.int64)
+        has_round[self.sources] = 0
+        self._start(rngs, self._initial, has_round)
 
-    def content_mask(self):
-        return self.knowledge.any(axis=1)
+    def content(self):
+        return self.knowledge.any(axis=2)
 
     def token_target(self, target):
         return target[self.sources]
 
     def forget(self, ids):
-        self.knowledge[ids] = self._initial[ids]
-        self.has_round[ids] = np.where(self._initial[ids].any(axis=1), 0, -1)
+        self.knowledge[:, ids] = self._initial[ids]
+        self.has_round[:, ids] = np.where(self._initial[ids].any(axis=1), 0, -1)
 
     def make_trace(self):
-        counts = self.knowledge.sum(axis=1)
+        counts = self._trace_counts()
         return GossipTrace(
             n=self._n,
             num_tokens=self._k,

@@ -12,13 +12,12 @@ Nodes get no collision detection feedback.
 * :class:`~repro.radio.protocol.RadioProtocol` — distributed protocols as
   per-round transmit-probability rules over local knowledge.
 * :mod:`~repro.radio.dynamics` — the unified dissemination core: the
-  :class:`~repro.radio.dynamics.Dynamics` state machine, the serial
+  :class:`~repro.radio.dynamics.Dynamics` state machine and the one
   round driver :func:`~repro.radio.dynamics.run_dissemination` behind
-  broadcast, gossip, multi-message and single-port spreading, and the
-  lockstep driver :func:`~repro.radio.dynamics.run_lockstep` behind
-  every batched Monte-Carlo run.
+  broadcast, gossip, multi-message and single-port spreading — a traced
+  trial or ``R`` lockstep trials, healthy or under a fault plan.
 * :func:`~repro.radio.engine.run_broadcast_batch` — batched healthy
-  broadcast over the lockstep driver.
+  broadcast over that driver.
 
 One trial of any process, healthy or under a fault plan, runs through
 :func:`repro.simulate`.

@@ -1,20 +1,25 @@
-"""The unified dissemination core: two drivers for every process.
+"""The unified dissemination core: one round driver for every process.
 
 The paper treats its communication problems as one family — gossiping is
 the Section 4 extension of broadcasting, ``k``-token dissemination spans
 the two, and single-port push (Feige et al., Section 1.2) is the
 collision-free baseline.  This module mirrors that architecturally: a
 :class:`Dynamics` object captures *what spreads and when it is done*
-(state init, per-round update from the channel outcome, completion
-predicate, trace-record emission), and two drivers own everything else:
+(trial-major state, per-round update from the channel outcome,
+completion predicate, trace-record emission), and one driver,
+:func:`run_dissemination`, owns everything else: the round budget, the
+connectivity precheck, fault-plan application, per-round compaction of
+finished trials, the incomplete-run error path and trace assembly.
 
-* :func:`run_dissemination` runs one trial — the round budget, the
-  connectivity precheck, fault-plan application, the incomplete-run
-  error path and trace assembly;
-* :func:`run_lockstep` advances ``R`` healthy trials of a radio-channel
-  dynamics in trial-major ``(R, n)`` lockstep, one batched count kernel
-  per round — the Monte-Carlo path behind ``run_broadcast_batch``,
-  ``run_gossip_batch`` and ``run_multimessage_batch``.
+The driver advances ``R >= 1`` independent trials of one dynamics
+together.  A *traced* run is one trial on ``as_generator(seed)``,
+recorded round by round into the dynamics' trace type (what
+:func:`repro.simulate` asks for); an untraced run of ``R`` trials draws
+trial ``r`` from ``spawn_generators(seed, R)[r]`` — exactly what a traced
+run seeded with that child draws — and returns per-trial outcomes
+(:class:`LockstepRun`).  A round of one active trial is one
+:meth:`RadioNetwork.step`; a round of several is one batched count kernel
+(:meth:`RadioNetwork.step_batch`).
 
 Concrete dynamics:
 
@@ -28,11 +33,11 @@ Concrete dynamics:
 * :class:`~repro.singleport.agents.AgentDynamics` — random-walking
   agents (no channel at all).
 
-:func:`repro.simulate` runs any registered dynamics under
-:func:`run_dissemination`, so every process shares the fault path:
-radio-channel dynamics (broadcast, gossip, multimessage) accept a
-:class:`~repro.faults.FaultPlan` with identical jammer / churn /
-lossy-link semantics (docs/FAULTS.md).
+Radio-channel dynamics (broadcast, gossip, multimessage) accept a
+:class:`~repro.faults.FaultPlan` at any ``R`` with identical jammer /
+churn / lossy-link semantics (docs/FAULTS.md).  The plan is shared by the
+trials; liveness and forgetting apply to every trial, while garbage and
+link draws come from each trial's own stream, after its protocol coins.
 
 The fault-plan interface is duck-typed so this module never imports
 :mod:`repro.faults`:
@@ -78,8 +83,8 @@ __all__ = [
     "BroadcastDynamics",
     "LockstepRun",
     "run_dissemination",
-    "run_lockstep",
     "default_round_cap",
+    "single_trial",
 ]
 
 
@@ -102,27 +107,38 @@ DYNAMICS_REGISTRY: dict[str, type["Dynamics"]] = {}
 
 @dataclass(frozen=True)
 class RoundOutcome:
-    """What one channel round delivered, in dynamics-agnostic currency.
+    """What one channel round delivered to the active trials.
 
     Attributes
     ----------
-    receivers: ids of nodes that successfully received this round.  For
-        radio dynamics these are the collision-free listeners (possibly
-        already holding the content); point-to-point dynamics report the
-        newly reached nodes directly.
-    senders: informer ids aligned element-wise with ``receivers``, or
-        ``None`` when the channel did not track them (fault path with
-        ``needs_informer`` False, point-to-point channels).
-    num_transmitters: channel occupants this round (garbage transmitters
-        included under faults).
-    num_collided: listeners lost to collisions (0 in collision-free
-        models).
+    received: ``(R, n)`` mask of successful receptions, one row per
+        active trial.  Radio dynamics report every collision-free
+        listener (possibly already holding the content); point-to-point
+        dynamics report the newly reached nodes.
+    informer: ``(R, n)`` id of the sender each reception came from
+        (``-1`` elsewhere), or ``None`` when the channel did not extract
+        senders (:attr:`Dynamics.needs_informer` unset on a batched or
+        faulty round, point-to-point channels).
+    num_transmitters: channel occupants summed over the rows (garbage
+        transmitters included under faults), or ``None`` when the round
+        was not counted.
+    num_collided: listeners lost to collisions summed over the rows (0 in
+        collision-free models), or ``None`` when the round was not
+        counted.
     """
 
-    receivers: IntArray
-    senders: IntArray | None
-    num_transmitters: int
-    num_collided: int
+    received: BoolArray
+    informer: IntArray | None
+    num_transmitters: int | None
+    num_collided: int | None
+
+
+def single_trial(dynamics: "Dynamics", rngs) -> None:
+    """Reject a multi-trial run of a dynamics that advances one trial only."""
+    if len(rngs) != 1:
+        raise InvalidParameterError(
+            f"{dynamics.name} dynamics runs one trial per call, got {len(rngs)}"
+        )
 
 
 class Dynamics(ABC):
@@ -134,23 +150,16 @@ class Dynamics(ABC):
     the loop around it.  Subclasses register themselves in
     :data:`DYNAMICS_REGISTRY` under :attr:`name`.
 
-    Radio-channel dynamics implement :meth:`content_mask` and
-    :meth:`transmit_mask` and inherit the default :meth:`channel_step`
-    (the collision channel via :meth:`RadioNetwork.step`); point-to-point
-    dynamics override :meth:`channel_step` wholesale and never see the
-    radio kernel.  Only radio-channel dynamics can support fault plans.
+    The state is trial-major: every array named in :attr:`trial_state`
+    has one C-order row per active trial (``(R, n, ...)``), and
+    :meth:`compact` drops the rows of finished trials.  A traced run has
+    one row.
 
-    Radio-channel dynamics with a stateless ``protocol`` may also run
-    under :func:`run_lockstep`.  Their state then gains a leading trial
-    axis: :attr:`batch_state` names the arrays that :meth:`batch_start`
-    stacks ``R`` times and :meth:`batch_compact` narrows to the active
-    trials, and the subclass supplies ``batch_holders`` /
-    ``batch_holder_rounds`` (``(R, n)`` inputs to the protocol's batch
-    mask), ``batch_update(t, step, trial_ids)`` (fold one
-    :class:`~repro.radio.model.BatchStepResult`), ``batch_finished``
-    (per-trial completion mask), ``batch_complete_nodes`` (nodes holding
-    everything, summed over active trials) and ``batch_fractions``
-    (per-trial final fraction).
+    Radio-channel dynamics implement :meth:`content` and
+    :meth:`holder_rounds` and inherit the radio :meth:`channel_step`;
+    point-to-point dynamics override :meth:`channel_step` wholesale, never
+    see the radio kernel, and run one trial per call (:func:`single_trial`).
+    Only radio-channel dynamics can support fault plans.
     """
 
     #: Registry key and report label.
@@ -159,15 +168,14 @@ class Dynamics(ABC):
     summary: str = ""
     #: Whether the driver may apply an active fault plan to this dynamics.
     supports_faults: bool = False
-    #: Whether :meth:`update` needs ``RoundOutcome.senders`` on the fault
-    #: path (the healthy radio channel always provides them for free) and
-    #: whether :func:`run_lockstep` extracts batched informers.
+    #: Whether :meth:`update` needs ``RoundOutcome.informer`` on batched
+    #: and faulty rounds (a single healthy radio round always provides it).
     needs_informer: bool = False
     #: Root node for the driver's connectivity precheck.
     connectivity_root: int = 0
-    #: Per-node state arrays :func:`run_lockstep` stacks along a leading
-    #: trial axis; empty for dynamics without a lockstep path.
-    batch_state: tuple[str, ...] = ()
+    #: Per-trial state arrays (leading axis: active trials) that
+    #: :meth:`compact` narrows.
+    trial_state: tuple[str, ...] = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -192,9 +200,12 @@ class Dynamics(ABC):
     # -- lifecycle -----------------------------------------------------
 
     @abstractmethod
-    def start(self, network: RadioNetwork, rng: np.random.Generator,
-              fault_path: bool) -> None:
-        """Allocate run state (and prepare the protocol, if any)."""
+    def start(self, network: RadioNetwork, rngs, with_tree: bool) -> None:
+        """Allocate one row of initial state per stream in ``rngs``.
+
+        Also prepares the protocol, if any.  ``with_tree`` asks for the
+        who-informed-whom record (traced healthy runs).
+        """
 
     @abstractmethod
     def default_round_cap(self, n: int) -> int:
@@ -202,53 +213,102 @@ class Dynamics(ABC):
 
     # -- channel -------------------------------------------------------
 
-    def content_mask(self) -> BoolArray:
-        """Nodes currently holding transmittable content.
+    def content(self) -> BoolArray:
+        """``(R, n)`` nodes holding transmittable content, per active trial."""
+        raise NotImplementedError(f"{self.name} dynamics has no radio content")
 
-        Required for radio-channel dynamics (the driver intersects the
-        protocol's mask with it, and with the alive set under faults).
+    def holder_rounds(self) -> IntArray:
+        """``(R, n)`` round each node first held content (``-1``: not yet).
+
+        This is the protocol's ``informed_round`` argument.
         """
-        raise NotImplementedError(f"{self.name} dynamics has no radio content mask")
+        raise NotImplementedError(f"{self.name} dynamics has no radio content")
 
-    def transmit_mask(self, t: int, rng: np.random.Generator) -> BoolArray:
-        """The protocol's transmit decision for round ``t`` (pre-intersection)."""
-        raise NotImplementedError(f"{self.name} dynamics has no radio transmit rule")
+    def transmit_rows(self, t: int, holders: BoolArray, rngs) -> BoolArray:
+        """The protocol's round-``t`` transmitters among ``holders``.
+
+        One row per active trial, each drawn from its trial's stream: a
+        single trial asks :meth:`RadioProtocol.transmit_mask`, several ask
+        :meth:`RadioProtocol.transmit_mask_batch`, which draws the same.
+        """
+        protocol, rounds = self.protocol, self.holder_rounds()
+        if len(rngs) == 1:
+            mask = protocol.transmit_mask(t, holders[0], rounds[0], rngs[0])
+            return np.asarray(mask, dtype=bool)[None] & holders
+        rows = np.asarray(
+            protocol.transmit_mask_batch(t, holders.T, rounds.T, rngs), dtype=bool
+        ).T
+        # Rows stay C-order, so the kernel's (n, R) view of them is free.
+        if not rows.flags.c_contiguous:
+            rows = np.ascontiguousarray(rows)
+        return rows & holders
 
     def channel_step(
-        self, t: int, network: RadioNetwork, rng: np.random.Generator
+        self, t: int, network: RadioNetwork, rngs, counted: bool
     ) -> RoundOutcome:
-        """Execute one healthy channel round.
+        """Execute one healthy channel round for every active trial.
 
-        Default: the radio collision channel — protocol mask intersected
-        with the content holders, one :meth:`RadioNetwork.step`.
-        Point-to-point dynamics (single-port, agents) override this.
+        Default: the radio collision channel — one
+        :meth:`RadioNetwork.step` for a single trial, one
+        :meth:`RadioNetwork.step_batch` for several (which skips the
+        counts unless ``counted``).  Point-to-point dynamics override this.
         """
-        content = self.content_mask()
-        mask = np.asarray(self.transmit_mask(t, rng), dtype=bool) & content
-        result = network.step(mask, content)
-        receivers = np.flatnonzero(result.received)
+        holders = self.content()
+        rows = self.transmit_rows(t, holders, rngs)
+        if len(rows) == 1:
+            result = network.step(rows[0], holders[0])
+            return RoundOutcome(
+                result.received[None],
+                result.informer[None],
+                result.num_transmitters,
+                result.num_collided,
+            )
+        step = network.step_batch(
+            rows.T,
+            holders.T,
+            with_collided=counted,
+            with_transmitters=False,
+            assume_informed=True,
+            with_informer=self.needs_informer,
+        )
         return RoundOutcome(
-            receivers=receivers,
-            senders=result.informer[receivers],
-            num_transmitters=result.num_transmitters,
-            num_collided=result.num_collided,
+            step.received.T,
+            None if step.informer is None else step.informer.T,
+            int(np.count_nonzero(rows)) if counted else None,
+            int(np.count_nonzero(step.collided)) if counted else None,
         )
 
-    # -- state updates -------------------------------------------------
+    # -- state ---------------------------------------------------------
 
     def forget(self, ids: IntArray) -> None:
-        """Reset churned nodes rejoining uninformed (fault path only)."""
+        """Reset churned nodes rejoining uninformed, in every trial."""
         raise NotImplementedError(f"{self.name} dynamics does not support churn")
 
     @abstractmethod
-    def update(self, t: int, outcome: RoundOutcome) -> None:
-        """Fold one round's deliveries into the state."""
+    def update(self, t: int, outcome: RoundOutcome, trial_ids: IntArray) -> None:
+        """Fold one round's deliveries into the state.
+
+        ``trial_ids`` maps the state's rows to the run's trial numbers.
+        """
 
     @abstractmethod
-    def complete(self, target: BoolArray, full_target: bool) -> bool:
-        """Completion predicate relative to the (fault-aware) target set."""
+    def finished(self, target: BoolArray, full_target: bool) -> BoolArray:
+        """Per-row completion relative to the (fault-aware) target set."""
 
-    # -- trace ---------------------------------------------------------
+    @abstractmethod
+    def fractions(self) -> FloatArray:
+        """Per-row share of the content delivered so far."""
+
+    @abstractmethod
+    def complete_nodes(self) -> int:
+        """Nodes holding everything, summed over the rows."""
+
+    def compact(self, keep: BoolArray) -> None:
+        """Drop the rows of finished trials from every trial-state array."""
+        for name in self.trial_state:
+            setattr(self, name, getattr(self, name)[keep])
+
+    # -- trace (traced runs: one row) ----------------------------------
 
     @abstractmethod
     def make_trace(self):
@@ -284,27 +344,6 @@ class Dynamics(ABC):
             f"{self.name} cannot complete"
         )
 
-    # -- lockstep batch ------------------------------------------------
-
-    def batch_start(self, network: RadioNetwork, repetitions: int) -> None:
-        """Allocate ``repetitions`` copies of the initial state, trial-major.
-
-        Runs the serial :meth:`start` (which prepares the protocol and
-        draws nothing) and stacks each :attr:`batch_state` array, so
-        every trial begins exactly where a serial run would.
-        """
-        if not self.batch_state:
-            raise InvalidParameterError(f"{self.name} dynamics has no lockstep batch path")
-        self.start(network, None, fault_path=False)
-        for name in self.batch_state:
-            value = getattr(self, name)
-            setattr(self, name, np.broadcast_to(value, (repetitions,) + value.shape).copy())
-
-    def batch_compact(self, keep: BoolArray) -> None:
-        """Drop the rows of finished trials from every batch-state array."""
-        for name in self.batch_state:
-            setattr(self, name, getattr(self, name)[keep])
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
 
@@ -314,9 +353,11 @@ class SingleMessageDynamics(Dynamics):
 
     Broadcast over the radio channel, single-port push/push–pull and the
     agent-based model all track the same state — ``informed`` /
-    ``informed_round`` — and emit :class:`RoundRecord` rows into a
-    :class:`BroadcastTrace`.  Subclasses provide the channel.
+    ``informed_round``, one row per trial — and emit :class:`RoundRecord`
+    rows into a :class:`BroadcastTrace`.  Subclasses provide the channel.
     """
+
+    trial_state = ("informed", "informed_round")
 
     def __init__(self, source: int):
         self.source = source
@@ -327,39 +368,44 @@ class SingleMessageDynamics(Dynamics):
         self._num_new = 0
         self._n = 0
 
-    def start(self, network, rng, fault_path):
+    def start(self, network, rngs, with_tree):
         n = network.n
         self._n = n
-        self.informed = np.zeros(n, dtype=bool)
-        self.informed[self.source] = True
-        self.informed_round = np.full(n, -1, dtype=np.int64)
-        self.informed_round[self.source] = 0
+        self.informed = np.zeros((len(rngs), n), dtype=bool)
+        self.informed[:, self.source] = True
+        self.informed_round = np.full((len(rngs), n), -1, dtype=np.int64)
+        self.informed_round[:, self.source] = 0
 
-    def content_mask(self):
+    def content(self):
         return self.informed
 
+    def holder_rounds(self):
+        return self.informed_round
+
     def forget(self, ids):
-        self.informed[ids] = False
-        self.informed_round[ids] = -1
+        self.informed[:, ids] = False
+        self.informed_round[:, ids] = -1
 
-    def update(self, t, outcome):
-        recv = outcome.receivers
-        if recv.size:
-            fresh = ~self.informed[recv]
-            new = recv[fresh]
-            if new.size:
-                if self._informer is not None and outcome.senders is not None:
-                    self._informer[new] = outcome.senders[fresh]
-                self.informed[new] = True
-                self.informed_round[new] = t
-            self._num_new = int(new.size)
-        else:
-            self._num_new = 0
+    def update(self, t, outcome, trial_ids):
+        # received & ~informed in one pass on bools, then flat ids into
+        # the C-order rows: the writes touch only the new nodes.
+        new = np.flatnonzero(outcome.received > self.informed)
+        self.informed.ravel()[new] = True
+        self.informed_round.ravel()[new] = t
+        if self._informer is not None:
+            self._informer.ravel()[new] = outcome.informer.ravel()[new]
+        self._num_new = new.size
 
-    def complete(self, target, full_target):
+    def finished(self, target, full_target):
         if full_target:
-            return bool(self.informed.all())
-        return bool(np.all(self.informed[target]))
+            return self.informed.all(axis=1)
+        return self.informed[:, target].all(axis=1)
+
+    def fractions(self):
+        return self.informed.sum(axis=1) / float(self._n)
+
+    def complete_nodes(self):
+        return int(self.informed.sum())
 
     def make_trace(self):
         return BroadcastTrace(source=self.source, n=self._n)
@@ -381,12 +427,10 @@ class SingleMessageDynamics(Dynamics):
         # eventually-alive nodes are informed, permanently dead nodes
         # (outside the deliverable set) are filled in as informed so
         # ``trace.completed`` reads true.
-        if finished and not full_target:
-            trace.informed = self.informed | ~target
-        else:
-            trace.informed = self.informed
-        trace.informed_round = self.informed_round
-        trace.informer = self._informer
+        informed = self.informed[0]
+        trace.informed = informed | ~target if finished and not full_target else informed
+        trace.informed_round = self.informed_round[0]
+        trace.informer = None if self._informer is None else self._informer[0]
 
     def incomplete_message(self, max_rounds, target, full_target):
         return (
@@ -405,8 +449,8 @@ class BroadcastDynamics(SingleMessageDynamics):
     """Single-message broadcast over the radio collision channel.
 
     The protocol decides transmitters among the informed set; the driver
-    applies an optional fault plan.  On the healthy path the who-informed-
-    whom tree is recorded for :mod:`repro.radio.analysis`.
+    applies an optional fault plan.  On the traced healthy path the
+    who-informed-whom tree is recorded for :mod:`repro.radio.analysis`.
     """
 
     name = "broadcast"
@@ -435,119 +479,129 @@ class BroadcastDynamics(SingleMessageDynamics):
     def default_round_cap(self, n):
         return default_round_cap(n)
 
-    def start(self, network, rng, fault_path):
-        super().start(network, rng, fault_path)
+    def start(self, network, rngs, with_tree):
+        super().start(network, rngs, with_tree)
         self.protocol.prepare(network.n, self.p, self.source)
-        # Informer tracking (the broadcast tree) exists on the healthy
-        # path only, exactly as the historical engine behaved.
-        self._informer = None if fault_path else np.full(self._n, -1, dtype=np.int64)
-
-    def transmit_mask(self, t, rng):
-        return self.protocol.transmit_mask(t, self.informed, self.informed_round, rng)
-
-    def channel_step(self, t, network, rng):
-        content = self.informed
-        mask = np.asarray(self.transmit_mask(t, rng), dtype=bool) & content
-        result = network.step(mask, content)
-        new = result.newly_informed
-        return RoundOutcome(
-            receivers=new,
-            senders=result.informer[new],
-            num_transmitters=result.num_transmitters,
-            num_collided=result.num_collided,
-        )
-
-    batch_state = ("informed", "informed_round")
-
-    def batch_holders(self):
-        return self.informed
-
-    def batch_holder_rounds(self):
-        return self.informed_round
-
-    def batch_update(self, t, step, trial_ids):
-        received = step.received.T
-        newly = received > self.informed  # received & ~informed, one pass on bools
-        self.informed |= received
-        np.copyto(self.informed_round, t, where=newly)
-
-    def batch_finished(self):
-        return self.informed.all(axis=1)
-
-    def batch_complete_nodes(self):
-        return int(self.informed.sum())
-
-    def batch_fractions(self):
-        return self.informed.sum(axis=1) / float(self._n)
+        self._informer = np.full((1, self._n), -1, dtype=np.int64) if with_tree else None
 
     def incomplete_message(self, max_rounds, target, full_target):
+        informed = self.informed[0]
         if full_target:
-            detail = f"{int(np.count_nonzero(self.informed))}/{self._n} nodes informed"
+            detail = f"{int(np.count_nonzero(informed))}/{self._n} nodes informed"
         else:
             detail = (
-                f"{int(np.count_nonzero(self.informed[target]))}/"
+                f"{int(np.count_nonzero(informed[target]))}/"
                 f"{int(np.count_nonzero(target))} surviving nodes informed"
             )
         return f"{self.protocol.name}: {detail} after {max_rounds} rounds"
 
 
-def _fault_round(network, plan, mask, alive, garbage, rng, need_informer):
-    """One faulty reception step.
+def _fault_round(network, plan, dynamics, t, rngs, alive):
+    """One faulty round of every active trial; ``(outcome, garbage)``.
 
-    Returns ``(received, senders, num_collided, num_transmitters)`` where
-    ``senders`` is ``None`` unless ``need_informer``.  ``mask`` is the set
-    of protocol transmitters (content-holding and alive); ``garbage`` the
-    noise transmitters (or ``None``).  A garbage transmission always wins
-    over a protocol transmission at the same node: the payload is
-    corrupted, so it occupies the channel without carrying the message.
+    The protocol coins of all trials come first; then, trial by trial on
+    its own stream, the garbage draw and the link draws.  A garbage
+    transmission always wins over a protocol transmission at the same
+    node: the payload is corrupted, so it occupies the channel without
+    carrying the message.  ``garbage`` counts live garbage transmitters.
     """
-    if garbage is None:
-        all_tx = mask
-        carrying = mask
-    else:
-        garbage = garbage & alive
-        all_tx = mask | garbage
-        carrying = mask & ~garbage
-    if plan.links is not None:
-        counts = plan.links.sample_round_counts(
-            all_tx, carrying, rng, with_informer=need_informer
-        )
-        # (total, message[, informer sums]): either of the last two is
-        # positive exactly where a live carrying transmission arrived.
-        total, sums = counts[0], counts[-1]
-    else:
-        total, sums = network.arrivals(all_tx, carrying)
-    received, collided = reception_rule(~all_tx & alive, total, sums)
-    senders = sums[received] - 1 if need_informer else None
-    return received, senders, int(np.count_nonzero(collided)), int(np.count_nonzero(all_tx))
+    holders = dynamics.content()
+    rows = dynamics.transmit_rows(t, holders, rngs) & alive
+    with_informer = dynamics.needs_informer
+    received = np.zeros(rows.shape, dtype=bool)
+    informer = np.full(rows.shape, -1, dtype=np.int64) if with_informer else None
+    num_tx = num_collided = num_garbage = 0
+    for r, rng in enumerate(rngs):
+        garbage = plan.garbage_mask(t, rng)
+        if garbage is None:
+            all_tx = carrying = rows[r]
+        else:
+            garbage = garbage & alive
+            num_garbage += int(np.count_nonzero(garbage))
+            all_tx = rows[r] | garbage
+            carrying = rows[r] & ~garbage
+        if plan.links is not None:
+            counts = plan.links.sample_round_counts(
+                all_tx, carrying, rng, with_informer=with_informer
+            )
+            # (total, message[, informer sums]): either of the last two is
+            # positive exactly where a live carrying transmission arrived.
+            total, sums = counts[0], counts[-1]
+        else:
+            total, sums = network.arrivals(all_tx, carrying)
+        received[r], collided = reception_rule(~all_tx & alive, total, sums)
+        if with_informer:
+            informer[r] = np.where(received[r], sums - 1, np.int64(-1))
+        num_tx += int(np.count_nonzero(all_tx))
+        num_collided += int(np.count_nonzero(collided))
+    return RoundOutcome(received, informer, num_tx, num_collided), num_garbage
 
 
-def _observe_round(obs, dynamics, run_id, t, outcome, record, faults, wall):
-    """Fold one round into the attached observer (registry and/or sink)."""
-    name = dynamics.name
-    if obs.registry is not None:
-        reg = obs.registry
-        reg.inc("round.count", 1, label=name)
-        reg.inc("round.transmissions", outcome.num_transmitters, label=name)
-        reg.inc("round.collisions", outcome.num_collided, label=name)
-        reg.inc("round.deliveries", int(outcome.receivers.size), label=name)
-        reg.observe("round.wall_s", wall, label=name)
-    if obs.sink is not None:
-        event = {
-            "v": SCHEMA_VERSION,
-            "kind": "round",
-            "run": run_id,
-            "dynamics": name,
-            "t": t,
-            "transmitters": int(outcome.num_transmitters),
-            "collisions": int(outcome.num_collided),
-            "received": int(outcome.receivers.size),
-            "wall_s": wall,
-        }
-        event.update(dynamics.event_fields(record))
-        if faults is not None:
-            event["faults"] = faults
-        obs.emit(event)
+class _Events:
+    """The attached observer's view of one driver call.
+
+    A traced run emits ``run-start`` / ``round`` / ``run-end`` events and
+    ``round.*`` / ``run.*`` metrics labelled by the dynamics; an untraced
+    run emits ``batch-*`` events and ``batch.*`` metrics labelled by the
+    protocol (docs/OBSERVABILITY.md).
+    """
+
+    def __init__(self, obs, dynamics, traced, n, trials, max_rounds, faulty):
+        self.obs = obs
+        self.dynamics = dynamics
+        self.traced = traced
+        self.run = obs.next_run_id()
+        self.t0 = perf_counter()
+        if traced:
+            self.label = dynamics.name
+            self._emit("run-start", dynamics=dynamics.name, n=n,
+                       max_rounds=int(max_rounds), faulty=faulty)
+        else:
+            self.label = getattr(dynamics, "protocol", dynamics).name
+            self.engine = f"{dynamics.name}-batch"
+            self._emit("batch-start", engine=self.engine, backend=current_backend_name(),
+                       n=n, repetitions=int(trials), max_rounds=int(max_rounds))
+
+    def _emit(self, kind: str, **fields) -> None:
+        self.obs.emit({"v": SCHEMA_VERSION, "kind": kind, "run": self.run, **fields})
+
+    def round(self, t, outcome, active, record, faults, wall):
+        obs, label = self.obs, self.label
+        tx, collided = outcome.num_transmitters, outcome.num_collided
+        if not self.traced:
+            obs.inc("batch.rounds", 1, label=label)
+            obs.inc("batch.transmissions", tx, label=label)
+            obs.inc("batch.collisions", collided, label=label)
+            obs.observe("batch.round_wall_s", wall, label=label)
+            if obs.sink is not None:
+                self._emit("batch-round", engine=self.engine, t=t, active=active,
+                           transmitters=tx, collisions=collided, wall_s=wall)
+            return
+        received = int(np.count_nonzero(outcome.received))
+        obs.inc("round.count", 1, label=label)
+        obs.inc("round.transmissions", tx, label=label)
+        obs.inc("round.collisions", collided, label=label)
+        obs.inc("round.deliveries", received, label=label)
+        obs.observe("round.wall_s", wall, label=label)
+        if obs.sink is not None:
+            extras = self.dynamics.event_fields(record)
+            if faults is not None:
+                extras["faults"] = faults
+            self._emit("round", dynamics=label, t=t, transmitters=int(tx),
+                       collisions=int(collided), received=received, wall_s=wall, **extras)
+
+    def end(self, rounds, completion):
+        wall = perf_counter() - self.t0
+        if self.traced:
+            self.obs.observe("run.wall_s", wall, label=self.label)
+            self.obs.inc("run.count", 1, label=self.label)
+            self._emit("run-end", dynamics=self.label, rounds=rounds,
+                       completed=bool(np.isfinite(completion[0])), wall_s=wall)
+        else:
+            self.obs.observe("batch.wall_s", wall, label=self.label)
+            self._emit("batch-end", engine=self.engine, rounds=rounds,
+                       num_completed=int(np.count_nonzero(np.isfinite(completion))),
+                       wall_s=wall)
 
 
 def _round_budget(dynamics: Dynamics, n: int, max_rounds: int | None) -> int:
@@ -559,161 +613,9 @@ def _round_budget(dynamics: Dynamics, n: int, max_rounds: int | None) -> int:
     return max_rounds
 
 
-def run_dissemination(
-    network: RadioNetwork,
-    dynamics: Dynamics,
-    *,
-    plan=None,
-    seed: SeedLike = None,
-    max_rounds: int | None = None,
-    check_connected: bool = True,
-    raise_on_incomplete: bool = True,
-    obs=None,
-):
-    """Run one dissemination process to completion under the shared loop.
-
-    Parameters
-    ----------
-    network: the radio network (point-to-point dynamics read only its
-        ``adj``).
-    dynamics: the process — state, transmit rule, completion predicate.
-    plan: a fault plan (see module docstring) or ``None`` for a healthy
-        run.  Only :attr:`Dynamics.supports_faults` dynamics accept an
-        active plan.
-    seed: RNG seed or generator for the run's coin flips (protocol,
-        adversaries and link outages all share one stream; see
-        :mod:`repro.faults.plan` for the draw order).
-    max_rounds: round budget; defaults to
-        :meth:`Dynamics.default_round_cap`.
-    check_connected: verify reachability from the dynamics' root up front
-        and raise :class:`DisconnectedGraphError` instead of burning the
-        budget.  The answer is cached on the adjacency, so trials on one
-        graph share a single BFS.
-    raise_on_incomplete: raise :class:`BroadcastIncompleteError` on a
-        budget miss (default); ``False`` returns the partial trace —
-        fault sweeps such as E14 use that to count stalled trials.
-    obs: an :class:`~repro.obs.Observer` receiving per-round metrics and
-        trace events; defaults to the ambient observer installed with
-        :func:`~repro.obs.use_observer`, if any.  Observation never
-        touches the RNG stream or the returned trace — with no observer
-        anywhere the loop runs exactly as before (one ``is None`` branch
-        per round).
-
-    Returns
-    -------
-    The dynamics' trace type (:class:`BroadcastTrace` or
-    :class:`~repro.gossip.trace.GossipTrace`).  Under faults, completion
-    refers to the *eventually-alive* target set.
-    """
-    n = network.n
-    fast = plan is None or plan.is_null
-    if not fast and not dynamics.supports_faults:
-        raise InvalidParameterError(
-            f"{dynamics.name} dynamics does not support fault plans"
-        )
-    if plan is not None:
-        plan.validate(n)
-    max_rounds = _round_budget(dynamics, n, max_rounds)
-    if check_connected and not reaches_all(network.adj, dynamics.connectivity_root):
-        raise DisconnectedGraphError(dynamics.disconnected_message())
-    rng = as_generator(seed)
-    dynamics.start(network, rng, fault_path=not fast)
-    target = plan.target(n) if plan is not None else np.ones(n, dtype=bool)
-    full_target = bool(np.all(target))
-    trace = dynamics.make_trace()
-
-    if obs is None:
-        obs = current_observer()
-    if obs is not None and not obs.active:
-        obs = None
-    run_id = -1
-    run_t0 = 0.0
-    if obs is not None:
-        run_id = obs.next_run_id()
-        run_t0 = perf_counter()
-        obs.emit(
-            {
-                "v": SCHEMA_VERSION,
-                "kind": "run-start",
-                "run": run_id,
-                "dynamics": dynamics.name,
-                "n": n,
-                "max_rounds": int(max_rounds),
-                "faulty": not fast,
-            }
-        )
-
-    for t in range(1, max_rounds + 1):
-        if dynamics.complete(target, full_target):
-            break
-        if obs is not None:
-            round_t0 = perf_counter()
-            fault_info = None
-        if fast:
-            outcome = dynamics.channel_step(t, network, rng)
-        else:
-            alive = plan.alive_at(t, n)
-            lost = plan.forget_at(t)
-            if lost.size:
-                dynamics.forget(lost)
-            mask = (
-                np.asarray(dynamics.transmit_mask(t, rng), dtype=bool)
-                & dynamics.content_mask()
-                & alive
-            )
-            garbage = plan.garbage_mask(t, rng)
-            received, senders, num_collided, num_tx = _fault_round(
-                network, plan, mask, alive, garbage, rng, dynamics.needs_informer
-            )
-            outcome = RoundOutcome(
-                receivers=np.flatnonzero(received).astype(np.int64),
-                senders=senders,
-                num_transmitters=num_tx,
-                num_collided=num_collided,
-            )
-            if obs is not None:
-                fault_info = {
-                    "alive": int(np.count_nonzero(alive)),
-                    "forgot": int(lost.size),
-                    "garbage": (
-                        0 if garbage is None else int(np.count_nonzero(garbage & alive))
-                    ),
-                }
-        dynamics.update(t, outcome)
-        record = dynamics.record(t, outcome)
-        trace.records.append(record)
-        if obs is not None:
-            _observe_round(
-                obs, dynamics, run_id, t, outcome, record, fault_info,
-                perf_counter() - round_t0,
-            )
-    finished = dynamics.complete(target, full_target)
-    dynamics.finish(trace, target, full_target, finished)
-    if obs is not None:
-        run_wall = perf_counter() - run_t0
-        obs.observe("run.wall_s", run_wall, label=dynamics.name)
-        obs.inc("run.count", 1, label=dynamics.name)
-        obs.emit(
-            {
-                "v": SCHEMA_VERSION,
-                "kind": "run-end",
-                "run": run_id,
-                "dynamics": dynamics.name,
-                "rounds": len(trace.records),
-                "completed": bool(finished),
-                "wall_s": run_wall,
-            }
-        )
-    if not finished and raise_on_incomplete:
-        raise BroadcastIncompleteError(
-            dynamics.incomplete_message(max_rounds, target, full_target), trace=trace
-        )
-    return trace
-
-
 @dataclass(frozen=True)
 class LockstepRun:
-    """Per-trial outcomes of :func:`run_lockstep`.
+    """Per-trial outcomes of an untraced :func:`run_dissemination` call.
 
     ``completion_rounds`` (``inf`` for budget misses) and ``fractions``
     (1.0 for completed trials) have shape ``(R,)``; the three stats
@@ -730,167 +632,166 @@ class LockstepRun:
     complete_node_totals: IntArray | None
 
 
-def run_lockstep(
+def run_dissemination(
     network: RadioNetwork,
     dynamics: Dynamics,
     *,
-    repetitions: int,
+    repetitions: int | None = None,
+    plan=None,
     seed: SeedLike = None,
     max_rounds: int | None = None,
     check_connected: bool = True,
+    raise_on_incomplete: bool = True,
     with_stats: bool = False,
     obs=None,
-) -> LockstepRun:
-    """Run ``repetitions`` healthy trials of ``dynamics`` in vectorized lockstep.
+):
+    """Run a dissemination process to completion: one traced trial or ``R``.
 
-    Bit-for-bit equivalent to ``repetitions`` :func:`run_dissemination`
-    calls seeded with ``spawn_generators(seed, repetitions)``: protocols
-    draw one ``random(n)`` block per *active* trial per round (see
-    :func:`~repro.radio.protocol.bernoulli_mask_batch`) and a completed
-    trial stops drawing.  Each round advances every unfinished trial with
-    one batched count kernel (:meth:`RadioNetwork.step_batch`) instead of
-    one sparse matvec per trial.  The dynamics needs a lockstep path (see
-    :class:`Dynamics`) and a protocol that is stateless across rounds.
+    Parameters
+    ----------
+    network: the radio network (point-to-point dynamics read only its
+        ``adj``).
+    dynamics: the process — state, transmit rule, completion predicate.
+    repetitions: ``None`` (default) for one traced trial on
+        ``as_generator(seed)``; ``R >= 1`` for ``R`` untraced trials on
+        ``spawn_generators(seed, R)``, advanced together with finished
+        trials compacted away each round.
+    plan: a fault plan (see module docstring) or ``None`` for a healthy
+        run.  Only :attr:`Dynamics.supports_faults` dynamics accept an
+        active plan; it applies to every trial.
+    seed: RNG seed or generator.  Within a trial the protocol, the
+        adversaries and the link outages share one stream (see
+        :mod:`repro.faults.plan` for the draw order).
+    max_rounds: round budget; defaults to
+        :meth:`Dynamics.default_round_cap`.
+    check_connected: verify reachability from the dynamics' root up front
+        and raise :class:`DisconnectedGraphError` instead of burning the
+        budget.  The answer is cached on the adjacency, so runs on one
+        graph share a single BFS.
+    raise_on_incomplete: traced runs raise :class:`BroadcastIncompleteError`
+        on a budget miss (default); ``False`` returns the partial trace.
+        Untraced runs report budget misses as ``inf``.
+    with_stats: untraced runs record the per-round series of
+        :class:`LockstepRun` (an attached observer implies it; results are
+        identical either way).
+    obs: an :class:`~repro.obs.Observer` receiving metrics and events
+        (``run-*``/``round`` for a traced run, ``batch-*`` otherwise);
+        defaults to the ambient observer installed with
+        :func:`~repro.obs.use_observer`, if any.  Observation never
+        touches the RNG streams or the results.
 
-    ``seed`` is the root seed of the per-trial streams; budget misses
-    report ``inf`` instead of raising.  ``with_stats`` records the
-    per-round series (an attached observer implies it; results are
-    identical either way); ``obs`` receives ``batch-*`` events and
-    ``batch.*`` metrics and defaults to the ambient observer.
+    Returns
+    -------
+    A traced run returns the dynamics' trace type (:class:`BroadcastTrace`
+    or :class:`~repro.gossip.trace.GossipTrace`); an untraced run returns
+    a :class:`LockstepRun`.  Under faults, completion refers to the
+    *eventually-alive* target set.
     """
     n = network.n
-    root = dynamics.connectivity_root
-    if not 0 <= root < n:
-        raise InvalidParameterError(f"source {root} out of range [0, {n})")
-    if repetitions < 1:
+    traced = repetitions is None
+    if not traced and repetitions < 1:
         raise InvalidParameterError(f"repetitions must be >= 1, got {repetitions}")
+    healthy = plan is None or plan.is_null
+    if not healthy and not dynamics.supports_faults:
+        raise InvalidParameterError(
+            f"{dynamics.name} dynamics does not support fault plans"
+        )
+    if plan is not None:
+        plan.validate(n)
     max_rounds = _round_budget(dynamics, n, max_rounds)
-    if check_connected and not reaches_all(network.adj, root):
+    if check_connected and not reaches_all(network.adj, dynamics.connectivity_root):
         raise DisconnectedGraphError(dynamics.disconnected_message())
-    rngs = spawn_generators(seed, repetitions)
-    dynamics.batch_start(network, repetitions)
-    protocol = dynamics.protocol
-    label = protocol.name
-    engine = f"{dynamics.name}-batch"
+    rngs = [as_generator(seed)] if traced else spawn_generators(seed, repetitions)
+    trials = len(rngs)
+    dynamics.start(network, rngs, with_tree=traced and healthy)
+    target = plan.target(n) if plan is not None else np.ones(n, dtype=bool)
+    full_target = bool(np.all(target))
+    trace = dynamics.make_trace() if traced else None
+
     if obs is None:
         obs = current_observer()
-    if obs is not None and not obs.active:
-        obs = None
-    collect = with_stats or obs is not None
+    events = None
+    if obs is not None and obs.active:
+        events = _Events(obs, dynamics, traced, n, trials, max_rounds, not healthy)
+    series = not traced and (with_stats or events is not None)
+    counted = traced or series
     tx_counts: list[int] = []
     coll_counts: list[int] = []
     complete_totals: list[int] = []
-    if obs is not None:
-        run_id = obs.next_run_id()
-        run_t0 = perf_counter()
-        obs.emit(
-            {
-                "v": SCHEMA_VERSION,
-                "kind": "batch-start",
-                "run": run_id,
-                "engine": engine,
-                "backend": current_backend_name(),
-                "n": n,
-                "repetitions": int(repetitions),
-                "max_rounds": int(max_rounds),
-            }
-        )
 
-    # The dynamics' state is trial-major — ``(R, n, ...)`` C-order, one
-    # contiguous row per trial — and holds only the still-active trials:
-    # a completed trial's row is dropped, so straggler rounds touch narrow
-    # arrays.  The model-facing ``(n, R)`` orientation is a free view.
-    trial_ids = np.arange(repetitions, dtype=np.int64)
-    completion = np.full(repetitions, np.inf)
+    # Only the rows of unfinished trials stay in the state; the last
+    # trials to finish keep theirs for the trace and the fractions.
+    trial_ids = np.arange(trials, dtype=np.int64)
+    completion = np.full(trials, np.inf)
 
     def settle(t: int) -> None:
         nonlocal trial_ids, rngs
-        finished = dynamics.batch_finished()
-        if finished.any():
-            completion[trial_ids[finished]] = float(t)
-            keep = ~finished
-            dynamics.batch_compact(keep)
+        done = dynamics.finished(target, full_target)
+        if done.any():
+            completion[trial_ids[done]] = float(t)
+            keep = ~done
             trial_ids = trial_ids[keep]
-            rngs = [rngs[r] for r in np.flatnonzero(keep)]
-        if collect:
-            done_trials = repetitions - int(trial_ids.size)
-            complete_totals.append(dynamics.batch_complete_nodes() + done_trials * n)
+            if trial_ids.size:
+                dynamics.compact(keep)
+                rngs = [rngs[r] for r in np.flatnonzero(keep)]
+        if series:
+            live = dynamics.complete_nodes() if trial_ids.size else 0
+            complete_totals.append((trials - int(trial_ids.size)) * n + live)
 
     # Degenerate runs (n == 1, every source row full) finish at round 0
-    # before any draw, as the serial loop's top check would.
+    # before any draw.
     settle(0)
-    rounds_executed = 0
+    rounds = 0
     for t in range(1, max_rounds + 1):
         if trial_ids.size == 0:
             break
-        rounds_executed = t
-        if obs is not None:
+        rounds = t
+        if events is not None:
             round_t0 = perf_counter()
             active = int(trial_ids.size)
-        holders = dynamics.batch_holders()
-        rounds = dynamics.batch_holder_rounds()
-        mask = protocol.transmit_mask_batch(t, holders.T, rounds.T, rngs)
-        rows = np.asarray(mask, dtype=bool).T
-        if not rows.flags.c_contiguous:
-            rows = np.ascontiguousarray(rows)
-        rows = rows & holders
-        step = network.step_batch(
-            rows.T,
-            holders.T,
-            with_collided=collect,
-            with_transmitters=False,
-            assume_informed=True,
-            with_informer=dynamics.needs_informer,
-        )
-        if collect:
-            tx_counts.append(int(np.count_nonzero(rows)))
-            coll_counts.append(int(np.count_nonzero(step.collided)))
-        dynamics.batch_update(t, step, trial_ids)
+        faults = None
+        if healthy:
+            outcome = dynamics.channel_step(t, network, rngs, counted)
+        else:
+            alive = plan.alive_at(t, n)
+            lost = plan.forget_at(t)
+            if lost.size:
+                dynamics.forget(lost)
+            outcome, garbage = _fault_round(network, plan, dynamics, t, rngs, alive)
+            faults = {"alive": int(np.count_nonzero(alive)), "forgot": int(lost.size),
+                      "garbage": garbage}
+        dynamics.update(t, outcome, trial_ids)
+        record = None
+        if traced:
+            record = dynamics.record(t, outcome)
+            trace.records.append(record)
+        elif series:
+            tx_counts.append(outcome.num_transmitters)
+            coll_counts.append(outcome.num_collided)
         settle(t)
-        if obs is not None:
-            wall = perf_counter() - round_t0
-            obs.inc("batch.rounds", 1, label=label)
-            obs.inc("batch.transmissions", tx_counts[-1], label=label)
-            obs.inc("batch.collisions", coll_counts[-1], label=label)
-            obs.observe("batch.round_wall_s", wall, label=label)
-            if obs.sink is not None:
-                obs.emit(
-                    {
-                        "v": SCHEMA_VERSION,
-                        "kind": "batch-round",
-                        "run": run_id,
-                        "engine": engine,
-                        "t": t,
-                        "active": active,
-                        "transmitters": tx_counts[-1],
-                        "collisions": coll_counts[-1],
-                        "wall_s": wall,
-                    }
-                )
+        if events is not None:
+            events.round(t, outcome, active, record, faults, perf_counter() - round_t0)
 
-    fractions = np.ones(repetitions)
+    if traced:
+        finished = bool(np.isfinite(completion[0]))
+        dynamics.finish(trace, target, full_target, finished)
+    if events is not None:
+        events.end(rounds, completion)
+    if traced:
+        if not finished and raise_on_incomplete:
+            raise BroadcastIncompleteError(
+                dynamics.incomplete_message(max_rounds, target, full_target), trace=trace
+            )
+        return trace
+    fractions = np.ones(trials)
     if trial_ids.size:
-        fractions[trial_ids] = dynamics.batch_fractions()
-    if obs is not None:
-        wall = perf_counter() - run_t0
-        obs.observe("batch.wall_s", wall, label=label)
-        obs.emit(
-            {
-                "v": SCHEMA_VERSION,
-                "kind": "batch-end",
-                "run": run_id,
-                "engine": engine,
-                "rounds": rounds_executed,
-                "num_completed": int(np.count_nonzero(np.isfinite(completion))),
-                "wall_s": wall,
-            }
-        )
-    series = (lambda v: np.asarray(v, dtype=np.int64)) if collect else (lambda v: None)
+        fractions[trial_ids] = dynamics.fractions()
+    as_series = (lambda v: np.asarray(v, dtype=np.int64)) if series else (lambda v: None)
     return LockstepRun(
         completion,
         fractions,
-        rounds_executed,
-        series(tx_counts),
-        series(coll_counts),
-        series(complete_totals),
+        rounds,
+        as_series(tx_counts),
+        as_series(coll_counts),
+        as_series(complete_totals),
     )

@@ -1,14 +1,14 @@
 """Batched broadcast over the unified dissemination core.
 
-Both round loops live in :mod:`repro.radio.dynamics`, shared with
-gossip, multi-message and (serially) single-port dynamics.  One trial,
+The one round loop lives in :mod:`repro.radio.dynamics`, shared with
+gossip, multi-message and single-port dynamics.  One traced trial,
 healthy or under a fault plan, is ``repro.simulate("broadcast", ...)``.
 What remains here is the batched broadcast surface:
 
 * :func:`run_broadcast_batch` — ``R`` healthy trials for Monte-Carlo
-  sweeps (:class:`~repro.radio.dynamics.BroadcastDynamics` under the
-  lockstep driver :func:`~repro.radio.dynamics.run_lockstep`);
-* :class:`BatchResult` — the result surface every lockstep entry point
+  sweeps (:class:`~repro.radio.dynamics.BroadcastDynamics` under
+  :func:`~repro.radio.dynamics.run_dissemination` with ``repetitions=R``);
+* :class:`BatchResult` — the result surface every batched entry point
   shares, and :class:`BatchBroadcastResult`, its broadcast form.
 """
 
@@ -20,7 +20,7 @@ import numpy as np
 
 from .._typing import BoolArray, FloatArray, IntArray, SeedLike
 from ..graphs.bfs import bfs_distances  # noqa: F401 — kept for callers that patch it here
-from .dynamics import BroadcastDynamics, run_lockstep
+from .dynamics import BroadcastDynamics, run_dissemination
 from .model import RadioNetwork
 from .protocol import RadioProtocol
 
@@ -32,13 +32,13 @@ __all__ = [
 
 
 class BatchResult:
-    """Read-only surface shared by the lockstep driver's result types.
+    """Read-only surface shared by the batched result types.
 
     :class:`BatchBroadcastResult` and
-    :class:`~repro.gossip.batch.BatchGossipResult` share the serial
-    traces' interface (``num_rounds``, ``completed``,
+    :class:`~repro.gossip.batch.BatchGossipResult` share the traces'
+    interface (``num_rounds``, ``completed``,
     ``total_transmissions``, ``total_collisions``, ``informed_curve()``)
-    so sweep code can consume serial and batched runs interchangeably.
+    so sweep code can consume traced and batched runs interchangeably.
     Subclasses are frozen dataclasses naming their wire ``kind``, with at
     least these fields:
 
@@ -68,7 +68,7 @@ class BatchResult:
     def completed(self) -> bool:
         """True iff *every* trial finished within the budget.
 
-        This matches the serial traces' boolean ``completed``; the
+        This matches the traces' boolean ``completed``; the
         per-trial mask is :attr:`completed_mask`.
         """
         return bool(np.all(np.isfinite(self.completion_rounds)))
@@ -109,7 +109,7 @@ class BatchResult:
         return int(self._stats("collisions_per_round").sum())
 
     def summary(self) -> dict:
-        """Headline numbers for reports (mirrors the serial traces)."""
+        """Headline numbers for reports (mirrors the traces)."""
         return {
             "n": self.n,
             "repetitions": self.repetitions,
@@ -194,7 +194,7 @@ class BatchBroadcastResult(BatchResult):
         return self._stats("informed_totals").copy()
 
     def summary(self) -> dict:
-        """Headline numbers for reports (mirrors the serial traces)."""
+        """Headline numbers for reports (mirrors the traces)."""
         return {"source": self.source, **super().summary()}
 
     def to_dict(self) -> dict:
@@ -234,17 +234,18 @@ def run_broadcast_batch(
     """Run ``repetitions`` independent healthy trials in vectorized lockstep.
 
     :class:`~repro.radio.dynamics.BroadcastDynamics` under
-    :func:`~repro.radio.dynamics.run_lockstep`: bit-for-bit equivalent to
-    ``repetitions`` sequential ``simulate("broadcast", ...)`` calls seeded
-    with ``spawn_generators(seed, repetitions)``, at one batched count
-    kernel per round.  No per-round traces or broadcast trees are kept;
-    budget misses report ``inf`` completion rounds instead of raising.
-    The arguments are those of ``simulate("broadcast", ...)`` and
-    :func:`~repro.radio.dynamics.run_lockstep`.
+    :func:`~repro.radio.dynamics.run_dissemination`: bit-for-bit
+    equivalent to ``repetitions`` sequential ``simulate("broadcast", ...)``
+    calls seeded with ``spawn_generators(seed, repetitions)``, at one
+    batched count kernel per round.  No per-round traces or broadcast
+    trees are kept; budget misses report ``inf`` completion rounds
+    instead of raising.  The arguments are those of
+    ``simulate("broadcast", ...)`` and
+    :func:`~repro.radio.dynamics.run_dissemination`.
     """
-    run = run_lockstep(
+    run = run_dissemination(
         network,
-        BroadcastDynamics(protocol, source, p),
+        BroadcastDynamics.build(network, protocol=protocol, source=source, p=p),
         repetitions=repetitions,
         seed=seed,
         max_rounds=max_rounds,

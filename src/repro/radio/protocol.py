@@ -46,7 +46,7 @@ def bernoulli_mask_batch(
 
     Column ``r`` is drawn from ``rngs[r]`` with exactly the draws
     :func:`bernoulli_mask` would make (one ``random(n)`` call), so a
-    batched run consumes each trial's stream identically to a serial run
+    batched run consumes each trial's stream identically to a traced run
     — the statistical-equivalence guarantee the batch engine relies on.
     """
     uniforms = np.empty((len(rngs), n))
@@ -58,19 +58,19 @@ def bernoulli_mask_batch(
 class RadioProtocol(ABC):
     """Base class for distributed broadcast protocols.
 
-    Lifecycle: the simulator calls :meth:`prepare` once, then
-    :meth:`transmit_mask` once per round with the current informed state.
+    Lifecycle: the simulator calls :meth:`prepare` once per run, then,
+    every round, :meth:`transmit_mask` for a single trial or
+    :meth:`transmit_mask_batch` for several trials at once.
+
+    Contract: a protocol is **stateless across rounds**.  :meth:`prepare`
+    may precompute from ``(n, p, source)``, but a round's mask depends
+    only on its arguments, so one protocol object serves ``R``
+    interleaved trials.  :meth:`transmit_mask_batch` must draw from each
+    trial's stream exactly what :meth:`transmit_mask` draws.
     """
 
     #: Human-readable protocol name (used in reports).
     name: str = "protocol"
-
-    #: True when :meth:`transmit_mask_batch` is a vectorized implementation
-    #: that is draw-for-draw equivalent to per-trial :meth:`transmit_mask`
-    #: calls AND the protocol keeps no mutable per-run state (so ``R``
-    #: interleaved trials cannot corrupt each other).  Measurement helpers
-    #: (``protocol_times``) dispatch to the batched engine only when set.
-    supports_batch: bool = False
 
     def prepare(self, n: int, p: float | None, source: int) -> None:
         """Reset per-run state.  ``p`` is ``None`` when unknown to nodes."""
@@ -111,9 +111,9 @@ class RadioProtocol(ABC):
         ``informed`` and ``informed_round`` have shape ``(n, R)`` and
         ``rngs`` holds one generator per column; the result is the
         ``(n, R)`` transmit mask.  This generic fallback evaluates
-        :meth:`transmit_mask` column by column, so any protocol works
-        under the batched engine; Bernoulli-style protocols override it
-        with a vectorized implementation and set ``supports_batch``.
+        :meth:`transmit_mask` column by column, so its draws are those
+        of ``R`` single-trial calls; Bernoulli-style protocols override
+        it with a vectorized implementation that draws the same.
         """
         n, reps = informed.shape
         out = np.empty((n, reps), dtype=bool)

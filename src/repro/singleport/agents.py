@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DisconnectedGraphError, InvalidParameterError
-from ..radio.dynamics import RoundOutcome, SingleMessageDynamics
+from ..radio.dynamics import RoundOutcome, SingleMessageDynamics, single_trial
 
 __all__ = ["AgentDynamics"]
 
@@ -73,8 +73,9 @@ class AgentDynamics(SingleMessageDynamics):
         logn = max(1.0, np.log(max(n, 2)))
         return int(200 + 40 * n * logn / self.num_agents)
 
-    def start(self, network, rng, fault_path):
-        super().start(network, rng, fault_path)
+    def start(self, network, rngs, with_tree):
+        single_trial(self, rngs)
+        super().start(network, rngs, with_tree)
         n = network.n
         if n >= 2 and network.adj.min_degree == 0:
             raise DisconnectedGraphError(
@@ -83,12 +84,12 @@ class AgentDynamics(SingleMessageDynamics):
         if self.agents_start_at_source:
             self.positions = np.full(self.num_agents, self.source, dtype=np.int64)
         else:
-            self.positions = rng.integers(0, n, size=self.num_agents).astype(np.int64)
-        self.carrying = self.informed[self.positions].copy()
+            self.positions = rngs[0].integers(0, n, size=self.num_agents).astype(np.int64)
+        self.carrying = self.informed[0, self.positions]
 
-    def channel_step(self, t, network, rng):
+    def channel_step(self, t, network, rngs, counted):
         indptr, indices = network.adj.indptr, network.adj.indices
-        positions, informed = self.positions, self.informed
+        positions, informed, rng = self.positions, self.informed[0], rngs[0]
         # One uniform-random-neighbour hop per agent (vectorized).
         degs = indptr[positions + 1] - indptr[positions]
         offsets = (rng.random(self.num_agents) * degs).astype(np.int64)
@@ -96,13 +97,9 @@ class AgentDynamics(SingleMessageDynamics):
         self.positions = positions
         # Exchange at the new position: pick up, then drop off.
         self.carrying |= informed[positions]
-        newly = np.unique(positions[self.carrying & ~informed[positions]])
-        return RoundOutcome(
-            receivers=newly,
-            senders=None,
-            num_transmitters=int(np.count_nonzero(self.carrying)),
-            num_collided=0,
-        )
+        received = np.zeros_like(self.informed)
+        received[0, positions[self.carrying & ~informed[positions]]] = True
+        return RoundOutcome(received, None, int(np.count_nonzero(self.carrying)), 0)
 
     def incomplete_message(self, max_rounds, target, full_target):
         return (

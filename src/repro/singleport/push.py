@@ -26,7 +26,7 @@ import numpy as np
 
 from ..errors import InvalidParameterError
 from ..graphs.adjacency import Adjacency
-from ..radio.dynamics import RoundOutcome, SingleMessageDynamics
+from ..radio.dynamics import RoundOutcome, SingleMessageDynamics, single_trial
 
 __all__ = [
     "default_singleport_round_cap",
@@ -81,23 +81,22 @@ class PushDynamics(SingleMessageDynamics):
     def default_round_cap(self, n):
         return default_singleport_round_cap(n)
 
-    def channel_step(self, t, network, rng):
-        adj = network.adj
-        informed = self.informed
+    def start(self, network, rngs, with_tree):
+        single_trial(self, rngs)
+        super().start(network, rngs, with_tree)
+
+    def channel_step(self, t, network, rngs, counted):
+        adj, rng = network.adj, rngs[0]
+        informed = self.informed[0]
         senders = np.flatnonzero(informed).astype(np.int64)
         targets, _ = _random_neighbor_choice(adj, senders, rng)
-        new = np.unique(targets[~informed[targets]]) if targets.size else targets
+        received = np.zeros_like(self.informed)
+        received[0, targets[~informed[targets]]] = True
         if self.pull:
             listeners = np.flatnonzero(~informed).astype(np.int64)
             called, callers = _random_neighbor_choice(adj, listeners, rng)
-            pulled = callers[informed[called]] if called.size else called
-            new = np.union1d(new, pulled)
-        return RoundOutcome(
-            receivers=new,
-            senders=None,
-            num_transmitters=int(senders.size),
-            num_collided=0,
-        )
+            received[0, callers[informed[called]]] = True
+        return RoundOutcome(received, None, int(senders.size), 0)
 
     def disconnected_message(self):
         return (

@@ -45,6 +45,7 @@ from repro.errors import CoordinatorHalted, InvalidParameterError
 from repro.experiments import run_fabric_sweep, run_supervised_sweep, run_worker
 from repro.experiments.fabric_core import MSG_TASK
 from repro.experiments.supervisor import (
+    TASK_ERROR,
     TASK_OK,
     SweepTask,
     TaskOutcome,
@@ -262,6 +263,46 @@ class TestCore:
         assert outcomes[0].attempts == 2
         reasons = [e["reason"] for e in sink.events if e["kind"] == "task-requeue"]
         assert "undelivered" in reasons
+
+    def test_lost_ack_buys_no_extra_execution(self, tmp_path):
+        """Worker 1 runs ``t1`` but its first ``ack`` is lost in a
+        partition that outlasts the liveness window.  The unacked lease
+        goes back to worker 1, not to worker 0, so its loss charges the
+        attempt that ran: with 3 injected errors and ``max_task_retries=2``
+        the task ends ``error`` after exactly 3 executions, the budget."""
+        partition = FaultSchedule(
+            tmp_path / "w1",
+            [FaultRule(kind="ack", action="partition", after=0, count=1, seconds=10.0)],
+        )
+        state = tmp_path / "fab"
+        outcomes = VirtualFabric(workers=2, worker_chaos=[None, partition]).run(
+            counted_tasks(2, state, t1={"error_attempts": 3}), seed=5, max_task_retries=2
+        )
+        assert attempt_count(state, "t1") == 3
+        assert outcomes[1].status == TASK_ERROR
+        assert outcomes[1].attempts == 3
+        assert outcomes[0].ok and attempt_count(state, "t0") == 1
+
+    def test_lost_workers_counted_by_reason(self, tmp_path):
+        """``fabric.workers_lost`` is labelled by the loss reason: a
+        crashed worker's connection closes, a partitioned one goes
+        silent."""
+        partition = FaultSchedule(
+            tmp_path / "w1",
+            [FaultRule(kind="result", action="partition", after=0, count=1, seconds=10.0)],
+        )
+        registry = MetricsRegistry()
+        with use_observer(Observer(registry, None)):
+            outcomes = VirtualFabric(
+                workers=3,
+                worker_chaos=[None, partition],
+                task_seconds=2.0,
+                script=[Crash(at=1.0, slot=0)],
+            ).run(counted_tasks(8, tmp_path / "fab"), seed=2)
+        assert all(o.ok for o in outcomes)
+        assert registry.counter_value("fabric.workers_lost", label="disconnect") == 1
+        assert registry.counter_value("fabric.workers_lost", label="partition") == 1
+        assert registry.counter_value("fabric.workers_lost") == 0
 
 
 class TestDegradedPath:
@@ -712,8 +753,10 @@ class TestFaultScripts:
     """Any interleaving of drops, duplicates, delays (late results),
     partitions, crashes, goodbyes and coordinator clock jumps: every
     task is recorded exactly once, ``attempts`` stays within
-    ``[0, 1 + max_task_retries]`` at every step, every ``ok`` result is
-    the serial run's, and the sweep always finishes."""
+    ``[0, 1 + max_task_retries]`` at every step, real executions stay
+    within that budget (plus speculative steals and goodbye refunds),
+    every ``ok`` result is the serial run's, and the sweep always
+    finishes."""
 
     @given(
         worker_rules=st.lists(wire_rules, min_size=2, max_size=2),
@@ -766,7 +809,8 @@ class TestFaultScripts:
                 check=check,
             )
             registry = MetricsRegistry()
-            with use_observer(Observer(registry, None)):
+            sink = MemoryTraceSink()
+            with use_observer(Observer(registry, sink)):
                 outcomes = fabric.run(
                     tasks, seed=7, max_task_retries=max_task_retries
                 )
@@ -780,3 +824,17 @@ class TestFaultScripts:
                 assert 1 <= outcome.attempts <= 1 + max_task_retries
                 if outcome.ok:
                     assert outcome.result == expected
+            # Each execution of a task with injected errors is counted on
+            # disk.  Beyond the attempt budget only a speculative twin
+            # (a steal) or an attempt refunded by a goodbye may run.
+            for key in overrides:
+                extra = sum(
+                    1
+                    for e in sink.events
+                    if e.get("task") == key
+                    and (
+                        e["kind"] == "fabric-task-steal"
+                        or (e["kind"] == "task-requeue" and e["reason"] == "goodbye")
+                    )
+                )
+                assert attempt_count(root / "fab", key) <= 1 + max_task_retries + extra

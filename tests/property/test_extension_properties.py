@@ -2,9 +2,9 @@
 
 Gossip gets a full differential oracle: a naive dict-of-sets
 reimplementation of the knowledge dynamics checked against the
-matrix-based simulator on arbitrary graphs and rate sequences.  The
-lockstep driver is checked against per-trial serial runs of the same
-dynamics.
+matrix-based simulator on arbitrary graphs and rate sequences.
+Multi-trial driver runs are checked against per-trial traced runs of the
+same dynamics, for every protocol family in the package.
 """
 
 import numpy as np
@@ -13,11 +13,15 @@ from hypothesis import strategies as st
 
 from repro import simulate
 from repro.broadcast.distributed import (
+    AgeBasedProtocol,
     DecayProtocol,
     EGRandomizedProtocol,
+    EpochRestartProtocol,
+    IdSlotProtocol,
     ObliviousProtocol,
     UniformProtocol,
 )
+from repro.broadcast.selectors import SelectiveFamilyProtocol, random_selective_family
 from repro.errors import BroadcastIncompleteError
 from repro.faults import LossyLinkModel
 from repro.gossip import GossipDynamics, GossipTrace, MultiMessageDynamics
@@ -25,8 +29,8 @@ from repro.graphs import gnp
 from repro.graphs.bfs import bfs_distances
 from repro.graphs.geometric import random_geometric
 from repro.graphs.powerlaw import chung_lu
-from repro.radio import BroadcastDynamics, RadioNetwork
-from repro.radio.dynamics import run_dissemination, run_lockstep
+from repro.radio import BroadcastDynamics, FunctionProtocol, RadioNetwork
+from repro.radio.dynamics import run_dissemination
 from repro.rng import spawn_generators
 
 gnp_params = st.tuples(
@@ -249,38 +253,62 @@ def _serial_outcome(trace) -> tuple[float, float]:
     return np.inf, trace.num_informed / trace.n
 
 
+def _half_then_decay(t, informed, informed_round, rng):
+    """A plain-function protocol: fair coins, thinning with age."""
+    age = np.maximum(t - informed_round, 1)
+    return rng.random(informed.size) < 0.5 / age
+
+
 class TestLockstepMatchesSerial:
     @given(
         gnp_params,
         st.integers(min_value=1, max_value=5),
-        st.sampled_from(["uniform", "decay", "eg"]),
+        st.sampled_from(
+            ["uniform", "decay", "eg", "age-based", "id-slot", "selective",
+             "epoch-restart", "function"]
+        ),
         st.sampled_from(["broadcast", "gossip", "multimessage"]),
         st.integers(min_value=1, max_value=12),
         st.data(),
     )
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=120, deadline=None)
     def test_completion_rounds_and_fractions_bit_for_bit(
         self, params, repetitions, protocol, dynamics, max_rounds, data
     ):
         n, p, seed = params
         g = gnp(n, p, seed=seed)
         assume(bool(np.all(bfs_distances(g, 0) >= 0)))
-        if protocol == "eg":
+        if protocol in ("eg", "epoch-restart"):
             assume(n >= 2 and p * n > 1)
+        if protocol == "age-based":
+            assume(n >= 2)
         net = RadioNetwork(g)
+        family = random_selective_family(n, min(2, n), seed=seed)
 
         def make_protocol():
             if protocol == "uniform":
                 return UniformProtocol(min(1.0, 1.0 / max(p * (n - 1), 1.0)))
             if protocol == "decay":
                 return DecayProtocol(n)
-            return EGRandomizedProtocol(n, p)
+            if protocol == "eg":
+                return EGRandomizedProtocol(n, p)
+            if protocol == "age-based":
+                return AgeBasedProtocol(n, p)
+            if protocol == "id-slot":
+                return IdSlotProtocol(n)
+            if protocol == "selective":
+                return SelectiveFamilyProtocol(n, family)
+            if protocol == "epoch-restart":
+                return EpochRestartProtocol(EGRandomizedProtocol(n, p), 3)
+            return FunctionProtocol(_half_then_decay)
 
         if dynamics == "broadcast":
             source = data.draw(st.integers(min_value=0, max_value=n - 1))
+            process = {"source": source}
             def make():
                 return BroadcastDynamics(make_protocol(), source, p)
         elif dynamics == "gossip":
+            process = {}
             def make():
                 return GossipDynamics(make_protocol(), p)
         else:
@@ -290,16 +318,18 @@ class TestLockstepMatchesSerial:
                 ),
                 dtype=np.int64,
             )
+            process = {"sources": sources}
             def make():
                 return MultiMessageDynamics(make_protocol(), sources, p)
 
-        run = run_lockstep(
+        run = run_dissemination(
             net, make(), repetitions=repetitions, seed=seed, max_rounds=max_rounds
         )
         serial = [
             _serial_outcome(
-                run_dissemination(
-                    net, make(), seed=rng, max_rounds=max_rounds, raise_on_incomplete=False
+                simulate(
+                    dynamics, net, protocol=make_protocol(), p=p, seed=rng,
+                    max_rounds=max_rounds, raise_on_incomplete=False, **process,
                 )
             )
             for rng in spawn_generators(seed, repetitions)

@@ -1,16 +1,15 @@
 """Tests for the batched multi-trial round kernel and engine.
 
-The load-bearing guarantee: ``run_broadcast_batch`` is bit-for-bit
-equivalent to ``repetitions`` serial runs on the per-trial streams
-spawned from the same root seed.  The serial side of every equivalence
-test is a :class:`FunctionProtocol` proxy wrapping the same protocol's
-scalar ``transmit_mask`` — it advertises ``supports_batch = False``, so
-``protocol_times`` takes the pre-batch path while drawing identically.
+The load-bearing guarantee: ``R`` trials on the round driver
+(``run_broadcast_batch``, ``protocol_times``) are bit-for-bit equivalent
+to ``R`` traced ``simulate()`` runs on the per-trial streams spawned from
+the same root seed.
 """
 
 import numpy as np
 import pytest
 
+from repro import simulate
 from repro.backends import available_backend_names, use_backend
 from repro.broadcast.distributed import ObliviousProtocol
 from repro.broadcast.distributed.decay import DecayProtocol
@@ -24,12 +23,27 @@ from repro.radio.protocol import FunctionProtocol, bernoulli_mask_batch
 from repro.rng import spawn_generators
 
 
-def serial_proxy(protocol):
-    """Same draws, scalar path: a non-batch twin of ``protocol``."""
-    proxy = FunctionProtocol(protocol.transmit_mask, name=f"serial-{protocol.name}")
-    proxy.prepare = protocol.prepare
-    assert not proxy.supports_batch
-    return proxy
+def simulated_times(net, protocol, *, repetitions, seed, p, source=0, max_rounds=None,
+                    with_fractions=False):
+    """``protocol_times`` as ``repetitions`` traced ``simulate()`` runs."""
+    rounds, fractions = [], []
+    for rng in spawn_generators(seed, repetitions):
+        trace = simulate(
+            "broadcast", net, protocol=protocol, source=source, p=p, seed=rng,
+            max_rounds=max_rounds, raise_on_incomplete=False,
+        )
+        rounds.append(float(trace.completion_round) if trace.completed else np.inf)
+        fractions.append(1.0 if trace.completed else trace.num_informed / trace.n)
+    if with_fractions:
+        return np.array(rounds), np.array(fractions)
+    return np.array(rounds)
+
+
+def function_twin(protocol):
+    """Same draws through the generic column fallback of the batch mask."""
+    twin = FunctionProtocol(protocol.transmit_mask, name=f"function-{protocol.name}")
+    twin.prepare = protocol.prepare
+    return twin
 
 
 @pytest.fixture(scope="module")
@@ -60,9 +74,9 @@ PROTOCOLS = [
 
 
 class TestBatchSerialEquivalence:
-    """Batch ≡ serial, on every available kernel backend: the batched
-    engine's counts — and therefore its draws and completion rounds —
-    must not depend on which backend computed them."""
+    """Batch ≡ traced runs, on every available kernel backend: the
+    batched engine's counts — and therefore its draws and completion
+    rounds — must not depend on which backend computed them."""
 
     @pytest.fixture(autouse=True, params=available_backend_names())
     def _backend(self, request):
@@ -74,7 +88,7 @@ class TestBatchSerialEquivalence:
         net, p = medium
         proto = factory(net.n, p)
         batch = protocol_times(net, proto, repetitions=12, seed=7, p=p)
-        serial = protocol_times(net, serial_proxy(proto), repetitions=12, seed=7, p=p)
+        serial = simulated_times(net, proto, repetitions=12, seed=7, p=p)
         assert np.array_equal(batch, serial)
 
     def test_fractions_identical_on_budget_miss(self, medium):
@@ -85,9 +99,9 @@ class TestBatchSerialEquivalence:
         b_rounds, b_frac = protocol_times(
             net, proto, repetitions=8, seed=3, p=p, max_rounds=3, with_fractions=True
         )
-        s_rounds, s_frac = protocol_times(
+        s_rounds, s_frac = simulated_times(
             net,
-            serial_proxy(proto),
+            proto,
             repetitions=8,
             seed=3,
             p=p,
@@ -104,18 +118,16 @@ class TestBatchSerialEquivalence:
         # on the batched engine via the per-column fallback.
         net, p = medium
         proto = UniformProtocol(1.0 / (p * (net.n - 1)))
-        fallback = serial_proxy(proto)  # FunctionProtocol: generic batch path
+        fallback = function_twin(proto)  # FunctionProtocol: generic batch path
         direct = run_broadcast_batch(net, fallback, repetitions=6, p=p, seed=11)
-        serial = protocol_times(net, fallback, repetitions=6, seed=11, p=p)
+        serial = simulated_times(net, fallback, repetitions=6, seed=11, p=p)
         assert np.array_equal(direct.completion_rounds, serial)
 
     def test_nondefault_source(self, medium):
         net, p = medium
         proto = UniformProtocol(1.0 / (p * (net.n - 1)))
         batch = protocol_times(net, proto, repetitions=6, seed=5, p=p, source=17)
-        serial = protocol_times(
-            net, serial_proxy(proto), repetitions=6, seed=5, p=p, source=17
-        )
+        serial = simulated_times(net, proto, repetitions=6, seed=5, p=p, source=17)
         assert np.array_equal(batch, serial)
 
 
@@ -164,9 +176,7 @@ class TestBatchEngineEdges:
         res = run_broadcast_batch(net, proto, repetitions=16, p=p, seed=9)
         assert res.num_completed == 16
         assert len(np.unique(res.completion_rounds)) > 1
-        serial = protocol_times(
-            net, serial_proxy(proto), repetitions=16, seed=9, p=p
-        )
+        serial = simulated_times(net, proto, repetitions=16, seed=9, p=p)
         assert np.array_equal(res.completion_rounds, serial)
 
     def test_invalid_args(self, medium):
@@ -237,9 +247,6 @@ class TestStepBatch:
 
 
 class TestObliviousBatch:
-    def test_advertises_batch(self):
-        assert ObliviousProtocol([0.5]).supports_batch
-
     def test_full_probability_round_still_draws(self):
         # q = 1 transmits everywhere, yet each trial's stream advances by
         # one random(n) block, as the serial transmit_mask does.

@@ -4,8 +4,8 @@ The kernel is differential-tested, column by column, against the
 pure-Python transcription of the model (:meth:`RadioNetwork.step_reference`)
 on arbitrary graphs and masks, called directly rather than through the
 gate: the other property suites run on graphs the gate never routes to
-bits.  The gate is tested as the pure function it is, and the lockstep
-driver is checked against serial runs on a graph it does route to bits.
+bits.  The gate is tested as the pure function it is, and multi-trial
+runs are checked against traced runs on a graph it does route to bits.
 """
 
 import numpy as np
@@ -14,13 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.broadcast.distributed import DecayProtocol, EGRandomizedProtocol, UniformProtocol
-from repro.experiments.runner import protocol_times
 from repro.graphs import Adjacency, chung_lu, gnp, gnp_connected, powerlaw_weights
 from repro.obs import MetricsRegistry, Observer, use_observer
 from repro.radio import RadioNetwork, run_broadcast_batch
 from repro.radio.bitslice import bits_path_pays, bitsliced_reception, scatter_work
 
-from .test_batch import serial_proxy
+from .test_batch import simulated_times
 
 
 def graphs():
@@ -161,7 +160,7 @@ class TestLockstepOnBitsPath:
         net, p = bits_graph
         proto = factory(net.n, p)
         batch = run_broadcast_batch(net, proto, repetitions=16, p=p, seed=7)
-        serial = protocol_times(net, serial_proxy(proto), repetitions=16, seed=7, p=p)
+        serial = simulated_times(net, proto, repetitions=16, seed=7, p=p)
         assert np.array_equal(batch.completion_rounds, serial)
         # Observed, the driver also asks for the collided sets.
         registry = MetricsRegistry()

@@ -215,8 +215,20 @@ class TestDriverSemantics:
         with pytest.raises(InvalidParameterError, match="fault"):
             simulate("push", g64, faults=plan, seed=1)
 
+    def test_point_to_point_dynamics_run_one_trial_per_call(self, net64):
+        from repro.radio.dynamics import run_dissemination
+        from repro.singleport.agents import AgentDynamics
+        from repro.singleport.push import PushDynamics
+
+        for dynamics in (PushDynamics(0), AgentDynamics(4, 0)):
+            with pytest.raises(InvalidParameterError, match="one trial"):
+                run_dissemination(net64, dynamics, repetitions=2, seed=1)
+        run = run_dissemination(net64, PushDynamics(0), repetitions=1, seed=1)
+        trace = simulate("push", net64, seed=spawn_generators(1, 1)[0])
+        assert run.completion_rounds.tolist() == [float(trace.completion_round)]
+
     def test_negative_budget_rejected(self, net64):
-        from repro.radio.dynamics import BroadcastDynamics, run_dissemination, run_lockstep
+        from repro.radio.dynamics import BroadcastDynamics, run_dissemination
 
         with pytest.raises(InvalidParameterError, match="max_rounds"):
             run_dissemination(
@@ -224,7 +236,7 @@ class TestDriverSemantics:
                 raise_on_incomplete=False,
             )
         with pytest.raises(InvalidParameterError, match="max_rounds"):
-            run_lockstep(
+            run_dissemination(
                 net64, BroadcastDynamics(UniformProtocol(0.2), 0), repetitions=2, max_rounds=-3,
             )
 
@@ -315,7 +327,8 @@ class TestBatchSerialEquivalence:
         assert np.all((batch.knowledge_fractions > 0) & (batch.knowledge_fractions < 1))
 
     def test_serial_dispatch_matches_batch(self, net48):
-        """gossip_times on a non-batchable protocol equals the batch path."""
+        """A protocol on the generic column fallback of the batch mask
+        measures what its vectorized twin measures."""
         from repro.experiments.runner import gossip_times
 
         uniform = UniformProtocol(0.1)

@@ -1,9 +1,9 @@
 """Reachability prechecks: one BFS per graph, and still a hard error.
 
-``Adjacency`` caches its connectivity, so the driver prechecks of
-``run_dissemination`` and ``run_lockstep`` cost one BFS per graph however
-many runs check it — including the check ``gnp_connected`` made while
-sampling the graph.
+``Adjacency`` caches its connectivity, so the precheck of
+``run_dissemination``, traced or over many trials, costs one BFS per
+graph however many runs check it — including the check
+``gnp_connected`` made while sampling the graph.
 """
 
 import math
@@ -19,7 +19,7 @@ from repro.experiments.runner import protocol_times
 from repro.graphs import Adjacency, gnp_connected
 from repro.graphs import bfs as bfs_module
 from repro.radio import RadioNetwork
-from repro.radio.dynamics import BroadcastDynamics, run_dissemination, run_lockstep
+from repro.radio.dynamics import BroadcastDynamics, run_dissemination
 
 
 @pytest.fixture
@@ -83,7 +83,7 @@ def test_lockstep_driver_rejects_a_disconnected_graph(source):
     net = RadioNetwork(_two_triangles())
     dynamics = BroadcastDynamics(UniformProtocol(0.5), source)
     with pytest.raises(DisconnectedGraphError, match=f"source {source}"):
-        run_lockstep(net, dynamics, repetitions=3, seed=0)
+        run_dissemination(net, dynamics, repetitions=3, seed=0)
 
 
 def test_out_of_range_root_still_raises_graph_error():
