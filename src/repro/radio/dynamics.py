@@ -125,12 +125,17 @@ class RoundOutcome:
     num_collided: listeners lost to collisions summed over the rows (0 in
         collision-free models), or ``None`` when the round was not
         counted.
+    newly_informed: on a healthy single-trial radio round, the sorted
+        ids of the nodes that received the content for the first time
+        (:attr:`~repro.radio.model.StepResult.newly_informed`); ``None``
+        elsewhere.
     """
 
     received: BoolArray
     informer: IntArray | None
     num_transmitters: int | None
     num_collided: int | None
+    newly_informed: IntArray | None = None
 
 
 def single_trial(dynamics: "Dynamics", rngs) -> None:
@@ -262,6 +267,7 @@ class Dynamics(ABC):
                 result.informer[None],
                 result.num_transmitters,
                 result.num_collided,
+                result.newly_informed,
             )
         step = network.step_batch(
             rows.T,
@@ -387,9 +393,13 @@ class SingleMessageDynamics(Dynamics):
         self.informed_round[:, ids] = -1
 
     def update(self, t, outcome, trial_ids):
-        # received & ~informed in one pass on bools, then flat ids into
-        # the C-order rows: the writes touch only the new nodes.
-        new = np.flatnonzero(outcome.received > self.informed)
+        # Flat ids into the C-order rows: the writes touch only the new
+        # nodes.  A single-trial radio round found them already (row 0's
+        # flat ids are its node ids); otherwise received & ~informed in
+        # one pass on bools.
+        new = outcome.newly_informed
+        if new is None:
+            new = np.flatnonzero(outcome.received > self.informed)
         self.informed.ravel()[new] = True
         self.informed_round.ravel()[new] = t
         if self._informer is not None:

@@ -47,6 +47,7 @@ identical ``result`` bytes plus their digest.
 from __future__ import annotations
 
 import hashlib
+import threading
 import warnings
 from pathlib import Path
 
@@ -77,7 +78,8 @@ def _quarantine(path: Path) -> Path:
     """Move a corrupt entry aside (``*.corrupt``) and warn.
 
     The original bytes are kept for forensics instead of being
-    overwritten by the re-execution's fresh entry.
+    overwritten by the re-execution's fresh entry.  Returns where the
+    bytes are now: ``path`` itself when the move failed.
     """
     quarantined = path.with_name(path.name + ".corrupt")
     try:
@@ -88,17 +90,26 @@ def _quarantine(path: Path) -> Path:
         f"corrupt result cache entry {path} quarantined to {quarantined}; "
         "recomputing",
         RuntimeWarning,
-        stacklevel=3,
+        stacklevel=4,
     )
     return quarantined
 
 
 class ResultCache:
-    """Immutable-by-key result store on the local filesystem."""
+    """Immutable-by-key result store on the local filesystem.
+
+    ``len()`` is a running count of the entries this object has seen:
+    one directory walk at construction, then +1 for each :meth:`put`
+    that creates an entry and -1 for each quarantine, so a health
+    check never walks the directory.  Entries other processes write
+    into the same directory after construction are not counted.
+    """
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        self._lock = threading.Lock()
+        self._entries = sum(1 for _ in self.root.glob("*/*.json"))
 
     def path_for(self, key: str) -> Path:
         """Entry path for a cache key (two-character fan-out)."""
@@ -118,7 +129,7 @@ class ResultCache:
         except FileNotFoundError:
             return None
         except OSError:
-            _quarantine(path)
+            self._quarantine(path)
             return None
         head = _head(key)
         if data.startswith(head):
@@ -128,8 +139,13 @@ class ResultCache:
                 body = data[len(head) : -_TAIL_LEN]
                 if data.endswith(_tail(hashlib.sha256(body).hexdigest())):
                     return body
-        _quarantine(path)
+        self._quarantine(path)
         return None
+
+    def _quarantine(self, path: Path) -> None:
+        if _quarantine(path) != path:
+            with self._lock:
+                self._entries -= 1
 
     def put(self, key: str, body: bytes) -> Path:
         """Store a result's canonical JSON bytes under ``key``.
@@ -140,14 +156,19 @@ class ResultCache:
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         digest = hashlib.sha256(body).hexdigest()
-        return atomic_write(path, _head(key) + body + _tail(digest))
+        new = not path.exists()
+        written = atomic_write(path, _head(key) + body + _tail(digest))
+        if new:
+            with self._lock:
+                self._entries += 1
+        return written
 
     def __contains__(self, key: str) -> bool:
         return self.path_for(key).exists()
 
     def __len__(self) -> int:
-        """Number of (non-quarantined) entries on disk."""
-        return sum(1 for _ in self.root.glob("*/*.json"))
+        """Number of (non-quarantined) entries, from the running count."""
+        return self._entries
 
     def __repr__(self) -> str:
         return f"ResultCache(root={str(self.root)!r}, entries={len(self)})"

@@ -15,16 +15,18 @@ The middle layer of the client/runner/types split.  Two halves:
   with a stored result is a **cache hit** (job born terminal, no
   execution), a key already executing **coalesces** onto the in-flight
   job (concurrent identical requests cost one execution), and a fresh
-  key is queued onto a bounded thread pool.  Hit bodies and repeated
-  graphs stay in memory in two bounded maps (see :class:`JobManager`);
-  a spec that is not deterministic skips all of this and executes
-  every time.  Each executing job runs
-  under its own :class:`~repro.obs.Observer` whose sink tees every
-  engine event (``run-*``, ``round``, ``batch-*``, ``exec-*``) into the
-  job's replayable event buffer — the stream behind
-  ``GET /v1/jobs/{id}/events`` — and whose registry is merged into the
-  manager's under lock at job end, emitting the ``serve.*`` metric
-  series (queue depth, cache hit ratio, job wall-time histograms).
+  key is queued for one of ``workers`` **forked worker processes**, so
+  executions run in parallel outside the server's GIL.  Each worker
+  keeps its own bounded graph map; hit bodies stay in memory in the
+  manager's body map (see :class:`JobManager`).  A spec that is not
+  deterministic skips the cache and coalescing and executes every time.
+  A worker runs the job under its own :class:`~repro.obs.Observer` whose
+  sink streams every engine event (``run-*``, ``round``, ``batch-*``,
+  ``exec-*``) back over the worker's pipe; the manager tees each into
+  the job's replayable event buffer — the stream behind
+  ``GET /v1/jobs/{id}/events`` — and merges the worker's registry into
+  its own under lock at job end, emitting the ``serve.*`` metric series
+  (queue depth, cache hit ratio, job wall-time histograms).
 
 Resilience (see ``docs/SERVICE.md`` → *Resilience semantics*):
 
@@ -35,9 +37,11 @@ Resilience (see ``docs/SERVICE.md`` → *Resilience semantics*):
   content-addressed keys;
 * jobs carry optional **deadlines** and support **cooperative
   cancellation** — both are checked at round/task boundaries by the
-  job's trace sink (the engine emits an event per round, so the check
-  rides the tape for free) and surface as the ``timeout`` /
-  ``cancelled`` terminal states;
+  job's trace sink as each relayed event lands (the engine emits an
+  event per round, so the check rides the tape for free); a tripped
+  check tells the worker to stop at its next event, and the job ends
+  ``timeout`` / ``cancelled``;
+* a worker that dies mid-job fails only that job and is re-forked;
 * :meth:`JobManager.drain` stops admission
   (:class:`~repro.errors.ServerDrainingError` → HTTP 503) and gives
   in-flight jobs a bounded budget to finish; whatever remains is
@@ -46,16 +50,21 @@ Resilience (see ``docs/SERVICE.md`` → *Resilience semantics*):
 
 from __future__ import annotations
 
+import gc
 import json
+import multiprocessing
+import os
+import signal
+import stat
 import threading
 import time
+import warnings
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from contextvars import ContextVar
 from itertools import count
 from pathlib import Path
 from typing import Iterable
-from warnings import warn
 
 from ..api import _as_network, simulate
 from ..chaos import FaultSchedule
@@ -163,11 +172,11 @@ def build_protocol(spec: dict, graph: dict):
 # Pure execution
 # ----------------------------------------------------------------------
 
-#: Where a deterministic job gets its network.  :meth:`JobManager._run`
-#: sets this to the manager's graph map around :func:`execute_spec`;
-#: unset, as for every other caller, :func:`execute_job` samples a fresh
-#: graph from the spec.
-_NETWORKS: ContextVar = ContextVar("repro_serve_networks", default=None)
+#: Where a deterministic job gets its network: a worker process sets
+#: this to its :class:`_GraphMap` around :func:`execute_spec`; unset, as
+#: for every other caller, :func:`execute_job` samples a fresh graph
+#: from the spec.
+_GRAPH_MAP: ContextVar = ContextVar("repro_serve_graph_map", default=None)
 
 
 def execute_job(spec: JobSpec) -> dict:
@@ -184,13 +193,13 @@ def execute_job(spec: JobSpec) -> dict:
     protocol_spec = kwargs.pop("protocol", None)
     if protocol_spec is not None:
         kwargs["protocol"] = build_protocol(protocol_spec, spec.graph)
-    networks = _NETWORKS.get()
+    graphs = _GRAPH_MAP.get()
     result = simulate(
         spec.process,
         # Not bound to a name: a network built here is freed as soon as
         # the run returns, before its result is encoded.
-        networks(spec.graph)
-        if networks is not None and spec.deterministic
+        graphs.network(spec.graph)
+        if graphs is not None and spec.deterministic
         else dict(spec.graph),
         seed=spec.seed,
         max_rounds=spec.max_rounds,
@@ -229,14 +238,17 @@ def execute_spec(spec) -> dict:
 # Jobs and the manager
 # ----------------------------------------------------------------------
 
-#: Byte budget of a manager's graph map (networks by graph mapping),
-#: counted by :func:`_network_bytes`.
+#: Byte budget of a manager's graph maps (networks by graph mapping),
+#: counted by :func:`_network_bytes` and split evenly over the workers.
 GRAPH_MAP_BYTES = 64 << 20
 #: Byte budget of a manager's body map (result bytes by cache key).
 BODY_MAP_BYTES = 64 << 20
-#: How many once-built graph mappings a manager remembers, so that a
+#: How many once-built graph mappings a worker remembers, so that a
 #: second request for one admits its network to the graph map.
 SEEN_GRAPHS = 1024
+#: Seconds :meth:`JobManager.shutdown` waits for a worker to exit on
+#: EOF before killing it.
+WORKER_EXIT_S = 5.0
 
 
 def _network_bytes(network: RadioNetwork) -> int:
@@ -257,7 +269,8 @@ class _LRU:
     """A least-recently-used map under a byte budget.
 
     Not thread-safe: the :class:`JobManager` holds its lock around every
-    call.  A value larger than the whole budget is not admitted.
+    call to its body map, and each worker process owns its graph map.
+    A value larger than the whole budget is not admitted.
     """
 
     def __init__(self, budget: int):
@@ -286,6 +299,193 @@ class _LRU:
         while self.bytes > self.budget:
             _key, (_value, evicted) = self._entries.popitem(last=False)
             self.bytes -= evicted
+
+
+class _GraphMap:
+    """One worker's networks by canonical graph mapping.
+
+    A network is admitted to the LRU on the second request for its graph
+    (a bounded set of :data:`SEEN_GRAPHS` keys remembers the first), so
+    traffic that never repeats a graph retains none.  Hits and misses
+    count as ``serve.graphs.*`` on the ambient observer, the running
+    job's, whose registry travels back to the manager with the reply.
+    """
+
+    def __init__(self, budget: int):
+        self.lru = _LRU(budget)
+        self._seen: OrderedDict[str, None] = OrderedDict()
+
+    def network(self, graph: dict) -> RadioNetwork:
+        key = json.dumps(graph, sort_keys=True)
+        obs = current_observer()
+        network = self.lru.get(key)
+        if network is not None:
+            if obs is not None:
+                obs.inc("serve.graphs.hits")
+            return network
+        if obs is not None:
+            obs.inc("serve.graphs.misses")
+        admit = key in self._seen
+        if admit:
+            del self._seen[key]
+        else:
+            self._seen[key] = None
+            if len(self._seen) > SEEN_GRAPHS:
+                self._seen.popitem(last=False)
+        network = _as_network(graph)
+        if admit:
+            self.lru.put(key, network, _network_bytes(network))
+        return network
+
+    def usage(self) -> tuple[int, int]:
+        """``(entries, bytes)`` of the map, as healthz reports them."""
+        return len(self.lru), self.lru.bytes
+
+
+# ----------------------------------------------------------------------
+# Worker processes
+# ----------------------------------------------------------------------
+#
+# Manager -> worker: a spec (run it), or "stop" (abandon the running
+# job at its next event; a stop that arrives after the job replied is
+# read as the next message and dropped).  Worker -> manager, per job:
+# any number of ("event", event), then one reply
+# (state, payload, registry snapshot, graph-map usage), where state is
+# "done" (payload: the canonical result bytes), "failed" (payload:
+# "Type: message") or "stopped" (payload: None).
+
+
+class _PipeSink:
+    """A worker-side trace sink: each event goes to the manager.
+
+    After each send it polls for the one message a busy worker can be
+    sent, ``"stop"``, and raises at that event boundary.  The stop is
+    sticky: every later emit of the job raises too, so code that catches
+    the first raise (a sweep's task supervision, which would requeue the
+    task) is stopped at its own next event.
+    """
+
+    def __init__(self, conn):
+        self.conn = conn
+        self.stopped = False
+
+    def emit(self, event: dict) -> None:
+        if not self.stopped:
+            self.conn.send(("event", event))
+            if not self.conn.poll():
+                return
+            self.conn.recv()
+            self.stopped = True
+        raise JobCancelledError("stopped by the job manager")
+
+    def close(self) -> None:
+        """The pipe belongs to the worker loop."""
+
+
+def _serve_jobs(conn, graphs: _GraphMap) -> None:
+    """A worker's loop: run each spec received on ``conn`` until EOF."""
+    while True:
+        try:
+            spec = conn.recv()
+        except (EOFError, OSError):
+            return
+        if isinstance(spec, str):
+            continue  # a stale "stop"
+        registry = MetricsRegistry()
+        token = _GRAPH_MAP.set(graphs)
+        try:
+            with use_observer(Observer(registry, _PipeSink(conn))):
+                reply = ("done", canonical_json(execute_spec(spec)).encode())
+        except JobCancelledError:
+            reply = ("stopped", None)
+        except Exception as exc:  # noqa: BLE001 — failures become job state
+            reply = ("failed", f"{type(exc).__name__}: {exc}")
+        finally:
+            _GRAPH_MAP.reset(token)
+        try:
+            conn.send((*reply, registry.snapshot(), graphs.usage()))
+        except OSError:
+            return
+
+
+def _close_inherited_sockets(keep: int) -> None:
+    """Close every socket a forked worker inherited, except ``keep``.
+
+    Those are the server's listener and connections and the manager's
+    ends of the other workers' pipes.  A copy held here would keep a
+    client's event stream from ending and a sibling worker from seeing
+    EOF.  The cycle collector is frozen first, so no inherited socket
+    object is ever finalised here against a reused descriptor.
+    """
+    gc.freeze()
+    try:
+        fds = [int(name) for name in os.listdir("/proc/self/fd")]
+    except OSError:  # pragma: no cover - no procfs
+        return
+    for fd in fds:
+        if fd == keep or fd < 3:
+            continue
+        try:
+            if stat.S_ISSOCK(os.fstat(fd).st_mode):
+                os.close(fd)
+        except OSError:
+            pass  # the listing's own descriptor, already closed
+
+
+def _worker_main(conn, graph_budget: int) -> None:
+    """Entry point of a forked worker process."""
+    # A sweep job's supervised pool forks from here; daemonic processes
+    # may not have children.  The manager still reaps this process.
+    multiprocessing.current_process().daemon = False
+    # Ctrl-C reaches the whole process group: the server handles it and
+    # closes the pipes.  A plain SIGTERM ends the worker.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.set_wakeup_fd(-1)
+    _close_inherited_sockets(conn.fileno())
+    _serve_jobs(conn, _GraphMap(graph_budget))
+    # Skip interpreter teardown: it would run the server's exit hooks,
+    # whose locks another thread may have held at the fork.
+    os._exit(0)
+
+
+class _Worker:
+    """The manager's handle on one forked worker process."""
+
+    def __init__(self, graph_budget: int):
+        context = multiprocessing.get_context("fork")
+        self.conn, child = context.Pipe(duplex=True)
+        self.process = context.Process(
+            target=_worker_main,
+            args=(child, graph_budget),
+            name="repro-serve-worker",
+            daemon=True,
+        )
+        with warnings.catch_warnings():
+            # Python 3.12+ warns on every fork of a process with threads
+            # (numpy's BLAS pool is one).  A worker takes none of the
+            # server's locks and skips its exit hooks (_worker_main).
+            warnings.filterwarnings(
+                "ignore", ".*use of fork", DeprecationWarning
+            )
+            self.process.start()
+        child.close()
+        #: ``(entries, bytes)`` of its graph map, from its last reply.
+        self.graphs = (0, 0)
+
+    def close(self, wait: bool = True) -> int | None:
+        """Close the pipe (an idle worker exits on EOF); the exit code."""
+        self.conn.close()
+        if wait:
+            self.process.join(WORKER_EXIT_S)
+            if self.process.is_alive():
+                self.process.kill()
+                self.process.join(WORKER_EXIT_S)
+        return self.process.exitcode
+
+
+class _WorkerFailed(Exception):
+    """A job's failure as the worker reported it: ``"Type: message"``."""
 
 
 class Job:
@@ -411,7 +611,8 @@ class JobManager:
     cache: a :class:`~repro.serve.cache.ResultCache`, a directory path
         for one, or ``None`` to serve without a cache (every request
         executes; in-flight coalescing still applies).
-    workers: bounded thread-pool width for concurrent executions.
+    workers: how many executions run at once, each on its own forked
+        worker process.
     max_pending: admission bound on queued-or-running jobs; beyond it
         :meth:`submit` raises :class:`~repro.errors.JobQueueFullError`
         (HTTP 429) instead of growing an unserviceable backlog.
@@ -430,17 +631,27 @@ class JobManager:
         receives the ``serve.*`` series on top of the manager's own, and
         its sink receives a tee of every job's events.
 
-    The manager keeps its working set in two bounded LRU maps, each
-    under a fixed byte budget (:data:`GRAPH_MAP_BYTES`,
-    :data:`BODY_MAP_BYTES`).  The **graph map** holds networks by
-    canonical graph mapping; a network is admitted on the second
-    request for its graph (a bounded set of :data:`SEEN_GRAPHS` keys
-    remembers the first), so traffic that never repeats a graph retains
-    none.  Worker threads share a cached network: served dynamics run
-    only the serial round, which keeps no scratch on it.  The **body
-    map** holds result bytes by cache key, filled by finished misses and
-    by disk hits, so every hit on one key shares one ``bytes`` object
-    and reads the disk at most once while it stays in memory.  Only
+    Executions run on ``workers`` worker processes, forked (``fork``
+    start method) when the manager is built, before it starts a thread
+    of its own, so a worker shares the server's imported modules and
+    pays no start-up.  One dispatch thread per worker sends it a job's
+    spec and relays what comes back: engine events onto the job's tape
+    (where cancellation and deadlines are checked, as before), then the
+    result's canonical bytes, encoded in the worker.  The manager writes
+    the cache and the journal.  A worker that dies fails only the job it
+    ran (``"worker process exited (code N)"``) and is re-forked.
+
+    The working set stays in bounded LRU maps, each under a fixed byte
+    budget.  Each worker keeps a **graph map** of networks by canonical
+    graph mapping, under ``GRAPH_MAP_BYTES // workers``; a network is
+    admitted on the second request for its graph in that worker, so
+    traffic that never repeats a graph retains none.  A job goes to the
+    idle worker returned last, so back-to-back repeats of a graph run
+    where its network is.  The manager keeps the **body map**
+    (:data:`BODY_MAP_BYTES`) of result bytes by cache key, filled by
+    finished misses and by disk hits, so every hit on one key shares one
+    ``bytes`` object and reads the disk at most once while it stays in
+    memory.  Only
     :attr:`~repro.serve.types.JobSpec.deterministic` specs use the maps,
     the result cache and coalescing; any other spec executes every time.
     """
@@ -470,6 +681,14 @@ class JobManager:
         self.chaos = chaos
         self.registry = MetricsRegistry()
         self._obs = obs if obs is not None else current_observer()
+        # Forked before the dispatch pool starts a thread.
+        self._graph_budget = GRAPH_MAP_BYTES // workers
+        self._workers: list[_Worker | None] = [
+            _Worker(self._graph_budget) for _ in range(workers)
+        ]
+        # Idle slots, last returned on top: back-to-back jobs run on
+        # one worker, whose graph map has seen their graphs.
+        self._idle = list(range(workers))
         self._pool = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="repro-serve"
         )
@@ -478,8 +697,6 @@ class JobManager:
         # Keyed by cache key, or by job id for a spec that is not
         # deterministic (see _slot).
         self._inflight: dict[str, Job] = {}
-        self._graphs = _LRU(GRAPH_MAP_BYTES)
-        self._seen_graphs: OrderedDict[str, None] = OrderedDict()
         self._bodies = _LRU(BODY_MAP_BYTES)
         self._ids = count(1)
         self._executions = 0
@@ -619,7 +836,7 @@ class JobManager:
             try:
                 spec = spec_from_dict(entry.spec)
             except InvalidParameterError as exc:
-                warn(
+                warnings.warn(
                     f"journal entry {entry.key[:12]} no longer parses "
                     f"({exc}); marking it failed",
                     RuntimeWarning,
@@ -651,10 +868,9 @@ class JobManager:
 
     def stats(self) -> dict:
         """Headline counters for ``GET /v1/healthz``."""
-        # Counting cache entries walks the cache directory: never under
-        # the admission lock.
         entries = len(self.cache) if self.cache is not None else 0
         with self._lock:
+            workers = [worker for worker in self._workers if worker is not None]
             states: dict[str, int] = {}
             for job in self._jobs.values():
                 states[job.state] = states.get(job.state, 0) + 1
@@ -673,8 +889,12 @@ class JobManager:
                 "graphs": {
                     "hits": int(counter("serve.graphs.hits")),
                     "misses": int(counter("serve.graphs.misses")),
-                    "entries": len(self._graphs),
-                    "bytes": self._graphs.bytes,
+                    "entries": sum(worker.graphs[0] for worker in workers),
+                    "bytes": sum(worker.graphs[1] for worker in workers),
+                },
+                "workers": {
+                    "processes": len(workers),
+                    "respawns": int(counter("serve.worker_respawns")),
                 },
             }
 
@@ -691,8 +911,8 @@ class JobManager:
         the journal: their terminal-record write is disarmed (so the
         submit record stays unpaired and the next process's
         :meth:`recover` re-admits them) and they are cooperatively
-        cancelled so their worker threads wind down at the next round
-        boundary instead of blocking process exit.  Returns a summary
+        cancelled so their workers stop at the next round boundary
+        instead of blocking process exit.  Returns a summary
         dict (``inflight``/``finished``/``journaled``/``wall_s``).
         """
         start = Observer.clock()
@@ -742,13 +962,17 @@ class JobManager:
         }
 
     def shutdown(self, wait: bool = True) -> None:
-        """Stop the pool and resolve every job a waiter could block on.
+        """Stop the pool and the workers; resolve every job a waiter
+        could block on.
 
         Queued-but-never-started executions are cancelled out of the
         pool and marked failed ("server shutting down") so ``wait()``
         callers unblock instead of hanging until their timeout.  Their
         journal submit records are deliberately left unpaired — a
         restarted manager's :meth:`recover` picks the work back up.
+        Idle workers' pipes are closed, so they exit on EOF; a worker
+        still running a job (``wait=False``) is closed by its dispatch
+        thread when the job ends.
         """
         with self._lock:
             self._closed = True
@@ -764,8 +988,14 @@ class JobManager:
                     self._inc("serve.jobs", label=job.state)
                     job.done.set()
             self._set_depth()
+            idle = [self._workers[slot] for slot in self._idle]
+            for slot in self._idle:
+                self._workers[slot] = None
+        for worker in idle:
+            if worker is not None:
+                worker.close(wait)
 
-    # -- execution (worker threads) ------------------------------------
+    # -- execution (dispatch threads) ----------------------------------
 
     def _next_id(self) -> str:
         return f"job-{next(self._ids):06d}"
@@ -789,31 +1019,81 @@ class JobManager:
             self._bodies.put(key, body, len(body))
         return body
 
-    def _network(self, graph: dict) -> RadioNetwork:
-        """The network of a deterministic graph mapping (worker threads).
+    def _borrow(self) -> tuple[int, _Worker]:
+        """An idle worker slot, the one returned last.
 
-        A graph-map hit is shared.  A miss builds the network outside
-        the lock and admits it only if the graph was requested before.
+        One dispatch thread per slot, so an idle slot always exists.  A
+        slot whose worker is gone (its re-fork failed, or it died while
+        idle) is re-forked here.
         """
-        key = json.dumps(graph, sort_keys=True)
         with self._lock:
-            network = self._graphs.get(key)
-            if network is not None:
-                self._inc("serve.graphs.hits")
-                return network
-            self._inc("serve.graphs.misses")
-            admit = key in self._seen_graphs
-            if admit:
-                del self._seen_graphs[key]
-            else:
-                self._seen_graphs[key] = None
-                if len(self._seen_graphs) > SEEN_GRAPHS:
-                    self._seen_graphs.popitem(last=False)
-        network = _as_network(graph)
-        if admit:
-            with self._lock:
-                self._graphs.put(key, network, _network_bytes(network))
-        return network
+            slot = self._idle.pop()
+            worker = self._workers[slot]
+        if worker is None or not worker.process.is_alive():
+            try:
+                worker = self._respawn(worker)
+            except BaseException:
+                self._give_back(slot, None)
+                raise
+        return slot, worker
+
+    def _respawn(self, dead: _Worker | None) -> _Worker:
+        if dead is not None:
+            dead.close()
+        worker = _Worker(self._graph_budget)
+        with self._lock:
+            self._inc("serve.worker_respawns")
+        return worker
+
+    def _give_back(self, slot: int, worker: _Worker | None) -> None:
+        """Return a slot to the idle list, or close its worker once the
+        manager is shut down."""
+        with self._lock:
+            closed = self._closed
+            self._workers[slot] = None if closed else worker
+            self._idle.append(slot)
+        if closed and worker is not None:
+            worker.close()
+
+    def _execute(self, job: Job, sink: _JobTraceSink, registry: MetricsRegistry) -> bytes:
+        """Run ``job`` on a worker; the result's canonical bytes.
+
+        The worker's events go to ``sink``.  If the sink raises (the
+        job's cancellation or deadline check), the worker is told to
+        stop and the error is re-raised once it has replied, so a slot
+        is only ever given back idle.  The worker's registry snapshot
+        merges into ``registry`` whatever the outcome.
+        """
+        slot, worker = self._borrow()
+        interrupted = reply = None
+        try:
+            worker.conn.send(job.spec)
+            while reply is None:
+                message = worker.conn.recv()
+                if message[0] != "event":
+                    reply = message
+                elif interrupted is None:
+                    try:
+                        sink.emit(message[1])
+                    except Exception as exc:  # noqa: BLE001 — raised once the worker replied
+                        interrupted = exc
+                        worker.conn.send("stop")
+            state, payload, snapshot, worker.graphs = reply
+        except (EOFError, OSError):
+            code = worker.close()
+            try:
+                worker = self._respawn(None)
+            except OSError:
+                worker = None  # re-forked by the next _borrow
+            raise _WorkerFailed(f"worker process exited (code {code})") from None
+        finally:
+            self._give_back(slot, worker)
+        registry.merge_snapshot(snapshot)
+        if interrupted is not None:
+            raise interrupted
+        if state == "failed":
+            raise _WorkerFailed(payload)
+        return payload
 
     def _run(self, job: Job) -> None:
         start = Observer.clock()
@@ -840,20 +1120,16 @@ class JobManager:
                     job.raise_if_interrupted()
             job.state = JOB_RUNNING
             sink.armed = True
-            networks = _NETWORKS.set(self._network)
             try:
-                with use_observer(obs):
-                    result = execute_spec(job.spec)
+                # The worker's encoding is the only one: the cache
+                # stores these bytes and the server sends them.
+                body = self._execute(job, sink, registry)
             finally:
-                _NETWORKS.reset(networks)
                 # Terminal events below must never re-raise.
                 sink.armed = False
-            # Inside the handlers: an encode that raises (a result strict
-            # JSON cannot hold) or a put that raises (an unwritable disk)
-            # fails the job instead of escaping the worker and leaving it
-            # non-terminal forever.  These bytes are the only encoding:
-            # the cache stores them and the server sends them.
-            body = canonical_json(result).encode()
+            # Inside the handlers: a put that raises (an unwritable
+            # disk) fails the job instead of escaping the dispatch
+            # thread and leaving it non-terminal forever.
             if self.cache is not None and job.spec.deterministic:
                 self.cache.put(job.key, body)
         except JobCancelledError as exc:
@@ -862,6 +1138,9 @@ class JobManager:
         except JobDeadlineError as exc:
             job.error = str(exc)
             job.state = JOB_TIMEOUT
+        except _WorkerFailed as exc:
+            job.error = str(exc)
+            job.state = JOB_FAILED
         except Exception as exc:  # noqa: BLE001 — failures become job state
             job.error = f"{type(exc).__name__}: {exc}"
             job.state = JOB_FAILED

@@ -154,3 +154,45 @@ class TestLegacyEntry:
         rewritten = json.loads(path.read_text())
         assert rewritten["result"] == legacy["result"]
         assert cache.get(key) == canonical_json(result).encode()
+
+
+class TestEntryCount:
+    def test_running_count_equals_a_fresh_walk(self, tmp_path):
+        root = tmp_path / "cache"
+
+        def walked() -> int:
+            return sum(1 for _ in root.glob("*/*.json"))
+
+        cache = ResultCache(root)
+        keys = [f"{i:02x}" + "0" * 62 for i in range(3)]
+        for key in keys:
+            cache.put(key, BODY)
+        assert len(cache) == walked() == 3
+        cache.put(keys[0], BODY)  # overwrite: no new entry
+        assert len(cache) == walked() == 3
+        # A corrupt entry is quarantined on read.
+        cache.path_for(keys[1]).write_text("{nope")
+        with pytest.warns(RuntimeWarning, match="quarantined"):
+            assert cache.get(keys[1]) is None
+        assert len(cache) == walked() == 2
+        # A pre-digest entry is a miss left in place, then overwritten.
+        legacy = {"schema_version": 1, "key": keys[2], "result": RESULT}
+        cache.path_for(keys[2]).write_text(canonical_json(legacy) + "\n")
+        assert cache.get(keys[2]) is None
+        assert len(cache) == walked() == 2
+        cache.put(keys[2], BODY)
+        assert len(cache) == walked() == 2
+        # A new object starts from one walk of what is on disk.
+        assert len(ResultCache(root)) == walked() == 2
+
+    def test_len_never_walks_the_directory(self, tmp_path, monkeypatch):
+        from pathlib import Path
+
+        cache = ResultCache(tmp_path / "cache")
+        cache.put(SPEC.cache_key(), BODY)
+
+        def no_walk(self, pattern):
+            raise AssertionError("len() walked the cache directory")
+
+        monkeypatch.setattr(Path, "glob", no_walk)
+        assert len(cache) == 1

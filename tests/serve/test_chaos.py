@@ -248,6 +248,56 @@ class TestKillRestartReplay:
         assert journal.recover() == []
 
 
+def _children(pid: int) -> list[int]:
+    """Live child process ids of ``pid``, from procfs."""
+    children = []
+    for entry in Path("/proc").iterdir():
+        if entry.name.isdigit():
+            try:
+                fields = (entry / "stat").read_text().rsplit(")", 1)[1].split()
+            except OSError:
+                continue
+            if int(fields[1]) == pid and fields[0] != "Z":
+                children.append(int(entry.name))
+    return children
+
+
+def _alive(pid: int) -> bool:
+    """Running (not gone, not a zombie awaiting its reaper)."""
+    try:
+        state = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0]
+    except OSError:
+        return False
+    return state != "Z"
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs procfs")
+class TestOrphanedWorkers:
+    def test_sigkilled_server_leaves_no_worker_alive(self, tmp_path):
+        server, url = _start_server(
+            tmp_path, "serve.log", "--serve-workers", "2"
+        )
+        try:
+            client = Client(url, backoff_s=0.05)
+            assert client.submit(JobSpec.from_dict(SPEC_PAYLOAD), wait=True).ok
+            assert client.health()["workers"] == {"processes": 2, "respawns": 0}
+            workers = _children(server.pid)
+            assert len(workers) == 2
+            server.send_signal(signal.SIGKILL)
+            server.wait(timeout=30)
+        finally:
+            if server.poll() is None:
+                server.kill()
+        # The kernel closed the dead server's pipe ends: each worker
+        # reads EOF and exits.
+        _wait_for(
+            lambda: not any(_alive(pid) for pid in workers),
+            timeout=10.0,
+            message="the orphaned workers to exit",
+        )
+
+
 @pytest.mark.slow
 class TestGracefulDrain:
     def test_sigterm_drains_and_exits_cleanly(self, tmp_path):

@@ -1,6 +1,9 @@
 """Unit tests for the JobManager: caching, coalescing, events, metrics."""
 
+import hashlib
 import json
+import multiprocessing
+import os
 import threading
 import time
 
@@ -13,10 +16,34 @@ from repro.schema import canonical_json
 from repro.serve.cache import ResultCache
 from repro.serve.client import Client, load_result
 from repro.serve.journal import JobJournal
-from repro.serve.runner import JobManager, execute_spec, iter_job_events
-from repro.serve.types import JOB_CANCELLED, JOB_TIMEOUT, JobSpec
+from repro.serve.runner import (
+    JobManager,
+    build_protocol,
+    execute_spec,
+    iter_job_events,
+)
+from repro.serve.types import JOB_CANCELLED, JOB_TIMEOUT, JobSpec, SweepSpec
 
 GRAPH = {"n": 30, "p": 0.3, "seed": 1}
+
+#: Jobs run on forked worker processes, so a fake ``execute_spec`` talks
+#: to the test through fork-inherited primitives, created before the
+#: manager (whose workers fork with the patch in place).
+FORK = multiprocessing.get_context("fork")
+
+
+class ForkedCalls:
+    """A call log the workers append to: only its length crosses."""
+
+    def __init__(self):
+        self._count = FORK.Value("i", 0)
+
+    def append(self, _item) -> None:
+        with self._count.get_lock():
+            self._count.value += 1
+
+    def __len__(self) -> int:
+        return self._count.value
 
 
 def make_spec(**overrides) -> JobSpec:
@@ -66,7 +93,7 @@ class TestCacheSemantics:
             assert manager.registry.counter_value("serve.cache.hits") == 1
 
     def test_miss_encodes_once_and_caches_those_bytes(self, monkeypatch, tmp_path):
-        encodes = []
+        encodes = ForkedCalls()
 
         def counting_canonical_json(payload):
             encodes.append(payload)
@@ -106,8 +133,8 @@ class TestCacheSemantics:
     def test_concurrent_identical_specs_coalesce(self, monkeypatch, tmp_path):
         # Pin the execution open so the second submit is guaranteed to
         # arrive while the first is in flight.
-        release = threading.Event()
-        calls = []
+        release = FORK.Event()
+        calls = ForkedCalls()
 
         def slow_execute(spec):
             calls.append(spec)
@@ -132,7 +159,7 @@ class TestCacheSemantics:
 
 class TestAdmission:
     def test_queue_full_rejects(self, monkeypatch, tmp_path):
-        release = threading.Event()
+        release = FORK.Event()
 
         def slow_execute(spec):
             release.wait(10)
@@ -155,8 +182,8 @@ class TestAdmission:
     def test_shutdown_marks_queued_jobs_failed(self, monkeypatch, tmp_path):
         # A job still queued behind a busy worker at shutdown must reach
         # a terminal state — otherwise its waiters block forever.
-        release = threading.Event()
-        started = threading.Event()
+        release = FORK.Event()
+        started = FORK.Event()
 
         def slow_execute(spec):
             started.set()
@@ -350,9 +377,9 @@ class TestCancellation:
             )
 
     def test_cancel_while_queued_never_executes(self, monkeypatch, tmp_path):
-        release = threading.Event()
-        started = threading.Event()
-        executed = []
+        release = FORK.Event()
+        started = FORK.Event()
+        executed = ForkedCalls()
 
         def slow_execute(spec):
             started.set()
@@ -491,8 +518,8 @@ class TestDrain:
     def test_drain_finishes_inflight_and_refuses_new(self, monkeypatch, tmp_path):
         sink = MemoryTraceSink()
         obs = Observer(MetricsRegistry(), sink)
-        release = threading.Event()
-        started = threading.Event()
+        release = FORK.Event()
+        started = FORK.Event()
 
         def held_execute(spec):
             started.set()
@@ -554,8 +581,42 @@ def fresh_body(spec: JobSpec) -> bytes:
     return canonical_json(execute_spec(spec)).encode()
 
 
-def cached_networks(manager: JobManager) -> list:
-    return [network for network, _size in manager._graphs._entries.values()]
+def probe_worker_maps(monkeypatch, probe):
+    """Report ``probe(graph map)`` from inside the worker after each job.
+
+    Wraps ``execute_spec`` before the manager forks its workers; returns
+    a function that collects ``{worker pid: its last report}``.  Reports
+    must stay small: nothing reads the queue while the jobs run.
+    """
+    from repro.serve import runner
+
+    reports = FORK.SimpleQueue()
+    execute = runner.execute_spec
+
+    def reporting_execute(spec):
+        result = execute(spec)
+        reports.put((os.getpid(), probe(runner._GRAPH_MAP.get())))
+        return result
+
+    monkeypatch.setattr(runner, "execute_spec", reporting_execute)
+
+    def collect() -> dict:
+        last = {}
+        while not reports.empty():
+            pid, report = reports.get()
+            last[pid] = report
+        return last
+
+    return collect
+
+
+def adjacency_digest(adj) -> str:
+    """A small stand-in for a network's adjacency, to report across the pipe."""
+    return hashlib.sha256(adj.indptr.tobytes() + adj.indices.tobytes()).hexdigest()
+
+
+def cached_networks(graph_map) -> list:
+    return [network for network, _size in graph_map.lru._entries.values()]
 
 
 def reachable_arrays(obj, seen=None):
@@ -582,31 +643,37 @@ def reachable_arrays(obj, seen=None):
 
 
 class TestGraphMap:
-    def test_threads_share_one_graph_and_match_fresh_builds(self, tmp_path):
+    def test_repeats_share_one_worker_graph_and_match_fresh_builds(self, tmp_path):
         specs = [graph_spec(5, run_seed) for run_seed in range(8)]
         with JobManager(cache=tmp_path / "cache", workers=2) as manager:
             # The first request builds and forgets; the second admits.
+            # Requests one after another all go to the worker returned
+            # last, so the rest run on its one cached network.
             jobs = []
-            for spec in specs[:2]:
+            for spec in specs:
                 jobs.append(manager.submit(spec))
-                assert manager.wait(jobs[-1], timeout=60)
-            # The rest run two at a time on the one cached network.
-            jobs += [manager.submit(spec) for spec in specs[2:]]
-            for job in jobs:
-                assert manager.wait(job, timeout=60) and job.state == "done"
+                assert manager.wait(jobs[-1], timeout=60) and jobs[-1].state == "done"
             graphs = manager.stats()["graphs"]
             assert graphs["misses"] == 2 and graphs["hits"] == len(specs) - 2
             assert graphs["entries"] == 1 and graphs["bytes"] > 0
         for spec, job in zip(specs, jobs):
             assert job.body == fresh_body(spec)
 
-    def test_stress_shared_maps_under_thread_switching(self, tmp_path):
+    def test_stress_worker_maps_under_concurrent_jobs(self, monkeypatch, tmp_path):
         import sys
 
         specs = [
             make_spec(graph={"n": 60, "p": 0.15, "seed": i % 3}, seed=i)
             for i in range(24)
         ]
+        collect = probe_worker_maps(
+            monkeypatch,
+            lambda graphs: (
+                len(graphs.lru),
+                graphs.lru.bytes,
+                sum(size for _network, size in graphs.lru._entries.values()),
+            ),
+        )
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -617,14 +684,16 @@ class TestGraphMap:
                 stats = manager.stats()
         finally:
             sys.setswitchinterval(interval)
-        # No lost update: every execution counted once, and the map's
-        # byte total is the sum of its entries.
+        # No lost update: every execution counted once, each worker's
+        # byte total is the sum of its entries, and healthz sums the
+        # workers' maps.
         graphs = stats["graphs"]
         assert graphs["hits"] + graphs["misses"] == stats["executions"]
-        assert graphs["bytes"] == sum(
-            size for _network, size in manager._graphs._entries.values()
-        )
-        assert graphs["entries"] <= 3
+        maps = collect().values()
+        assert all(total == entry_sum for _, total, entry_sum in maps)
+        assert graphs["bytes"] == sum(entry_sum for _, _, entry_sum in maps)
+        assert graphs["entries"] == sum(entries for entries, _, _ in maps)
+        assert all(entries <= 3 for entries, _, _ in maps)
         bodies = {spec.cache_key(): fresh_body(spec) for spec in specs}
         assert all(job.body == bodies[job.key] for job in jobs)
 
@@ -644,6 +713,10 @@ class TestGraphMap:
         # Room for two of these graphs (their sizes differ by a few
         # per cent between seeds), never three.
         monkeypatch.setattr(runner, "GRAPH_MAP_BYTES", int(2.5 * size))
+        collect = probe_worker_maps(
+            monkeypatch,
+            lambda graphs: {adjacency_digest(network.adj) for network in cached_networks(graphs)},
+        )
         with JobManager(cache=None, workers=1) as manager:
             for graph_seed in range(3):
                 for run_seed in range(2):
@@ -652,8 +725,8 @@ class TestGraphMap:
             graphs = manager.stats()["graphs"]
             assert graphs["entries"] == 2
             assert graphs["bytes"] <= runner.GRAPH_MAP_BYTES
-            kept = {network.adj for network in cached_networks(manager)}
-            oldest = _as_network(graph_spec(0, 0).graph).adj
+            (kept,) = collect().values()
+            oldest = adjacency_digest(_as_network(graph_spec(0, 0).graph).adj)
             assert oldest not in kept
             # The most recent graph is still served from memory.
             hits = graphs["hits"]
@@ -674,17 +747,30 @@ class TestGraphMap:
         lru.put("huge", "H", 11)  # larger than the budget: not admitted
         assert lru.get("huge") is None and len(lru) == 2
 
-    def test_cached_network_arrays_are_read_only(self, tmp_path):
+    def test_cached_network_arrays_are_read_only(self, monkeypatch, tmp_path):
+        def arrays_of(graphs):
+            return [
+                (
+                    network.adj._matrix is not None and network.adj._connected,
+                    len(arrays := reachable_arrays(network)),
+                    sum(arr.flags.writeable for arr in arrays),
+                )
+                for network in cached_networks(graphs)
+            ]
+
+        collect = probe_worker_maps(monkeypatch, arrays_of)
         with JobManager(cache=None, workers=2) as manager:
-            jobs = [manager.submit(graph_spec(3, seed)) for seed in range(4)]
-            for job in jobs:
-                assert manager.wait(job, timeout=60) and job.state == "done"
-            (network,) = cached_networks(manager)
+            jobs = []
+            for seed in range(4):
+                jobs.append(manager.submit(graph_spec(3, seed)))
+                assert manager.wait(jobs[-1], timeout=60) and jobs[-1].state == "done"
+        ((built, num_arrays, writeable),) = [
+            network for networks in collect().values() for network in networks
+        ]
         # The serial rounds built the lazily cached fields.
-        assert network.adj._matrix is not None and network.adj._connected
-        arrays = reachable_arrays(network)
-        assert len(arrays) >= 7
-        assert not [arr for arr in arrays if arr.flags.writeable]
+        assert built
+        assert num_arrays >= 7
+        assert not writeable
 
 
 class TestBodyMap:
@@ -750,8 +836,8 @@ class TestNondeterministicSpecs:
             assert len(manager._bodies) == 0
 
     def test_concurrent_identical_specs_do_not_coalesce(self, monkeypatch, tmp_path):
-        release = threading.Event()
-        calls = []
+        release = FORK.Event()
+        calls = ForkedCalls()
 
         def slow_execute(spec):
             calls.append(spec)
@@ -801,3 +887,141 @@ class TestStats:
                 reader.join(10)
             assert manager.wait(submitted[0], timeout=30)
             assert stats and stats[0]["cache"]["entries"] == 0
+
+
+def wait_for_round(job, timeout=10.0):
+    """Wait until the job's worker has relayed a round event."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        window, _ = job.events_since(0)
+        if any(event["kind"] == "round" for event in window):
+            return True
+        time.sleep(0.005)
+    return False
+
+
+def busy_worker(manager: JobManager):
+    (worker,) = [
+        worker
+        for slot, worker in enumerate(manager._workers)
+        if slot not in manager._idle
+    ]
+    return worker
+
+
+class TestWorkers:
+    def test_killed_worker_fails_only_its_job_and_is_reforked(self, tmp_path):
+        import signal
+
+        journal_dir = tmp_path / "journal"
+        with JobManager(
+            cache=tmp_path / "cache", workers=2, journal=journal_dir
+        ) as manager:
+            doomed = manager.submit(slow_spec())
+            assert wait_for_round(doomed)
+            victim = busy_worker(manager)
+            # The other worker keeps serving while one grinds.
+            bystander = manager.submit(make_spec())
+            assert manager.wait(bystander, timeout=30) and bystander.state == "done"
+            os.kill(victim.process.pid, signal.SIGKILL)
+            assert manager.wait(doomed, timeout=30)
+            assert doomed.state == "failed"
+            assert doomed.error == f"worker process exited (code {-signal.SIGKILL})"
+            assert doomed.key not in manager.cache
+            assert manager.stats()["workers"] == {"processes": 2, "respawns": 1}
+            assert victim not in manager._workers
+            assert all(worker.process.is_alive() for worker in manager._workers)
+            spec = graph_spec(1, 2)
+            follow = manager.submit(spec)
+            assert manager.wait(follow, timeout=30) and follow.state == "done"
+            assert follow.body == canonical_json(execute_spec(spec)).encode()
+        records = [
+            json.loads(line)
+            for line in (journal_dir / "journal.jsonl").read_text().splitlines()
+        ]
+        pairs = {}
+        for record in records:
+            pairs.setdefault(record["key"], []).append(record.get("state"))
+        assert pairs[doomed.key] == [None, "failed"]
+        assert pairs[follow.key] == [None, "done"]
+
+    def test_cancel_stops_a_running_broadcast_within_a_round(self, tmp_path):
+        with JobManager(cache=None, workers=1) as manager:
+            (worker,) = manager._workers
+            job = manager.submit(slow_spec())
+            assert wait_for_round(job)
+            manager.cancel(job.id)
+            taped = job.num_events()
+            assert manager.wait(job, timeout=10)
+            assert job.state == JOB_CANCELLED
+            # At most the one round event that tripped the check lands
+            # on the tape after the cancel.
+            late, _ = job.events_since(taped)
+            assert sum(event["kind"] == "round" for event in late) <= 1
+            # The same worker process serves the next job.
+            follow = manager.submit(make_spec())
+            assert manager.wait(follow, timeout=30) and follow.state == "done"
+            assert manager._workers == [worker] and worker.process.is_alive()
+            assert manager.stats()["workers"] == {"processes": 1, "respawns": 0}
+
+    def test_cancel_stops_a_running_sweep_without_requeueing_its_task(
+        self, monkeypatch
+    ):
+        from repro import simulate
+
+        started = ForkedCalls()
+
+        def grinding_experiment(*, quick, seed):
+            # Real broadcasts, one event per round, for seconds: a task
+            # that catches the stop as an error would be retried, and
+            # its siblings would run after it.
+            started.append(seed)
+            spec = slow_spec(max_rounds=20_000)
+            end = time.monotonic() + 3.0
+            while time.monotonic() < end:
+                simulate(
+                    spec.process,
+                    dict(spec.graph),
+                    seed=spec.seed,
+                    max_rounds=spec.max_rounds,
+                    raise_on_incomplete=False,
+                    protocol=build_protocol(spec.params["protocol"], spec.graph),
+                )
+
+        monkeypatch.setattr(
+            "repro.experiments.parallel.get_experiment",
+            lambda _id: grinding_experiment,
+        )
+        with JobManager(cache=None, workers=1) as manager:
+            (worker,) = manager._workers
+            job = manager.submit(SweepSpec(experiments=("E1", "E2", "E3"), jobs=1))
+            assert wait_for_round(job)
+            cancelled_at = time.monotonic()
+            manager.cancel(job.id)
+            taped = job.num_events()
+            assert manager.wait(job, timeout=30)
+            assert job.state == JOB_CANCELLED
+            assert time.monotonic() - cancelled_at < 2.0
+            # One task started: it was neither requeued nor followed by
+            # its siblings, on the worker or on the tape.
+            assert len(started) == 1
+            late, _ = job.events_since(taped)
+            assert not [
+                event
+                for event in late
+                if event["kind"] == "task-requeue" or event["kind"] == "run-start"
+            ]
+            assert manager.registry.counter_value("exec.tasks", label="ok") == 0
+            # The same worker process serves the next job.
+            follow = manager.submit(make_spec())
+            assert manager.wait(follow, timeout=30) and follow.state == "done"
+            assert manager._workers == [worker] and worker.process.is_alive()
+
+    def test_shutdown_ends_every_worker(self):
+        manager = JobManager(cache=None, workers=2)
+        job = manager.submit(make_spec())
+        assert manager.wait(job, timeout=30)
+        processes = [worker.process for worker in manager._workers]
+        manager.shutdown()
+        assert all(process.exitcode == 0 for process in processes)
+        assert manager.stats()["workers"]["processes"] == 0
