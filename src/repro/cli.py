@@ -845,8 +845,9 @@ def main(argv: list[str] | None = None) -> int:
                     chunks.append(chunk)
         _finish_observer(obs, args.trace_out)
         if args.out:
-            with open(args.out, "w") as fh:
-                fh.write("\n\n".join(chunks) + "\n")
+            from ._atomic import atomic_write
+
+            atomic_write(args.out, "\n\n".join(chunks) + "\n")
             print(f"report written to {args.out}")
         return 1 if failed else 0
 

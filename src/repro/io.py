@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._atomic import atomic_write
 from .errors import GraphError, ReproError, ScheduleError
 from .experiments.runner import ExperimentResult
 from .graphs.adjacency import Adjacency
@@ -213,12 +214,15 @@ def _map_floats(payload: dict, convert) -> dict:
 
 
 def save_result(result: ExperimentResult, path: str | Path) -> Path:
-    """Write an experiment result to JSON (``.json`` appended if absent)."""
+    """Write an experiment result to JSON (``.json`` appended if absent).
+
+    Crash-safe: a reader sees the old file or the new one, never a torn
+    write.
+    """
     path = Path(path)
     if path.suffix != ".json":
         path = path.with_suffix(path.suffix + ".json")
-    path.write_text(json.dumps(result_to_payload(result), indent=2) + "\n")
-    return path
+    return atomic_write(path, json.dumps(result_to_payload(result), indent=2) + "\n")
 
 
 def _json_default(obj):

@@ -16,17 +16,12 @@ The middle layer of the client/runner/types split.  Two halves:
   execution), a key already executing **coalesces** onto the in-flight
   job (concurrent identical requests cost one execution), and a fresh
   key is queued for one of ``workers`` **forked worker processes**, so
-  executions run in parallel outside the server's GIL.  Each worker
-  keeps its own bounded graph map; hit bodies stay in memory in the
-  manager's body map (see :class:`JobManager`).  A spec that is not
-  deterministic skips the cache and coalescing and executes every time.
-  A worker runs the job under its own :class:`~repro.obs.Observer` whose
-  sink streams every engine event (``run-*``, ``round``, ``batch-*``,
-  ``exec-*``) back over the worker's pipe; the manager tees each into
-  the job's replayable event buffer — the stream behind
+  executions run in parallel outside the server's GIL (see
+  :class:`JobManager`).  A worker sends a job's engine events with its
+  reply, or streams them while the job has a live reader; the manager
+  puts them on the job's replayable event tape — the stream behind
   ``GET /v1/jobs/{id}/events`` — and merges the worker's registry into
-  its own under lock at job end, emitting the ``serve.*`` metric series
-  (queue depth, cache hit ratio, job wall-time histograms).
+  its own, emitting the ``serve.*`` metric series.
 
 Resilience (see ``docs/SERVICE.md`` → *Resilience semantics*):
 
@@ -36,11 +31,9 @@ Resilience (see ``docs/SERVICE.md`` → *Resilience semantics*):
   incomplete remainder on restart, idempotently, via their
   content-addressed keys;
 * jobs carry optional **deadlines** and support **cooperative
-  cancellation** — both are checked at round/task boundaries by the
-  job's trace sink as each relayed event lands (the engine emits an
-  event per round, so the check rides the tape for free); a tripped
-  check tells the worker to stop at its next event, and the job ends
-  ``timeout`` / ``cancelled``;
+  cancellation**: a cancel, or the passing deadline, tells the job's
+  worker to stop, and the worker stops at its next engine event (one
+  per round or task) — the job ends ``cancelled`` / ``timeout``;
 * a worker that dies mid-job fails only that job and is re-forked;
 * :meth:`JobManager.drain` stops admission
   (:class:`~repro.errors.ServerDrainingError` → HTTP 503) and gives
@@ -50,6 +43,7 @@ Resilience (see ``docs/SERVICE.md`` → *Resilience semantics*):
 
 from __future__ import annotations
 
+import ctypes
 import gc
 import json
 import multiprocessing
@@ -59,11 +53,12 @@ import stat
 import threading
 import time
 import warnings
-from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
+from collections import OrderedDict, deque
 from contextvars import ContextVar
+from multiprocessing import connection
 from itertools import count
 from pathlib import Path
+from traceback import format_exc
 from typing import Iterable
 
 from ..api import _as_network, simulate
@@ -215,10 +210,7 @@ def execute_sweep(spec: SweepSpec) -> dict:
     from ..experiments.parallel import outcomes_payload, run_catalog_supervised
 
     outcomes = run_catalog_supervised(
-        list(spec.experiments),
-        quick=spec.quick,
-        seed=spec.seed,
-        jobs=spec.jobs,
+        list(spec.experiments), quick=spec.quick, seed=spec.seed, jobs=spec.jobs
     )
     return outcomes_payload(outcomes)
 
@@ -229,9 +221,7 @@ def execute_spec(spec) -> dict:
         return execute_job(spec)
     if isinstance(spec, SweepSpec):
         return execute_sweep(spec)
-    raise InvalidParameterError(
-        f"spec must be a JobSpec or SweepSpec, got {type(spec).__name__}"
-    )
+    raise InvalidParameterError(f"spec must be a JobSpec or SweepSpec, got {type(spec).__name__}")
 
 
 # ----------------------------------------------------------------------
@@ -346,56 +336,99 @@ class _GraphMap:
 # Worker processes
 # ----------------------------------------------------------------------
 #
-# Manager -> worker: a spec (run it), or "stop" (abandon the running
-# job at its next event; a stop that arrives after the job replied is
-# read as the next message and dropped).  Worker -> manager, per job:
-# any number of ("event", event), then one reply
-# (state, payload, registry snapshot, graph-map usage), where state is
-# "done" (payload: the canonical result bytes), "failed" (payload:
-# "Type: message") or "stopped" (payload: None).
+# Manager -> worker: (spec, stream, hold_s) runs a job; while it runs,
+# "watch" (stream its events from here on) or "stop" (abandon it at its
+# next event).  A "watch" or "stop" that arrives after the job replied
+# is read as the next message and dropped.  Worker -> manager, per job:
+# ("events", [event, ...]) while it streams, then one reply
+# (state, payload, events, registry snapshot, graph-map usage), where
+# state is "done" (payload: the canonical result bytes), "failed"
+# (payload: "Type: message") or "stopped" (payload: None), and events
+# are the ones it did not stream.
+
+#: The free heap a worker keeps between jobs: glibc's trim threshold and
+#: its mmap threshold (a larger block is mapped on its own and unmapped
+#: when freed).  So each job reuses the last one's pages, unfaulted.
+WORKER_HEAP_BYTES = 32 << 20
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 
 
-class _PipeSink:
-    """A worker-side trace sink: each event goes to the manager.
+def _keep_heap() -> None:
+    """Fix glibc's heap thresholds at :data:`WORKER_HEAP_BYTES` (a no-op
+    where the C library has no ``mallopt``)."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+        mallopt(_M_MMAP_THRESHOLD, WORKER_HEAP_BYTES)
+        mallopt(_M_TRIM_THRESHOLD, WORKER_HEAP_BYTES)
 
-    After each send it polls for the one message a busy worker can be
-    sent, ``"stop"``, and raises at that event boundary.  The stop is
-    sticky: every later emit of the job raises too, so code that catches
-    the first raise (a sweep's task supervision, which would requeue the
-    task) is stopped at its own next event.
+
+class _WorkerTape:
+    """A worker-side trace sink: the job's events, kept or streamed.
+
+    Events are kept for the reply unless the job has a live reader
+    (``stream``).  At each event the tape reads what the manager pushed:
+    a ``"watch"`` sends the kept events and streams from then on, and a
+    ``"stop"`` raises at that event boundary.  The stop is sticky: every
+    later emit of the job raises too, so code that catches the first
+    raise (a sweep's task supervision, which would requeue the task) is
+    stopped at its own next event.
     """
 
-    def __init__(self, conn):
+    def __init__(self, conn, stream: bool):
         self.conn = conn
+        self.stream = stream
+        self.events: list[dict] = []
         self.stopped = False
 
     def emit(self, event: dict) -> None:
         if not self.stopped:
-            self.conn.send(("event", event))
-            if not self.conn.poll():
-                return
-            self.conn.recv()
-            self.stopped = True
-        raise JobCancelledError("stopped by the job manager")
+            if self.stream:
+                self.conn.send(("events", [event]))
+            else:
+                self.events.append(event)
+        self.check()
+
+    def check(self, wait_s: float = 0.0) -> None:
+        """Read the manager's pushes (waiting up to ``wait_s``); raise once stopped."""
+        end = time.monotonic() + wait_s
+        while not self.stopped and self.conn.poll(max(0.0, end - time.monotonic())):
+            if self.conn.recv() == "stop":
+                self.stopped = True
+            elif not self.stream:
+                self.stream = True
+                self.conn.send(("events", self.events))
+                self.events = []
+        if self.stopped:
+            raise JobCancelledError("stopped by the job manager")
 
     def close(self) -> None:
         """The pipe belongs to the worker loop."""
 
 
 def _serve_jobs(conn, graphs: _GraphMap) -> None:
-    """A worker's loop: run each spec received on ``conn`` until EOF."""
+    """A worker's loop: run each job received on ``conn`` until EOF."""
     while True:
         try:
-            spec = conn.recv()
+            message = conn.recv()
         except (EOFError, OSError):
             return
-        if isinstance(spec, str):
-            continue  # a stale "stop"
+        if isinstance(message, str):
+            continue  # a stale "stop" or "watch"
+        spec, stream, hold_s = message
         registry = MetricsRegistry()
+        tape = _WorkerTape(conn, stream)
         token = _GRAPH_MAP.set(graphs)
         try:
-            with use_observer(Observer(registry, _PipeSink(conn))):
-                reply = ("done", canonical_json(execute_spec(spec)).encode())
+            with use_observer(Observer(registry, tape)):
+                tape.check(hold_s)
+                start = Observer.clock()
+                document = execute_spec(spec)
+                encoding = Observer.clock()
+                reply = ("done", canonical_json(document).encode())
+            del document
+            registry.observe("serve.worker.phase_s", encoding - start, label="execute")
+            registry.observe("serve.worker.phase_s", Observer.clock() - encoding, label="encode")
         except JobCancelledError:
             reply = ("stopped", None)
         except Exception as exc:  # noqa: BLE001 — failures become job state
@@ -403,7 +436,7 @@ def _serve_jobs(conn, graphs: _GraphMap) -> None:
         finally:
             _GRAPH_MAP.reset(token)
         try:
-            conn.send((*reply, registry.snapshot(), graphs.usage()))
+            conn.send((*reply, tape.events, registry.snapshot(), graphs.usage()))
         except OSError:
             return
 
@@ -443,6 +476,7 @@ def _worker_main(conn, graph_budget: int) -> None:
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.set_wakeup_fd(-1)
     _close_inherited_sockets(conn.fileno())
+    _keep_heap()
     _serve_jobs(conn, _GraphMap(graph_budget))
     # Skip interpreter teardown: it would run the server's exit hooks,
     # whose locks another thread may have held at the fork.
@@ -450,58 +484,85 @@ def _worker_main(conn, graph_budget: int) -> None:
 
 
 class _Worker:
-    """The manager's handle on one forked worker process."""
+    """The manager's handle on one forked worker process.
+
+    ``job`` is the job it runs (``None`` while idle); only the dispatch
+    loop changes it.  Sends on the pipe are serialised by a lock, so a
+    ``"stop"`` or ``"watch"`` that another thread pushes (:meth:`push`)
+    reaches the worker only while it runs that job.
+    """
 
     def __init__(self, graph_budget: int):
         context = multiprocessing.get_context("fork")
         self.conn, child = context.Pipe(duplex=True)
         self.process = context.Process(
-            target=_worker_main,
-            args=(child, graph_budget),
-            name="repro-serve-worker",
-            daemon=True,
+            target=_worker_main, args=(child, graph_budget), name="repro-serve-worker", daemon=True
         )
         with warnings.catch_warnings():
             # Python 3.12+ warns on every fork of a process with threads
             # (numpy's BLAS pool is one).  A worker takes none of the
             # server's locks and skips its exit hooks (_worker_main).
-            warnings.filterwarnings(
-                "ignore", ".*use of fork", DeprecationWarning
-            )
+            warnings.filterwarnings("ignore", ".*use of fork", DeprecationWarning)
             self.process.start()
         child.close()
+        self.job: Job | None = None
         #: ``(entries, bytes)`` of its graph map, from its last reply.
         self.graphs = (0, 0)
+        self._lock = threading.Lock()
 
-    def close(self, wait: bool = True) -> int | None:
+    def start(self, job: Job, stream: bool, hold_s: float) -> None:
+        """Send ``job`` to the worker (dispatch loop)."""
+        with self._lock:
+            self.job = job
+            job.worker = self
+            try:
+                # Read after ``job.worker`` is set: a reader or a cancel
+                # that came too early to push is seen here instead.
+                self.conn.send((job.spec, stream or job.watched, hold_s))
+                if job.cancel_event.is_set():
+                    self.conn.send("stop")
+            except OSError:
+                pass  # it died: the dispatch loop reads its EOF
+
+    def take(self) -> Job | None:
+        """The job the worker just finished; the worker is idle."""
+        with self._lock:
+            job, self.job = self.job, None
+        return job
+
+    def push(self, job: Job, message: str) -> None:
+        """Send ``message`` if the worker still runs ``job``."""
+        with self._lock:
+            if self.job is job:
+                try:
+                    self.conn.send(message)
+                except OSError:
+                    pass  # it died: the dispatch loop reads its EOF
+
+    def close(self) -> int | None:
         """Close the pipe (an idle worker exits on EOF); the exit code."""
         self.conn.close()
-        if wait:
+        self.process.join(WORKER_EXIT_S)
+        if self.process.is_alive():
+            self.process.kill()
             self.process.join(WORKER_EXIT_S)
-            if self.process.is_alive():
-                self.process.kill()
-                self.process.join(WORKER_EXIT_S)
         return self.process.exitcode
-
-
-class _WorkerFailed(Exception):
-    """A job's failure as the worker reported it: ``"Type: message"``."""
 
 
 class Job:
     """One submitted request: lifecycle state plus a replayable event tape.
 
-    Thread-safe: the executing worker appends events and flips state
-    under the job's lock; HTTP handlers snapshot status and read event
-    windows concurrently.  ``done`` is set strictly *after* the final
-    ``serve-job-end`` event lands, so a reader that sees ``done`` and an
-    exhausted cursor has seen the whole tape.
+    Thread-safe: the dispatch loop appends events and flips state; HTTP
+    handlers snapshot status and read event windows concurrently.
+    ``done`` is set strictly *after* the final ``serve-job-end`` event
+    lands, so a reader that sees ``done`` and an exhausted cursor has
+    seen the whole tape.  The first :meth:`events_since` call while the
+    job runs (a live reader) asks its worker to stream its events
+    instead of sending them with its reply.
 
     ``deadline`` is an absolute :meth:`Observer.clock` instant fixed at
     admission (``deadline_s`` budgets the whole job, queue wait
     included); ``cancel_event`` is the cooperative cancellation flag.
-    Both are enforced by :meth:`raise_if_interrupted`, which the job's
-    trace sink calls at every engine round/task boundary.
 
     A finished job holds its result as ``body``, the canonical JSON bytes
     the cache stores and the server sends; :attr:`result` decodes them
@@ -521,6 +582,11 @@ class Job:
         self.cancel_event = threading.Event()
         self.deadline: float | None = None
         self.journaled = False
+        # Run state: its worker, start instant, live reader, halting error.
+        self.worker: _Worker | None = None
+        self.started = 0.0
+        self.watched = False
+        self.halt: Exception | None = None
         self._events: list[dict] = []
         self._lock = threading.Lock()
 
@@ -531,24 +597,33 @@ class Job:
 
     def cancel(self) -> None:
         """Request cooperative cancellation (takes effect next round)."""
-        self.cancel_event.set()
-
-    def raise_if_interrupted(self) -> None:
-        """Raise if this job has been cancelled or outran its deadline."""
         if self.cancel_event.is_set():
-            raise JobCancelledError(f"job {self.id} cancelled")
-        if self.deadline is not None and Observer.clock() > self.deadline:
-            raise JobDeadlineError(
-                f"job {self.id} exceeded its deadline_s="
-                f"{self.spec.deadline_s} budget"
-            )
+            return  # its worker was told once
+        self.cancel_event.set()
+        if self.worker is not None:
+            self.worker.push(self, "stop")
 
-    def append_event(self, event: dict) -> None:
+    def interruption(self) -> Exception | None:
+        """The error ending this job if it was cancelled or outran its
+        deadline, else ``None``."""
+        if self.cancel_event.is_set():
+            return JobCancelledError(f"job {self.id} cancelled")
+        if self.deadline is not None and Observer.clock() > self.deadline:
+            return JobDeadlineError(
+                f"job {self.id} exceeded its deadline_s={self.spec.deadline_s} budget"
+            )
+        return None
+
+    def append_events(self, events: Iterable[dict]) -> None:
         with self._lock:
-            self._events.append(event)
+            self._events.extend(events)
 
     def events_since(self, cursor: int) -> tuple[list[dict], int]:
         """Events from ``cursor`` on, plus the new cursor (for streaming)."""
+        if not self.watched:
+            self.watched = True
+            if self.worker is not None:
+                self.worker.push(self, "watch")
         with self._lock:
             window = self._events[cursor:]
         return window, cursor + len(window)
@@ -560,14 +635,8 @@ class Job:
     def head(self) -> JobStatus:
         """A snapshot of the job without its result (nothing decoded)."""
         return JobStatus(
-            id=self.id,
-            kind=self.spec.kind,
-            state=self.state,
-            spec=self.spec.to_dict(),
-            cache=self.cache,
-            error=self.error,
-            elapsed_s=self.elapsed_s,
-            events=self.num_events(),
+            id=self.id, kind=self.spec.kind, state=self.state, spec=self.spec.to_dict(),
+            cache=self.cache, error=self.error, elapsed_s=self.elapsed_s, events=self.num_events(),
         )
 
     def status(self) -> JobStatus:
@@ -577,30 +646,9 @@ class Job:
         return status
 
 
-class _JobTraceSink:
-    """Per-job tee: every event lands on the job's tape, then downstream.
-
-    While ``armed``, each emit also runs the job's interruption check —
-    the engine emits an event per round (and the supervisor per task
-    fault/finish), so deadlines and cancellation piggyback on the event
-    stream with no engine changes.  The manager disarms the sink before
-    emitting terminal events, which must never themselves re-raise.
-    """
-
-    def __init__(self, job: Job, downstream=None):
-        self.job = job
-        self.downstream = downstream
-        self.armed = False
-
-    def emit(self, event: dict) -> None:
-        self.job.append_event(event)
-        if self.downstream is not None:
-            self.downstream.emit(event)
-        if self.armed:
-            self.job.raise_if_interrupted()
-
-    def close(self) -> None:
-        """The job owns no sink resources; downstream is the manager's."""
+def _job_event(job: Job, kind: str, **fields) -> dict:
+    """A ``serve-job-*`` event of ``job``."""
+    return {"v": SCHEMA_VERSION, "kind": kind, "job": job.id, "spec": job.key, **fields}
 
 
 class JobManager:
@@ -622,9 +670,9 @@ class JobManager:
         from a previous process.
     chaos: optional :class:`~repro.chaos.FaultSchedule` — deterministic
         fault injection for the chaos suite; never set in production.
-        Its ``hold`` rules (kind ``"execute"``) sleep an execution
-        ``seconds`` before it runs; the counter advances before the
-        sleep, so the journal replay of a job killed mid-hold runs
+        Its ``hold`` rules (kind ``"execute"``) make the worker wait
+        ``seconds`` before it runs a job; the counter advances before
+        the wait, so the journal replay of a job killed mid-hold runs
         unheld.  Its ``reset`` rules act on the HTTP server's
         connections (:class:`~repro.serve.http.Server`).
     obs: optional external :class:`~repro.obs.Observer`: its registry
@@ -632,26 +680,22 @@ class JobManager:
         its sink receives a tee of every job's events.
 
     Executions run on ``workers`` worker processes, forked (``fork``
-    start method) when the manager is built, before it starts a thread
-    of its own, so a worker shares the server's imported modules and
-    pays no start-up.  One dispatch thread per worker sends it a job's
-    spec and relays what comes back: engine events onto the job's tape
-    (where cancellation and deadlines are checked, as before), then the
-    result's canonical bytes, encoded in the worker.  The manager writes
-    the cache and the journal.  A worker that dies fails only the job it
-    ran (``"worker process exited (code N)"``) and is re-forked.
+    start method) when the manager is built, before its dispatch loop
+    starts, so a worker shares the server's imported modules and pays no
+    start-up.  The loop is one thread waiting on every worker's pipe.
+    When a worker replies, the loop first sends it the next queued job,
+    then does the finished job's bookkeeping: the events onto the job's
+    tape, the cache and the journal writes, the registry merge.  The
+    result's canonical bytes are encoded in the worker.  A worker that
+    dies fails only the job it ran (``"worker process exited (code N)"``)
+    and is re-forked.
 
-    The working set stays in bounded LRU maps, each under a fixed byte
-    budget.  Each worker keeps a **graph map** of networks by canonical
-    graph mapping, under ``GRAPH_MAP_BYTES // workers``; a network is
-    admitted on the second request for its graph in that worker, so
-    traffic that never repeats a graph retains none.  A job goes to the
-    idle worker returned last, so back-to-back repeats of a graph run
-    where its network is.  The manager keeps the **body map**
-    (:data:`BODY_MAP_BYTES`) of result bytes by cache key, filled by
-    finished misses and by disk hits, so every hit on one key shares one
-    ``bytes`` object and reads the disk at most once while it stays in
-    memory.  Only
+    Each worker keeps a **graph map** of networks by canonical graph
+    mapping, under ``GRAPH_MAP_BYTES // workers``; a network is admitted
+    on the second request for its graph in that worker.  The manager
+    keeps the **body map** (:data:`BODY_MAP_BYTES`) of result bytes by
+    cache key, filled by finished misses and by disk hits, so every hit
+    on one key shares one ``bytes`` object.  Only
     :attr:`~repro.serve.types.JobSpec.deterministic` specs use the maps,
     the result cache and coalescing; any other spec executes every time.
     """
@@ -669,9 +713,7 @@ class JobManager:
         if workers < 1:
             raise InvalidParameterError(f"workers must be >= 1, got {workers}")
         if max_pending < 1:
-            raise InvalidParameterError(
-                f"max_pending must be >= 1, got {max_pending}"
-            )
+            raise InvalidParameterError(f"max_pending must be >= 1, got {max_pending}")
         if cache is not None and not isinstance(cache, ResultCache):
             cache = ResultCache(cache)
         if journal is not None and not isinstance(journal, JobJournal):
@@ -681,17 +723,12 @@ class JobManager:
         self.chaos = chaos
         self.registry = MetricsRegistry()
         self._obs = obs if obs is not None else current_observer()
-        # Forked before the dispatch pool starts a thread.
+        # Forked before the dispatch loop starts its thread.
         self._graph_budget = GRAPH_MAP_BYTES // workers
-        self._workers: list[_Worker | None] = [
-            _Worker(self._graph_budget) for _ in range(workers)
-        ]
-        # Idle slots, last returned on top: back-to-back jobs run on
-        # one worker, whose graph map has seen their graphs.
-        self._idle = list(range(workers))
-        self._pool = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-serve"
-        )
+        self._workers: list[_Worker | None] = [_Worker(self._graph_budget) for _ in range(workers)]
+        self._queue: deque[Job] = deque()
+        # Written (under the lock) to wake the dispatch loop.
+        self._wake, self._waker = multiprocessing.Pipe()
         self._lock = threading.Lock()
         self._jobs: dict[str, Job] = {}
         # Keyed by cache key, or by job id for a spec that is not
@@ -703,6 +740,8 @@ class JobManager:
         self._max_pending = max_pending
         self._closed = False
         self._draining = False
+        self._loop_thread = threading.Thread(target=self._loop, name="repro-serve", daemon=True)
+        self._loop_thread.start()
 
     # -- metrics (manager lock held) -----------------------------------
 
@@ -793,17 +832,17 @@ class JobManager:
             self._executions += 1
             self._inc("serve.executions", label=spec.kind)
             self._set_depth()
-        self._pool.submit(self._run, job)
+            self._queue.append(job)
+            self._waker.send_bytes(b"")
         return job
 
     def cancel(self, job_id: str) -> Job | None:
         """Request cancellation of a job (``None`` when unknown).
 
-        Cooperative: the flag is checked before execution starts and at
-        every round/task boundary, so a running simulate job stops
-        within a round.  Already-terminal jobs are a no-op.  Note a
-        coalesced job is one shared execution — cancelling it cancels
-        it for every caller that coalesced onto it.
+        Cooperative: a queued job never starts, and a running one's
+        worker stops at its next round/task boundary.  Already-terminal
+        jobs are a no-op.  A coalesced job is one shared execution:
+        cancelling it cancels it for every caller that coalesced onto it.
         """
         with self._lock:
             job = self._jobs.get(job_id)
@@ -811,8 +850,8 @@ class JobManager:
                 return None
             if job.done.is_set():
                 return job
-            job.cancel()
             self._inc("serve.cancellations", label=job.spec.kind)
+        job.cancel()
         return job
 
     def recover(self) -> list[Job]:
@@ -837,8 +876,7 @@ class JobManager:
                 spec = spec_from_dict(entry.spec)
             except InvalidParameterError as exc:
                 warnings.warn(
-                    f"journal entry {entry.key[:12]} no longer parses "
-                    f"({exc}); marking it failed",
+                    f"journal entry {entry.key[:12]} no longer parses ({exc}); marking it failed",
                     RuntimeWarning,
                     stacklevel=2,
                 )
@@ -907,25 +945,16 @@ class JobManager:
 
         New submits raise :class:`~repro.errors.ServerDrainingError`
         (HTTP 503 + ``Retry-After``) from the moment this is called.
-        Jobs still unfinished when the budget runs out are handed to
-        the journal: their terminal-record write is disarmed (so the
-        submit record stays unpaired and the next process's
-        :meth:`recover` re-admits them) and they are cooperatively
-        cancelled so their workers stop at the next round boundary
-        instead of blocking process exit.  Returns a summary
-        dict (``inflight``/``finished``/``journaled``/``wall_s``).
+        Jobs still unfinished when the budget runs out keep their
+        journal submit record unpaired, so the next process's
+        :meth:`recover` re-admits them, and are cancelled.  Returns a
+        summary dict (``inflight``/``finished``/``journaled``/``wall_s``).
         """
         start = Observer.clock()
         with self._lock:
             self._draining = True
             inflight = list(self._inflight.values())
-        self._emit(
-            {
-                "v": SCHEMA_VERSION,
-                "kind": "serve-drain-start",
-                "inflight": len(inflight),
-            }
-        )
+        self._emit({"v": SCHEMA_VERSION, "kind": "serve-drain-start", "inflight": len(inflight)})
         deadline = start + max(0.0, budget_s)
         for job in inflight:
             job.done.wait(max(0.0, deadline - Observer.clock()))
@@ -937,65 +966,42 @@ class JobManager:
             if job.journaled:
                 # Leave the submit record unpaired: the restarted
                 # manager replays this job.  Disarm *before* cancelling
-                # so the unwinding thread cannot write the terminal
-                # record first.
+                # so the dispatch loop cannot write the terminal record
+                # first.
                 job.journaled = False
                 journaled += 1
             job.cancel()
         wall_s = Observer.clock() - start
         with self._lock:
             self._observe("serve.drain_s", wall_s)
-        self._emit(
-            {
-                "v": SCHEMA_VERSION,
-                "kind": "serve-drain-end",
-                "finished": finished,
-                "journaled": journaled,
-                "wall_s": wall_s,
-            }
-        )
-        return {
-            "inflight": len(inflight),
-            "finished": finished,
-            "journaled": journaled,
-            "wall_s": wall_s,
-        }
+        summary = {"finished": finished, "journaled": journaled, "wall_s": wall_s}
+        self._emit({"v": SCHEMA_VERSION, "kind": "serve-drain-end", **summary})
+        return {"inflight": len(inflight), **summary}
 
     def shutdown(self, wait: bool = True) -> None:
-        """Stop the pool and the workers; resolve every job a waiter
-        could block on.
+        """Stop the dispatch loop and the workers.
 
-        Queued-but-never-started executions are cancelled out of the
-        pool and marked failed ("server shutting down") so ``wait()``
-        callers unblock instead of hanging until their timeout.  Their
-        journal submit records are deliberately left unpaired — a
-        restarted manager's :meth:`recover` picks the work back up.
-        Idle workers' pipes are closed, so they exit on EOF; a worker
-        still running a job (``wait=False``) is closed by its dispatch
-        thread when the job ends.
+        Queued jobs fail ("server shutting down"), so ``wait()`` callers
+        unblock; their journal submit records stay unpaired for
+        :meth:`recover`.  Running jobs finish; then the loop closes every
+        worker's pipe, and ``wait`` blocks until the workers have exited.
         """
         with self._lock:
-            self._closed = True
-        self._pool.shutdown(wait=wait, cancel_futures=True)
-        with self._lock:
-            for job in self._jobs.values():
-                if job.done.is_set():
-                    continue
-                if job.state == JOB_QUEUED:
-                    job.error = "server shutting down"
-                    job.state = JOB_FAILED
-                    self._inflight.pop(self._slot(job), None)
-                    self._inc("serve.jobs", label=job.state)
-                    job.done.set()
+            if not self._closed:
+                self._closed = True
+                self._waker.send_bytes(b"")
+            while self._queue:
+                job = self._queue.popleft()
+                job.error = "server shutting down"
+                job.state = JOB_FAILED
+                self._inflight.pop(self._slot(job), None)
+                self._inc("serve.jobs", label=job.state)
+                job.done.set()
             self._set_depth()
-            idle = [self._workers[slot] for slot in self._idle]
-            for slot in self._idle:
-                self._workers[slot] = None
-        for worker in idle:
-            if worker is not None:
-                worker.close(wait)
+        if wait:
+            self._loop_thread.join()
 
-    # -- execution (dispatch threads) ----------------------------------
+    # -- execution (the dispatch loop) ---------------------------------
 
     def _next_id(self) -> str:
         return f"job-{next(self._ids):06d}"
@@ -1019,155 +1025,152 @@ class JobManager:
             self._bodies.put(key, body, len(body))
         return body
 
-    def _borrow(self) -> tuple[int, _Worker]:
-        """An idle worker slot, the one returned last.
+    def _loop(self) -> None:
+        """Start queued jobs on idle workers and read what the workers
+        send, until :meth:`shutdown` and the last running job end."""
+        while True:
+            with self._lock:
+                workers = self._workers
+                if self._closed and all(w is None or w.job is None for w in workers):
+                    self._workers = [None] * len(workers)
+                    break
+            for slot, worker in enumerate(self._workers):
+                if worker is None or worker.job is None:
+                    self._start_next(slot)
+            pipes = {w.conn: slot for slot, w in enumerate(self._workers) if w is not None}
+            ready = connection.wait([self._wake, *pipes], self._stop_overdue())
+            for conn in ready:
+                if conn is self._wake:
+                    while self._wake.poll():
+                        self._wake.recv_bytes()
+                else:
+                    try:
+                        self._read(pipes[conn])
+                    except Exception:  # noqa: BLE001 — say, an unwritable journal
+                        warnings.warn(f"job bookkeeping failed:\n{format_exc()}", RuntimeWarning)
+        for worker in workers:
+            if worker is not None:
+                worker.close()
+        self._wake.close()
+        self._waker.close()
 
-        One dispatch thread per slot, so an idle slot always exists.  A
-        slot whose worker is gone (its re-fork failed, or it died while
-        idle) is re-forked here.
-        """
-        with self._lock:
-            slot = self._idle.pop()
-            worker = self._workers[slot]
-        if worker is None or not worker.process.is_alive():
+    def _stop_overdue(self) -> float | None:
+        """Stop each running job past its deadline; seconds to the next one."""
+        now = Observer.clock()
+        nearest = None
+        for worker in self._workers:
+            job = worker.job if worker is not None else None
+            if job is None or job.deadline is None or job.halt is not None:
+                continue
+            if job.deadline < now:
+                job.halt = job.interruption()
+                worker.push(job, "stop")
+            elif nearest is None or job.deadline < nearest:
+                nearest = job.deadline
+        return None if nearest is None else nearest - now
+
+    def _start_next(self, slot: int) -> None:
+        """Send the next queued job to the idle worker in ``slot``, re-forked
+        if it is gone.  A job cancelled or past its deadline while queued,
+        or whose worker cannot be forked, ends here without executing."""
+        while True:
             try:
-                worker = self._respawn(worker)
-            except BaseException:
-                self._give_back(slot, None)
-                raise
-        return slot, worker
+                worker = self._workers[slot] or self._respawn(slot)
+            except OSError as exc:
+                worker, error = None, f"{type(exc).__name__}: {exc}"
+            with self._lock:
+                if not self._queue:
+                    return
+                job = self._queue.popleft()
+            job.started = Observer.clock()
+            self._record(job, [_job_event(job, "serve-job-start")])
+            job.halt = job.interruption()
+            if job.halt is not None:
+                self._finish(job, "stopped")
+                continue
+            if worker is None:
+                self._finish(job, "failed", error)
+                continue
+            hold = self.chaos.fire("execute", "hold") if self.chaos else None
+            job.state = JOB_RUNNING
+            stream = self._obs is not None and self._obs.sink is not None
+            worker.start(job, stream, hold.seconds if hold is not None else 0.0)
+            return
 
-    def _respawn(self, dead: _Worker | None) -> _Worker:
-        if dead is not None:
-            dead.close()
-        worker = _Worker(self._graph_budget)
+    def _respawn(self, slot: int) -> _Worker:
+        worker = self._workers[slot] = _Worker(self._graph_budget)
         with self._lock:
             self._inc("serve.worker_respawns")
         return worker
 
-    def _give_back(self, slot: int, worker: _Worker | None) -> None:
-        """Return a slot to the idle list, or close its worker once the
-        manager is shut down."""
-        with self._lock:
-            closed = self._closed
-            self._workers[slot] = None if closed else worker
-            self._idle.append(slot)
-        if closed and worker is not None:
-            worker.close()
-
-    def _execute(self, job: Job, sink: _JobTraceSink, registry: MetricsRegistry) -> bytes:
-        """Run ``job`` on a worker; the result's canonical bytes.
-
-        The worker's events go to ``sink``.  If the sink raises (the
-        job's cancellation or deadline check), the worker is told to
-        stop and the error is re-raised once it has replied, so a slot
-        is only ever given back idle.  The worker's registry snapshot
-        merges into ``registry`` whatever the outcome.
-        """
-        slot, worker = self._borrow()
-        interrupted = reply = None
+    def _read(self, slot: int) -> None:
+        """Handle one message from the worker in ``slot``."""
+        worker = self._workers[slot]
         try:
-            worker.conn.send(job.spec)
-            while reply is None:
-                message = worker.conn.recv()
-                if message[0] != "event":
-                    reply = message
-                elif interrupted is None:
-                    try:
-                        sink.emit(message[1])
-                    except Exception as exc:  # noqa: BLE001 — raised once the worker replied
-                        interrupted = exc
-                        worker.conn.send("stop")
-            state, payload, snapshot, worker.graphs = reply
+            message = worker.conn.recv()
         except (EOFError, OSError):
-            code = worker.close()
-            try:
-                worker = self._respawn(None)
-            except OSError:
-                worker = None  # re-forked by the next _borrow
-            raise _WorkerFailed(f"worker process exited (code {code})") from None
-        finally:
-            self._give_back(slot, worker)
-        registry.merge_snapshot(snapshot)
-        if interrupted is not None:
-            raise interrupted
-        if state == "failed":
-            raise _WorkerFailed(payload)
-        return payload
+            error = f"worker process exited (code {worker.close()})"
+            message = ("failed", error, (), None, worker.graphs)
+            self._workers[slot] = None  # re-forked by _start_next
+        if message[0] == "events":
+            self._relay(worker.job, message[1])
+            return
+        state, payload, events, snapshot, worker.graphs = message
+        job = worker.take()
+        self._start_next(slot)
+        if job is not None:
+            self._finish(job, state, payload, events, snapshot)
 
-    def _run(self, job: Job) -> None:
-        start = Observer.clock()
-        registry = MetricsRegistry()
-        downstream = self._obs.sink if self._obs is not None else None
-        sink = _JobTraceSink(job, downstream=downstream)
-        obs = Observer(registry, sink)
-        obs.emit(
-            {
-                "v": SCHEMA_VERSION,
-                "kind": "serve-job-start",
-                "job": job.id,
-                "spec": job.key,
-            }
-        )
-        try:
-            # Cancelled (or deadline-expired) while still queued: skip
-            # the execution entirely.
-            job.raise_if_interrupted()
-            if self.chaos is not None:
-                hold = self.chaos.fire("execute", "hold")
-                if hold is not None:
-                    time.sleep(hold.seconds)
-                    job.raise_if_interrupted()
-            job.state = JOB_RUNNING
-            sink.armed = True
+    def _record(self, job: Job, events: list[dict]) -> None:
+        """Put events on the job's tape, then tee them downstream."""
+        job.append_events(events)
+        if self._obs is not None and self._obs.sink is not None:
+            for event in events:
+                self._obs.sink.emit(event)
+
+    def _relay(self, job: Job, events: list[dict]) -> None:
+        """Tape a running job's streamed events, checking at each one for
+        a cancel or a passed deadline.  The event that trips the check is
+        the last one taped: the worker is told to stop, and the rest is
+        dropped."""
+        for event in events:
+            if job.halt is not None:
+                return
+            self._record(job, [event])
+            job.halt = job.interruption()
+            if job.halt is not None:
+                job.worker.push(job, "stop")
+
+    def _finish(self, job: Job, state: str, payload=None, events=(), snapshot=None) -> None:
+        """A finished execution's bookkeeping.
+
+        ``state`` is the worker's (``"done"``, ``"failed"`` or
+        ``"stopped"``); a job the manager halted ends ``cancelled`` or
+        ``timeout`` whatever the worker replied.
+        """
+        if state == "stopped" and job.halt is None:
+            job.halt = job.interruption() or JobCancelledError(f"job {job.id} cancelled")
+        if job.halt is not None:
+            job.state = JOB_CANCELLED if isinstance(job.halt, JobCancelledError) else JOB_TIMEOUT
+            job.error = str(job.halt)
+        elif state == "failed":
+            job.state, job.error = JOB_FAILED, payload
+        else:
             try:
                 # The worker's encoding is the only one: the cache
                 # stores these bytes and the server sends them.
-                body = self._execute(job, sink, registry)
-            finally:
-                # Terminal events below must never re-raise.
-                sink.armed = False
-            # Inside the handlers: a put that raises (an unwritable
-            # disk) fails the job instead of escaping the dispatch
-            # thread and leaving it non-terminal forever.
-            if self.cache is not None and job.spec.deterministic:
-                self.cache.put(job.key, body)
-        except JobCancelledError as exc:
-            job.error = str(exc)
-            job.state = JOB_CANCELLED
-        except JobDeadlineError as exc:
-            job.error = str(exc)
-            job.state = JOB_TIMEOUT
-        except _WorkerFailed as exc:
-            job.error = str(exc)
-            job.state = JOB_FAILED
-        except Exception as exc:  # noqa: BLE001 — failures become job state
-            job.error = f"{type(exc).__name__}: {exc}"
-            job.state = JOB_FAILED
-        else:
-            job.body = body
-            job.state = JOB_DONE
-        job.elapsed_s = Observer.clock() - start
+                if self.cache is not None and job.spec.deterministic:
+                    self.cache.put(job.key, payload)
+            except Exception as exc:  # noqa: BLE001 — failures become job state
+                job.state, job.error = JOB_FAILED, f"{type(exc).__name__}: {exc}"
+            else:
+                job.state, job.body = JOB_DONE, payload
+        job.elapsed_s = Observer.clock() - job.started
+        ending = [*events]
         if job.state in (JOB_CANCELLED, JOB_TIMEOUT):
-            obs.emit(
-                {
-                    "v": SCHEMA_VERSION,
-                    "kind": "serve-job-cancelled",
-                    "job": job.id,
-                    "spec": job.key,
-                    "state": job.state,
-                }
-            )
-        obs.emit(
-            {
-                "v": SCHEMA_VERSION,
-                "kind": "serve-job-end",
-                "job": job.id,
-                "spec": job.key,
-                "state": job.state,
-                "wall_s": job.elapsed_s,
-            }
-        )
+            ending.append(_job_event(job, "serve-job-cancelled", state=job.state))
+        ending.append(_job_event(job, "serve-job-end", state=job.state, wall_s=job.elapsed_s))
+        self._record(job, ending)
         if self.journal is not None and job.journaled:
             # Result (if any) is in the cache; the journal pair may
             # close.  Crash before this line → restart replays the job,
@@ -1175,15 +1178,12 @@ class JobManager:
             self.journal.record_terminal(job.key, job.state)
         with self._lock:
             self._inflight.pop(self._slot(job), None)
-            if (
-                job.state == JOB_DONE
-                and self.cache is not None
-                and job.spec.deterministic
-            ):
+            if job.state == JOB_DONE and self.cache is not None and job.spec.deterministic:
                 self._bodies.put(job.key, job.body, len(job.body))
-            self.registry.merge_snapshot(registry.snapshot())
-            if self._obs is not None and self._obs.registry is not None:
-                self._obs.registry.merge_snapshot(registry.snapshot())
+            if snapshot is not None:
+                self.registry.merge_snapshot(snapshot)
+                if self._obs is not None and self._obs.registry is not None:
+                    self._obs.registry.merge_snapshot(snapshot)
             self._inc("serve.jobs", label=job.state)
             self._observe("serve.job_wall_s", job.elapsed_s, label=job.spec.kind)
             if self.journal is not None and job.journaled:

@@ -41,6 +41,26 @@ class TestConnectivity:
     def test_single_node_connected(self):
         assert is_connected(Adjacency.empty(1))
 
+    def test_two_nodes(self):
+        assert not is_connected(Adjacency.empty(2))
+        assert is_connected(Adjacency.from_edges(2, [(0, 1)]))
+
+    def test_isolated_node_disconnects(self):
+        # A dense component (the sweep turns bottom-up at once) plus one
+        # zero-degree row, first, last or in the middle.
+        for isolated in (0, 3, 6):
+            others = [v for v in range(7) if v != isolated]
+            edges = [(u, v) for u in others for v in others if u < v]
+            assert not is_connected(Adjacency.from_edges(7, edges))
+
+    def test_bottom_up_pass_that_admits_nobody(self):
+        # Two dense halves: the second half's rows see only unseen nodes.
+        half = [(u, v) for u in range(6) for v in range(6) if u < v]
+        g = Adjacency.from_edges(12, half + [(u + 6, v + 6) for u, v in half])
+        assert not is_connected(g)
+        bridged = [*half, (5, 6), *((u + 6, v + 6) for u, v in half)]
+        assert is_connected(Adjacency.from_edges(12, bridged))
+
     def test_components_labels(self):
         g = Adjacency.from_edges(5, [(0, 1), (2, 3)])
         labels = connected_components(g)
@@ -73,9 +93,9 @@ class TestConnectivity:
         import repro.graphs.properties as properties
 
         calls = []
-        original = properties.bfs_distances
+        original = properties._reaches_all_from_zero
         monkeypatch.setattr(
-            properties, "bfs_distances", lambda adj, s: calls.append(s) or original(adj, s)
+            properties, "_reaches_all_from_zero", lambda adj: calls.append(adj) or original(adj)
         )
         connected = path_graph(6)
         split = Adjacency.from_edges(4, [(0, 1), (2, 3)])

@@ -204,3 +204,37 @@ class TestBitParallelDiameter:
                 diameter_lower_bound(g, samples=samples, seed=seed)
         else:
             assert diameter_lower_bound(g, samples=samples, seed=seed) == expected
+
+
+class TestConnectivitySweep:
+    """The direction-optimising connectivity sweep agrees with a BFS."""
+
+    @staticmethod
+    def bfs_connected(g: Adjacency) -> bool:
+        return bool(np.all(bfs_distances(g, 0) >= 0))
+
+    @given(
+        st.integers(min_value=1, max_value=25).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=80),
+            )
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_bfs_on_edge_lists(self, data):
+        n, edges = data
+        g = Adjacency.from_edges(n, [(u, v) for u, v in edges if u != v])
+        assert properties.is_connected(g) == self.bfs_connected(g)
+
+    @given(
+        st.integers(min_value=1, max_value=300),
+        st.floats(min_value=0.0, max_value=0.2),
+        st.integers(min_value=0, max_value=10_000),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_bfs_on_gnp(self, n, p, seed):
+        # Around the connectivity threshold both the top-down levels and
+        # the bottom-up passes run, and both answers occur.
+        g = gnp(n, p, seed=seed)
+        assert properties.is_connected(g) == self.bfs_connected(g)

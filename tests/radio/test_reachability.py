@@ -1,9 +1,10 @@
-"""Reachability prechecks: one BFS per graph, and still a hard error.
+"""Reachability prechecks: one pass per graph, and still a hard error.
 
 ``Adjacency`` caches its connectivity, so the precheck of
-``run_dissemination``, traced or over many trials, costs one BFS per
-graph however many runs check it — including the check
-``gnp_connected`` made while sampling the graph.
+``run_dissemination``, traced or over many trials, costs one
+reachability pass (a BFS or the connectivity sweep) per graph however
+many runs check it — including the check ``gnp_connected`` made while
+sampling the graph.
 """
 
 import math
@@ -18,19 +19,27 @@ from repro.errors import DisconnectedGraphError, GraphError
 from repro.experiments.runner import protocol_times
 from repro.graphs import Adjacency, gnp_connected
 from repro.graphs import bfs as bfs_module
+from repro.graphs import properties as properties_module
 from repro.radio import RadioNetwork
 from repro.radio.dynamics import BroadcastDynamics, run_dissemination
 
 
 @pytest.fixture
 def bfs_calls(monkeypatch):
-    """Sources of every ``bfs_distances`` call, through any module's binding."""
+    """Every reachability pass: the source of each ``bfs_distances`` call,
+    through any module's binding, and ``"sweep"`` for each run of the
+    connectivity sweep."""
     original = bfs_module.bfs_distances
+    sweep = properties_module._reaches_all_from_zero
     calls = []
 
     def counting(adj, source):
         calls.append(source)
         return original(adj, source)
+
+    def counting_sweep(adj):
+        calls.append("sweep")
+        return sweep(adj)
 
     for name, module in list(sys.modules.items()):
         if module is None or not (name == "repro" or name.startswith("repro.")):
@@ -38,6 +47,7 @@ def bfs_calls(monkeypatch):
         for attr, value in list(vars(module).items()):
             if value is original:
                 monkeypatch.setattr(module, attr, counting)
+    monkeypatch.setattr(properties_module, "_reaches_all_from_zero", counting_sweep)
     return calls
 
 

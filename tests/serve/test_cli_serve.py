@@ -125,7 +125,12 @@ class TestSubmitCommand:
         assert status["state"] == "done"
         assert status["result"]["kind"] == "broadcast-trace"
 
-    def test_submit_unreachable_server_fails_cleanly(self, capsys):
+    def test_submit_unreachable_server_fails_cleanly(self, capsys, monkeypatch):
+        import repro.serve.client
+
+        # The retries back off without sleeping in real time.
+        sleeps = []
+        monkeypatch.setattr(repro.serve.client.time, "sleep", sleeps.append)
         assert (
             main(
                 [
@@ -139,3 +144,4 @@ class TestSubmitCommand:
             == 1
         )
         assert "submit:" in capsys.readouterr().err
+        assert sleeps and all(delay > 0 for delay in sleeps)

@@ -11,7 +11,7 @@ import pytest
 
 from repro.errors import JobQueueFullError, ServerDrainingError
 from repro.obs import MemoryTraceSink, MetricsRegistry, Observer
-from repro.obs.sinks import validate_event
+from repro.obs.sinks import SCHEMA_VERSION, validate_event
 from repro.schema import canonical_json
 from repro.serve.cache import ResultCache
 from repro.serve.client import Client, load_result
@@ -647,8 +647,8 @@ class TestGraphMap:
         specs = [graph_spec(5, run_seed) for run_seed in range(8)]
         with JobManager(cache=tmp_path / "cache", workers=2) as manager:
             # The first request builds and forgets; the second admits.
-            # Requests one after another all go to the worker returned
-            # last, so the rest run on its one cached network.
+            # Requests one after another all go to the first idle
+            # worker, so the rest run on its one cached network.
             jobs = []
             for spec in specs:
                 jobs.append(manager.submit(spec))
@@ -901,11 +901,7 @@ def wait_for_round(job, timeout=10.0):
 
 
 def busy_worker(manager: JobManager):
-    (worker,) = [
-        worker
-        for slot, worker in enumerate(manager._workers)
-        if slot not in manager._idle
-    ]
+    (worker,) = [worker for worker in manager._workers if worker.job is not None]
     return worker
 
 
@@ -1025,3 +1021,125 @@ class TestWorkers:
         manager.shutdown()
         assert all(process.exitcode == 0 for process in processes)
         assert manager.stats()["workers"]["processes"] == 0
+
+
+def without_wall_s(events):
+    return [{key: value for key, value in event.items() if key != "wall_s"} for event in events]
+
+
+class TestEventDelivery:
+    """A worker sends a job's events with its reply unless the job has a
+    live reader; either way the finished tape is the same."""
+
+    def reference_tape(self, spec):
+        """The tape of one execution outside any manager."""
+        from repro.obs import use_observer
+
+        sink = MemoryTraceSink()
+        with use_observer(Observer(MetricsRegistry(), sink)):
+            execute_spec(spec)
+        job = {"job": "job-000001", "spec": spec.cache_key()}
+        return (
+            [{"v": SCHEMA_VERSION, "kind": "serve-job-start", **job}]
+            + sink.events
+            + [{"v": SCHEMA_VERSION, "kind": "serve-job-end", **job, "state": "done"}]
+        )
+
+    def test_buffered_streamed_and_watched_tapes_are_identical(self):
+        spec = graph_spec(3, 4)
+        expected = without_wall_s(self.reference_tape(spec))
+        assert [event["kind"] for event in expected].count("round") > 1
+        with JobManager(cache=None, workers=1) as manager:
+            quiet = manager.submit(spec)
+            assert manager.wait(quiet, timeout=30) and quiet.state == "done"
+        with JobManager(cache=None, workers=1) as manager:
+            watched = manager.submit(spec)
+            watched.events_since(0)  # a live reader
+            assert manager.wait(watched, timeout=30) and watched.state == "done"
+        sink = MemoryTraceSink()
+        with JobManager(cache=None, workers=1, obs=Observer(MetricsRegistry(), sink)) as manager:
+            teed = manager.submit(spec)
+            assert manager.wait(teed, timeout=30) and teed.state == "done"
+        for job in (quiet, watched, teed):
+            tape, _ = job.events_since(0)
+            assert without_wall_s(tape) == expected
+            for event in tape:
+                validate_event(event)
+        # The downstream observer saw every event as the tape did.
+        assert without_wall_s(sink.events) == expected
+
+    def test_unwatched_running_job_stops_on_cancel(self, tmp_path):
+        with JobManager(cache=None, workers=1) as manager:
+            job = manager.submit(slow_spec())
+            try:
+                assert wait_for_running(job)
+                time.sleep(0.1)
+                taped = job.num_events()
+            finally:
+                manager.cancel(job.id)  # the spec never ends by itself
+            assert taped == 1  # serve-job-start: the rest wait in the worker
+            assert manager.wait(job, timeout=10) and job.state == JOB_CANCELLED
+            kinds = [event["kind"] for event in job.events_since(0)[0]]
+            assert kinds[:3] == ["serve-job-start", "run-start", "round"]
+            assert kinds[-2:] == ["serve-job-cancelled", "serve-job-end"]
+
+    def test_worker_reports_its_phase_timings(self):
+        with JobManager(cache=None, workers=1) as manager:
+            job = manager.submit(make_spec())
+            assert manager.wait(job, timeout=30) and job.state == "done"
+            for phase in ("execute", "encode"):
+                hist = manager.registry.histogram("serve.worker.phase_s", label=phase)
+                assert hist is not None and hist.count == 1 and hist.total > 0
+
+
+_REUSE_FAULTS = """
+import ctypes, json, resource
+from repro.serve import runner
+
+libc = ctypes.CDLL(None)
+libc.malloc.restype = ctypes.c_void_p
+libc.malloc.argtypes = [ctypes.c_size_t]
+libc.free.argtypes = [ctypes.c_void_p]
+size = 16 << 20
+
+def touch():
+    block = libc.malloc(size)
+    ctypes.memset(block, 1, size)
+    libc.free(block)
+
+def reuse_faults():
+    touch()
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    touch()
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+libc.mallopt(runner._M_MMAP_THRESHOLD, 128 << 10)
+libc.mallopt(runner._M_TRIM_THRESHOLD, 128 << 10)
+default = reuse_faults()
+runner._keep_heap()
+print(json.dumps([default, reuse_faults()]))
+"""
+
+
+@pytest.mark.skipif(
+    not hasattr(__import__("ctypes").CDLL(None), "mallopt"), reason="needs glibc's mallopt"
+)
+def test_worker_heap_keeps_freed_pages_for_the_next_job():
+    """Reusing a freed 16 MB block faults its pages in again under small
+    fixed glibc thresholds, and not after ``_keep_heap``.  A fresh
+    interpreter, so that no large free chunk of an earlier test's heap
+    serves the block."""
+    import subprocess
+    import sys
+
+    from repro.serve.runner import WORKER_HEAP_BYTES
+
+    assert 16 << 20 < WORKER_HEAP_BYTES <= 32 << 20  # glibc's mmap threshold cap
+    out = subprocess.run(
+        [sys.executable, "-c", _REUSE_FAULTS],
+        capture_output=True, text=True, check=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    ).stdout
+    default, kept = json.loads(out)
+    assert default > 1000  # 4096 pages, unmapped and faulted in again
+    assert kept < 100

@@ -232,6 +232,21 @@ class TestJobs:
 
 
 class TestRunOut:
+    def test_run_all_out_failing_midway_keeps_the_old_report(self, tmp_path, monkeypatch, capsys):
+        import repro._atomic
+
+        out = tmp_path / "report.md"
+        out.write_text("old report\n")
+
+        def torn(_fd):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(repro._atomic.os, "fsync", torn)
+        with pytest.raises(OSError, match="disk full"):
+            main(["run-all", "--only", "E7", "--out", str(out)])
+        assert out.read_text() == "old report\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["report.md"]
+
     def test_run_saves_json(self, tmp_path, capsys):
         out_file = tmp_path / "e7.json"
         assert main(["run", "E7", "--out", str(out_file)]) == 0

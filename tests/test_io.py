@@ -124,6 +124,24 @@ class TestResultIO:
         with pytest.raises(ReproError, match="not a saved result"):
             load_result(bad)
 
+    def test_failed_write_leaves_the_old_file(self, tmp_path, monkeypatch):
+        import repro._atomic
+
+        path = save_result(self.make_result(), tmp_path / "r")
+        before = path.read_bytes()
+        changed = self.make_result()
+        changed.notes = ["changed"]
+
+        def torn(_fd):
+            raise OSError("disk full")
+
+        # The new bytes are written, then the write fails before the rename.
+        monkeypatch.setattr(repro._atomic.os, "fsync", torn)
+        with pytest.raises(OSError, match="disk full"):
+            save_result(changed, path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r.json"]
+
     def test_real_experiment_roundtrip(self, tmp_path):
         from repro.experiments import run_experiment
 
