@@ -65,38 +65,36 @@ def is_connected(adj: Adjacency) -> bool:
 def _reaches_all_from_zero(adj: Adjacency) -> bool:
     """Whether node 0 reaches every node: a direction-optimising sweep.
 
-    It expands top-down, from the frontier's neighbour lists, while the
-    frontier has fewer edges than the unseen nodes.  Then it goes
-    bottom-up: each pass gathers the unseen nodes' neighbour lists once
-    and admits every node with a seen neighbour, until none is unseen
-    or a pass admits none.  On ``G(n, p)`` past the connectivity
-    threshold that is a few small top-down levels and two or three
-    bottom-up passes, instead of one top-down level per hop.
+    Each level expands top-down, from the frontier's neighbour lists,
+    while the frontier has fewer edges than the unseen nodes, and
+    bottom-up otherwise: one gather of the unseen nodes' neighbour lists
+    admits every node with a seen neighbour.  A bottom-up level so costs
+    at most the frontier's edges, and one that admits few nodes hands
+    back to top-down, so the sweep is linear in the edges.  On
+    ``G(n, p)`` past the connectivity threshold that is a few small
+    top-down levels and two or three bottom-up ones, instead of one
+    top-down level per hop.
     """
     degrees = adj.degrees
+    if adj.n > 1 and not degrees.all():
+        return False  # an isolated node
     seen = np.full(adj.n, -1, dtype=np.int64)
     seen[0] = 0
     frontier = np.zeros(1, dtype=np.int64)
+    unseen = None
     unseen_edges = int(adj.indptr[-1]) - int(degrees[0])
-    while frontier.size and int(degrees[frontier].sum()) < unseen_edges:
-        frontier = _expand_frontier(adj, seen, frontier)
+    while frontier.size and unseen_edges:
+        if int(degrees[frontier].sum()) < unseen_edges:
+            frontier = _expand_frontier(adj, seen, frontier)
+        else:
+            # Every unseen node has a neighbour, so no list is empty.
+            unseen = np.flatnonzero(seen < 0) if unseen is None else unseen[seen[unseen] < 0]
+            targets, lens = neighbor_targets(adj, unseen)
+            starts = np.cumsum(lens) - lens
+            frontier = unseen[np.logical_or.reduceat(seen[targets] >= 0, starts)]
         seen[frontier] = 0
         unseen_edges -= int(degrees[frontier].sum())
-    reached = seen >= 0
-    while True:
-        unseen = np.flatnonzero(~reached)
-        if unseen.size == 0:
-            return True
-        targets, lens = neighbor_targets(adj, unseen)
-        if targets.size == 0:
-            return False
-        nonempty = lens > 0
-        hit = np.zeros(unseen.size, dtype=bool)
-        starts = np.cumsum(lens) - lens
-        hit[nonempty] = np.logical_or.reduceat(reached[targets], starts[nonempty])
-        if not hit.any():
-            return False
-        reached[unseen[hit]] = True
+    return unseen_edges == 0
 
 
 def reaches_all(adj: Adjacency, source: int) -> bool:

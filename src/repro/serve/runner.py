@@ -16,12 +16,18 @@ The middle layer of the client/runner/types split.  Two halves:
   execution), a key already executing **coalesces** onto the in-flight
   job (concurrent identical requests cost one execution), and a fresh
   key is queued for one of ``workers`` **forked worker processes**, so
-  executions run in parallel outside the server's GIL (see
-  :class:`JobManager`).  A worker sends a job's engine events with its
-  reply, or streams them while the job has a live reader; the manager
-  puts them on the job's replayable event tape — the stream behind
+  executions run in parallel outside the server's GIL.  Each worker
+  keeps its own bounded graph map; hit bodies stay in memory in the
+  manager's body map (see :class:`JobManager`).  A spec that is not
+  deterministic skips the cache and coalescing and executes every time.
+  A worker runs the job under its own :class:`~repro.obs.Observer` whose
+  sink keeps every engine event (``run-*``, ``round``, ``batch-*``,
+  ``exec-*``) and sends them with its reply, or streams them over the
+  worker's pipe while the job has a live reader; the manager puts them
+  on the job's replayable event tape — the stream behind
   ``GET /v1/jobs/{id}/events`` — and merges the worker's registry into
-  its own, emitting the ``serve.*`` metric series.
+  its own under lock at job end, emitting the ``serve.*`` metric series
+  (queue depth, cache hit ratio, job wall-time histograms).
 
 Resilience (see ``docs/SERVICE.md`` → *Resilience semantics*):
 
@@ -53,9 +59,9 @@ import stat
 import threading
 import time
 import warnings
-from collections import OrderedDict, deque
+from collections import OrderedDict
+from concurrent.futures import ThreadPoolExecutor
 from contextvars import ContextVar
-from multiprocessing import connection
 from itertools import count
 from pathlib import Path
 from traceback import format_exc
@@ -210,7 +216,10 @@ def execute_sweep(spec: SweepSpec) -> dict:
     from ..experiments.parallel import outcomes_payload, run_catalog_supervised
 
     outcomes = run_catalog_supervised(
-        list(spec.experiments), quick=spec.quick, seed=spec.seed, jobs=spec.jobs
+        list(spec.experiments),
+        quick=spec.quick,
+        seed=spec.seed,
+        jobs=spec.jobs,
     )
     return outcomes_payload(outcomes)
 
@@ -221,7 +230,9 @@ def execute_spec(spec) -> dict:
         return execute_job(spec)
     if isinstance(spec, SweepSpec):
         return execute_sweep(spec)
-    raise InvalidParameterError(f"spec must be a JobSpec or SweepSpec, got {type(spec).__name__}")
+    raise InvalidParameterError(
+        f"spec must be a JobSpec or SweepSpec, got {type(spec).__name__}"
+    )
 
 
 # ----------------------------------------------------------------------
@@ -336,15 +347,15 @@ class _GraphMap:
 # Worker processes
 # ----------------------------------------------------------------------
 #
-# Manager -> worker: (spec, stream, hold_s) runs a job; while it runs,
-# "watch" (stream its events from here on) or "stop" (abandon it at its
-# next event).  A "watch" or "stop" that arrives after the job replied
-# is read as the next message and dropped.  Worker -> manager, per job:
+# Manager -> worker: (spec, watched) runs a job; while it runs, "watch"
+# (stream its events from here on) or "stop" (abandon it at its next
+# event).  A "watch" or "stop" that arrives after the job replied is
+# read as the next message and dropped.  Worker -> manager, per job:
 # ("events", [event, ...]) while it streams, then one reply
 # (state, payload, events, registry snapshot, graph-map usage), where
 # state is "done" (payload: the canonical result bytes), "failed"
 # (payload: "Type: message") or "stopped" (payload: None), and events
-# are the ones it did not stream.
+# are the ones it kept.
 
 #: The free heap a worker keeps between jobs: glibc's trim threshold and
 #: its mmap threshold (a larger block is mapped on its own and unmapped
@@ -387,18 +398,13 @@ class _WorkerTape:
                 self.conn.send(("events", [event]))
             else:
                 self.events.append(event)
-        self.check()
-
-    def check(self, wait_s: float = 0.0) -> None:
-        """Read the manager's pushes (waiting up to ``wait_s``); raise once stopped."""
-        end = time.monotonic() + wait_s
-        while not self.stopped and self.conn.poll(max(0.0, end - time.monotonic())):
-            if self.conn.recv() == "stop":
-                self.stopped = True
-            elif not self.stream:
-                self.stream = True
-                self.conn.send(("events", self.events))
-                self.events = []
+            while not self.stopped and self.conn.poll():
+                if self.conn.recv() == "stop":
+                    self.stopped = True
+                elif not self.stream:
+                    self.stream = True
+                    self.conn.send(("events", self.events))
+                    self.events = []
         if self.stopped:
             raise JobCancelledError("stopped by the job manager")
 
@@ -415,13 +421,12 @@ def _serve_jobs(conn, graphs: _GraphMap) -> None:
             return
         if isinstance(message, str):
             continue  # a stale "stop" or "watch"
-        spec, stream, hold_s = message
+        spec, watched = message
         registry = MetricsRegistry()
-        tape = _WorkerTape(conn, stream)
+        tape = _WorkerTape(conn, watched)
         token = _GRAPH_MAP.set(graphs)
         try:
             with use_observer(Observer(registry, tape)):
-                tape.check(hold_s)
                 start = Observer.clock()
                 document = execute_spec(spec)
                 encoding = Observer.clock()
@@ -486,49 +491,52 @@ def _worker_main(conn, graph_budget: int) -> None:
 class _Worker:
     """The manager's handle on one forked worker process.
 
-    ``job`` is the job it runs (``None`` while idle); only the dispatch
-    loop changes it.  Sends on the pipe are serialised by a lock, so a
-    ``"stop"`` or ``"watch"`` that another thread pushes (:meth:`push`)
-    reaches the worker only while it runs that job.
+    ``job`` is the job it runs (``None`` while idle).  Sends on the pipe
+    are serialised by a lock, so a ``"stop"`` or ``"watch"`` that another
+    thread pushes (:meth:`push`) reaches the worker only while it runs
+    that job.
     """
 
     def __init__(self, graph_budget: int):
         context = multiprocessing.get_context("fork")
         self.conn, child = context.Pipe(duplex=True)
         self.process = context.Process(
-            target=_worker_main, args=(child, graph_budget), name="repro-serve-worker", daemon=True
+            target=_worker_main,
+            args=(child, graph_budget),
+            name="repro-serve-worker",
+            daemon=True,
         )
         with warnings.catch_warnings():
             # Python 3.12+ warns on every fork of a process with threads
             # (numpy's BLAS pool is one).  A worker takes none of the
             # server's locks and skips its exit hooks (_worker_main).
-            warnings.filterwarnings("ignore", ".*use of fork", DeprecationWarning)
+            warnings.filterwarnings(
+                "ignore", ".*use of fork", DeprecationWarning
+            )
             self.process.start()
         child.close()
-        self.job: Job | None = None
         #: ``(entries, bytes)`` of its graph map, from its last reply.
         self.graphs = (0, 0)
+        self.job: Job | None = None
         self._lock = threading.Lock()
 
-    def start(self, job: Job, stream: bool, hold_s: float) -> None:
-        """Send ``job`` to the worker (dispatch loop)."""
+    def start(self, job: Job) -> None:
+        """Send ``job`` to the worker."""
         with self._lock:
             self.job = job
             job.worker = self
-            try:
-                # Read after ``job.worker`` is set: a reader or a cancel
-                # that came too early to push is seen here instead.
-                self.conn.send((job.spec, stream or job.watched, hold_s))
-                if job.cancel_event.is_set():
-                    self.conn.send("stop")
-            except OSError:
-                pass  # it died: the dispatch loop reads its EOF
+            # Read after ``job.worker`` is set: a reader or a cancel that
+            # came too early to push is seen here instead.
+            self.conn.send((job.spec, job.watched))
+            if job.cancel_event.is_set():
+                self.conn.send("stop")
 
-    def take(self) -> Job | None:
-        """The job the worker just finished; the worker is idle."""
+    def release(self) -> None:
+        """The worker replied or died: drop later pushes for its job."""
         with self._lock:
-            job, self.job = self.job, None
-        return job
+            if self.job is not None:
+                self.job.worker = None
+                self.job = None
 
     def push(self, job: Job, message: str) -> None:
         """Send ``message`` if the worker still runs ``job``."""
@@ -537,32 +545,40 @@ class _Worker:
                 try:
                     self.conn.send(message)
                 except OSError:
-                    pass  # it died: the dispatch loop reads its EOF
+                    pass  # it died: its dispatch thread reads the EOF
 
-    def close(self) -> int | None:
+    def close(self, wait: bool = True) -> int | None:
         """Close the pipe (an idle worker exits on EOF); the exit code."""
         self.conn.close()
-        self.process.join(WORKER_EXIT_S)
-        if self.process.is_alive():
-            self.process.kill()
+        if wait:
             self.process.join(WORKER_EXIT_S)
+            if self.process.is_alive():
+                self.process.kill()
+                self.process.join(WORKER_EXIT_S)
         return self.process.exitcode
+
+
+class _WorkerFailed(Exception):
+    """A job's failure as the worker reported it: ``"Type: message"``."""
 
 
 class Job:
     """One submitted request: lifecycle state plus a replayable event tape.
 
-    Thread-safe: the dispatch loop appends events and flips state; HTTP
-    handlers snapshot status and read event windows concurrently.
-    ``done`` is set strictly *after* the final ``serve-job-end`` event
-    lands, so a reader that sees ``done`` and an exhausted cursor has
-    seen the whole tape.  The first :meth:`events_since` call while the
-    job runs (a live reader) asks its worker to stream its events
-    instead of sending them with its reply.
+    Thread-safe: the job's dispatch thread appends events and flips
+    state; HTTP handlers snapshot status and read event windows
+    concurrently.  ``done`` is set strictly *after* the final
+    ``serve-job-end`` event lands, so a reader that sees ``done`` and an
+    exhausted cursor has seen the whole tape.  The first
+    :meth:`events_since` call while the job runs (a live reader) asks
+    its worker to stream its events instead of sending them with its
+    reply.
 
     ``deadline`` is an absolute :meth:`Observer.clock` instant fixed at
     admission (``deadline_s`` budgets the whole job, queue wait
     included); ``cancel_event`` is the cooperative cancellation flag.
+    :meth:`cancel` and the dispatch thread, once the deadline passes,
+    tell the job's worker to stop at its next round/task boundary.
 
     A finished job holds its result as ``body``, the canonical JSON bytes
     the cache stores and the server sends; :attr:`result` decodes them
@@ -582,11 +598,10 @@ class Job:
         self.cancel_event = threading.Event()
         self.deadline: float | None = None
         self.journaled = False
-        # Run state: its worker, start instant, live reader, halting error.
+        #: The worker running the job (``None`` unless it runs), and
+        #: whether the job has a live reader.
         self.worker: _Worker | None = None
-        self.started = 0.0
         self.watched = False
-        self.halt: Exception | None = None
         self._events: list[dict] = []
         self._lock = threading.Lock()
 
@@ -600,19 +615,19 @@ class Job:
         if self.cancel_event.is_set():
             return  # its worker was told once
         self.cancel_event.set()
-        if self.worker is not None:
-            self.worker.push(self, "stop")
+        worker = self.worker
+        if worker is not None:
+            worker.push(self, "stop")
 
-    def interruption(self) -> Exception | None:
-        """The error ending this job if it was cancelled or outran its
-        deadline, else ``None``."""
+    def raise_if_interrupted(self) -> None:
+        """Raise if this job has been cancelled or outran its deadline."""
         if self.cancel_event.is_set():
-            return JobCancelledError(f"job {self.id} cancelled")
+            raise JobCancelledError(f"job {self.id} cancelled")
         if self.deadline is not None and Observer.clock() > self.deadline:
-            return JobDeadlineError(
-                f"job {self.id} exceeded its deadline_s={self.spec.deadline_s} budget"
+            raise JobDeadlineError(
+                f"job {self.id} exceeded its deadline_s="
+                f"{self.spec.deadline_s} budget"
             )
-        return None
 
     def append_events(self, events: Iterable[dict]) -> None:
         with self._lock:
@@ -622,11 +637,17 @@ class Job:
         """Events from ``cursor`` on, plus the new cursor (for streaming)."""
         if not self.watched:
             self.watched = True
-            if self.worker is not None:
-                self.worker.push(self, "watch")
+            worker = self.worker
+            if worker is not None:
+                worker.push(self, "watch")
         with self._lock:
             window = self._events[cursor:]
         return window, cursor + len(window)
+
+    def tape(self) -> list[dict]:
+        """Every event so far; unlike :meth:`events_since`, not a reader."""
+        with self._lock:
+            return list(self._events)
 
     def num_events(self) -> int:
         with self._lock:
@@ -635,8 +656,14 @@ class Job:
     def head(self) -> JobStatus:
         """A snapshot of the job without its result (nothing decoded)."""
         return JobStatus(
-            id=self.id, kind=self.spec.kind, state=self.state, spec=self.spec.to_dict(),
-            cache=self.cache, error=self.error, elapsed_s=self.elapsed_s, events=self.num_events(),
+            id=self.id,
+            kind=self.spec.kind,
+            state=self.state,
+            spec=self.spec.to_dict(),
+            cache=self.cache,
+            error=self.error,
+            elapsed_s=self.elapsed_s,
+            events=self.num_events(),
         )
 
     def status(self) -> JobStatus:
@@ -670,32 +697,37 @@ class JobManager:
         from a previous process.
     chaos: optional :class:`~repro.chaos.FaultSchedule` — deterministic
         fault injection for the chaos suite; never set in production.
-        Its ``hold`` rules (kind ``"execute"``) make the worker wait
-        ``seconds`` before it runs a job; the counter advances before
-        the wait, so the journal replay of a job killed mid-hold runs
+        Its ``hold`` rules (kind ``"execute"``) sleep an execution
+        ``seconds`` before it runs; the counter advances before the
+        sleep, so the journal replay of a job killed mid-hold runs
         unheld.  Its ``reset`` rules act on the HTTP server's
         connections (:class:`~repro.serve.http.Server`).
     obs: optional external :class:`~repro.obs.Observer`: its registry
         receives the ``serve.*`` series on top of the manager's own, and
-        its sink receives a tee of every job's events.
+        its sink receives each job's event tape when the job ends.
 
     Executions run on ``workers`` worker processes, forked (``fork``
-    start method) when the manager is built, before its dispatch loop
-    starts, so a worker shares the server's imported modules and pays no
-    start-up.  The loop is one thread waiting on every worker's pipe.
-    When a worker replies, the loop first sends it the next queued job,
-    then does the finished job's bookkeeping: the events onto the job's
-    tape, the cache and the journal writes, the registry merge.  The
-    result's canonical bytes are encoded in the worker.  A worker that
-    dies fails only the job it ran (``"worker process exited (code N)"``)
-    and is re-forked.
+    start method) when the manager is built, before it starts a thread
+    of its own, so a worker shares the server's imported modules and
+    pays no start-up.  One dispatch thread per worker sends it a job's
+    spec and waits for the reply: the result's canonical bytes, encoded
+    in the worker, with the job's engine events for its tape (while the
+    job has a live reader they arrive one by one instead).  A cancel or
+    a passed deadline tells the worker to stop.  The manager writes the
+    cache and the journal.  A worker that dies fails only the job it
+    ran (``"worker process exited (code N)"``) and is re-forked.
 
-    Each worker keeps a **graph map** of networks by canonical graph
-    mapping, under ``GRAPH_MAP_BYTES // workers``; a network is admitted
-    on the second request for its graph in that worker.  The manager
-    keeps the **body map** (:data:`BODY_MAP_BYTES`) of result bytes by
-    cache key, filled by finished misses and by disk hits, so every hit
-    on one key shares one ``bytes`` object.  Only
+    The working set stays in bounded LRU maps, each under a fixed byte
+    budget.  Each worker keeps a **graph map** of networks by canonical
+    graph mapping, under ``GRAPH_MAP_BYTES // workers``; a network is
+    admitted on the second request for its graph in that worker, so
+    traffic that never repeats a graph retains none.  A job goes to the
+    idle worker returned last, so back-to-back repeats of a graph run
+    where its network is.  The manager keeps the **body map**
+    (:data:`BODY_MAP_BYTES`) of result bytes by cache key, filled by
+    finished misses and by disk hits, so every hit on one key shares one
+    ``bytes`` object and reads the disk at most once while it stays in
+    memory.  Only
     :attr:`~repro.serve.types.JobSpec.deterministic` specs use the maps,
     the result cache and coalescing; any other spec executes every time.
     """
@@ -713,7 +745,9 @@ class JobManager:
         if workers < 1:
             raise InvalidParameterError(f"workers must be >= 1, got {workers}")
         if max_pending < 1:
-            raise InvalidParameterError(f"max_pending must be >= 1, got {max_pending}")
+            raise InvalidParameterError(
+                f"max_pending must be >= 1, got {max_pending}"
+            )
         if cache is not None and not isinstance(cache, ResultCache):
             cache = ResultCache(cache)
         if journal is not None and not isinstance(journal, JobJournal):
@@ -723,12 +757,17 @@ class JobManager:
         self.chaos = chaos
         self.registry = MetricsRegistry()
         self._obs = obs if obs is not None else current_observer()
-        # Forked before the dispatch loop starts its thread.
+        # Forked before the dispatch pool starts a thread.
         self._graph_budget = GRAPH_MAP_BYTES // workers
-        self._workers: list[_Worker | None] = [_Worker(self._graph_budget) for _ in range(workers)]
-        self._queue: deque[Job] = deque()
-        # Written (under the lock) to wake the dispatch loop.
-        self._wake, self._waker = multiprocessing.Pipe()
+        self._workers: list[_Worker | None] = [
+            _Worker(self._graph_budget) for _ in range(workers)
+        ]
+        # Idle slots, last returned on top: back-to-back jobs run on
+        # one worker, whose graph map has seen their graphs.
+        self._idle = list(range(workers))
+        self._pool = ThreadPoolExecutor(
+            max_workers=workers, thread_name_prefix="repro-serve"
+        )
         self._lock = threading.Lock()
         self._jobs: dict[str, Job] = {}
         # Keyed by cache key, or by job id for a spec that is not
@@ -740,8 +779,6 @@ class JobManager:
         self._max_pending = max_pending
         self._closed = False
         self._draining = False
-        self._loop_thread = threading.Thread(target=self._loop, name="repro-serve", daemon=True)
-        self._loop_thread.start()
 
     # -- metrics (manager lock held) -----------------------------------
 
@@ -832,17 +869,17 @@ class JobManager:
             self._executions += 1
             self._inc("serve.executions", label=spec.kind)
             self._set_depth()
-            self._queue.append(job)
-            self._waker.send_bytes(b"")
+        self._pool.submit(self._run, job)
         return job
 
     def cancel(self, job_id: str) -> Job | None:
         """Request cancellation of a job (``None`` when unknown).
 
-        Cooperative: a queued job never starts, and a running one's
-        worker stops at its next round/task boundary.  Already-terminal
-        jobs are a no-op.  A coalesced job is one shared execution:
-        cancelling it cancels it for every caller that coalesced onto it.
+        Cooperative: the flag is checked before execution starts and at
+        every round/task boundary, so a running simulate job stops
+        within a round.  Already-terminal jobs are a no-op.  Note a
+        coalesced job is one shared execution — cancelling it cancels
+        it for every caller that coalesced onto it.
         """
         with self._lock:
             job = self._jobs.get(job_id)
@@ -850,8 +887,8 @@ class JobManager:
                 return None
             if job.done.is_set():
                 return job
+            job.cancel()
             self._inc("serve.cancellations", label=job.spec.kind)
-        job.cancel()
         return job
 
     def recover(self) -> list[Job]:
@@ -876,7 +913,8 @@ class JobManager:
                 spec = spec_from_dict(entry.spec)
             except InvalidParameterError as exc:
                 warnings.warn(
-                    f"journal entry {entry.key[:12]} no longer parses ({exc}); marking it failed",
+                    f"journal entry {entry.key[:12]} no longer parses "
+                    f"({exc}); marking it failed",
                     RuntimeWarning,
                     stacklevel=2,
                 )
@@ -945,16 +983,25 @@ class JobManager:
 
         New submits raise :class:`~repro.errors.ServerDrainingError`
         (HTTP 503 + ``Retry-After``) from the moment this is called.
-        Jobs still unfinished when the budget runs out keep their
-        journal submit record unpaired, so the next process's
-        :meth:`recover` re-admits them, and are cancelled.  Returns a
-        summary dict (``inflight``/``finished``/``journaled``/``wall_s``).
+        Jobs still unfinished when the budget runs out are handed to
+        the journal: their terminal-record write is disarmed (so the
+        submit record stays unpaired and the next process's
+        :meth:`recover` re-admits them) and they are cooperatively
+        cancelled so their workers stop at the next round boundary
+        instead of blocking process exit.  Returns a summary
+        dict (``inflight``/``finished``/``journaled``/``wall_s``).
         """
         start = Observer.clock()
         with self._lock:
             self._draining = True
             inflight = list(self._inflight.values())
-        self._emit({"v": SCHEMA_VERSION, "kind": "serve-drain-start", "inflight": len(inflight)})
+        self._emit(
+            {
+                "v": SCHEMA_VERSION,
+                "kind": "serve-drain-start",
+                "inflight": len(inflight),
+            }
+        )
         deadline = start + max(0.0, budget_s)
         for job in inflight:
             job.done.wait(max(0.0, deadline - Observer.clock()))
@@ -966,42 +1013,65 @@ class JobManager:
             if job.journaled:
                 # Leave the submit record unpaired: the restarted
                 # manager replays this job.  Disarm *before* cancelling
-                # so the dispatch loop cannot write the terminal record
-                # first.
+                # so the unwinding thread cannot write the terminal
+                # record first.
                 job.journaled = False
                 journaled += 1
             job.cancel()
         wall_s = Observer.clock() - start
         with self._lock:
             self._observe("serve.drain_s", wall_s)
-        summary = {"finished": finished, "journaled": journaled, "wall_s": wall_s}
-        self._emit({"v": SCHEMA_VERSION, "kind": "serve-drain-end", **summary})
-        return {"inflight": len(inflight), **summary}
+        self._emit(
+            {
+                "v": SCHEMA_VERSION,
+                "kind": "serve-drain-end",
+                "finished": finished,
+                "journaled": journaled,
+                "wall_s": wall_s,
+            }
+        )
+        return {
+            "inflight": len(inflight),
+            "finished": finished,
+            "journaled": journaled,
+            "wall_s": wall_s,
+        }
 
     def shutdown(self, wait: bool = True) -> None:
-        """Stop the dispatch loop and the workers.
+        """Stop the pool and the workers; resolve every job a waiter
+        could block on.
 
-        Queued jobs fail ("server shutting down"), so ``wait()`` callers
-        unblock; their journal submit records stay unpaired for
-        :meth:`recover`.  Running jobs finish; then the loop closes every
-        worker's pipe, and ``wait`` blocks until the workers have exited.
+        Queued-but-never-started executions are cancelled out of the
+        pool and marked failed ("server shutting down") so ``wait()``
+        callers unblock instead of hanging until their timeout.  Their
+        journal submit records are deliberately left unpaired — a
+        restarted manager's :meth:`recover` picks the work back up.
+        Idle workers' pipes are closed, so they exit on EOF; a worker
+        still running a job (``wait=False``) is closed by its dispatch
+        thread when the job ends.
         """
         with self._lock:
-            if not self._closed:
-                self._closed = True
-                self._waker.send_bytes(b"")
-            while self._queue:
-                job = self._queue.popleft()
-                job.error = "server shutting down"
-                job.state = JOB_FAILED
-                self._inflight.pop(self._slot(job), None)
-                self._inc("serve.jobs", label=job.state)
-                job.done.set()
+            self._closed = True
+        self._pool.shutdown(wait=wait, cancel_futures=True)
+        with self._lock:
+            for job in self._jobs.values():
+                if job.done.is_set():
+                    continue
+                if job.state == JOB_QUEUED:
+                    job.error = "server shutting down"
+                    job.state = JOB_FAILED
+                    self._inflight.pop(self._slot(job), None)
+                    self._inc("serve.jobs", label=job.state)
+                    job.done.set()
             self._set_depth()
-        if wait:
-            self._loop_thread.join()
+            idle = [self._workers[slot] for slot in self._idle]
+            for slot in self._idle:
+                self._workers[slot] = None
+        for worker in idle:
+            if worker is not None:
+                worker.close(wait)
 
-    # -- execution (the dispatch loop) ---------------------------------
+    # -- execution (dispatch threads) ----------------------------------
 
     def _next_id(self) -> str:
         return f"job-{next(self._ids):06d}"
@@ -1025,165 +1095,157 @@ class JobManager:
             self._bodies.put(key, body, len(body))
         return body
 
-    def _loop(self) -> None:
-        """Start queued jobs on idle workers and read what the workers
-        send, until :meth:`shutdown` and the last running job end."""
-        while True:
-            with self._lock:
-                workers = self._workers
-                if self._closed and all(w is None or w.job is None for w in workers):
-                    self._workers = [None] * len(workers)
-                    break
-            for slot, worker in enumerate(self._workers):
-                if worker is None or worker.job is None:
-                    self._start_next(slot)
-            pipes = {w.conn: slot for slot, w in enumerate(self._workers) if w is not None}
-            ready = connection.wait([self._wake, *pipes], self._stop_overdue())
-            for conn in ready:
-                if conn is self._wake:
-                    while self._wake.poll():
-                        self._wake.recv_bytes()
-                else:
-                    try:
-                        self._read(pipes[conn])
-                    except Exception:  # noqa: BLE001 — say, an unwritable journal
-                        warnings.warn(f"job bookkeeping failed:\n{format_exc()}", RuntimeWarning)
-        for worker in workers:
-            if worker is not None:
-                worker.close()
-        self._wake.close()
-        self._waker.close()
+    def _borrow(self) -> tuple[int, _Worker]:
+        """An idle worker slot, the one returned last.
 
-    def _stop_overdue(self) -> float | None:
-        """Stop each running job past its deadline; seconds to the next one."""
-        now = Observer.clock()
-        nearest = None
-        for worker in self._workers:
-            job = worker.job if worker is not None else None
-            if job is None or job.deadline is None or job.halt is not None:
-                continue
-            if job.deadline < now:
-                job.halt = job.interruption()
-                worker.push(job, "stop")
-            elif nearest is None or job.deadline < nearest:
-                nearest = job.deadline
-        return None if nearest is None else nearest - now
-
-    def _start_next(self, slot: int) -> None:
-        """Send the next queued job to the idle worker in ``slot``, re-forked
-        if it is gone.  A job cancelled or past its deadline while queued,
-        or whose worker cannot be forked, ends here without executing."""
-        while True:
+        One dispatch thread per slot, so an idle slot always exists.  A
+        slot whose worker is gone (its re-fork failed, or it died while
+        idle) is re-forked here.
+        """
+        with self._lock:
+            slot = self._idle.pop()
+            worker = self._workers[slot]
+        if worker is None or not worker.process.is_alive():
             try:
-                worker = self._workers[slot] or self._respawn(slot)
-            except OSError as exc:
-                worker, error = None, f"{type(exc).__name__}: {exc}"
-            with self._lock:
-                if not self._queue:
-                    return
-                job = self._queue.popleft()
-            job.started = Observer.clock()
-            self._record(job, [_job_event(job, "serve-job-start")])
-            job.halt = job.interruption()
-            if job.halt is not None:
-                self._finish(job, "stopped")
-                continue
-            if worker is None:
-                self._finish(job, "failed", error)
-                continue
-            hold = self.chaos.fire("execute", "hold") if self.chaos else None
-            job.state = JOB_RUNNING
-            stream = self._obs is not None and self._obs.sink is not None
-            worker.start(job, stream, hold.seconds if hold is not None else 0.0)
-            return
+                worker = self._respawn(worker)
+            except BaseException:
+                self._give_back(slot, None)
+                raise
+        return slot, worker
 
-    def _respawn(self, slot: int) -> _Worker:
-        worker = self._workers[slot] = _Worker(self._graph_budget)
+    def _respawn(self, dead: _Worker | None) -> _Worker:
+        if dead is not None:
+            dead.close()
+        worker = _Worker(self._graph_budget)
         with self._lock:
             self._inc("serve.worker_respawns")
         return worker
 
-    def _read(self, slot: int) -> None:
-        """Handle one message from the worker in ``slot``."""
-        worker = self._workers[slot]
-        try:
-            message = worker.conn.recv()
-        except (EOFError, OSError):
-            error = f"worker process exited (code {worker.close()})"
-            message = ("failed", error, (), None, worker.graphs)
-            self._workers[slot] = None  # re-forked by _start_next
-        if message[0] == "events":
-            self._relay(worker.job, message[1])
-            return
-        state, payload, events, snapshot, worker.graphs = message
-        job = worker.take()
-        self._start_next(slot)
-        if job is not None:
-            self._finish(job, state, payload, events, snapshot)
+    def _give_back(self, slot: int, worker: _Worker | None) -> None:
+        """Return a slot to the idle list, or close its worker once the
+        manager is shut down."""
+        with self._lock:
+            closed = self._closed
+            self._workers[slot] = None if closed else worker
+            self._idle.append(slot)
+        if closed and worker is not None:
+            worker.close()
 
-    def _record(self, job: Job, events: list[dict]) -> None:
-        """Put events on the job's tape, then tee them downstream."""
-        job.append_events(events)
-        if self._obs is not None and self._obs.sink is not None:
-            for event in events:
-                self._obs.sink.emit(event)
+    def _execute(self, job: Job, registry: MetricsRegistry, events: list[dict]) -> bytes:
+        """Run ``job`` on a worker; the result's canonical bytes.
 
-    def _relay(self, job: Job, events: list[dict]) -> None:
-        """Tape a running job's streamed events, checking at each one for
-        a cancel or a passed deadline.  The event that trips the check is
-        the last one taped: the worker is told to stop, and the rest is
-        dropped."""
-        for event in events:
-            if job.halt is not None:
-                return
-            self._record(job, [event])
-            job.halt = job.interruption()
-            if job.halt is not None:
-                job.worker.push(job, "stop")
-
-    def _finish(self, job: Job, state: str, payload=None, events=(), snapshot=None) -> None:
-        """A finished execution's bookkeeping.
-
-        ``state`` is the worker's (``"done"``, ``"failed"`` or
-        ``"stopped"``); a job the manager halted ends ``cancelled`` or
-        ``timeout`` whatever the worker replied.
+        Streamed events go onto the job's tape as they arrive; those the
+        worker kept for its reply are added to ``events``.  Once the
+        job's deadline passes, the worker is told to stop.  A job that
+        stopped raises its cancellation or deadline error.  The worker's
+        registry snapshot merges into ``registry`` whatever the outcome.
         """
-        if state == "stopped" and job.halt is None:
-            job.halt = job.interruption() or JobCancelledError(f"job {job.id} cancelled")
-        if job.halt is not None:
-            job.state = JOB_CANCELLED if isinstance(job.halt, JobCancelledError) else JOB_TIMEOUT
-            job.error = str(job.halt)
-        elif state == "failed":
-            job.state, job.error = JOB_FAILED, payload
-        else:
+        slot, worker = self._borrow()
+        handle, stopping = worker, False
+        try:
+            worker.start(job)
+            while True:
+                wait_s = None
+                if job.deadline is not None and not stopping:
+                    wait_s = job.deadline - Observer.clock()
+                    if wait_s <= 0:
+                        stopping, wait_s = True, None
+                        worker.push(job, "stop")
+                if not worker.conn.poll(wait_s):
+                    continue
+                message = worker.conn.recv()
+                if message[0] != "events":
+                    break
+                job.append_events(message[1])
+            state, payload, kept, snapshot, worker.graphs = message
+        except (EOFError, OSError):
+            code = worker.close()
             try:
-                # The worker's encoding is the only one: the cache
-                # stores these bytes and the server sends them.
-                if self.cache is not None and job.spec.deterministic:
-                    self.cache.put(job.key, payload)
-            except Exception as exc:  # noqa: BLE001 — failures become job state
-                job.state, job.error = JOB_FAILED, f"{type(exc).__name__}: {exc}"
-            else:
-                job.state, job.body = JOB_DONE, payload
-        job.elapsed_s = Observer.clock() - job.started
-        ending = [*events]
+                worker = self._respawn(None)
+            except OSError:
+                worker = None  # re-forked by the next _borrow
+            raise _WorkerFailed(f"worker process exited (code {code})") from None
+        finally:
+            handle.release()
+            self._give_back(slot, worker)
+        events.extend(kept)
+        registry.merge_snapshot(snapshot)
+        if state == "stopped":
+            job.raise_if_interrupted()
+            raise JobCancelledError(f"job {job.id} cancelled")
+        if state == "failed":
+            raise _WorkerFailed(payload)
+        return payload
+
+    def _run(self, job: Job) -> None:
+        start = Observer.clock()
+        registry = MetricsRegistry()
+        job.append_events([_job_event(job, "serve-job-start")])
+        events: list[dict] = []
+        try:
+            # Cancelled (or deadline-expired) while still queued: skip
+            # the execution entirely.
+            job.raise_if_interrupted()
+            if self.chaos is not None:
+                hold = self.chaos.fire("execute", "hold")
+                if hold is not None:
+                    time.sleep(hold.seconds)
+                    job.raise_if_interrupted()
+            job.state = JOB_RUNNING
+            # The worker's encoding is the only one: the cache stores
+            # these bytes and the server sends them.
+            body = self._execute(job, registry, events)
+            # Inside the handlers: a put that raises (an unwritable
+            # disk) fails the job instead of escaping the dispatch
+            # thread and leaving it non-terminal forever.
+            if self.cache is not None and job.spec.deterministic:
+                self.cache.put(job.key, body)
+        except JobCancelledError as exc:
+            job.error = str(exc)
+            job.state = JOB_CANCELLED
+        except JobDeadlineError as exc:
+            job.error = str(exc)
+            job.state = JOB_TIMEOUT
+        except _WorkerFailed as exc:
+            job.error = str(exc)
+            job.state = JOB_FAILED
+        except Exception as exc:  # noqa: BLE001 — failures become job state
+            job.error = f"{type(exc).__name__}: {exc}"
+            job.state = JOB_FAILED
+        else:
+            job.body = body
+            job.state = JOB_DONE
+        job.elapsed_s = Observer.clock() - start
         if job.state in (JOB_CANCELLED, JOB_TIMEOUT):
-            ending.append(_job_event(job, "serve-job-cancelled", state=job.state))
-        ending.append(_job_event(job, "serve-job-end", state=job.state, wall_s=job.elapsed_s))
-        self._record(job, ending)
-        if self.journal is not None and job.journaled:
-            # Result (if any) is in the cache; the journal pair may
-            # close.  Crash before this line → restart replays the job,
-            # which is either a cache hit or a byte-identical re-run.
-            self.journal.record_terminal(job.key, job.state)
+            events.append(_job_event(job, "serve-job-cancelled", state=job.state))
+        events.append(_job_event(job, "serve-job-end", state=job.state, wall_s=job.elapsed_s))
+        job.append_events(events)
+        try:
+            if self._obs is not None and self._obs.sink is not None:
+                for event in job.tape():
+                    self._obs.sink.emit(event)
+            if self.journal is not None and job.journaled:
+                # Result (if any) is in the cache; the journal pair may
+                # close.  Crash before this line → restart replays the
+                # job, which is either a cache hit or a byte-identical
+                # re-run.
+                self.journal.record_terminal(job.key, job.state)
+        except Exception:  # noqa: BLE001 — say, an unwritable journal or trace
+            # The job still ends.  Its submit record stays unpaired, so
+            # the next process's recover() replays it.
+            job.journaled = False
+            warnings.warn(f"job {job.id} bookkeeping failed:\n{format_exc()}", RuntimeWarning)
         with self._lock:
             self._inflight.pop(self._slot(job), None)
-            if job.state == JOB_DONE and self.cache is not None and job.spec.deterministic:
+            if (
+                job.state == JOB_DONE
+                and self.cache is not None
+                and job.spec.deterministic
+            ):
                 self._bodies.put(job.key, job.body, len(job.body))
-            if snapshot is not None:
-                self.registry.merge_snapshot(snapshot)
-                if self._obs is not None and self._obs.registry is not None:
-                    self._obs.registry.merge_snapshot(snapshot)
+            self.registry.merge_snapshot(registry.snapshot())
+            if self._obs is not None and self._obs.registry is not None:
+                self._obs.registry.merge_snapshot(registry.snapshot())
             self._inc("serve.jobs", label=job.state)
             self._observe("serve.job_wall_s", job.elapsed_s, label=job.spec.kind)
             if self.journal is not None and job.journaled:

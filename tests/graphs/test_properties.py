@@ -61,6 +61,33 @@ class TestConnectivity:
         bridged = [*half, (5, 6), *((u + 6, v + 6) for u, v in half)]
         assert is_connected(Adjacency.from_edges(12, bridged))
 
+    @pytest.mark.parametrize("tail", [0, 1, 2])
+    def test_sweep_reads_each_edge_at_most_once_on_a_star_with_a_tail(self, monkeypatch, tail):
+        # Node 0 is the centre of 2L leaves and the head of an L-node
+        # path.  The sweep turns bottom-up after one level; a sweep that
+        # stayed bottom-up would gather the path's lists once per hop.
+        import repro.graphs.bfs as bfs
+        import repro.graphs.properties as properties
+
+        length = 300
+        leaves = [(0, k) for k in range(1, 2 * length + 1)]
+        path = [(u, u + 1) for u in range(2 * length + 1, 3 * length)]
+        edges = leaves + [(0, 2 * length + 1)] + path
+        n = 3 * length + 1 + tail  # a tail of isolated nodes disconnects
+        gathered = []
+        original = bfs.neighbor_targets
+
+        def counting(adj, nodes):
+            targets, lens = original(adj, nodes)
+            gathered.append(targets.size)
+            return targets, lens
+
+        monkeypatch.setattr(bfs, "neighbor_targets", counting)
+        monkeypatch.setattr(properties, "neighbor_targets", counting)
+        g = Adjacency.from_edges(n, edges)
+        assert properties._reaches_all_from_zero(g) == (tail == 0)
+        assert sum(gathered) <= g.indptr[-1]
+
     def test_components_labels(self):
         g = Adjacency.from_edges(5, [(0, 1), (2, 3)])
         labels = connected_components(g)

@@ -481,6 +481,40 @@ class TestJournalIntegration:
         ) as again:
             assert again.recover() == []
 
+    def test_failed_terminal_write_ends_the_job_and_spares_later_ones(self, tmp_path):
+        journal_dir = tmp_path / "journal"
+        with JobManager(
+            cache=tmp_path / "cache", workers=1, journal=journal_dir
+        ) as manager:
+            original = manager.journal.record_terminal
+            writes = []
+
+            def flaky(key, state):
+                writes.append(key)
+                if len(writes) == 1:
+                    raise OSError("disk full")
+                original(key, state)
+
+            manager.journal.record_terminal = flaky
+            with pytest.warns(RuntimeWarning, match="bookkeeping failed"):
+                first = manager.submit(make_spec(seed=1))
+                assert manager.wait(first, timeout=30)
+            later = [manager.submit(make_spec(seed=seed)) for seed in (2, 3)]
+            for job in later:
+                assert manager.wait(job, timeout=30) and job.state == "done"
+            assert first.state == "done"
+            assert manager.stats()["jobs"] == {"done": 3}
+            assert (
+                manager.registry.counter_value("serve.journal.terminals", label="done")
+                == 2
+            )
+        # The unpaired submit replays on restart, as a cache hit.
+        with JobManager(
+            cache=tmp_path / "cache", workers=1, journal=journal_dir
+        ) as again:
+            (replayed,) = again.recover()
+            assert replayed.key == first.key and replayed.cache == "hit"
+
     def test_recover_is_idempotent_via_cache(self, tmp_path):
         cache_dir = tmp_path / "cache"
         journal_dir = tmp_path / "journal"
@@ -647,8 +681,8 @@ class TestGraphMap:
         specs = [graph_spec(5, run_seed) for run_seed in range(8)]
         with JobManager(cache=tmp_path / "cache", workers=2) as manager:
             # The first request builds and forgets; the second admits.
-            # Requests one after another all go to the first idle
-            # worker, so the rest run on its one cached network.
+            # Requests one after another all go to the worker returned
+            # last, so the rest run on its one cached network.
             jobs = []
             for spec in specs:
                 jobs.append(manager.submit(spec))
@@ -901,7 +935,11 @@ def wait_for_round(job, timeout=10.0):
 
 
 def busy_worker(manager: JobManager):
-    (worker,) = [worker for worker in manager._workers if worker.job is not None]
+    (worker,) = [
+        worker
+        for slot, worker in enumerate(manager._workers)
+        if slot not in manager._idle
+    ]
     return worker
 
 
@@ -959,6 +997,86 @@ class TestWorkers:
             assert manager.wait(follow, timeout=30) and follow.state == "done"
             assert manager._workers == [worker] and worker.process.is_alive()
             assert manager.stats()["workers"] == {"processes": 1, "respawns": 0}
+
+    def test_racing_cancels_and_readers_leave_the_workers_clean(self):
+        # Cancels and first reads land before, while and after each
+        # endless job reaches its worker, between quick jobs.  Every
+        # stop or watch that arrives late must be dropped, never taken
+        # for the next job on that worker.
+        import random
+        import sys
+
+        rng = random.Random(5)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with JobManager(cache=None, workers=3, max_pending=64) as manager:
+                endless, quick = [], []
+                for seed in range(24):
+                    endless.append(manager.submit(slow_spec(seed=seed)))
+                    quick.append(manager.submit(make_spec(seed=seed)))
+
+                def poke(job):
+                    time.sleep(rng.random() * 0.05)
+                    if rng.random() < 0.5:
+                        job.events_since(0)
+                    manager.cancel(job.id)
+
+                pokers = [threading.Thread(target=poke, args=(job,)) for job in endless]
+                for thread in pokers:
+                    thread.start()
+                for thread in pokers:
+                    thread.join(timeout=30)
+                    assert not thread.is_alive()
+                for job in endless:
+                    assert manager.wait(job, timeout=30) and job.state == JOB_CANCELLED
+                for job in quick:
+                    assert manager.wait(job, timeout=30) and job.state == "done"
+                    assert job.body == canonical_json(execute_spec(job.spec)).encode()
+                assert manager.stats()["workers"] == {"processes": 3, "respawns": 0}
+        finally:
+            sys.setswitchinterval(switch)
+
+    def test_cancel_before_the_job_reaches_its_worker_still_stops_it(self, monkeypatch):
+        from repro.serve import runner
+
+        start = runner._Worker.start
+
+        def cancel_then_start(worker, job):
+            job.cancel()  # no worker to tell yet: start must see the flag
+            start(worker, job)
+
+        monkeypatch.setattr(runner._Worker, "start", cancel_then_start)
+        manager = JobManager(cache=None, workers=1)
+        try:
+            job = manager.submit(slow_spec())
+            assert manager.wait(job, timeout=10) and job.state == JOB_CANCELLED
+        finally:
+            # Should the stop be lost, the endless job ends with its worker.
+            manager._workers[0].process.kill()
+            manager.shutdown()
+
+    def test_a_stop_pushed_for_a_finished_job_spares_the_next_one(self):
+        with JobManager(cache=None, workers=1) as manager:
+            (worker,) = manager._workers
+            first = manager.submit(make_spec())
+            assert manager.wait(first, timeout=30) and first.state == "done"
+            second = manager.submit(slow_spec())
+            assert wait_for_round(second)
+            # A cancel of the first job that read its worker before the
+            # reply: the push must not reach the second job.
+            worker.push(first, "stop")
+
+            def rounds():
+                return sum(event["kind"] == "round" for event in second.events_since(0)[0])
+
+            seen, deadline = rounds(), time.monotonic() + 10
+            while rounds() < seen + 3 and not second.done.is_set():
+                assert time.monotonic() < deadline
+                time.sleep(0.005)
+            assert not second.done.is_set()
+            manager.cancel(second.id)
+            assert manager.wait(second, timeout=10) and second.state == JOB_CANCELLED
 
     def test_cancel_stops_a_running_sweep_without_requeueing_its_task(
         self, monkeypatch
@@ -1069,19 +1187,25 @@ class TestEventDelivery:
         assert without_wall_s(sink.events) == expected
 
     def test_unwatched_running_job_stops_on_cancel(self, tmp_path):
-        with JobManager(cache=None, workers=1) as manager:
+        # An observer's sink is not a live reader: it gets the tape when
+        # the job ends.
+        sink = MemoryTraceSink()
+        with JobManager(cache=None, workers=1, obs=Observer(MetricsRegistry(), sink)) as manager:
             job = manager.submit(slow_spec())
             try:
                 assert wait_for_running(job)
                 time.sleep(0.1)
-                taped = job.num_events()
+                taped, teed = job.num_events(), len(sink.events)
             finally:
                 manager.cancel(job.id)  # the spec never ends by itself
             assert taped == 1  # serve-job-start: the rest wait in the worker
+            assert teed == 0
             assert manager.wait(job, timeout=10) and job.state == JOB_CANCELLED
-            kinds = [event["kind"] for event in job.events_since(0)[0]]
+            tape = job.events_since(0)[0]
+            kinds = [event["kind"] for event in tape]
             assert kinds[:3] == ["serve-job-start", "run-start", "round"]
             assert kinds[-2:] == ["serve-job-cancelled", "serve-job-end"]
+            assert sink.events == tape
 
     def test_worker_reports_its_phase_timings(self):
         with JobManager(cache=None, workers=1) as manager:
